@@ -16,11 +16,13 @@ where Ẇ is space-time white noise mollified at scale 1/n.
 Modules
 -------
 lattice   periodic grids, discrete calculus, duality-exact inner products
+bank      the standard bump and the space-time test functions built from it
 noise     white noise realizations, mollifiers, Wiener paths, their laws
 heat      positivity-preserving Itô scheme for the regularized heat equation
 colehopf  the Cole-Hopf sequence and the KPZ / weak-form residual identities
 fk        Feynman-Kac Monte Carlo cross-validation of the heat solver
-harness   test-function bank, studies, reports, and the command line
+harness   config, studies, reports, and the command line (on top of the
+          modules above, none of which imports it)
 """
 
 from burgerslab.lattice import (

@@ -1,5 +1,7 @@
-"""Smooth compactly supported space-time test functions on the torus.
+"""The standard bump and the smooth space-time test functions built from it.
 
+``bump`` is the one bump profile of the package: the noise module scales it
+into the mollifier, and the time sections normalize it into a delta net.
 Every test function here has the separable form
 
     phi_i(t, x) = a_i * psi((t - t0)/r_t) * prod_j psi((x_j - c_j)/r_x),
@@ -165,31 +167,6 @@ class TestFunction:
     def spatial_tensors(self, grid: TorusGrid):
         """Shared tensors (P, D, Q) on the grid; cached, do not mutate."""
         return _spatial_tensors(self, grid)
-
-    # -- full evaluations (for spot checks and plotting) ----------------
-
-    def values(self, grid: TorusGrid, t):
-        """phi(t, .) as an array of shape (d,) + grid.shape."""
-        P, _, _ = self.spatial_tensors(grid)
-        amp = np.asarray(self.amplitudes)
-        return self.psi_t(t) * amp.reshape((grid.d,) + (1,) * grid.d) * P
-
-    def dt_values(self, grid: TorusGrid, t):
-        """Time derivative of phi at time t, shape (d,) + grid.shape."""
-        P, _, _ = self.spatial_tensors(grid)
-        amp = np.asarray(self.amplitudes)
-        return self.dpsi_t(t) * amp.reshape((grid.d,) + (1,) * grid.d) * P
-
-    def laplacian_values(self, grid: TorusGrid, t):
-        """Spatial Laplacian of phi at time t, shape (d,) + grid.shape."""
-        _, _, Q = self.spatial_tensors(grid)
-        amp = np.asarray(self.amplitudes)
-        return self.psi_t(t) * amp.reshape((grid.d,) + (1,) * grid.d) * Q
-
-    def divergence_values(self, grid: TorusGrid, t):
-        """Spatial divergence of phi at time t, shape grid.shape."""
-        _, D, _ = self.spatial_tensors(grid)
-        return self.psi_t(t) * D
 
 
 @lru_cache(maxsize=128)

@@ -19,7 +19,7 @@ Three layers of checks, in increasing depth:
 
       H_{k+1} − H_k − dt (Δ_h H_k + ‖∇_h H_k‖²) − ΔWⁿ_k + ½λ²c_n dt ;
 
-* weak-form identity — ``weak_residual`` pairs U against smooth
+* weak-form identity — ``weak_residual_batch`` pairs U against smooth
   compactly supported space-time test functions and compares
 
       −⟨U, ∂_t φ⟩ − ⟨U, Δφ⟩ + ⟨‖U‖², ∇·φ⟩   (left-endpoint time sums)
@@ -42,24 +42,21 @@ pairings carry the cell volume dx^d.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from burgerslab.harness.bank import TestFunction, bump, bump_d1
-from burgerslab.heat import FieldView, HeatSolution
+from burgerslab.bank import TestFunction, bump, bump_d1
+from burgerslab.heat import HeatSolution
 from burgerslab.lattice import (
     ScalarField,
     TorusGrid,
-    VectorField,
     divergence_values,
     gradient_values,
     laplacian_values,
 )
-from burgerslab.noise import MollifiedNoise, unit_bump_1d
+from burgerslab.noise import MollifiedNoise, _bump_constants
 
 __all__ = [
     "ColeHopfTrajectory",
@@ -68,13 +65,10 @@ __all__ = [
     "cole_hopf",
     "laplacian_ratio_gap",
     "kpz_residual",
-    "weak_residual",
     "weak_residual_batch",
     "distributional_limit_1d",
     "lojasiewicz_section",
     "weak_residual_csv_lines",
-    "write_weak_residual_csv",
-    "write_weak_residual_json",
 ]
 
 # Time chunk for streaming passes over a trajectory; sized so a chunk of
@@ -85,7 +79,7 @@ _CHUNK = 256
 
 @dataclass(frozen=True)
 class ColeHopfTrajectory:
-    """H = log Z for a positive heat trajectory, with lazy gradient views."""
+    """H = log Z for a positive heat trajectory; the passes below form U = ∇_h H."""
 
     source: HeatSolution
     log_values: np.ndarray = field(repr=False)
@@ -98,52 +92,27 @@ class ColeHopfTrajectory:
     def noise(self) -> MollifiedNoise:
         return self.source.noise
 
-    @property
-    def H(self) -> FieldView:
-        """Slices of H as ScalarField views (no copies)."""
-        return FieldView(self.grid, self.log_values)
-
-    @property
-    def U(self) -> "GradientView":
-        """Slices of U = ∇_h H, each computed on access."""
-        return GradientView(self.grid, self.log_values)
-
-    def u_values(self, k: int) -> np.ndarray:
-        """Raw array U_k = ∇_h H_k, shape (d,) + grid.shape."""
-        return gradient_values(self.log_values[k], self.grid.dx)
-
-
-class GradientView(Sequence):
-    """Read-only sequence turning stacked H slices into velocity fields."""
-
-    def __init__(self, grid: TorusGrid, stacked: np.ndarray):
-        self._grid = grid
-        self._stacked = stacked
-
-    def __len__(self) -> int:
-        return self._stacked.shape[0]
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        return VectorField(self._grid, gradient_values(self._stacked[k], self._grid.dx))
-
 
 def cole_hopf(sol: HeatSolution) -> ColeHopfTrajectory:
     """Take H = log Z along the whole trajectory.
 
-    Raises if any value fails to be strictly positive (NaNs included),
-    naming the first offending step and node.
+    Raises if any value fails to be finite and strictly positive (NaNs
+    included), naming the first offending step and node.
     """
     values = sol.values
-    if not np.all(values > 0.0):
-        bad = np.argwhere(~(values > 0.0))[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_values = np.log(values)
+    # H is finite exactly where Z is finite and positive.  Every finite H has
+    # |H| < 750, so their sum cannot overflow: one sum tells whether any H is
+    # not finite, without a mask the size of the stack.
+    if not np.isfinite(np.sum(log_values)):
+        bad = np.argwhere(~np.isfinite(log_values))[0]
         k, node = int(bad[0]), tuple(int(i) for i in bad[1:])
         raise ValueError(
-            f"logarithmic transform needs Z > 0 everywhere; "
-            f"Z at step {k}, node {node} is {values[tuple(bad)]!r}"
+            f"logarithmic transform needs finite Z > 0 everywhere; "
+            f"Z at step {k}, node {node} is {float(values[tuple(bad)])!r}"
         )
-    return ColeHopfTrajectory(source=sol, log_values=np.log(values))
+    return ColeHopfTrajectory(source=sol, log_values=log_values)
 
 
 def laplacian_ratio_gap(z_k: ScalarField, h_k: ScalarField) -> float:
@@ -160,25 +129,6 @@ def laplacian_ratio_gap(z_k: ScalarField, h_k: ScalarField) -> float:
     grad = gradient_values(h_k.values, dx)
     chain = laplacian_values(h_k.values, dx) + np.sum(grad * grad, axis=0)
     return float(np.max(np.abs(ratio - chain)))
-
-
-# ---------------------------------------------------------------------------
-# axis-restricted stencils for stacked (K,) + shape chunks
-
-
-def _lap_chunk(a: np.ndarray, dx: float, d: int) -> np.ndarray:
-    out = np.zeros_like(a)
-    for axis in range(1, d + 1):
-        out += np.roll(a, -1, axis=axis) - 2.0 * a + np.roll(a, 1, axis=axis)
-    out /= dx * dx
-    return out
-
-
-def _grad_chunk(a: np.ndarray, dx: float, d: int) -> list:
-    return [
-        (np.roll(a, -1, axis=axis) - np.roll(a, 1, axis=axis)) / (2.0 * dx)
-        for axis in range(1, d + 1)
-    ]
 
 
 def _require_same_realization(traj: ColeHopfTrajectory, noise: MollifiedNoise) -> None:
@@ -211,12 +161,12 @@ def kpz_residual(traj: ColeHopfTrajectory, noise: MollifiedNoise) -> np.ndarray:
     for lo in range(0, M, _CHUNK):
         hi = min(lo + _CHUNK, M)
         h = H[lo:hi]
-        grads = _grad_chunk(h, dx, d)
+        grads = gradient_values(h, dx, d)
         normsq = np.zeros_like(h)
         for g in grads:
             normsq += g * g
         r = H[lo + 1 : hi + 1] - h
-        r -= dt * (_lap_chunk(h, dx, d) + normsq)
+        r -= dt * (laplacian_values(h, dx, d) + normsq)
         r -= noise.increments[lo:hi]
         r += comp
         out[lo:hi] = np.max(np.abs(r), axis=sp_axes)
@@ -297,7 +247,7 @@ def weak_residual_batch(
     for lo in range(0, M, _CHUNK):
         hi = min(lo + _CHUNK, M)
         h = H[lo:hi]
-        grads = _grad_chunk(h, dx, d)
+        grads = gradient_values(h, dx, d)
         normsq = np.zeros_like(h)
         for g in grads:
             normsq += g * g
@@ -344,16 +294,6 @@ def weak_residual_batch(
     return reports
 
 
-def weak_residual(
-    traj: ColeHopfTrajectory,
-    phi: TestFunction,
-    noise: MollifiedNoise,
-    base,
-) -> WeakResidualReport:
-    """Weak-form report for a single test function; see the batch variant."""
-    return weak_residual_batch(traj, [phi], noise, base)[0]
-
-
 def _u_pairing_series(traj: ColeHopfTrajectory, phi: TestFunction) -> np.ndarray:
     """Σ_i (a·U_k)_i P_i for k = 0..M−1 (no dx^d factor)."""
     grid = traj.grid
@@ -364,7 +304,7 @@ def _u_pairing_series(traj: ColeHopfTrajectory, phi: TestFunction) -> np.ndarray
     H = traj.log_values
     for lo in range(0, M, _CHUNK):
         hi = min(lo + _CHUNK, M)
-        grads = _grad_chunk(H[lo:hi], dx, d)
+        grads = gradient_values(H[lo:hi], dx, d)
         au = np.zeros_like(H[lo:hi])
         for a in range(d):
             au += phi.amplitudes[a] * grads[a]
@@ -431,9 +371,9 @@ def lojasiewicz_section(
 ) -> float:
     """Short-time section s(ε) = Σ_k dt ρ_ε(t_k) ⟨U_k, φ_x⟩.
 
-    ρ_ε(t) = ε⁻¹ η(t/ε − 1) is a unit-mass delta net supported on
-    (0, 2ε); only the spatial part φ_x = a ψ(x) of the test function is
-    used (its time factor plays no role here).  ``via="h"`` evaluates the
+    ρ_ε(t) = ε⁻¹ η(t/ε − 1), with η = c₁·bump the unit-mass 1-D bump, is
+    a delta net supported on (0, 2ε); only the spatial part φ_x = a ψ(x)
+    of the test function is used (its time factor plays no role here).  ``via="h"`` evaluates the
     pairing as −⟨H_k, ∇_h·φ_x⟩ through summation by parts — exact on the
     lattice — while ``via="u"`` pairs ∇_h H_k with φ_x directly; the two
     agree to rounding, which is itself worth asserting.
@@ -456,7 +396,7 @@ def lojasiewicz_section(
     P, _, _ = phi.spatial_tensors(grid)
     k_hi = min(grid.M, int(np.ceil(2.0 * eps / grid.dt)))
     tk = grid.dt * np.arange(k_hi)
-    weights = unit_bump_1d(tk / eps - 1.0) / eps
+    weights = _bump_constants(1)[0] * bump(tk / eps - 1.0) / eps
 
     if via == "h":
         comps = np.asarray(phi.amplitudes).reshape((d,) + (1,) * d) * P
@@ -484,32 +424,3 @@ def weak_residual_csv_lines(reports) -> list:
             f"{r.lhs!r},{r.rhs!r},{r.gap!r},{r.limit_pairing!r}"
         )
     return lines
-
-
-def write_weak_residual_csv(reports, path) -> None:
-    """Write weak-form reports as CSV rows under a fixed header."""
-    Path(path).write_text("\n".join(weak_residual_csv_lines(reports)) + "\n")
-
-
-def write_weak_residual_json(reports, path, config=None) -> None:
-    """Write weak-form reports plus a configuration echo as JSON."""
-    payload = {
-        "config": dict(config) if config else {},
-        "reports": [
-            {
-                "phi_id": r.phi_id,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "gap": r.gap,
-                "limit_pairing": r.limit_pairing,
-                "d": r.d,
-                "N": r.N,
-                "M": r.M,
-                "n": r.n,
-                "seed": r.seed,
-                "lambda": r.lam,
-            }
-            for r in reports
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

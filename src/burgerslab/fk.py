@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -43,11 +42,9 @@ from burgerslab.noise import MollifiedNoise
 
 __all__ = [
     "FkEstimate",
-    "brownian_path",
     "fk_estimate",
     "fk_csv_lines",
     "z_score",
-    "write_fk_csv",
 ]
 
 # Stream tag for the Brownian key: distinct from the noise tag, so walks
@@ -77,20 +74,6 @@ def _brownian_rng(seed: int) -> np.random.Generator:
         raise ValueError(f"brownian seed must be nonnegative, got {seed}")
     key = np.array([np.uint64(seed), _BROWNIAN_STREAM_TAG], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def brownian_path(grid, seed: int) -> np.ndarray:
-    """One Brownian displacement path on the torus, shape (M+1, d).
-
-    Starts at 0 exactly; per-axis increments are N(0, 2·dt); positions are
-    wrapped into the centered fundamental domain [−L/2, L/2).
-    """
-    rng = _brownian_rng(seed)
-    steps = rng.normal(0.0, math.sqrt(2.0 * grid.dt), size=(grid.M, grid.d))
-    path = np.zeros((grid.M + 1, grid.d))
-    np.cumsum(steps, axis=0, out=path[1:])
-    path[1:] = (path[1:] + 0.5 * grid.L) % grid.L - 0.5 * grid.L
-    return path
 
 
 @dataclass(frozen=True)
@@ -208,8 +191,3 @@ def fk_csv_lines(pairs) -> list:
             f"{z_score(est, solver_value)!r}"
         )
     return lines
-
-
-def write_fk_csv(pairs, path) -> None:
-    """Write (estimate, solver_value) pairs as CSV; see fk_csv_lines."""
-    Path(path).write_text("\n".join(fk_csv_lines(pairs)) + "\n")

@@ -1,13 +1,10 @@
-"""Experiment orchestration: test-function bank, studies, reports, CLI.
+"""Experiment orchestration: config, studies, reports.
 
-The studies module imports the solver stack, which in turn imports the
-test-function bank from this package — so the study names are resolved
-lazily here to keep that import chain acyclic.
+The harness sits on top of the core modules and nothing in the core imports
+it.  The command line lives in ``burgerslab.harness.cli``; it is not
+imported here, so ``python -m burgerslab.harness.cli`` runs it fresh.
 """
 
-import importlib
-
-from burgerslab.harness.bank import TestFunction, build_bank
 from burgerslab.harness.config import (
     DEFAULT_TOLERANCES,
     STUDY_KINDS,
@@ -15,17 +12,9 @@ from burgerslab.harness.config import (
     ExperimentConfig,
 )
 from burgerslab.harness.reports import StudyReport, emit_reports, resolve_out_dir
-
-_LAZY = {
-    "STUDIES": "studies",
-    "measure_order": "studies",
-    "run_study": "studies",
-    "main": "cli",
-}
+from burgerslab.harness.studies import STUDIES, measure_order, run_study
 
 __all__ = [
-    "TestFunction",
-    "build_bank",
     "ConfigError",
     "ExperimentConfig",
     "STUDY_KINDS",
@@ -36,12 +25,4 @@ __all__ = [
     "STUDIES",
     "measure_order",
     "run_study",
-    "main",
 ]
-
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"burgerslab.harness.{module}"), name)

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from burgerslab.harness.bank import build_bank
+from burgerslab.bank import build_bank
 from burgerslab.heat import make_initial, stability_check
 from burgerslab.lattice import TorusGrid
 from burgerslab.noise import make_mollifier
@@ -67,6 +68,17 @@ class ConfigError(ValueError):
         super().__init__("; ".join(f"{name}: {msg}" for name, msg in self.errors))
 
 
+def _integral(name: str, value, errors: list):
+    """``int(value)`` if that conversion keeps the value, else record an error."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if as_int is None or as_int != value:
+        errors.append((name, f"must be an integer, got {value!r}"))
+    return as_int
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one study run depends on.  See module docstring."""
@@ -92,7 +104,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         scales = self.n if isinstance(self.n, (list, tuple)) else (self.n,)
-        object.__setattr__(self, "n", tuple(int(v) for v in scales))
+        errors = []
+        scales = tuple(_integral("n", v, errors) for v in scales)
+        if errors:
+            raise ConfigError(errors)
+        object.__setattr__(self, "n", scales)
         merged = dict(DEFAULT_TOLERANCES)
         merged.update(self.tolerances)
         object.__setattr__(self, "tolerances", merged)
@@ -144,8 +160,8 @@ class ExperimentConfig:
             errors.append(("num_paths", f"need ≥ 100, got {self.num_paths}"))
         if self.refine_levels < 1:
             errors.append(("refine_levels", f"need ≥ 1, got {self.refine_levels}"))
-        if not (self.lam >= 0.0):
-            errors.append(("lambda", f"must be nonnegative, got {self.lam}"))
+        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
+            errors.append(("lambda", f"must be finite and nonnegative, got {self.lam}"))
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             errors.append(("tolerances", f"unknown names {sorted(unknown)}"))
@@ -194,9 +210,12 @@ class ExperimentConfig:
         if "study" not in data:
             raise ConfigError([("study", "missing")])
         kwargs = {"study": data["study"]}
+        errors = []
         for key in ("d", "N", "M", "seed", "num_paths", "refine_levels"):
             if key in data:
-                kwargs[key] = int(data[key])
+                kwargs[key] = _integral(key, data[key], errors)
+        if errors:
+            raise ConfigError(errors)
         for key in ("L", "T"):
             if key in data:
                 kwargs[key] = float(data[key])

@@ -48,7 +48,6 @@ class StudyReport:
     orders: dict = field(default_factory=dict)
     curves: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)
-    extra_json: dict = field(default_factory=dict)
     wallclock_s: float | None = None
 
     def add(self, name: str, value, passed: bool, target=None, tol=None, **extra):
@@ -129,9 +128,6 @@ def emit_reports(report: StudyReport, out_dir) -> list:
                                     default=_jsonable) + "\n")
     for name, lines in sorted(report.tables.items()):
         _write(name, "\n".join(lines) + "\n")
-    for name, extra in sorted(report.extra_json.items()):
-        _write(name, json.dumps(extra, indent=2, sort_keys=True,
-                                default=_jsonable) + "\n")
     for name, spec in sorted(report.curves.items()):
         _write(f"{name}.svg", _svg_chart(name, spec))
     return written

@@ -72,6 +72,7 @@ import time
 
 import numpy as np
 
+from burgerslab.bank import build_bank, bump
 from burgerslab.lattice import (
     ScalarField,
     TorusGrid,
@@ -104,7 +105,6 @@ from burgerslab.colehopf import (
     weak_residual_csv_lines,
 )
 from burgerslab.fk import fk_csv_lines, fk_estimate, z_score
-from burgerslab.harness.bank import build_bank, bump
 from burgerslab.harness.config import ExperimentConfig
 from burgerslab.harness.reports import StudyReport, emit_reports, resolve_out_dir
 
@@ -223,9 +223,7 @@ def _u_l2_sq(traj, grid) -> float:
     H = traj.log_values
     for lo in range(0, grid.M, 1024):
         block = H[lo:min(lo + 1024, grid.M)]
-        for axis in range(1, grid.d + 1):
-            g = (np.roll(block, -1, axis=axis)
-                 - np.roll(block, 1, axis=axis)) / (2.0 * grid.dx)
+        for g in gradient_values(block, grid.dx, grid.d):
             total += float(np.sum(g * g))
     return grid.dt * grid.cell_volume * total
 
@@ -406,8 +404,7 @@ def _study_heat(cfg: ExperimentConfig) -> StudyReport:
         decay = np.exp(-(wavenum**2) * g.times())
         z_exact = 1.0 + amp * decay[:, None] * np.cos(wavenum * x)[None, :]
         err_z = float(np.max(np.abs(sol.values - z_exact)))
-        u_num = (np.roll(traj.log_values, -1, axis=1)
-                 - np.roll(traj.log_values, 1, axis=1)) / (2.0 * g.dx)
+        u_num = gradient_values(traj.log_values, g.dx, 1)[0]
         u_exact = (-amp * wavenum * decay[:, None] * np.sin(wavenum * x)[None, :]
                    / z_exact)
         err_u = float(np.max(np.abs(u_num - u_exact)))

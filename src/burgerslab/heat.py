@@ -29,31 +29,23 @@ multiplier), explicit in time, and deterministic given the realization.
 
 from __future__ import annotations
 
-import csv
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from collections.abc import Sequence
 
 import numpy as np
 
-from burgerslab.lattice import ScalarField, TorusGrid, laplacian_values
+from burgerslab.lattice import TorusGrid, laplacian_values
 from burgerslab.noise import MollifiedNoise
 
 __all__ = [
     "InitialData",
     "HeatSolution",
-    "FieldView",
     "initial_zero",
     "initial_cosine",
     "initial_gaussian_bump",
     "make_initial",
-    "heat_step",
     "solve_heat",
     "stability_check",
-    "trajectory_to_csv",
-    "save_heat_snapshot",
-    "load_heat_snapshot",
 ]
 
 
@@ -155,79 +147,13 @@ def stability_check(grid: TorusGrid) -> float:
 class HeatSolution:
     """Full trajectory of the heat scheme with its generating noise.
 
-    `values` stacks the M+1 time slices; `trajectory` wraps them lazily as
-    ScalarFields so downstream code can stay field-typed without doubling
-    the memory footprint of long runs.
+    `values` stacks the M+1 time slices, shape (M+1,) + grid.shape.
     """
 
     grid: TorusGrid
     noise: MollifiedNoise
     values: np.ndarray = field(repr=False)
     scheme_meta: dict = field(default_factory=dict)
-
-    @property
-    def trajectory(self) -> "FieldView":
-        return FieldView(self.grid, self.values)
-
-
-class FieldView(Sequence):
-    """Read-only sequence of ScalarField views over a stacked trajectory."""
-
-    def __init__(self, grid: TorusGrid, stacked: np.ndarray):
-        self._grid = grid
-        self._stacked = stacked
-
-    def __len__(self) -> int:
-        return self._stacked.shape[0]
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        return ScalarField(self._grid, self._stacked[k])
-
-
-def _step_values(
-    z: np.ndarray, noise_slice: np.ndarray, dx: float, dt: float, compensated: float
-) -> np.ndarray:
-    return (z + dt * laplacian_values(z, dx)) * np.exp(noise_slice - compensated)
-
-
-def heat_step(
-    z_k: ScalarField, noise_slice: np.ndarray, c_n: float, lam: float = 1.0
-) -> ScalarField:
-    """One explicit Itô step: (Z + dt·Δ_h Z) · exp(ΔW^n − ½λ²c_n dt).
-
-    Parameters
-    ----------
-    z_k : ScalarField
-        Current slice, strictly positive.
-    noise_slice : ndarray
-        The mollified increments ΔW^n_k on the same grid (λ already folded in).
-    c_n : float
-        Discrete variance constant of the increments (per unit λ² dt).
-    lam : float
-        Noise amplitude; scales the compensator quadratically.
-
-    Raises
-    ------
-    ValueError
-        If the stability margin is negative or the input is not strictly
-        positive.
-    """
-    grid = z_k.grid
-    if stability_check(grid) < 0.0:
-        raise ValueError(
-            f"stability violation: dt = {grid.dt!r} > dx²/(2d) = {grid.dx**2 / (2 * grid.d)!r}"
-        )
-    if not np.all(z_k.values > 0.0):
-        raise ValueError("heat step requires strictly positive input")
-    noise_slice = np.asarray(noise_slice, dtype=np.float64)
-    if noise_slice.shape != grid.shape:
-        raise ValueError(
-            f"noise slice must have shape {grid.shape}, got {noise_slice.shape}"
-        )
-    compensated = 0.5 * lam * lam * c_n * grid.dt
-    return ScalarField(grid, _step_values(z_k.values, noise_slice, grid.dx, grid.dt, compensated))
 
 
 def solve_heat(
@@ -254,7 +180,7 @@ def solve_heat(
     Returns
     -------
     HeatSolution
-        trajectory[0] is exp(f) (or the override) exactly; every slice is
+        values[0] is exp(f) (or the override) exactly; every slice is
         strictly positive.
     """
     if noise.grid != grid:
@@ -279,11 +205,13 @@ def solve_heat(
     c_n = noise.mollifier.c_n_discrete
     compensated = 0.5 * lam * lam * c_n * grid.dt
 
+    dx, dt = grid.dx, grid.dt
     values = np.empty((grid.M + 1,) + grid.shape)
     values[0] = z0
     for k in range(grid.M):
-        values[k + 1] = _step_values(
-            values[k], noise.increments[k], grid.dx, grid.dt, compensated
+        z = values[k]
+        values[k + 1] = (z + dt * laplacian_values(z, dx)) * np.exp(
+            noise.increments[k] - compensated
         )
     return HeatSolution(
         grid=grid,
@@ -296,62 +224,3 @@ def solve_heat(
             "initial_kind": f.kind if z0_override is None else "override",
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-
-def trajectory_to_csv(sol: HeatSolution, path: str | Path, stride: int = 1) -> None:
-    """Write the trajectory as CSV rows (k, t, node indices…, Z).
-
-    `stride` subsamples time (every stride-th slice plus the final one) so
-    long runs can be exported at a glance; floats are written with repr so
-    re-export is byte-identical.
-    """
-    g = sol.grid
-    index_cols = [f"i{axis}" for axis in range(g.d)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "t"] + index_cols + ["Z"])
-        ks = sorted(set(range(0, g.M + 1, stride)) | {g.M})
-        for k in ks:
-            t = repr(k * g.dt)
-            slice_k = sol.values[k]
-            for idx in np.ndindex(g.shape):
-                writer.writerow([k, t] + list(idx) + [repr(float(slice_k[idx]))])
-
-
-_HEADER = struct.Struct("<qqqddqd")
-
-
-def save_heat_snapshot(sol: HeatSolution, path: str | Path) -> None:
-    """Binary trajectory dump, same layout as the noise format.
-
-    Header (little-endian): int64 d, N, M | float64 L, T | int64 seed |
-    float64 λ — followed by the (M+1)·N^d trajectory values as row-major
-    float64 time slices.
-    """
-    g = sol.grid
-    header = _HEADER.pack(g.d, g.N, g.M, g.L, g.T, sol.noise.base.seed, sol.noise.lam)
-    payload = np.ascontiguousarray(sol.values, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.tobytes())
-
-
-def load_heat_snapshot(path: str | Path) -> tuple[TorusGrid, int, float, np.ndarray]:
-    """Read back a snapshot: (grid, seed, λ, values).  Bit-exact roundtrip."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated snapshot")
-    d, N, M, L, T, seed, lam = _HEADER.unpack_from(raw)
-    grid = TorusGrid(d=d, N=N, M=M, L=L, T=T)
-    expected = (M + 1) * N**d
-    payload = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    if payload.size != expected:
-        raise ValueError(
-            f"{path}: payload has {payload.size} values, header promises {expected}"
-        )
-    return grid, seed, lam, payload.reshape((M + 1,) + grid.shape).astype(np.float64)

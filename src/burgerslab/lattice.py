@@ -174,24 +174,32 @@ class VectorField:
 # array-level stencils
 #
 # The field wrappers below delegate here; the solvers import these directly
-# to avoid wrapping every intermediate time slice in a dataclass.
+# to avoid wrapping every intermediate time slice in a dataclass.  The
+# stencils act on the last `d` axes (default: all of them), so a stack of
+# time slices of shape (K,) + spatial goes through in one call.
 # ---------------------------------------------------------------------------
 
 
-def laplacian_values(a: np.ndarray, dx: float) -> np.ndarray:
-    """Compact second-difference Laplacian of a periodic array (any rank)."""
+def laplacian_values(a: np.ndarray, dx: float, d: int | None = None) -> np.ndarray:
+    """Compact second-difference Laplacian over the last `d` axes of a periodic array."""
+    d = a.ndim if d is None else d
     out = np.zeros_like(a)
-    for axis in range(a.ndim):
+    for axis in range(a.ndim - d, a.ndim):
         out += np.roll(a, -1, axis=axis) - 2.0 * a + np.roll(a, 1, axis=axis)
     out /= dx * dx
     return out
 
 
-def gradient_values(a: np.ndarray, dx: float) -> np.ndarray:
-    """Centered gradient of a periodic array; returns shape (ndim,) + a.shape."""
-    out = np.empty((a.ndim,) + a.shape, dtype=np.float64)
-    for axis in range(a.ndim):
-        out[axis] = (np.roll(a, -1, axis=axis) - np.roll(a, 1, axis=axis)) / (2.0 * dx)
+def gradient_values(a: np.ndarray, dx: float, d: int | None = None) -> np.ndarray:
+    """Centered gradient over the last `d` axes; returns shape (d,) + a.shape."""
+    d = a.ndim if d is None else d
+    out = np.empty((d,) + a.shape, dtype=np.float64)
+    for i, axis in enumerate(range(a.ndim - d, a.ndim)):
+        # one shifted copy alive at a time: on a stacked chunk this keeps the
+        # temporaries at one component's size on top of the output
+        out[i] = np.roll(a, -1, axis=axis)
+        out[i] -= np.roll(a, 1, axis=axis)
+    out /= 2.0 * dx
     return out
 
 

@@ -70,6 +70,7 @@ from pathlib import Path
 
 import numpy as np
 
+from burgerslab.bank import bump
 from burgerslab.lattice import TorusGrid
 
 __all__ = [
@@ -87,7 +88,6 @@ __all__ = [
     "coarse_grain",
     "save_noise",
     "load_noise",
-    "unit_bump_1d",
 ]
 
 # Distinct Philox key tags keep the white-noise stream and the Feynman-Kac
@@ -98,17 +98,6 @@ _NOISE_STREAM_TAG = np.uint64(0x57484E5345)
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def _bump_raw(u: np.ndarray) -> np.ndarray:
-    """exp(−1/(1−u²)) on |u| < 1, exactly 0 elsewhere (vectorized, stable)."""
-    u = np.asarray(u, dtype=np.float64)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    if np.any(inside):
-        ui = u[inside]
-        out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
-    return out
 
 
 def _simpson(f, a: float, b: float, panels: int) -> float:
@@ -132,26 +121,12 @@ def _bump_constants(d: int) -> tuple[float, float]:
     """
     area = _SPHERE_AREA[d]
     panels = 200_000
-    mass = area * _simpson(lambda r: r ** (d - 1) * _bump_raw(r), 0.0, 1.0, panels)
+    mass = area * _simpson(lambda r: r ** (d - 1) * bump(r), 0.0, 1.0, panels)
     c_d = 1.0 / mass
     l2 = c_d * c_d * area * _simpson(
-        lambda r: r ** (d - 1) * _bump_raw(r) ** 2, 0.0, 1.0, panels
+        lambda r: r ** (d - 1) * bump(r) ** 2, 0.0, 1.0, panels
     )
     return c_d, l2
-
-
-@lru_cache(maxsize=None)
-def _unit_bump_norm_1d() -> float:
-    return _bump_constants(1)[0]
-
-
-def unit_bump_1d(u: np.ndarray) -> np.ndarray:
-    """The normalized 1-D bump c₁·exp(−1/(1−u²)): unit mass, support (−1, 1).
-
-    Shared by the time-direction delta nets (Lojasiewicz sections); the
-    spatial mollifier uses the d-dimensional variant internally.
-    """
-    return _unit_bump_norm_1d() * _bump_raw(u)
 
 
 @dataclass(frozen=True)
@@ -194,7 +169,7 @@ class Mollifier:
         """Pointwise profile ρ_n as a function of the radius |x|."""
         c_d, _ = _bump_constants(self.grid.d)
         n = float(self.scale_n)
-        return c_d * n**self.grid.d * _bump_raw(n * np.asarray(r, dtype=np.float64))
+        return c_d * n**self.grid.d * bump(n * np.asarray(r, dtype=np.float64))
 
     def rho(self, points: np.ndarray) -> np.ndarray:
         """Pointwise profile ρ_n at points of shape (..., d)."""
@@ -228,7 +203,7 @@ def _cell_averaged_kernel(grid: TorusGrid, n: int, c_d: float) -> np.ndarray:
         shape[2 * axis] = b
         shape[2 * axis + 1] = g
         r2 = r2 + sq.reshape(shape)
-    vals = c_d * float(n) ** d * _bump_raw(float(n) * np.sqrt(r2))
+    vals = c_d * float(n) ** d * bump(float(n) * np.sqrt(r2))
     # contract the Gauss weights on each g-axis; cell average = (1/2^d) Σ w·f
     w = _GL_WEIGHTS / 2.0
     for axis in range(d):
@@ -443,7 +418,7 @@ def h_eval(m: Mollifier, z) -> float:
         shape[a] = panels + 1
         r2 = r2 + sq.reshape(shape)
         r2_shift = r2_shift + (shifted_sq if a == 0 else sq).reshape(shape)
-    integrand = _bump_raw(np.sqrt(r2)) * _bump_raw(np.sqrt(r2_shift))
+    integrand = bump(np.sqrt(r2)) * bump(np.sqrt(r2_shift))
     for a in range(d):
         shape = [1] * (d - a)
         shape[0] = panels + 1

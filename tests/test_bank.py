@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from burgerslab.harness.bank import TestFunction, build_bank, bump, bump_d1, bump_d2
+from burgerslab.bank import TestFunction, build_bank, bump, bump_d1, bump_d2
 from burgerslab.lattice import TorusGrid, divergence_values, laplacian_values
 
 
@@ -91,14 +91,14 @@ def test_build_bank_spec_path_and_errors():
 def test_values_vanish_outside_support():
     g = _grid(d=2, N=32)
     tf = TestFunction("loc", 0.5, 0.1, (0.25, 0.25), 0.1, (1.0, -0.5))
-    # outside in time: identically zero
-    assert np.all(tf.values(g, 0.9) == 0.0)
-    assert np.all(tf.dt_values(g, 0.05) == 0.0)
-    # inside in time but far away in space
-    vals = tf.values(g, 0.5)
-    far = vals[:, 24:, 24:]  # nodes near (0.75, 0.75), distance > radius
-    assert np.all(far == 0.0)
-    assert np.any(vals != 0.0)
+    # outside in time: the time factor and its derivative are exactly zero
+    assert tf.psi_t(0.9) == 0.0
+    assert tf.dpsi_t(0.05) == 0.0
+    # far away in space: every shared tensor is exactly zero
+    for tensor in tf.spatial_tensors(g):
+        far = tensor[24:, 24:]  # nodes near (0.75, 0.75), distance > radius
+        assert np.all(far == 0.0)
+        assert np.any(tensor != 0.0)
 
 
 def test_spatial_tensor_cache_and_immutability():
@@ -122,17 +122,13 @@ def test_analytic_derivatives_match_stencils_at_second_order(d):
         tf = TestFunction(
             "probe", 0.5, 0.3, (0.5,) * d, 0.3, tuple([1.0, -0.7][:d])
         )
-        t = 0.5
-        vals = tf.values(g, t)
-        div_stencil = divergence_values(vals, g.dx)
-        div_exact = tf.divergence_values(g, t)
-        lap_stencil = np.stack(
-            [laplacian_values(vals[a], g.dx) for a in range(d)]
-        )
-        lap_exact = tf.laplacian_values(g, t)
+        P, D, Q = tf.spatial_tensors(g)
+        amp = np.asarray(tf.amplitudes).reshape((d,) + (1,) * d)
+        div_stencil = divergence_values(amp * P, g.dx)
+        lap_stencil = laplacian_values(P, g.dx)
         defects[N] = max(
-            np.max(np.abs(div_stencil - div_exact)),
-            np.max(np.abs(lap_stencil - lap_exact)),
+            np.max(np.abs(div_stencil - D)),
+            np.max(np.abs(lap_stencil - Q)),
         )
     ratio = defects[48] / defects[96]
     assert 3.0 < ratio < 5.2

@@ -1,23 +1,18 @@
 """Log-transform layer: chain-rule gaps, growth residual, weak-form pairings."""
 
-import json
-
 import numpy as np
 import pytest
 
+from burgerslab.bank import build_bank
 from burgerslab.colehopf import (
-    ColeHopfTrajectory,
     cole_hopf,
     distributional_limit_1d,
     kpz_residual,
     laplacian_ratio_gap,
     lojasiewicz_section,
-    weak_residual,
     weak_residual_batch,
-    write_weak_residual_csv,
-    write_weak_residual_json,
+    weak_residual_csv_lines,
 )
-from burgerslab.harness.bank import build_bank
 from burgerslab.heat import HeatSolution, initial_gaussian_bump, initial_zero, solve_heat
 from burgerslab.lattice import ScalarField, TorusGrid, gradient_values
 from burgerslab.noise import coarse_grain, make_mollifier, mollify, sample_noise
@@ -59,13 +54,12 @@ def test_log_transform_is_definitional():
     mol, traj = _solve(g, base)
     sol = traj.source
     assert np.array_equal(traj.log_values, np.log(sol.values))
-    assert np.shares_memory(traj.H[4].values, traj.log_values)
-    assert len(traj.U) == g.M + 1
-    k = g.M // 2
-    expect = gradient_values(traj.log_values[k], g.dx)
-    assert np.array_equal(traj.U[k].values, expect)
-    assert np.array_equal(traj.u_values(k), expect)
-    assert len(traj.U[1:3]) == 2
+    # U = ∇_h H: the stacked stencil the chunk passes use equals the
+    # per-slice gradient at every step
+    stacked = gradient_values(traj.log_values, g.dx, g.d)
+    assert stacked.shape == (g.d, g.M + 1) + g.shape
+    for k in (0, g.M // 2, g.M):
+        assert np.array_equal(stacked[:, k], gradient_values(traj.log_values[k], g.dx))
 
 
 def test_flat_trajectory_is_exactly_stationary():
@@ -74,7 +68,7 @@ def test_flat_trajectory_is_exactly_stationary():
     mol = mollify(base, make_mollifier(g, 4))
     traj = cole_hopf(solve_heat(g, mol, initial_zero(g)))
     assert np.all(traj.log_values == 0.0)
-    assert np.all(traj.u_values(3) == 0.0)
+    assert np.all(gradient_values(traj.log_values[3], g.dx) == 0.0)
     assert np.all(kpz_residual(traj, mol) == 0.0)
 
 
@@ -88,6 +82,10 @@ def test_cole_hopf_rejects_nonpositive_values():
         cole_hopf(sol)
     values[3, 2] = np.nan
     with pytest.raises(ValueError, match="step 3"):
+        cole_hopf(HeatSolution(grid=g, noise=mol, values=values))
+    values[3, 2] = 1.0
+    values[4, 5] = np.inf
+    with pytest.raises(ValueError, match=r"step 4.*\(5,\) is inf"):
         cole_hopf(HeatSolution(grid=g, noise=mol, values=values))
 
 
@@ -172,7 +170,7 @@ def test_weak_residual_gap_shrinks_under_coupled_refinement(ladder):
 def test_weak_residual_reports_metadata(ladder):
     base, mol, traj = ladder["coarse"]
     phi = build_bank(traj.grid)[0]
-    r = weak_residual(traj, phi, mol, base)
+    [r] = weak_residual_batch(traj, [phi], mol, base)
     g = traj.grid
     assert (r.d, r.N, r.M) == (g.d, g.N, g.M)
     assert r.n == 4 and r.seed == 3 and r.lam == 1.0
@@ -184,7 +182,7 @@ def test_weak_residual_batch_matches_single_calls(ladder):
     base, mol, traj = ladder["coarse"]
     bank = build_bank(traj.grid)[:2]
     batch = weak_residual_batch(traj, bank, mol, base)
-    singles = [weak_residual(traj, phi, mol, base) for phi in bank]
+    singles = [weak_residual_batch(traj, [phi], mol, base)[0] for phi in bank]
     assert batch == singles
 
 
@@ -194,14 +192,14 @@ def test_weak_residual_validation(ladder):
     phi = build_bank(g)[0]
     wrong_base = sample_noise(g, seed=8, lam=1.0)
     with pytest.raises(ValueError, match="base"):
-        weak_residual(traj, phi, mol, wrong_base)
+        weak_residual_batch(traj, [phi], mol, wrong_base)
     wrong_mol = mollify(wrong_base, make_mollifier(g, 4))
     with pytest.raises(ValueError, match="realization"):
-        weak_residual(traj, phi, wrong_mol, wrong_base)
+        weak_residual_batch(traj, [phi], wrong_mol, wrong_base)
     with pytest.raises(ValueError, match="at least one"):
         weak_residual_batch(traj, [], mol, base)
     with pytest.raises(ValueError, match="mollified"):
-        weak_residual(traj, phi, base, base)
+        weak_residual_batch(traj, [phi], base, base)
 
 
 def test_gauge_shift_leaves_velocity_unchanged():
@@ -215,7 +213,9 @@ def test_gauge_shift_leaves_velocity_unchanged():
     diff = t2.log_values - t1.log_values
     assert np.max(np.abs(diff - 0.7)) < 1e-11
     k = g.M
-    assert np.max(np.abs(t2.u_values(k) - t1.u_values(k))) < 1e-11
+    u1 = gradient_values(t1.log_values[k], g.dx)
+    u2 = gradient_values(t2.log_values[k], g.dx)
+    assert np.max(np.abs(u2 - u1)) < 1e-11
 
 
 @pytest.fixture(scope="module")
@@ -297,7 +297,7 @@ def test_section_approaches_initial_slice_without_noise():
     mol, traj = _solve(g, base)
     phi = build_bank(g)[1]
     P, _, _ = phi.spatial_tensors(g)
-    u0 = traj.u_values(0)
+    u0 = gradient_values(traj.log_values[0], g.dx)
     p0 = g.cell_volume * float(np.sum(phi.amplitudes[0] * u0[0] * P))
     errs = [
         abs(lojasiewicz_section(traj, phi, eps) - p0)
@@ -323,25 +323,15 @@ def test_weak_machinery_in_two_dimensions():
     assert abs(sh - su) <= 1e-12 * (1.0 + abs(sh))
 
 
-def test_report_persistence(tmp_path, ladder):
+def test_report_persistence(ladder):
     base, mol, traj = ladder["coarse"]
     bank = build_bank(traj.grid)[:2]
     reports = weak_residual_batch(traj, bank, mol, base)
 
-    csv_path = tmp_path / "weak.csv"
-    write_weak_residual_csv(reports, csv_path)
-    lines = csv_path.read_text().splitlines()
+    lines = weak_residual_csv_lines(reports)
     assert lines[0] == "d,N,M,n,seed,lambda,phi_id,lhs,rhs,gap,limit_pairing"
     assert len(lines) == 1 + len(reports)
-    assert lines[1].split(",")[6] == "phi1"
-    first = csv_path.read_bytes()
-    write_weak_residual_csv(reports, csv_path)
-    assert csv_path.read_bytes() == first
-
-    json_path = tmp_path / "weak.json"
-    write_weak_residual_json(reports, json_path, config={"seed": 3, "d": 1})
-    payload = json.loads(json_path.read_text())
-    assert payload["config"] == {"seed": 3, "d": 1}
-    assert len(payload["reports"]) == len(reports)
-    assert payload["reports"][0]["phi_id"] == "phi1"
-    assert payload["reports"][0]["gap"] == reports[0].gap
+    row = lines[1].split(",")
+    assert row[6] == "phi1"
+    assert float(row[9]) == reports[0].gap
+    assert weak_residual_csv_lines(reports) == lines

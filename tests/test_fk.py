@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from burgerslab.fk import FkEstimate, brownian_path, fk_estimate, write_fk_csv, z_score
+from burgerslab.fk import FkEstimate, fk_csv_lines, fk_estimate, z_score
 from burgerslab.heat import InitialData, initial_gaussian_bump, initial_zero, solve_heat
 from burgerslab.lattice import TorusGrid
 from burgerslab.noise import make_mollifier, mollify, sample_noise
@@ -15,32 +15,56 @@ def _noise(grid, seed=0, lam=1.0, n=4):
     return mollify(sample_noise(grid, seed=seed, lam=lam), make_mollifier(grid, n))
 
 
+def _displacement_moment(g, axis, power, t, num_paths=20_000, seed=0):
+    """fk_estimate of E[1 + X_a^power] for the walk's displacement X from the centre.
+
+    With λ = 0 the estimate averages exp(f) over the walk's end nodes, so
+    exp(f) = 1 + (wrapped offset along `axis`)^power reads off that moment.
+    """
+    centre = (0.5 * g.L,) * g.d
+    offset = g.wrapped_offsets()  # node offsets from 0; shift the centre there
+    profile = 1.0 + np.roll(offset, g.N // 2) ** power
+    shape = [1] * g.d
+    shape[axis] = g.N
+    values = np.log(np.broadcast_to(profile.reshape(shape), g.shape))
+    f = InitialData(grid=g, kind="custom", params={}, values=values)
+    return fk_estimate(_noise(g, lam=0.0), f, t, centre, num_paths,
+                       "ito-compensated", brownian_seed=seed)
+
+
 def test_path_starts_at_zero_and_is_reproducible():
     g = TorusGrid(d=2, N=16, M=32, T=0.01)
-    p = brownian_path(g, seed=5)
-    assert p.shape == (33, 2)
-    assert np.all(p[0] == 0.0)
-    assert np.array_equal(p, brownian_path(g, seed=5))
-    assert not np.array_equal(p, brownian_path(g, seed=6))
+    # no steps: every walk still sits on its start node
+    start = _displacement_moment(g, axis=0, power=2, t=0.0, num_paths=200)
+    assert start.mean == 1.0 and start.stderr == 0.0
+    # the walk is a function of brownian_seed alone
+    a = _displacement_moment(g, axis=1, power=2, t=g.T, num_paths=200, seed=5)
+    assert a == _displacement_moment(g, axis=1, power=2, t=g.T, num_paths=200, seed=5)
+    assert a.mean != _displacement_moment(g, axis=1, power=2, t=g.T, num_paths=200,
+                                          seed=6).mean
     with pytest.raises(ValueError, match="nonnegative"):
-        brownian_path(g, seed=-1)
+        _displacement_moment(g, axis=0, power=2, t=g.T, num_paths=200, seed=-1)
 
 
 def test_increment_law():
-    g = TorusGrid(d=1, N=16, M=4096, T=0.01)
-    p = brownian_path(g, seed=0)[:, 0]
-    # minimum-image differences recover the true increments (steps ≪ L/2)
-    inc = (np.diff(p) + 0.5 * g.L) % g.L - 0.5 * g.L
-    var = float(np.var(inc, ddof=1))
-    assert abs(var - 2.0 * g.dt) < 0.05 * 2.0 * g.dt
-    assert abs(float(np.mean(inc))) < 4.0 * math.sqrt(2.0 * g.dt / len(inc))
+    # one step: each axis moves by N(0, 2·dt), read at the nearest node, so
+    # E[Q²] = 2·dt + dx²/12 (Sheppard's correction; its error is of order
+    # exp(−2π²·2dt/dx²) ≈ 1e-11 on this grid)
+    g = TorusGrid(d=2, N=64, M=64, T=0.01)
+    for axis in range(g.d):
+        second = _displacement_moment(g, axis, power=2, t=g.dt, seed=axis)
+        target = 2.0 * g.dt + g.dx**2 / 12.0
+        assert abs(second.mean - 1.0 - target) < 4.0 * second.stderr
+        first = _displacement_moment(g, axis, power=1, t=g.dt, seed=axis)
+        assert abs(first.mean - 1.0) < 4.0 * first.stderr
 
 
 def test_terminal_position_variance():
-    g = TorusGrid(d=1, N=32, M=64, T=0.01)
-    finals = np.array([brownian_path(g, seed=s)[-1, 0] for s in range(4000)])
-    # 2T = 0.02 ≪ L², so wrapping distorts nothing measurable
-    assert abs(float(np.var(finals, ddof=1)) - 2.0 * g.T) < 0.05 * 2.0 * g.T
+    # 2T = 0.02 ≪ (L/2)², so wrapping distorts nothing measurable
+    g = TorusGrid(d=1, N=64, M=64, T=0.01)
+    est = _displacement_moment(g, axis=0, power=2, t=g.T, num_paths=4000)
+    target = 2.0 * g.T + g.dx**2 / 12.0
+    assert abs(est.mean - 1.0 - target) < 4.0 * est.stderr
 
 
 def test_degenerate_cases_are_exact():
@@ -156,20 +180,16 @@ def test_z_score_edge_cases():
     assert z_score(est, 2.0) == math.inf
 
 
-def test_csv_report(tmp_path):
+def test_csv_report():
     g = TorusGrid(d=1, N=32, M=64, T=0.01)
     noise = _noise(g, lam=0.0)
     f = initial_zero(g)
     est = fk_estimate(noise, f, g.T, [0.5], 200, "ito-compensated")
-    path = tmp_path / "fk.csv"
-    write_fk_csv([(est, 1.0)], path)
-    lines = path.read_text().splitlines()
+    lines = fk_csv_lines([(est, 1.0)])
     assert lines[0] == "t,x0,num_paths,mode,mean,stderr,solver_value,z_score"
     assert len(lines) == 2
     row = lines[1].split(",")
     assert row[3] == "ito-compensated" and row[2] == "200"
-    blob = path.read_bytes()
-    write_fk_csv([(est, 1.0)], path)
-    assert path.read_bytes() == blob
+    assert fk_csv_lines([(est, 1.0)]) == lines
     with pytest.raises(ValueError, match="nothing"):
-        write_fk_csv([], tmp_path / "empty.csv")
+        fk_csv_lines([])

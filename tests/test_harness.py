@@ -1,11 +1,16 @@
-"""Harness: config validation/serialization, order fits, reports, CLI."""
+"""Harness: config validation/serialization, order fits, reports, CLI, layering."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import burgerslab
 from burgerslab.harness import (
     DEFAULT_TOLERANCES,
     STUDY_KINDS,
@@ -91,6 +96,13 @@ def test_validate_collects_every_error_by_name():
     assert {"study", "seed", "num_paths", "refine_levels", "lambda"} <= named
 
 
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_validate_rejects_non_finite_lambda(lam):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(study="qv", lam=lam).validate()
+    assert [name for name, _ in err.value.errors] == ["lambda"]
+
+
 def test_validate_rejects_unstable_time_step():
     # dt = T/M must satisfy dt <= dx²/(2d)
     with pytest.raises(ConfigError, match="unstable"):
@@ -117,6 +129,16 @@ def test_from_dict_rejects_unknown_keys_and_missing_study():
         ExperimentConfig.from_dict({"N": 64})
     with pytest.raises(ConfigError, match="initial"):
         ExperimentConfig.from_dict({"study": "qv", "initial": "cosine"})
+
+
+@pytest.mark.parametrize("key", ["n", "d", "N", "M", "seed", "num_paths", "refine_levels"])
+def test_from_dict_rejects_non_integral_integer_fields(key):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict({"study": "qv", key: 8.7})
+    assert [name for name, _ in err.value.errors] == [key]
+    # an integral float converts without changing its value, so it stays
+    whole = ExperimentConfig.from_dict({"study": "qv", key: 8.0})
+    assert getattr(whole, key) == ((8,) if key == "n" else 8)
 
 
 def test_load_reports_invalid_json(tmp_path):
@@ -371,3 +393,29 @@ def test_cli_env_var_default_out_dir(tmp_path, monkeypatch, capsys):
     _tiny("burgers", lam=0.0, initial_kind="zero", initial_params={}).save(cfg_path)
     assert main(["burgers", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "env-out" / "study.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# layering
+
+
+def test_core_modules_do_not_import_the_harness(tmp_path):
+    # a fresh interpreter, so modules this test session already loaded do
+    # not count; like contract 12, hand it the source tree under test
+    src_dir = str(Path(burgerslab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, os.environ.get("PYTHONPATH")) if p
+    )
+    core = ("lattice", "bank", "noise", "heat", "colehopf", "fk")
+    code = (
+        "import sys\n"
+        + "".join(f"import burgerslab.{name}\n" for name in core)
+        + "print(sorted(m for m in sys.modules if m.startswith('burgerslab.harness')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,23 +1,19 @@
-"""Heat scheme: stability, positivity, zero-noise reduction, oracles, export."""
+"""Heat scheme: stability, positivity, zero-noise reduction, oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
-from burgerslab.lattice import ScalarField, TorusGrid, laplacian_values
+from burgerslab.lattice import TorusGrid, laplacian_values
 from burgerslab.noise import make_mollifier, mollify, sample_noise
 from burgerslab.heat import (
-    heat_step,
     initial_cosine,
     initial_gaussian_bump,
     initial_zero,
-    load_heat_snapshot,
     make_initial,
-    save_heat_snapshot,
     solve_heat,
     stability_check,
-    trajectory_to_csv,
 )
 
 
@@ -43,31 +39,32 @@ def test_stability_margin_values():
 def test_zero_noise_step_is_explicit_heat_step():
     g = _stable_grid()
     rng = np.random.default_rng(1)
-    z = ScalarField(g, np.exp(rng.standard_normal(g.shape)))
-    stepped = heat_step(z, np.zeros(g.shape), c_n=0.0, lam=0.0)
-    explicit = z.values + g.dt * laplacian_values(z.values, g.dx)
-    assert np.array_equal(stepped.values, explicit)
+    z0 = np.exp(rng.standard_normal(g.shape))
+    sol = solve_heat(g, _mollified(g, lam=0.0), initial_zero(g), z0_override=z0)
+    for k in (0, g.M // 2, g.M - 1):
+        z = sol.values[k]
+        explicit = z + g.dt * laplacian_values(z, g.dx)
+        assert np.array_equal(sol.values[k + 1], explicit)
 
 
 def test_constants_are_heat_invariant():
     g = _stable_grid()
-    z = ScalarField(g, np.full(g.shape, 2.5))
-    stepped = heat_step(z, np.zeros(g.shape), c_n=0.0, lam=0.0)
-    assert np.allclose(stepped.values, 2.5, rtol=0, atol=1e-14)
+    z0 = np.full(g.shape, 2.5)
+    sol = solve_heat(g, _mollified(g, lam=0.0), initial_zero(g), z0_override=z0)
+    assert np.allclose(sol.values, 2.5, rtol=0, atol=1e-14)
 
 
 def test_step_rejects_bad_input():
-    g = TorusGrid(d=1, N=16, M=2, T=1.0)  # dt = 0.5 >> dx²/2: unstable
-    z = ScalarField(g, np.ones(g.shape))
-    with pytest.raises(ValueError):
-        heat_step(z, np.zeros(g.shape), c_n=1.0)
-    g_ok = _stable_grid()
-    z_bad = ScalarField(g_ok, np.concatenate([[0.0], np.ones(g_ok.N - 1)]))
-    with pytest.raises(ValueError):
-        heat_step(z_bad, np.zeros(g_ok.shape), c_n=1.0)
-    z_ok = ScalarField(g_ok, np.ones(g_ok.shape))
-    with pytest.raises(ValueError):
-        heat_step(z_ok, np.zeros((g_ok.N + 1,)), c_n=1.0)
+    unstable = TorusGrid(d=1, N=16, M=2, T=1.0)  # dt = 0.5 >> dx²/2
+    with pytest.raises(ValueError, match="stability"):
+        solve_heat(unstable, _mollified(unstable, n=2), initial_zero(unstable))
+    g = _stable_grid()
+    noise, f = _mollified(g), initial_zero(g)
+    one_zero = np.concatenate([[0.0], np.ones(g.N - 1)])
+    with pytest.raises(ValueError, match="positive"):
+        solve_heat(g, noise, f, z0_override=one_zero)
+    with pytest.raises(ValueError, match="shape"):
+        solve_heat(g, noise, f, z0_override=np.ones(g.N + 1))
 
 
 def test_noise_factor_has_mean_one():
@@ -93,9 +90,7 @@ def test_trajectory_starts_at_exp_f_exactly():
     f = initial_cosine(g, a=0.3)
     sol = solve_heat(g, _mollified(g, lam=0.0), f)
     assert np.array_equal(sol.values[0], np.exp(f.values))
-    # trajectory wraps views, not copies
-    assert np.shares_memory(sol.trajectory[0].values, sol.values)
-    assert len(sol.trajectory) == g.M + 1
+    assert sol.values.shape == (g.M + 1,) + g.shape
 
 
 def test_positivity_along_noisy_trajectory():
@@ -186,28 +181,3 @@ def test_initial_presets():
     assert np.array_equal(by_name.values, f.values)
     with pytest.raises(ValueError):
         make_initial(g, "sawtooth", {})
-
-
-def test_csv_export_is_deterministic(tmp_path):
-    g = TorusGrid(d=1, N=8, M=4, T=0.001)
-    sol = solve_heat(g, _mollified(g, seed=2, n=2), initial_cosine(g, a=0.2))
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    trajectory_to_csv(sol, p1)
-    trajectory_to_csv(sol, p2)
-    text = p1.read_text()
-    assert text == p2.read_text()
-    lines = text.strip().splitlines()
-    assert lines[0] == "k,t,i0,Z"
-    assert len(lines) == 1 + (g.M + 1) * g.N
-
-
-def test_binary_snapshot_roundtrip(tmp_path):
-    g = TorusGrid(d=1, N=16, M=8, T=0.001)
-    sol = solve_heat(g, _mollified(g, seed=5), initial_cosine(g, a=0.3))
-    path = tmp_path / "snap.bin"
-    save_heat_snapshot(sol, path)
-    grid_back, seed, lam, values = load_heat_snapshot(path)
-    assert grid_back == g
-    assert seed == 5
-    assert lam == 1.0
-    assert np.array_equal(values, sol.values)

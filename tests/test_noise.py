@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from burgerslab.bank import bump
 from burgerslab.lattice import TorusGrid
 from burgerslab.noise import (
     WhiteNoiseRealization,
+    _bump_constants,
     coarse_grain,
     h_eval,
     load_noise,
@@ -17,7 +19,6 @@ from burgerslab.noise import (
     quadratic_variation,
     sample_noise,
     save_noise,
-    unit_bump_1d,
     wiener_path,
 )
 
@@ -396,7 +397,9 @@ def test_truncated_noise_file_rejected(tmp_path):
 
 
 def test_unit_bump_has_unit_mass():
+    # c₁·bump is the unit-mass delta-net profile of the time sections
+    c_1 = _bump_constants(1)[0]
     u = np.linspace(-1, 1, 100_001)
-    mass = np.trapezoid(unit_bump_1d(u), u)
+    mass = np.trapezoid(c_1 * bump(u), u)
     assert abs(mass - 1.0) <= 1e-8
-    assert unit_bump_1d(np.array([1.0]))[0] == 0.0
+    assert bump(np.array([1.0]))[0] == 0.0
