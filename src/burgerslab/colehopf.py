@@ -28,9 +28,10 @@ Three layers of checks, in increasing depth:
   alongside, the same pairing against the raw (unmollified) increments —
   the candidate limit as the mollification scale grows.
 
-``distributional_limit_1d`` tracks ⟨U_n, φ⟩ across a family of
-trajectories driven by one shared base realization at increasing
-mollification scales and reports the Cauchy differences of the sequence.
+``distributional_limit_1d`` tracks ⟨U_n, φ⟩ for each φ of a bank across a
+family of trajectories driven by one shared base realization at increasing
+mollification scales, forming each trajectory's gradient once, and reports
+the Cauchy differences of each sequence.
 ``lojasiewicz_section`` evaluates short-time sections ∫ ρ_ε(t) ⟨U_t, φ_x⟩ dt
 through either side of the summation-by-parts identity
 ⟨∇_h H, φ⟩ = −⟨H, ∇_h·φ⟩, which holds exactly on the lattice.
@@ -294,21 +295,25 @@ def weak_residual_batch(
     return reports
 
 
-def _u_pairing_series(traj: ColeHopfTrajectory, phi: TestFunction) -> np.ndarray:
-    """Σ_i (a·U_k)_i P_i for k = 0..M−1 (no dx^d factor)."""
+def _u_pairing_series(traj: ColeHopfTrajectory, phis: Sequence[TestFunction]) -> np.ndarray:
+    """Σ_i (a·U_k)_i P_i for each φ and k = 0..M−1, shape (len(phis), M), no dx^d factor.
+
+    One gradient per time chunk serves every φ.
+    """
     grid = traj.grid
     d, dx, M = grid.d, grid.dx, grid.M
     sp_axes = tuple(range(1, d + 1))
-    P, _, _ = phi.spatial_tensors(grid)
-    out = np.empty(M)
+    Ps = [phi.spatial_tensors(grid)[0] for phi in phis]
+    out = np.empty((len(phis), M))
     H = traj.log_values
     for lo in range(0, M, _CHUNK):
         hi = min(lo + _CHUNK, M)
         grads = gradient_values(H[lo:hi], dx, d)
-        au = np.zeros_like(H[lo:hi])
-        for a in range(d):
-            au += phi.amplitudes[a] * grads[a]
-        out[lo:hi] = np.sum(au * P, axis=sp_axes)
+        for j, (phi, P) in enumerate(zip(phis, Ps)):
+            au = np.zeros_like(H[lo:hi])
+            for a in range(d):
+                au += phi.amplitudes[a] * grads[a]
+            out[j, lo:hi] = np.sum(au * P, axis=sp_axes)
     return out
 
 
@@ -321,18 +326,21 @@ class LimitSequence:
     cauchy_gaps: tuple
 
 
-def distributional_limit_1d(entries, phi: TestFunction) -> LimitSequence:
+def distributional_limit_1d(entries, phis: Sequence[TestFunction]) -> list:
     """Track ⟨U_n, φ⟩_{space-time} across mollification scales in d = 1.
 
     ``entries`` is a sequence of (n, trajectory) pairs with strictly
     increasing scales; all trajectories must live on one grid and be
     driven by the same base realization (the scales are coupled).  Returns
-    the pairing sequence and the absolute differences of consecutive
-    terms.
+    one LimitSequence per test function in ``phis``: the pairing sequence
+    and the absolute differences of consecutive terms.  Each trajectory's
+    gradient is formed once for the whole bank.
     """
     entries = list(entries)
     if len(entries) < 2:
         raise ValueError("need at least two scales to form Cauchy differences")
+    if not phis:
+        raise ValueError("need at least one test function")
     scales = [int(n) for n, _ in entries]
     if any(b <= a for a, b in zip(scales, scales[1:])):
         raise ValueError(f"scales must be strictly increasing, got {scales}")
@@ -355,15 +363,20 @@ def distributional_limit_1d(entries, phi: TestFunction) -> LimitSequence:
 
     grid = first.grid
     tk = grid.dt * np.arange(grid.M)
-    psi = bump((tk - phi.t_center) / phi.t_radius)
-    pairings = []
+    psis = [bump((tk - phi.t_center) / phi.t_radius) for phi in phis]
+    pairings = [[] for _ in phis]
     for _, traj in entries:
-        series = _u_pairing_series(traj, phi)
-        pairings.append(grid.cell_volume * grid.dt * float(np.sum(psi * series)))
-    gaps = [abs(b - a) for a, b in zip(pairings, pairings[1:])]
-    return LimitSequence(
-        scales=tuple(scales), pairings=tuple(pairings), cauchy_gaps=tuple(gaps)
-    )
+        series = _u_pairing_series(traj, phis)
+        for j, psi in enumerate(psis):
+            pairings[j].append(grid.cell_volume * grid.dt * float(np.sum(psi * series[j])))
+    return [
+        LimitSequence(
+            scales=tuple(scales),
+            pairings=tuple(p),
+            cauchy_gaps=tuple(abs(b - a) for a, b in zip(p, p[1:])),
+        )
+        for p in pairings
+    ]
 
 
 def lojasiewicz_section(
@@ -405,7 +418,7 @@ def lojasiewicz_section(
             [-np.sum(traj.log_values[k] * div) for k in range(k_hi)]
         )
     else:
-        series = _u_pairing_series(traj, phi)[:k_hi]
+        series = _u_pairing_series(traj, [phi])[0, :k_hi]
     return grid.cell_volume * grid.dt * float(np.sum(weights * series))
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from burgerslab.bank import build_bank
 from burgerslab.heat import make_initial, stability_check
-from burgerslab.lattice import TorusGrid
+from burgerslab.lattice import TorusGrid, is_integer
 from burgerslab.noise import make_mollifier
 
 __all__ = ["ExperimentConfig", "ConfigError", "STUDY_KINDS", "DEFAULT_TOLERANCES"]
@@ -127,11 +127,18 @@ class ExperimentConfig:
         errors = []
         if self.study not in STUDY_KINDS:
             errors.append(("study", f"unknown kind {self.study!r}; expected one of {STUDY_KINDS}"))
+        not_integers = [
+            (name, f"must be an integer, got {getattr(self, name)!r}")
+            for name in ("d", "N", "M")
+            if not is_integer(getattr(self, name))
+        ]
+        errors.extend(not_integers)
         grid = None
-        try:
-            grid = self.grid()
-        except (ValueError, TypeError) as exc:
-            errors.append(("grid", str(exc)))
+        if not not_integers:
+            try:
+                grid = self.grid()
+            except (ValueError, TypeError) as exc:
+                errors.append(("grid", str(exc)))
         if grid is not None:
             margin = stability_check(grid)
             if margin < 0.0:

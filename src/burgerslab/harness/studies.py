@@ -589,10 +589,19 @@ def _study_converge(cfg: ExperimentConfig) -> StudyReport:
     n_kpz = scales[1] if len(scales) > 1 else scales[0]
     table = ["phi_id,n,rhs,limit_pairing,deviation,defect,ratio"]
     all_weak = []
-    for n in scales:
-        m = make_mollifier(grid, n)
-        mn = mollify(base, m)
-        sol = solve_heat(grid, mn, f)
+    mollifiers = [make_mollifier(grid, n) for n in scales]
+    if grid.d == 1:
+        # every trajectory is kept for the Cauchy column, and the scales and
+        # the grid-scale reference share the base noise, the grid and f: they
+        # march as one batch
+        mns = [mollify(base, m) for m in mollifiers]
+        *sols, ref_sol = solve_heat(grid, mns + [_grid_scale_noise(base)], f)
+        runs = zip(mns, sols)
+    else:
+        # nothing outlives its scale, so one scale at a time holds one stack
+        mns = (mollify(base, m) for m in mollifiers)
+        runs = ((mn, solve_heat(grid, mn, f)) for mn in mns)
+    for n, m, (mn, sol) in zip(scales, mollifiers, runs):
         traj = cole_hopf(sol)
         reports = weak_residual_batch(traj, bank, mn, base)
         all_weak.extend(reports)
@@ -652,8 +661,7 @@ def _study_converge(cfg: ExperimentConfig) -> StudyReport:
 
     # 1-D distributional Cauchy column with the grid-scale terminal reference
     if grid.d == 1:
-        ref_mn = _grid_scale_noise(base)
-        ref_traj = cole_hopf(solve_heat(grid, ref_mn, f))
+        ref_traj = cole_hopf(ref_sol)
         u_ref_norm = math.sqrt(_u_l2_sq(ref_traj, grid))
         cauchy_lines = ["phi_id,n,pairing,cauchy_gap"]
         cauchy_curves = {}
@@ -665,8 +673,8 @@ def _study_converge(cfg: ExperimentConfig) -> StudyReport:
         # as an "increase" at the next, so a bank-wide hard gate would reject
         # healthy realizations.
         designated = bank[0].id
-        for phi in bank:
-            seq = distributional_limit_1d(trajs + [(grid.N, ref_traj)], phi)
+        seqs = distributional_limit_1d(trajs + [(grid.N, ref_traj)], bank)
+        for phi, seq in zip(bank, seqs):
             ladder_gaps = seq.cauchy_gaps[:-1]
             terminal = seq.cauchy_gaps[-1]
             if phi.id == designated:

@@ -25,6 +25,16 @@ module hold without a spurious constant.
 
 The scheme is linear in Z (the noise factor is a state-independent
 multiplier), explicit in time, and deterministic given the realization.
+
+`solve_heat` marches a batch: realizations that share the grid and the
+start Z₀ (say the mollification scales of one base noise) step together as
+one (S,) + grid stack, one Laplacian call per time step for the whole
+batch.  The noise factors are formed for a time chunk at a time, and each
+finished chunk is checked for finite, strictly positive Z (with two
+reductions, no mask), so a numerical breakdown is reported at its step and
+node instead of after all M steps.  Every operation of the per-step update
+is elementwise and kept in the order written above, so a batched trajectory
+equals the single march bit for bit.
 """
 
 from __future__ import annotations
@@ -156,20 +166,45 @@ class HeatSolution:
     scheme_meta: dict = field(default_factory=dict)
 
 
+# Time steps whose noise factors are formed at once: the factor chunk of a
+# batch holds about this many bytes (32 steps of a 2-D N=64 slice).
+_CHUNK_BYTES = 1 << 20
+
+
+def _check_chunk(block: np.ndarray, first_step: int, batched: bool) -> None:
+    """Raise at the first step and node where a chunk of Z is not finite and > 0.
+
+    ``block`` has shape (S, K) + grid and holds steps first_step ..
+    first_step + K − 1; the first chunk includes the start Z₀ = exp(f),
+    which overflows for a large enough f.  The test is two reductions (a
+    NaN makes the minimum NaN), so a healthy chunk allocates no mask.
+    """
+    if block.min() > 0.0 and block.max() < np.inf:
+        return
+    bad = np.argwhere(~((block > 0.0) & (block < np.inf)).swapaxes(0, 1))[0]
+    k, s, node = int(bad[0]), int(bad[1]), tuple(int(i) for i in bad[2:])
+    member = f" of batch member {s}" if batched else ""
+    raise ValueError(
+        f"heat march needs finite Z > 0 everywhere; Z{member} at step "
+        f"{first_step + k}, node {node} is {float(block[(s, k) + node])!r}"
+    )
+
+
 def solve_heat(
     grid: TorusGrid,
-    noise: MollifiedNoise,
+    noise: MollifiedNoise | Sequence[MollifiedNoise],
     f: InitialData,
     z0_override: np.ndarray | None = None,
-) -> HeatSolution:
+) -> HeatSolution | list[HeatSolution]:
     """March the scheme from exp(f) through all M steps of the realization.
 
     Parameters
     ----------
     grid : TorusGrid
         Must match the grid the noise was sampled on.
-    noise : MollifiedNoise
-        The frozen realization driving the run.
+    noise : MollifiedNoise or sequence of MollifiedNoise
+        The frozen realization driving the run.  A sequence of realizations
+        on one grid marches as one (S,) + grid stack from the same start.
     f : InitialData
         Initial profile; the trajectory starts at exp(f) exactly.
     z0_override : ndarray, optional
@@ -179,11 +214,22 @@ def solve_heat(
 
     Returns
     -------
-    HeatSolution
+    HeatSolution, or a list of them (one per noise, in order) for a sequence
         values[0] is exp(f) (or the override) exactly; every slice is
         strictly positive.
+
+    Raises
+    ------
+    ValueError
+        On a grid mismatch, a stability violation, a bad override, or as
+        soon as a finished time chunk holds a Z that is not finite and
+        strictly positive, naming its step and node.
     """
-    if noise.grid != grid:
+    batched = not isinstance(noise, MollifiedNoise)
+    noises = list(noise) if batched else [noise]
+    if not noises:
+        raise ValueError("need at least one noise realization")
+    if any(mn.grid != grid for mn in noises):
         raise ValueError("noise realization lives on a different grid")
     if f.grid != grid:
         raise ValueError("initial data lives on a different grid")
@@ -201,26 +247,45 @@ def solve_heat(
     else:
         z0 = np.exp(f.values)
 
-    lam = noise.lam
-    c_n = noise.mollifier.c_n_discrete
-    compensated = 0.5 * lam * lam * c_n * grid.dt
+    d, dx, dt, M = grid.d, grid.dx, grid.dt, grid.M
+    S = len(noises)
+    compensated = [
+        0.5 * mn.lam * mn.lam * mn.mollifier.c_n_discrete * dt for mn in noises
+    ]
+    values = np.empty((S, M + 1) + grid.shape)
+    values[:, 0] = z0
+    # step buffers: the current slices and their update, contiguous over the batch
+    z = np.empty((S,) + grid.shape)
+    z[...] = z0
+    step = np.empty_like(z)
+    chunk = max(1, min(M, _CHUNK_BYTES // (S * grid.num_nodes * 8)))
+    factors = np.empty((chunk, S) + grid.shape)
+    for lo in range(0, M, chunk):
+        hi = min(lo + chunk, M)
+        fac = factors[: hi - lo]
+        for s, mn in enumerate(noises):
+            np.subtract(mn.increments[lo:hi], compensated[s], out=fac[:, s])
+        np.exp(fac, out=fac)
+        for k in range(lo, hi):
+            laplacian_values(z, dx, d, out=step)
+            step *= dt
+            step += z
+            np.multiply(step, fac[k - lo], out=z)
+            values[:, k + 1] = z
+        _check_chunk(values[:, lo : hi + 1], lo, batched)
 
-    dx, dt = grid.dx, grid.dt
-    values = np.empty((grid.M + 1,) + grid.shape)
-    values[0] = z0
-    for k in range(grid.M):
-        z = values[k]
-        values[k + 1] = (z + dt * laplacian_values(z, dx)) * np.exp(
-            noise.increments[k] - compensated
+    sols = [
+        HeatSolution(
+            grid=grid,
+            noise=mn,
+            values=values[s],
+            scheme_meta={
+                "stability_margin": margin,
+                "lam": mn.lam,
+                "c_n_discrete": mn.mollifier.c_n_discrete,
+                "initial_kind": f.kind if z0_override is None else "override",
+            },
         )
-    return HeatSolution(
-        grid=grid,
-        noise=noise,
-        values=values,
-        scheme_meta={
-            "stability_margin": margin,
-            "lam": lam,
-            "c_n_discrete": c_n,
-            "initial_kind": f.kind if z0_override is None else "override",
-        },
-    )
+        for s, mn in enumerate(noises)
+    ]
+    return sols if batched else sols[0]

@@ -32,6 +32,7 @@ Nyquist band exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
@@ -39,6 +40,7 @@ import numpy as np
 
 __all__ = [
     "TorusGrid",
+    "is_integer",
     "ScalarField",
     "VectorField",
     "laplacian",
@@ -52,6 +54,11 @@ __all__ = [
 ]
 
 
+def is_integer(value) -> bool:
+    """True for Python and numpy integers; False for bools, floats and the rest."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform periodic lattice on [0, L)^d × [0, T].
@@ -59,7 +66,8 @@ class TorusGrid:
     Parameters
     ----------
     d : int
-        Spatial dimension, 1, 2 or 3.
+        Spatial dimension, 1, 2 or 3.  ``d``, ``N`` and ``M`` must be
+        integers; a float is rejected by name, not rounded.
     N : int
         Nodes per axis (N ≥ 8).  Spatial indexing is modulo N on every axis.
     M : int
@@ -85,6 +93,10 @@ class TorusGrid:
     T: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("d", "N", "M"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.d not in (1, 2, 3):
             raise ValueError(f"spatial dimension must be 1, 2 or 3, got {self.d}")
         if self.N < 8:
@@ -180,12 +192,44 @@ class VectorField:
 # ---------------------------------------------------------------------------
 
 
-def laplacian_values(a: np.ndarray, dx: float, d: int | None = None) -> np.ndarray:
-    """Compact second-difference Laplacian over the last `d` axes of a periodic array."""
+@functools.cache
+def _roll_pairs(axis: int, shift: int) -> tuple:
+    """(dst, src) index pairs with ``np.roll(a, shift, axis)[dst] == a[src]``, shift = ±1.
+
+    A periodic unit shift is two slice copies: the body moves by one node
+    and the node that wraps around fills the vacated end.
+    """
+    lead = (slice(None),) * axis
+    return (
+        (lead + (slice(shift, None),), lead + (slice(None, -shift),)),
+        (lead + (slice(None, shift),), lead + (slice(-shift, None),)),
+    )
+
+
+def laplacian_values(
+    a: np.ndarray, dx: float, d: int | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Compact second-difference Laplacian over the last `d` axes of a periodic array.
+
+    Evaluated as ``(0 + Σ_axis ((a₊ − 2a) + a₋)) / dx²`` with the shifts
+    taken by slices; ``out``, if given (and not overlapping ``a``), receives
+    the result.
+    """
     d = a.ndim if d is None else d
-    out = np.zeros_like(a)
+    if out is None:
+        out = np.empty_like(a)
+    twice = 2.0 * a
+    spare = np.empty_like(a) if d > 1 else None
     for axis in range(a.ndim - d, a.ndim):
-        out += np.roll(a, -1, axis=axis) - 2.0 * a + np.roll(a, 1, axis=axis)
+        term = out if axis == a.ndim - d else spare
+        for dst, src in _roll_pairs(axis, -1):
+            np.subtract(a[src], twice[dst], out=term[dst])
+        for dst, src in _roll_pairs(axis, 1):
+            np.add(term[dst], a[src], out=term[dst])
+        if term is out:
+            np.add(0.0, out, out=out)  # the sum starts from zero
+        else:
+            out += term
     out /= dx * dx
     return out
 
@@ -195,10 +239,11 @@ def gradient_values(a: np.ndarray, dx: float, d: int | None = None) -> np.ndarra
     d = a.ndim if d is None else d
     out = np.empty((d,) + a.shape, dtype=np.float64)
     for i, axis in enumerate(range(a.ndim - d, a.ndim)):
-        # one shifted copy alive at a time: on a stacked chunk this keeps the
-        # temporaries at one component's size on top of the output
-        out[i] = np.roll(a, -1, axis=axis)
-        out[i] -= np.roll(a, 1, axis=axis)
+        comp = out[i]
+        for dst, src in _roll_pairs(axis, -1):
+            comp[dst] = a[src]
+        for dst, src in _roll_pairs(axis, 1):
+            np.subtract(comp[dst], a[src], out=comp[dst])
     out /= 2.0 * dx
     return out
 
@@ -207,8 +252,13 @@ def divergence_values(v: np.ndarray, dx: float) -> np.ndarray:
     """Centered divergence; `v` has shape (d,) + spatial, returns spatial."""
     d = v.shape[0]
     out = np.zeros(v.shape[1:], dtype=np.float64)
+    term = np.empty_like(out)
     for axis in range(d):
-        out += np.roll(v[axis], -1, axis=axis) - np.roll(v[axis], 1, axis=axis)
+        for dst, src in _roll_pairs(axis, -1):
+            term[dst] = v[axis][src]
+        for dst, src in _roll_pairs(axis, 1):
+            np.subtract(term[dst], v[axis][src], out=term[dst])
+        out += term
     out /= 2.0 * dx
     return out
 

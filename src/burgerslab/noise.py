@@ -171,13 +171,6 @@ class Mollifier:
         n = float(self.scale_n)
         return c_d * n**self.grid.d * bump(n * np.asarray(r, dtype=np.float64))
 
-    def rho(self, points: np.ndarray) -> np.ndarray:
-        """Pointwise profile ρ_n at points of shape (..., d)."""
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.shape[-1] != self.grid.d:
-            raise ValueError(f"points must have last axis {self.grid.d}, got {pts.shape}")
-        return self.rho_radial(np.sqrt(np.sum(pts * pts, axis=-1)))
-
 
 def _cell_averaged_kernel(grid: TorusGrid, n: int, c_d: float) -> np.ndarray:
     """Cell averages of ρ_n over every grid cell (8-point Gauss–Legendre per axis).

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from burgerslab.bank import build_bank
+from burgerslab.bank import build_bank, bump
 from burgerslab.colehopf import (
     cole_hopf,
     distributional_limit_1d,
@@ -231,8 +231,10 @@ def scale_family():
 
 def test_distributional_limit_sequence(scale_family):
     g, base, entries = scale_family
-    phi = build_bank(g)[1]
-    ls = distributional_limit_1d(entries, phi)
+    bank = build_bank(g)
+    seqs = distributional_limit_1d(entries, bank)
+    assert len(seqs) == len(bank)
+    ls = seqs[1]
     assert ls.scales == (4, 8, 16)
     assert len(ls.pairings) == 3 and len(ls.cauchy_gaps) == 2
     assert all(np.isfinite(ls.pairings))
@@ -240,31 +242,53 @@ def test_distributional_limit_sequence(scale_family):
     assert ls.cauchy_gaps[1] < ls.cauchy_gaps[0]
 
 
+def test_distributional_limit_bank_equals_single_phi_calls(scale_family):
+    g, base, entries = scale_family
+    bank = build_bank(g)
+    together = distributional_limit_1d(entries, bank)
+    for phi, seq in zip(bank, together):
+        assert distributional_limit_1d(entries, [phi]) == [seq]
+    # each pairing is the space-time sum of the slice pairings ⟨U_k, φ⟩
+    phi = bank[2]
+    P, _, _ = phi.spatial_tensors(g)
+    tk = g.dt * np.arange(g.M)
+    psi = bump((tk - phi.t_center) / phi.t_radius)
+    traj = entries[0][1]
+    series = [
+        np.sum(phi.amplitudes[0] * gradient_values(traj.log_values[k], g.dx)[0] * P)
+        for k in range(g.M)
+    ]
+    direct = g.cell_volume * g.dt * float(np.sum(psi * np.array(series)))
+    assert together[2].pairings[0] == pytest.approx(direct, rel=1e-12, abs=1e-15)
+
+
 def test_distributional_limit_validation(scale_family):
     g, base, entries = scale_family
-    phi = build_bank(g)[1]
+    phis = build_bank(g)[1:2]
     with pytest.raises(ValueError, match="at least two"):
-        distributional_limit_1d(entries[:1], phi)
+        distributional_limit_1d(entries[:1], phis)
+    with pytest.raises(ValueError, match="at least one test function"):
+        distributional_limit_1d(entries, [])
     with pytest.raises(ValueError, match="strictly increasing"):
-        distributional_limit_1d([entries[1], entries[0]], phi)
+        distributional_limit_1d([entries[1], entries[0]], phis)
     with pytest.raises(ValueError, match="labeled"):
-        distributional_limit_1d([(4, entries[0][1]), (8, entries[0][1])], phi)
+        distributional_limit_1d([(4, entries[0][1]), (8, entries[0][1])], phis)
     other = sample_noise(g, seed=77, lam=1.0)
     _, foreign = _solve(g, other, n=8)
     with pytest.raises(ValueError, match="base realization"):
-        distributional_limit_1d([entries[0], (8, foreign)], phi)
+        distributional_limit_1d([entries[0], (8, foreign)], phis)
 
 
 def test_distributional_limit_needs_one_dimension():
     g = TorusGrid(d=2, N=16, M=208, T=T)
     base = sample_noise(g, seed=1, lam=1.0)
-    phi = build_bank(g)[0]
+    phis = build_bank(g)[:1]
     entries = []
     for n in (2, 4):
         mol = mollify(base, make_mollifier(g, n))
         entries.append((n, cole_hopf(solve_heat(g, mol, initial_zero(g)))))
     with pytest.raises(ValueError, match="one-dimensional"):
-        distributional_limit_1d(entries, phi)
+        distributional_limit_1d(entries, phis)
 
 
 def test_section_summation_by_parts_is_exact(scale_family):

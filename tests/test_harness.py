@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +102,15 @@ def test_validate_rejects_non_finite_lambda(lam):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(study="qv", lam=lam).validate()
     assert [name for name, _ in err.value.errors] == ["lambda"]
+
+
+@pytest.mark.parametrize("key,value", [("d", 1.5), ("N", 64.5), ("M", 10000.5)])
+def test_validate_names_non_integral_grid_sizes(key, value):
+    # direct construction skips from_dict's conversion; the grid must not be
+    # built from a fractional size, and the error names the field
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(study="qv", **{key: value}).validate()
+    assert [name for name, _ in err.value.errors] == [key]
 
 
 def test_validate_rejects_unstable_time_step():
@@ -284,6 +294,18 @@ def _tiny(study, **kw):
 def test_run_study_validates_config_first(tmp_path):
     with pytest.raises(ConfigError):
         run_study(_tiny("qv", seed=-4), out_dir=tmp_path)
+
+
+def test_march_breakdown_is_reported_from_the_march_at_its_step(tmp_path):
+    # λ = 1e3 drives Z to 0 within the first hundred steps; the chunked march
+    # stops there instead of finishing all M steps and failing in cole_hopf
+    cfg = ExperimentConfig.from_dict({"study": "burgers", "lambda": 1e3, "refine_levels": 1})
+    with pytest.raises(ValueError, match=r"Z at step (\d+), node \(\d+,\) is") as err:
+        run_study(cfg, out_dir=tmp_path)
+    frames = [entry.name for entry in err.traceback]
+    assert "solve_heat" in frames and "cole_hopf" not in frames
+    step = int(re.search(r"step (\d+)", str(err.value)).group(1))
+    assert 0 < step < cfg.M
 
 
 def test_run_study_unknown_study_is_config_error(tmp_path):

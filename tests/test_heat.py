@@ -181,3 +181,58 @@ def test_initial_presets():
     assert np.array_equal(by_name.values, f.values)
     with pytest.raises(ValueError):
         make_initial(g, "sawtooth", {})
+
+
+def _noises(grid, lams):
+    return [_mollified(grid, seed=s, lam=lam, n=2 + s) for s, lam in enumerate(lams)]
+
+
+@pytest.mark.parametrize("d,N,T", [(1, 32, 0.1), (2, 16, 0.05)])
+@pytest.mark.parametrize("override", [False, True])
+@pytest.mark.parametrize("chunk_bytes", [None, 7 * 8])
+def test_batched_march_equals_single_marches_bit_for_bit(d, N, T, override, chunk_bytes, monkeypatch):
+    if chunk_bytes is not None:
+        # chunks of a few steps, with a short last chunk
+        monkeypatch.setattr("burgerslab.heat._CHUNK_BYTES", chunk_bytes * N**d)
+    g = _stable_grid(d=d, N=N, T=T)
+    f = initial_cosine(g, a=0.4)
+    z0 = np.exp(np.random.default_rng(2).standard_normal(g.shape)) if override else None
+    for lams in ([1.0, 0.5], [1.0, 0.0, 2.0]):
+        noises = _noises(g, lams)
+        batch = solve_heat(g, noises, f, z0_override=z0)
+        assert len(batch) == len(noises)
+        for mn, sol in zip(noises, batch):
+            single = solve_heat(g, mn, f, z0_override=z0)
+            assert sol.noise is mn and sol.scheme_meta == single.scheme_meta
+            assert np.array_equal(sol.values, single.values)
+    # the march is the scheme, step for step
+    mn = noises[-1]
+    comp = 0.5 * mn.lam**2 * mn.mollifier.c_n_discrete * g.dt
+    z = batch[-1].values[0]
+    for k in range(g.M):
+        z = (z + g.dt * laplacian_values(z, g.dx)) * np.exp(mn.increments[k] - comp)
+        assert np.array_equal(batch[-1].values[k + 1], z)
+
+
+def test_batch_member_on_another_grid_is_rejected():
+    g = _stable_grid()
+    other = TorusGrid(d=1, N=g.N, M=g.M, T=g.T * 0.5)
+    with pytest.raises(ValueError, match="different grid"):
+        solve_heat(g, [_mollified(g), _mollified(other)], initial_zero(g))
+    with pytest.raises(ValueError, match="at least one"):
+        solve_heat(g, [], initial_zero(g))
+
+
+def test_breakdown_names_step_and_node():
+    g = _stable_grid(N=16)
+    noise = _mollified(g, lam=2e3)
+    with pytest.raises(ValueError, match=r"heat march needs finite Z > 0.*step \d+, node \(\d+,\)"):
+        solve_heat(g, noise, initial_zero(g))
+
+
+def test_overflowing_start_is_reported_at_step_zero():
+    g = _stable_grid(N=16)
+    f = initial_cosine(g, a=800.0)  # exp(800) overflows at the crest
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"step 0, node \(0,\) is inf"):
+            solve_heat(g, _mollified(g, lam=0.0), f)

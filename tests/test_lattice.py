@@ -10,10 +10,13 @@ from burgerslab.lattice import (
     TorusGrid,
     VectorField,
     divergence,
+    divergence_values,
     gradient,
+    gradient_values,
     inner_space,
     inner_spacetime,
     laplacian,
+    laplacian_values,
 )
 
 
@@ -207,3 +210,63 @@ def test_inner_spacetime_reductions():
 
     with pytest.raises(ValueError):
         inner_spacetime(us, vs[:-1])
+
+
+# ---------------------------------------------------------------------------
+# slice stencils against a np.roll reference, bit for bit
+
+
+def _roll_laplacian(a, dx, d):
+    out = np.zeros_like(a)
+    for axis in range(a.ndim - d, a.ndim):
+        out += np.roll(a, -1, axis=axis) - 2.0 * a + np.roll(a, 1, axis=axis)
+    out /= dx * dx
+    return out
+
+
+def _roll_gradient(a, dx, d):
+    out = np.empty((d,) + a.shape)
+    for i, axis in enumerate(range(a.ndim - d, a.ndim)):
+        out[i] = np.roll(a, -1, axis=axis) - np.roll(a, 1, axis=axis)
+    out /= 2.0 * dx
+    return out
+
+
+def _roll_divergence(v, dx):
+    out = np.zeros(v.shape[1:])
+    for axis in range(v.shape[0]):
+        out += np.roll(v[axis], -1, axis=axis) - np.roll(v[axis], 1, axis=axis)
+    out /= 2.0 * dx
+    return out
+
+
+def _bits(a):
+    # compares signed zeros too, which np.array_equal would not
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("stack", [(), (3,), (2, 3)])
+def test_slice_stencils_equal_roll_reference_bit_for_bit(d, stack):
+    rng = np.random.default_rng(10 * d + len(stack))
+    a = rng.standard_normal(stack + (8,) * d)
+    a.flat[::7] = 0.0
+    a.flat[1::11] = -0.0
+    dx = 1.0 / 8
+    expected = _roll_laplacian(a, dx, d)
+    assert np.array_equal(_bits(laplacian_values(a, dx, d)), _bits(expected))
+    buffer = np.full_like(a, np.nan)
+    assert laplacian_values(a, dx, d, out=buffer) is buffer
+    assert np.array_equal(_bits(buffer), _bits(expected))
+    assert np.array_equal(_bits(gradient_values(a, dx, d)), _bits(_roll_gradient(a, dx, d)))
+    if not stack:
+        v = rng.standard_normal((d,) + (8,) * d)
+        assert np.array_equal(_bits(divergence_values(v, dx)), _bits(_roll_divergence(v, dx)))
+
+
+def test_grid_rejects_non_integral_sizes_by_name():
+    for name, value in (("d", 1.5), ("N", 64.5), ("M", 10000.5), ("N", 64.0), ("d", True)):
+        sizes = {"d": 1, "N": 64, "M": 10000, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            TorusGrid(**sizes)
+    assert TorusGrid(d=np.int64(1), N=np.int32(64), M=10000).shape == (64,)
