@@ -33,7 +33,6 @@ from burgerslab.lattice import (
     gradient,
     divergence,
     inner_space,
-    inner_spacetime,
 )
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "gradient",
     "divergence",
     "inner_space",
-    "inner_spacetime",
 ]
 
 __version__ = "0.1.0"

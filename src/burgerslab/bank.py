@@ -154,13 +154,10 @@ class TestFunction:
 
     # -- time factor ---------------------------------------------------
 
-    def psi_t(self, t):
-        """Scalar time factor psi((t - t0)/r_t)."""
-        return float(bump((t - self.t_center) / self.t_radius))
-
-    def dpsi_t(self, t):
-        """d/dt of the time factor."""
-        return float(bump_d1((t - self.t_center) / self.t_radius)) / self.t_radius
+    def time_profile(self, grid: TorusGrid):
+        """(psi, dpsi/dt) of the time factor at the left endpoints t_k = k dt, k < M."""
+        u = (grid.dt * np.arange(grid.M) - self.t_center) / self.t_radius
+        return bump(u), bump_d1(u) / self.t_radius
 
     # -- spatial tensors -------------------------------------------------
 

@@ -1,23 +1,27 @@
-"""Logarithmic transform of the heat trajectory and its verification layers.
+"""The Cole–Hopf transform of the heat trajectory and its verification layers.
 
-Given a strictly positive heat trajectory Z driven by mollified noise, this
-module forms H = log Z and U = ∇_h H and checks, realization by
+Given a strictly positive heat trajectory Z driven by mollified noise, the
+passes of this module take H = log Z and U = ∇_h H and check, realization by
 realization, that U behaves like a weak solution of the conservative
 Burgers dynamics
 
     ∂_t U = Δ_x U + ∇_x ‖U‖² + ∇_x Ẇⁿ.
 
-Three layers of checks, in increasing depth:
+Only Z exists whole.  ``cole_hopf`` takes H = log Z from the
+``HeatSolution`` one time chunk at a time, and every pass reads H through
+it; the march has already checked every Z to be finite and strictly
+positive, so every H is finite.  A solution carries the noise that drove
+it, and the noise its base realization, so a pass needs nothing else.
 
-* pointwise chain-rule consistency — ``laplacian_ratio_gap`` measures
-  max |Δ_h Z / Z − (Δ_h H + ‖∇_h H‖²)| on a single slice, the discrete
-  defect of the identity Δe^H/e^H = ΔH + ‖∇H‖² (zero in the continuum,
-  O(dx²) on the lattice for smooth H);
+Two layers of checks, in increasing depth:
 
 * growth-equation residual — ``kpz_residual`` re-assembles the update of
   H step by step and reports per-step max norms of
 
-      H_{k+1} − H_k − dt (Δ_h H_k + ‖∇_h H_k‖²) − ΔWⁿ_k + ½λ²c_n dt ;
+      H_{k+1} − H_k − dt (Δ_h H_k + ‖∇_h H_k‖²) − ΔWⁿ_k + ½λ²c_n dt ,
+
+  which also carries the lattice defect of the chain rule
+  Δe^H/e^H = ΔH + ‖∇H‖² (zero in the continuum, O(dx²) for smooth H);
 
 * weak-form identity — ``weak_residual_batch`` pairs U against smooth
   compactly supported space-time test functions and compares
@@ -44,27 +48,19 @@ pairings carry the cell volume dx^d.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from burgerslab.bank import TestFunction, bump, bump_d1
+from burgerslab.bank import TestFunction, bump
 from burgerslab.heat import HeatSolution
-from burgerslab.lattice import (
-    ScalarField,
-    TorusGrid,
-    divergence_values,
-    gradient_values,
-    laplacian_values,
-)
-from burgerslab.noise import MollifiedNoise, _bump_constants
+from burgerslab.lattice import divergence_values, gradient_values, laplacian_values
+from burgerslab.noise import _bump_constants
 
 __all__ = [
-    "ColeHopfTrajectory",
     "WeakResidualReport",
     "LimitSequence",
     "cole_hopf",
-    "laplacian_ratio_gap",
     "kpz_residual",
     "weak_residual_batch",
     "distributional_limit_1d",
@@ -78,95 +74,40 @@ __all__ = [
 _CHUNK = 256
 
 
-@dataclass(frozen=True)
-class ColeHopfTrajectory:
-    """H = log Z for a positive heat trajectory; the passes below form U = ∇_h H."""
+def cole_hopf(sol: HeatSolution, chunk: int = _CHUNK):
+    """Yield (lo, hi, H) per time chunk, H = log Z at steps lo .. hi inclusive.
 
-    source: HeatSolution
-    log_values: np.ndarray = field(repr=False)
-
-    @property
-    def grid(self) -> TorusGrid:
-        return self.source.grid
-
-    @property
-    def noise(self) -> MollifiedNoise:
-        return self.source.noise
-
-
-def cole_hopf(sol: HeatSolution) -> ColeHopfTrajectory:
-    """Take H = log Z along the whole trajectory.
-
-    Raises if any value fails to be finite and strictly positive (NaNs
-    included), naming the first offending step and node.
+    H holds one slice past the chunk, for the update H_{k+1} − H_k; no
+    stack of H outlives its chunk.
     """
-    values = sol.values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_values = np.log(values)
-    # H is finite exactly where Z is finite and positive.  Every finite H has
-    # |H| < 750, so their sum cannot overflow: one sum tells whether any H is
-    # not finite, without a mask the size of the stack.
-    if not np.isfinite(np.sum(log_values)):
-        bad = np.argwhere(~np.isfinite(log_values))[0]
-        k, node = int(bad[0]), tuple(int(i) for i in bad[1:])
-        raise ValueError(
-            f"logarithmic transform needs finite Z > 0 everywhere; "
-            f"Z at step {k}, node {node} is {float(values[tuple(bad)])!r}"
-        )
-    return ColeHopfTrajectory(source=sol, log_values=log_values)
+    M = sol.grid.M
+    for lo in range(0, M, chunk):
+        hi = min(lo + chunk, M)
+        yield lo, hi, np.log(sol.values[lo : hi + 1])
 
 
-def laplacian_ratio_gap(z_k: ScalarField, h_k: ScalarField) -> float:
-    """max |Δ_h Z / Z − (Δ_h H + ‖∇_h H‖²)| for one slice with H = log Z."""
-    if z_k.grid != h_k.grid:
-        raise ValueError("slices live on different grids")
-    if not np.all(z_k.values > 0.0):
-        raise ValueError("Z slice must be strictly positive")
-    scale = 1.0 + np.max(np.abs(h_k.values))
-    if np.max(np.abs(h_k.values - np.log(z_k.values))) > 1e-10 * scale:
-        raise ValueError("H slice is not the logarithm of the Z slice")
-    dx = z_k.grid.dx
-    ratio = laplacian_values(z_k.values, dx) / z_k.values
-    grad = gradient_values(h_k.values, dx)
-    chain = laplacian_values(h_k.values, dx) + np.sum(grad * grad, axis=0)
-    return float(np.max(np.abs(ratio - chain)))
-
-
-def _require_same_realization(traj: ColeHopfTrajectory, noise: MollifiedNoise) -> None:
-    src = traj.noise
-    if src is noise or src.increments is noise.increments:
-        return
-    if src.grid == noise.grid and np.array_equal(src.increments, noise.increments):
-        return
-    raise ValueError("the supplied noise is not the realization that drove this trajectory")
-
-
-def kpz_residual(traj: ColeHopfTrajectory, noise: MollifiedNoise) -> np.ndarray:
+def kpz_residual(traj: HeatSolution) -> np.ndarray:
     """Per-step max-norm defect of the discrete growth equation.
 
     Returns an array of length M whose k-th entry is
 
-        max_x |H_{k+1} − H_k − dt (Δ_h H_k + ‖∇_h H_k‖²) − ΔWⁿ_k + ½λ²c_n dt| .
+        max_x |H_{k+1} − H_k − dt (Δ_h H_k + ‖∇_h H_k‖²) − ΔWⁿ_k + ½λ²c_n dt| ,
 
-    The trajectory and the noise must be the same realization.
+    with ΔWⁿ the realization that drove the trajectory.
     """
-    if not isinstance(noise, MollifiedNoise):
-        raise ValueError("kpz_residual compares against mollified increments")
-    _require_same_realization(traj, noise)
+    noise = traj.noise
     grid = traj.grid
     d, dt, dx, M = grid.d, grid.dt, grid.dx, grid.M
     comp = 0.5 * noise.lam**2 * noise.mollifier.c_n_discrete * dt
     sp_axes = tuple(range(1, d + 1))
     out = np.empty(M)
-    H = traj.log_values
-    for lo in range(0, M, _CHUNK):
-        hi = min(lo + _CHUNK, M)
-        h = H[lo:hi]
+    for lo, hi, H in cole_hopf(traj):
+        h = H[:-1]
         grads = gradient_values(h, dx, d)
         normsq = np.zeros_like(h)
         for g in grads:
             normsq += g * g
-        r = H[lo + 1 : hi + 1] - h
+        r = H[1:] - h
         r -= dt * (laplacian_values(h, dx, d) + normsq)
         r -= noise.increments[lo:hi]
         r += comp
@@ -205,37 +146,26 @@ class WeakResidualReport:
     scale: float = 0.0
 
 
-def weak_residual_batch(
-    traj: ColeHopfTrajectory,
-    phis: Sequence[TestFunction],
-    noise: MollifiedNoise,
-    base,
-) -> list:
+def weak_residual_batch(traj: HeatSolution, phis: Sequence[TestFunction]) -> list:
     """Weak-form reports for several test functions in one trajectory pass.
 
-    The expensive part — forming U_k and its pairings — is shared across
-    the bank, so verifying six test functions costs barely more than one.
+    The rhs pairs against the mollified increments that drove ``traj``, the
+    limit pairing against their base realization.  The expensive part —
+    forming U_k and its pairings — is shared across the bank, so verifying
+    six test functions costs barely more than one.
     """
-    if not isinstance(noise, MollifiedNoise):
-        raise ValueError("weak_residual pairs against mollified increments")
-    _require_same_realization(traj, noise)
-    if base is not noise.base and not (
-        base.grid == noise.base.grid and np.array_equal(base.increments, noise.base.increments)
-    ):
-        raise ValueError("base is not the realization underlying the mollified noise")
     if not phis:
         raise ValueError("need at least one test function")
-
+    noise = traj.noise
+    base = noise.base
     grid = traj.grid
     d, dt, dx, M = grid.d, grid.dt, grid.dx, grid.M
     vol = grid.cell_volume
     sp_axes = tuple(range(1, d + 1))
-    amps = []
     tensors = []
     for phi in phis:
         phi.validate_on(grid)
         tensors.append(phi.spatial_tensors(grid))
-        amps.append(np.asarray(phi.amplitudes).reshape((d,) + (1,) * d))
 
     n_phi = len(phis)
     A = np.zeros((n_phi, M))  # Σ_i (a·U)_i P_i
@@ -244,10 +174,8 @@ def weak_residual_batch(
     R = np.zeros((n_phi, M))  # Σ_i ΔWⁿ_i D_i
     Rb = np.zeros((n_phi, M))  # Σ_i ΔW_i D_i
 
-    H = traj.log_values
-    for lo in range(0, M, _CHUNK):
-        hi = min(lo + _CHUNK, M)
-        h = H[lo:hi]
+    for lo, hi, H in cole_hopf(traj):
+        h = H[:-1]
         grads = gradient_values(h, dx, d)
         normsq = np.zeros_like(h)
         for g in grads:
@@ -264,12 +192,9 @@ def weak_residual_batch(
             R[j, lo:hi] = np.sum(inc * D, axis=sp_axes)
             Rb[j, lo:hi] = np.sum(inc_base * D, axis=sp_axes)
 
-    tk = dt * np.arange(M)
     reports = []
     for j, phi in enumerate(phis):
-        u = (tk - phi.t_center) / phi.t_radius
-        psi = bump(u)
-        dpsi = bump_d1(u) / phi.t_radius
+        psi, dpsi = phi.time_profile(grid)
         lhs = vol * dt * float(np.sum(-dpsi * A[j] - psi * B[j] + psi * C[j]))
         rhs = -vol * float(np.sum(psi * R[j]))
         limit = -vol * float(np.sum(psi * Rb[j]))
@@ -295,7 +220,7 @@ def weak_residual_batch(
     return reports
 
 
-def _u_pairing_series(traj: ColeHopfTrajectory, phis: Sequence[TestFunction]) -> np.ndarray:
+def _u_pairing_series(traj: HeatSolution, phis: Sequence[TestFunction]) -> np.ndarray:
     """Σ_i (a·U_k)_i P_i for each φ and k = 0..M−1, shape (len(phis), M), no dx^d factor.
 
     One gradient per time chunk serves every φ.
@@ -305,12 +230,11 @@ def _u_pairing_series(traj: ColeHopfTrajectory, phis: Sequence[TestFunction]) ->
     sp_axes = tuple(range(1, d + 1))
     Ps = [phi.spatial_tensors(grid)[0] for phi in phis]
     out = np.empty((len(phis), M))
-    H = traj.log_values
-    for lo in range(0, M, _CHUNK):
-        hi = min(lo + _CHUNK, M)
-        grads = gradient_values(H[lo:hi], dx, d)
+    for lo, hi, H in cole_hopf(traj):
+        h = H[:-1]
+        grads = gradient_values(h, dx, d)
         for j, (phi, P) in enumerate(zip(phis, Ps)):
-            au = np.zeros_like(H[lo:hi])
+            au = np.zeros_like(h)
             for a in range(d):
                 au += phi.amplitudes[a] * grads[a]
             out[j, lo:hi] = np.sum(au * P, axis=sp_axes)
@@ -329,43 +253,36 @@ class LimitSequence:
 def distributional_limit_1d(entries, phis: Sequence[TestFunction]) -> list:
     """Track ⟨U_n, φ⟩_{space-time} across mollification scales in d = 1.
 
-    ``entries`` is a sequence of (n, trajectory) pairs with strictly
-    increasing scales; all trajectories must live on one grid and be
-    driven by the same base realization (the scales are coupled).  Returns
-    one LimitSequence per test function in ``phis``: the pairing sequence
-    and the absolute differences of consecutive terms.  Each trajectory's
-    gradient is formed once for the whole bank.
+    ``entries`` is a sequence of heat solutions whose mollification scales
+    ``noise.mollifier.scale_n`` strictly increase; all must live on one grid
+    and be driven by the same base realization (the scales are coupled).
+    Returns one LimitSequence per test function in ``phis``: the pairing
+    sequence and the absolute differences of consecutive terms.  Each
+    trajectory's gradient is formed once for the whole bank.
     """
     entries = list(entries)
     if len(entries) < 2:
         raise ValueError("need at least two scales to form Cauchy differences")
     if not phis:
         raise ValueError("need at least one test function")
-    scales = [int(n) for n, _ in entries]
+    scales = [traj.noise.mollifier.scale_n for traj in entries]
     if any(b <= a for a, b in zip(scales, scales[1:])):
         raise ValueError(f"scales must be strictly increasing, got {scales}")
 
-    first = entries[0][1]
-    if first.grid.d != 1:
-        raise ValueError(f"this diagnostic is one-dimensional, got d={first.grid.d}")
-    base = first.noise.base
-    for n, traj in entries:
-        if traj.grid != first.grid:
+    grid = entries[0].grid
+    if grid.d != 1:
+        raise ValueError(f"this diagnostic is one-dimensional, got d={grid.d}")
+    base = entries[0].noise.base
+    for traj in entries:
+        if traj.grid != grid:
             raise ValueError("all trajectories must share one grid")
-        if traj.noise.mollifier.scale_n != n:
-            raise ValueError(
-                f"entry labeled n={n} was mollified at "
-                f"n={traj.noise.mollifier.scale_n}"
-            )
         b = traj.noise.base
         if b is not base and not np.array_equal(b.increments, base.increments):
             raise ValueError("all trajectories must share one base realization")
 
-    grid = first.grid
-    tk = grid.dt * np.arange(grid.M)
-    psis = [bump((tk - phi.t_center) / phi.t_radius) for phi in phis]
+    psis = [phi.time_profile(grid)[0] for phi in phis]
     pairings = [[] for _ in phis]
-    for _, traj in entries:
+    for traj in entries:
         series = _u_pairing_series(traj, phis)
         for j, psi in enumerate(psis):
             pairings[j].append(grid.cell_volume * grid.dt * float(np.sum(psi * series[j])))
@@ -380,7 +297,7 @@ def distributional_limit_1d(entries, phis: Sequence[TestFunction]) -> list:
 
 
 def lojasiewicz_section(
-    traj: ColeHopfTrajectory, phi: TestFunction, eps: float, via: str = "h"
+    traj: HeatSolution, phi: TestFunction, eps: float, via: str = "h"
 ) -> float:
     """Short-time section s(ε) = Σ_k dt ρ_ε(t_k) ⟨U_k, φ_x⟩.
 
@@ -415,7 +332,7 @@ def lojasiewicz_section(
         comps = np.asarray(phi.amplitudes).reshape((d,) + (1,) * d) * P
         div = divergence_values(comps, grid.dx)
         series = np.array(
-            [-np.sum(traj.log_values[k] * div) for k in range(k_hi)]
+            [-np.sum(np.log(traj.values[k]) * div) for k in range(k_hi)]
         )
     else:
         series = _u_pairing_series(traj, [phi])[0, :k_hi]

@@ -122,6 +122,55 @@ class ExperimentConfig:
     def grid(self) -> TorusGrid:
         return TorusGrid(d=self.d, N=self.N, M=self.M, L=self.L, T=self.T)
 
+    def mollifier_scales(self) -> tuple:
+        """The scales the study mollifies at: ``converge`` runs (4, 8, 16, 32) for one n."""
+        if self.study == "converge" and len(self.n) < 2:
+            return (4, 8, 16, 32)
+        return self.n
+
+    def _ladder_errors(self) -> list:
+        """Named errors of the coarse grids the study's refinement ladders run on.
+
+        heat and the converge KPZ ladder coarsen the grid by 2 and 4, burgers
+        by up to 2^(refine_levels − 1), all at dt ∝ dx²; the coarsest grid
+        must exist and resolve the scale mollified on it.
+        """
+        errors = []
+        coarsest, name = 1, "grid"
+        if self.study in ("heat", "converge"):
+            what = "three-level heat ladder" if self.study == "heat" else "KPZ ladder"
+            if self.N % 4:
+                errors.append(("N", f"the {what} needs N divisible by 4, got {self.N}"))
+            if self.M % 16:
+                errors.append(("M", f"the {what} needs M divisible by 16, got {self.M}"))
+            coarsest = 4
+        elif self.study == "burgers" and self.refine_levels >= 1:
+            coarsest, name = 2 ** (self.refine_levels - 1), "refine_levels"
+            if self.N % coarsest or self.M % coarsest**2:
+                errors.append(
+                    (name, f"a {self.refine_levels}-level coupled ladder needs N divisible "
+                           f"by {coarsest} and M by {coarsest**2}; got N={self.N}, M={self.M}")
+                )
+        elif self.study == "section" and self.M < 64:
+            errors.append(
+                ("M", f"the section window eps = T/32 must cover two time steps; "
+                      f"need M ≥ 64, got {self.M}")
+            )
+        if errors or coarsest == 1 or not self.n:
+            return errors
+        scale = self.mollifier_scales()[1] if self.study == "converge" else self.n[0]
+        at = f"the coarsest ladder grid (N/{coarsest}, M/{coarsest**2})"
+        try:
+            coarse = TorusGrid(d=self.d, N=self.N // coarsest, M=self.M // coarsest**2,
+                               L=self.L, T=self.T)
+        except ValueError as exc:
+            return [(name, f"{at}: {exc}")]
+        try:
+            make_mollifier(coarse, scale)
+        except ValueError as exc:
+            errors.append(("n", f"scale {scale} on {at}: {exc}"))
+        return errors
+
     def validate(self) -> None:
         """Collect every named field error; raise ConfigError if any."""
         errors = []
@@ -148,11 +197,14 @@ class ExperimentConfig:
                 )
             if not self.n:
                 errors.append(("n", "need at least one mollifier scale"))
-            for scale in self.n:
+            scales = self.mollifier_scales()
+            for scale in dict.fromkeys(self.n + scales):
                 try:
                     make_mollifier(grid, scale)
                 except (ValueError, TypeError) as exc:
-                    errors.append(("n", f"scale {scale}: {exc}"))
+                    runs = "" if scale in self.n else f" (converge runs {scales} for one n)"
+                    errors.append(("n", f"scale {scale}{runs}: {exc}"))
+            errors.extend(self._ladder_errors())
             try:
                 make_initial(grid, self.initial_kind, self.initial_params)
             except (ValueError, TypeError, KeyError) as exc:

@@ -72,7 +72,7 @@ import time
 
 import numpy as np
 
-from burgerslab.bank import build_bank, bump
+from burgerslab.bank import build_bank
 from burgerslab.lattice import (
     ScalarField,
     TorusGrid,
@@ -146,23 +146,9 @@ def measure_order(gaps, hs) -> float:
 
 
 def _pipeline(grid, seed, lam, n, f, z0_override=None):
-    """Sample → mollify → solve → transform; the standard run."""
-    base = sample_noise(grid, seed, lam)
-    mn = mollify(base, make_mollifier(grid, n))
-    sol = solve_heat(grid, mn, f, z0_override=z0_override)
-    return base, mn, sol, cole_hopf(sol)
-
-
-def _refinement_factors(cfg: ExperimentConfig) -> list:
-    """Coarse→fine spatial factors for a coupled (dt ∝ dx²) ladder."""
-    levels = cfg.refine_levels
-    factors = [2 ** (levels - 1 - i) for i in range(levels)]
-    if cfg.N % factors[0] or cfg.M % factors[0] ** 2:
-        raise ValueError(
-            f"a {levels}-level coupled ladder needs N divisible by {factors[0]} "
-            f"and M by {factors[0] ** 2}; got N={cfg.N}, M={cfg.M}"
-        )
-    return factors
+    """Sample → mollify → solve; the standard run."""
+    mn = mollify(sample_noise(grid, seed, lam), make_mollifier(grid, n))
+    return solve_heat(grid, mn, f, z0_override=z0_override)
 
 
 def _initial_on(cfg: ExperimentConfig, grid: TorusGrid):
@@ -205,25 +191,23 @@ def _mollification_defect(m, phi, grid) -> float:
     _, D, _ = phi.spatial_tensors(grid)
     diff = convolve_kernel(m, D) - D
     x_norm = math.sqrt(grid.cell_volume * float(np.sum(diff * diff)))
-    tk = grid.dt * np.arange(grid.M)
-    psi = bump((tk - phi.t_center) / phi.t_radius)
-    t_norm = math.sqrt(grid.dt * float(np.sum(psi * psi)))
-    return t_norm * x_norm
+    return math.sqrt(_psi_l2_sq(phi, grid)) * x_norm
 
 
 def _psi_l2_sq(phi, grid) -> float:
-    tk = grid.dt * np.arange(grid.M)
-    psi = bump((tk - phi.t_center) / phi.t_radius)
+    psi, _ = phi.time_profile(grid)
     return grid.dt * float(np.sum(psi * psi))
 
 
-def _u_l2_sq(traj, grid) -> float:
-    """Space-time L² norm squared of the gradient field, chunked."""
+def _u_l2_sq(sol) -> float:
+    """Space-time L² norm squared of the gradient field.
+
+    Summed per 1024-step chunk; the chunk fixes how the float sums group.
+    """
+    grid = sol.grid
     total = 0.0
-    H = traj.log_values
-    for lo in range(0, grid.M, 1024):
-        block = H[lo:min(lo + 1024, grid.M)]
-        for g in gradient_values(block, grid.dx, grid.d):
+    for _, _, H in cole_hopf(sol, 1024):
+        for g in gradient_values(H[:-1], grid.dx, grid.d):
             total += float(np.sum(g * g))
     return grid.dt * grid.cell_volume * total
 
@@ -378,12 +362,6 @@ def _study_qv(cfg: ExperimentConfig) -> StudyReport:
 def _study_heat(cfg: ExperimentConfig) -> StudyReport:
     tol = cfg.tolerances
     report = StudyReport(study=cfg.study, config=cfg.to_dict())
-    factors = [4, 2, 1]
-    if cfg.N % 4 or cfg.M % 16:
-        raise ValueError(
-            f"the three-level heat ladder needs N divisible by 4 and M by 16; "
-            f"got N={cfg.N}, M={cfg.M}"
-        )
     amp = 0.2
     if cfg.initial_kind == "cosine":
         amp = float(cfg.initial_params.get("a", 0.2))
@@ -393,18 +371,16 @@ def _study_heat(cfg: ExperimentConfig) -> StudyReport:
     errs_z, errs_u, dxs = [], [], []
     table = ["N,M,dx,dt,err_z,err_u"]
     n0 = cfg.n[0]
-    for fac in factors:
+    for fac in (4, 2, 1):
         g = TorusGrid(d=1, N=cfg.N // fac, M=cfg.M // fac**2, L=cfg.L, T=cfg.T)
         x = g.axis_coords()
         wavenum = 2.0 * math.pi / g.L
         z0 = 1.0 + amp * np.cos(wavenum * x)
-        _, mn, sol, traj = _pipeline(
-            g, cfg.seed, 0.0, n0, initial_zero(g), z0_override=z0
-        )
+        sol = _pipeline(g, cfg.seed, 0.0, n0, initial_zero(g), z0_override=z0)
         decay = np.exp(-(wavenum**2) * g.times())
         z_exact = 1.0 + amp * decay[:, None] * np.cos(wavenum * x)[None, :]
         err_z = float(np.max(np.abs(sol.values - z_exact)))
-        u_num = gradient_values(traj.log_values, g.dx, 1)[0]
+        u_num = gradient_values(np.log(sol.values), g.dx, 1)[0]
         u_exact = (-amp * wavenum * decay[:, None] * np.sin(wavenum * x)[None, :]
                    / z_exact)
         err_u = float(np.max(np.abs(u_num - u_exact)))
@@ -441,7 +417,7 @@ def _study_burgers(cfg: ExperimentConfig) -> StudyReport:
     tol = cfg.tolerances
     report = StudyReport(study=cfg.study, config=cfg.to_dict())
     grid = cfg.grid()
-    factors = _refinement_factors(cfg)
+    factors = [2 ** (cfg.refine_levels - 1 - i) for i in range(cfg.refine_levels)]
     n0 = cfg.n[0]
     base_fine = sample_noise(grid, cfg.seed, cfg.lam)
 
@@ -454,9 +430,8 @@ def _study_burgers(cfg: ExperimentConfig) -> StudyReport:
         g = base_l.grid
         mn = mollify(base_l, make_mollifier(g, n0))
         sol = solve_heat(g, mn, _initial_on(cfg, g))
-        traj = cole_hopf(sol)
         bank = build_bank(g, cfg.bank)
-        reports = weak_residual_batch(traj, bank, mn, base_l)
+        reports = weak_residual_batch(sol, bank)
         all_reports.extend(reports)
         totals.append(sum(r.gap for r in reports))
         dxs.append(g.dx)
@@ -576,7 +551,7 @@ def _study_converge(cfg: ExperimentConfig) -> StudyReport:
     tol = cfg.tolerances
     report = StudyReport(study=cfg.study, config=cfg.to_dict())
     grid = cfg.grid()
-    scales = cfg.n if len(cfg.n) >= 2 else (4, 8, 16, 32)
+    scales = cfg.mollifier_scales()
     f = _initial_on(cfg, grid)
     base = sample_noise(grid, cfg.seed, cfg.lam)
     bank = build_bank(grid, cfg.bank)
@@ -584,9 +559,8 @@ def _study_converge(cfg: ExperimentConfig) -> StudyReport:
     rhs_by_phi = {phi.id: [] for phi in bank}
     defect_by_phi = {phi.id: [] for phi in bank}
     limit_by_phi = {}
-    trajs = []  # (n, trajectory), kept only in d=1 for the Cauchy column
     kpz_fine_value = None
-    n_kpz = scales[1] if len(scales) > 1 else scales[0]
+    n_kpz = scales[1]
     table = ["phi_id,n,rhs,limit_pairing,deviation,defect,ratio"]
     all_weak = []
     mollifiers = [make_mollifier(grid, n) for n in scales]
@@ -596,23 +570,18 @@ def _study_converge(cfg: ExperimentConfig) -> StudyReport:
         # march as one batch
         mns = [mollify(base, m) for m in mollifiers]
         *sols, ref_sol = solve_heat(grid, mns + [_grid_scale_noise(base)], f)
-        runs = zip(mns, sols)
     else:
         # nothing outlives its scale, so one scale at a time holds one stack
-        mns = (mollify(base, m) for m in mollifiers)
-        runs = ((mn, solve_heat(grid, mn, f)) for mn in mns)
-    for n, m, (mn, sol) in zip(scales, mollifiers, runs):
-        traj = cole_hopf(sol)
-        reports = weak_residual_batch(traj, bank, mn, base)
+        sols = (solve_heat(grid, mollify(base, m), f) for m in mollifiers)
+    for n, m, sol in zip(scales, mollifiers, sols):
+        reports = weak_residual_batch(sol, bank)
         all_weak.extend(reports)
         for phi, r in zip(bank, reports):
             rhs_by_phi[phi.id].append(r.rhs)
             defect_by_phi[phi.id].append(_mollification_defect(m, phi, grid))
             limit_by_phi[phi.id] = r.limit_pairing
         if n == n_kpz:
-            kpz_fine_value = float(np.sum(kpz_residual(traj, mn)))
-        if grid.d == 1:
-            trajs.append((n, traj))
+            kpz_fine_value = float(np.sum(kpz_residual(sol)))
 
     dev_curves = {}
     for phi in bank:
@@ -661,8 +630,7 @@ def _study_converge(cfg: ExperimentConfig) -> StudyReport:
 
     # 1-D distributional Cauchy column with the grid-scale terminal reference
     if grid.d == 1:
-        ref_traj = cole_hopf(ref_sol)
-        u_ref_norm = math.sqrt(_u_l2_sq(ref_traj, grid))
+        u_ref_norm = math.sqrt(_u_l2_sq(ref_sol))
         cauchy_lines = ["phi_id,n,pairing,cauchy_gap"]
         cauchy_curves = {}
         # The monotone-gap gate reads one designated test function (the first
@@ -673,7 +641,7 @@ def _study_converge(cfg: ExperimentConfig) -> StudyReport:
         # as an "increase" at the next, so a bank-wide hard gate would reject
         # healthy realizations.
         designated = bank[0].id
-        seqs = distributional_limit_1d(trajs + [(grid.N, ref_traj)], bank)
+        seqs = distributional_limit_1d(sols + [ref_sol], bank)
         for phi, seq in zip(bank, seqs):
             ladder_gaps = seq.cauchy_gaps[:-1]
             terminal = seq.cauchy_gaps[-1]
@@ -710,19 +678,13 @@ def _study_converge(cfg: ExperimentConfig) -> StudyReport:
                           xlabel="n", ylabel="|v(n_hi) - v(n_lo)|")
 
     # KPZ residual decay under coupled refinement of one realization
-    if cfg.N % 4 or cfg.M % 16:
-        raise ValueError(
-            f"the KPZ ladder needs N divisible by 4 and M by 16; "
-            f"got N={cfg.N}, M={cfg.M}"
-        )
     kpz_values, kpz_dxs = [], []
     kpz_lines = ["N,M,dx,dt,residual_sum"]
     for fac in (4, 2):
         base_l = coarse_grain(base, fac, fac * fac)
         g = base_l.grid
         mn_l = mollify(base_l, make_mollifier(g, n_kpz))
-        traj_l = cole_hopf(solve_heat(g, mn_l, _initial_on(cfg, g)))
-        val = float(np.sum(kpz_residual(traj_l, mn_l)))
+        val = float(np.sum(kpz_residual(solve_heat(g, mn_l, _initial_on(cfg, g)))))
         kpz_values.append(val)
         kpz_dxs.append(g.dx)
         kpz_lines.append(f"{g.N},{g.M},{g.dx!r},{g.dt!r},{val!r}")
@@ -747,8 +709,7 @@ def _study_converge(cfg: ExperimentConfig) -> StudyReport:
     # flat λ=0 data: the KPZ residual must vanish identically
     g0 = TorusGrid(d=grid.d, N=cfg.N // 4, M=cfg.M // 16, L=cfg.L, T=cfg.T)
     mn0 = mollify(sample_noise(g0, cfg.seed, 0.0), make_mollifier(g0, n_kpz))
-    traj0 = cole_hopf(solve_heat(g0, mn0, initial_zero(g0)))
-    flat = float(np.max(kpz_residual(traj0, mn0)))
+    flat = float(np.max(kpz_residual(solve_heat(g0, mn0, initial_zero(g0)))))
     report.add("kpz_flat_zero", flat, flat == 0.0, target=0.0)
     report.tables["weak_residuals.csv"] = weak_residual_csv_lines(all_weak)
     return report
@@ -769,10 +730,6 @@ def _study_section(cfg: ExperimentConfig) -> StudyReport:
     # still produces a nonzero reference pairing
     phi = bank[1] if len(bank) > 1 else bank[0]
     eps_list = [grid.T / 8.0, grid.T / 16.0, grid.T / 32.0]
-    if eps_list[-1] < 2.0 * grid.dt:
-        raise ValueError(
-            f"eps = T/32 must cover at least two time steps; need M ≥ 64, got {cfg.M}"
-        )
 
     # reference: the t→0 section is the initial-slice pairing ⟨∇f, φ_x⟩
     grad_f = gradient_values(f.values, grid.dx)
@@ -783,11 +740,11 @@ def _study_section(cfg: ExperimentConfig) -> StudyReport:
     p0 = grid.cell_volume * float(np.sum(combined * P))
 
     # λ=0 branch: deterministic decay toward the initial pairing
-    _, mn0, _, traj0 = _pipeline(grid, cfg.seed, 0.0, n0, f)
+    sol0 = _pipeline(grid, cfg.seed, 0.0, n0, f)
     table = ["lambda,eps,section,reference,gap"]
     gaps = []
     for eps in eps_list:
-        s = lojasiewicz_section(traj0, phi, eps, via="h")
+        s = lojasiewicz_section(sol0, phi, eps, via="h")
         gap = abs(s - p0)
         gaps.append(gap)
         table.append(f"{0.0!r},{eps!r},{s!r},{p0!r},{gap!r}")
@@ -803,8 +760,8 @@ def _study_section(cfg: ExperimentConfig) -> StudyReport:
             {"lambda=0": list(zip(eps_list, gaps))},
             xlabel="eps", ylabel="|s(eps) - initial pairing|",
         )
-    s_h = lojasiewicz_section(traj0, phi, eps_list[0], via="h")
-    s_u = lojasiewicz_section(traj0, phi, eps_list[0], via="u")
+    s_h = lojasiewicz_section(sol0, phi, eps_list[0], via="h")
+    s_u = lojasiewicz_section(sol0, phi, eps_list[0], via="u")
     dual = abs(s_h - s_u) / (1.0 + abs(s_h))
     report.add("section_duality", dual, dual <= tol["duality_tol"],
                target=0.0, tol=tol["duality_tol"])
@@ -812,9 +769,9 @@ def _study_section(cfg: ExperimentConfig) -> StudyReport:
     # λ>0 branch: reported, not asserted — section fluctuations at t→0 are
     # unbounded in distribution, so no tolerance applies
     if cfg.lam > 0.0:
-        _, _, _, traj1 = _pipeline(grid, cfg.seed, cfg.lam, n0, f)
+        sol1 = _pipeline(grid, cfg.seed, cfg.lam, n0, f)
         for i, eps in enumerate(eps_list):
-            s = lojasiewicz_section(traj1, phi, eps, via="h")
+            s = lojasiewicz_section(sol1, phi, eps, via="h")
             report.add(f"section_lambda_eps{i}", s, True)
             table.append(f"{cfg.lam!r},{eps!r},{s!r},{p0!r},{abs(s - p0)!r}")
     report.tables["section.csv"] = table

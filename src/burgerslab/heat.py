@@ -155,15 +155,17 @@ def stability_check(grid: TorusGrid) -> float:
 
 @dataclass(frozen=True)
 class HeatSolution:
-    """Full trajectory of the heat scheme with its generating noise.
+    """Full trajectory of the heat scheme with the noise that drove it.
 
-    `values` stacks the M+1 time slices, shape (M+1,) + grid.shape.
+    `values` stacks the M+1 time slices, shape (M+1,) + grid.shape, each
+    checked by the march to be finite and strictly positive.  This is the
+    one trajectory stack: the `colehopf` passes take H = log Z from it one
+    time chunk at a time, and `noise.base` is the realization underneath.
     """
 
     grid: TorusGrid
     noise: MollifiedNoise
     values: np.ndarray = field(repr=False)
-    scheme_meta: dict = field(default_factory=dict)
 
 
 # Time steps whose noise factors are formed at once: the factor chunk of a
@@ -275,17 +277,6 @@ def solve_heat(
         _check_chunk(values[:, lo : hi + 1], lo, batched)
 
     sols = [
-        HeatSolution(
-            grid=grid,
-            noise=mn,
-            values=values[s],
-            scheme_meta={
-                "stability_margin": margin,
-                "lam": mn.lam,
-                "c_n_discrete": mn.mollifier.c_n_discrete,
-                "initial_kind": f.kind if z0_override is None else "override",
-            },
-        )
-        for s, mn in enumerate(noises)
+        HeatSolution(grid=grid, noise=mn, values=values[s]) for s, mn in enumerate(noises)
     ]
     return sols if batched else sols[0]

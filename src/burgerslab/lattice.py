@@ -21,12 +21,11 @@ Because the weak-form Burgers identity is *derived* by integration by parts,
 using operators whose duality is exact (not merely O(dx²)) means the weak
 residual isolates the stochastic bookkeeping instead of stencil artifacts.
 
-The inner products are the plain quadrature pairings
+The inner product is the plain quadrature pairing
 
-    inner_space(u, v)      = dx^d  Σ_i u_i · v_i
-    inner_spacetime(u, v)  = dt Σ_k inner_space(u_k, v_k)
+    inner_space(u, v)  = dx^d  Σ_i u_i · v_i
 
-which on a periodic grid integrate trigonometric polynomials below the
+which on a periodic grid integrates trigonometric polynomials below the
 Nyquist band exactly.
 """
 
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -47,7 +45,6 @@ __all__ = [
     "gradient",
     "divergence",
     "inner_space",
-    "inner_spacetime",
     "laplacian_values",
     "gradient_values",
     "divergence_values",
@@ -310,23 +307,3 @@ def inner_space(u: ScalarField | VectorField, v: ScalarField | VectorField) -> f
             f"inner_space shape mismatch: {u.values.shape} vs {v.values.shape}"
         )
     return float(np.sum(u.values * v.values)) * u.grid.cell_volume
-
-
-def inner_spacetime(
-    us: Sequence[ScalarField] | Sequence[VectorField],
-    vs: Sequence[ScalarField] | Sequence[VectorField],
-) -> float:
-    """Space-time pairing dt · Σ_k inner_space(u_k, v_k).
-
-    The sequences index time nodes (left endpoints for Itô-style sums is the
-    caller's convention; this function just weights by dt).
-    """
-    if len(us) != len(vs):
-        raise ValueError(f"inner_spacetime length mismatch: {len(us)} vs {len(vs)}")
-    if len(us) == 0:
-        return 0.0
-    dt = us[0].grid.dt
-    total = 0.0
-    for u_k, v_k in zip(us, vs):
-        total += inner_space(u_k, v_k)
-    return total * dt

@@ -92,8 +92,10 @@ def test_values_vanish_outside_support():
     g = _grid(d=2, N=32)
     tf = TestFunction("loc", 0.5, 0.1, (0.25, 0.25), 0.1, (1.0, -0.5))
     # outside in time: the time factor and its derivative are exactly zero
-    assert tf.psi_t(0.9) == 0.0
-    assert tf.dpsi_t(0.05) == 0.0
+    psi, dpsi = tf.time_profile(g)
+    outside = np.abs(g.dt * np.arange(g.M) - tf.t_center) >= tf.t_radius
+    assert outside.any() and not outside.all()
+    assert np.all(psi[outside] == 0.0) and np.all(dpsi[outside] == 0.0)
     # far away in space: every shared tensor is exactly zero
     for tensor in tf.spatial_tensors(g):
         far = tensor[24:, 24:]  # nodes near (0.75, 0.75), distance > radius
@@ -135,12 +137,16 @@ def test_analytic_derivatives_match_stencils_at_second_order(d):
 
 
 def test_time_factor_chain_rule():
-    g = _grid()
+    g = TorusGrid(d=1, N=32, M=200_000, T=1.0)
     tf = build_bank(g)[3]
-    h = 1e-6
+    psi, dpsi = tf.time_profile(g)
+    assert psi.shape == dpsi.shape == (g.M,)
+    # centered differences of psi on the left-endpoint grid match dpsi
     for t in (0.2, 0.5, 0.77):
-        fd = (tf.psi_t(t + h) - tf.psi_t(t - h)) / (2 * h)
-        assert tf.dpsi_t(t) == pytest.approx(fd, abs=1e-6)
+        k = round(t / g.dt)
+        fd = (psi[k + 1] - psi[k - 1]) / (2 * g.dt)
+        assert dpsi[k] == pytest.approx(fd, abs=1e-6)
     lo, hi = tf.t_support
-    assert tf.psi_t(lo) == 0.0 and tf.psi_t(hi) == 0.0
-    assert tf.dpsi_t(lo - 0.01) == 0.0
+    k_lo, k_hi = round(lo / g.dt), round(hi / g.dt)
+    assert psi[k_lo] == 0.0 and psi[k_hi] == 0.0
+    assert dpsi[round((lo - 0.01) / g.dt)] == 0.0

@@ -1,20 +1,22 @@
-"""Log-transform layer: chain-rule gaps, growth residual, weak-form pairings."""
+"""Log-transform layer: growth residual, weak-form pairings, sections."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from burgerslab.bank import build_bank, bump
+from burgerslab.bank import TestFunction, build_bank
 from burgerslab.colehopf import (
+    _CHUNK,
     cole_hopf,
     distributional_limit_1d,
     kpz_residual,
-    laplacian_ratio_gap,
     lojasiewicz_section,
     weak_residual_batch,
     weak_residual_csv_lines,
 )
-from burgerslab.heat import HeatSolution, initial_gaussian_bump, initial_zero, solve_heat
-from burgerslab.lattice import ScalarField, TorusGrid, gradient_values
+from burgerslab.heat import initial_gaussian_bump, initial_zero, solve_heat
+from burgerslab.lattice import TorusGrid, gradient_values, laplacian_values
 from burgerslab.noise import coarse_grain, make_mollifier, mollify, sample_noise
 
 T = 0.1
@@ -28,8 +30,7 @@ def _grid(N, d=1):
 def _solve(grid, base, n=4, amp=0.5, center=0.37):
     mol = mollify(base, make_mollifier(grid, n))
     f = initial_gaussian_bump(grid, a=amp, w=0.12 * grid.L, center=[center * grid.L] * grid.d)
-    traj = cole_hopf(solve_heat(grid, mol, f))
-    return mol, traj
+    return mol, solve_heat(grid, mol, f)
 
 
 @pytest.fixture(scope="module")
@@ -51,96 +52,82 @@ def ladder():
 def test_log_transform_is_definitional():
     g = _grid(32)
     base = sample_noise(g, seed=11, lam=1.0)
-    mol, traj = _solve(g, base)
-    sol = traj.source
-    assert np.array_equal(traj.log_values, np.log(sol.values))
+    _, sol = _solve(g, base)
+    H = np.log(sol.values)
+    # H is taken per chunk, each chunk one slice past its last step
+    chunks = list(cole_hopf(sol, 100))
+    assert [(lo, hi) for lo, hi, _ in chunks][-1] == (g.M - g.M % 100, g.M)
+    for lo, hi, h in chunks:
+        assert np.array_equal(h, H[lo : hi + 1])
     # U = ∇_h H: the stacked stencil the chunk passes use equals the
     # per-slice gradient at every step
-    stacked = gradient_values(traj.log_values, g.dx, g.d)
+    stacked = gradient_values(H, g.dx, g.d)
     assert stacked.shape == (g.d, g.M + 1) + g.shape
     for k in (0, g.M // 2, g.M):
-        assert np.array_equal(stacked[:, k], gradient_values(traj.log_values[k], g.dx))
+        assert np.array_equal(stacked[:, k], gradient_values(H[k], g.dx))
 
 
 def test_flat_trajectory_is_exactly_stationary():
     g = _grid(24)
     base = sample_noise(g, seed=0, lam=0.0)
     mol = mollify(base, make_mollifier(g, 4))
-    traj = cole_hopf(solve_heat(g, mol, initial_zero(g)))
-    assert np.all(traj.log_values == 0.0)
-    assert np.all(gradient_values(traj.log_values[3], g.dx) == 0.0)
-    assert np.all(kpz_residual(traj, mol) == 0.0)
-
-
-def test_cole_hopf_rejects_nonpositive_values():
-    g = TorusGrid(d=1, N=8, M=4, T=T)
-    mol = mollify(sample_noise(g, seed=0, lam=0.0), make_mollifier(g, 2))
-    values = np.ones((5, 8))
-    values[3, 2] = 0.0
-    sol = HeatSolution(grid=g, noise=mol, values=values)
-    with pytest.raises(ValueError, match=r"step 3.*\(2,\)"):
-        cole_hopf(sol)
-    values[3, 2] = np.nan
-    with pytest.raises(ValueError, match="step 3"):
-        cole_hopf(HeatSolution(grid=g, noise=mol, values=values))
-    values[3, 2] = 1.0
-    values[4, 5] = np.inf
-    with pytest.raises(ValueError, match=r"step 4.*\(5,\) is inf"):
-        cole_hopf(HeatSolution(grid=g, noise=mol, values=values))
-
-
-def test_laplacian_ratio_gap_shrinks_at_second_order():
-    gaps = {}
-    for N in (32, 64):
-        g = TorusGrid(d=1, N=N, M=4, T=T)
-        x = g.axis_coords()
-        h = 0.5 * np.cos(2 * np.pi * x)
-        gaps[N] = laplacian_ratio_gap(
-            ScalarField(g, np.exp(h)), ScalarField(g, h)
-        )
-    assert 3.2 < gaps[32] / gaps[64] < 4.8
-
-
-def test_laplacian_ratio_gap_validation():
-    g = TorusGrid(d=1, N=16, M=4, T=T)
-    z = ScalarField(g, np.full(g.shape, 2.0))
-    h_wrong = ScalarField(g, np.zeros(g.shape))
-    with pytest.raises(ValueError, match="logarithm"):
-        laplacian_ratio_gap(z, h_wrong)
-    z_bad = ScalarField(g, np.linspace(-1, 1, 16))
-    with pytest.raises(ValueError, match="positive"):
-        laplacian_ratio_gap(z_bad, h_wrong)
-    g2 = TorusGrid(d=1, N=16, M=8, T=T)
-    with pytest.raises(ValueError, match="grids"):
-        laplacian_ratio_gap(z, ScalarField(g2, np.log(np.full(g2.shape, 2.0))))
+    sol = solve_heat(g, mol, initial_zero(g))
+    assert np.all(np.log(sol.values) == 0.0)
+    assert np.all(gradient_values(np.log(sol.values[3]), g.dx) == 0.0)
+    assert np.all(kpz_residual(sol) == 0.0)
 
 
 def test_growth_residual_refines_at_second_order(ladder):
     sums = {}
     for tag, (base, mol, traj) in ladder.items():
-        r = kpz_residual(traj, mol)
+        r = kpz_residual(traj)
         assert r.shape == (traj.grid.M,)
         sums[tag] = float(r.sum())
     assert 2.8 < sums["coarse"] / sums["mid"] < 5.2
     assert 2.8 < sums["mid"] / sums["fine"] < 5.2
 
 
-def test_growth_residual_validation(ladder):
-    base, mol, traj = ladder["coarse"]
-    other = mollify(
-        sample_noise(traj.grid, seed=99, lam=1.0), make_mollifier(traj.grid, 4)
-    )
-    with pytest.raises(ValueError, match="realization"):
-        kpz_residual(traj, other)
-    with pytest.raises(ValueError, match="mollified"):
-        kpz_residual(traj, base)
+def test_growth_residual_equals_full_stack_reference_bit_for_bit():
+    # M = 600 is no multiple of the chunk, so the last chunk is short
+    g = TorusGrid(d=1, N=32, M=600, T=T)
+    assert g.M % _CHUNK
+    mol, sol = _solve(g, sample_noise(g, seed=4, lam=1.0))
+    H = np.log(sol.values)
+    h = H[:-1]
+    grads = gradient_values(h, g.dx, 1)
+    normsq = np.zeros_like(h)
+    for grad in grads:
+        normsq += grad * grad
+    r = H[1:] - h
+    r -= g.dt * (laplacian_values(h, g.dx, 1) + normsq)
+    r -= mol.increments
+    r += 0.5 * mol.lam**2 * mol.mollifier.c_n_discrete * g.dt
+    assert np.array_equal(kpz_residual(sol), np.max(np.abs(r), axis=1))
+
+
+def test_passes_hold_no_log_stack():
+    # H = log Z is taken per time chunk: the weak pass and the KPZ residual
+    # together allocate far less than one (M+1)·N^d stack
+    g = TorusGrid(d=1, N=256, M=64 * _CHUNK, T=T)
+    _, sol = _solve(g, sample_noise(g, seed=6, lam=1.0))
+    bank = build_bank(g)[:2]
+    for phi in bank:
+        phi.spatial_tensors(g)  # cached before the measurement
+    tracemalloc.start()
+    try:
+        weak_residual_batch(sol, bank)
+        kpz_residual(sol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sol.values.nbytes / 4
 
 
 def test_weak_residual_without_noise_reduces_to_classical():
     g = _grid(160)
     base = sample_noise(g, seed=3, lam=0.0)
     mol, traj = _solve(g, base)
-    reports = weak_residual_batch(traj, build_bank(g)[:3], mol, base)
+    reports = weak_residual_batch(traj, build_bank(g)[:3])
     for r in reports:
         # increments vanish identically, so both stochastic pairings do too
         assert r.rhs == 0.0
@@ -154,7 +141,7 @@ def test_weak_residual_gap_shrinks_under_coupled_refinement(ladder):
     per_phi = {}
     for tag, (base, mol, traj) in ladder.items():
         bank = build_bank(traj.grid)[:3]
-        reports = weak_residual_batch(traj, bank, mol, base)
+        reports = weak_residual_batch(traj, bank)
         per_phi[tag] = {r.phi_id: r.gap for r in reports}
         totals[tag] = sum(r.gap for r in reports)
     # per-function gaps carry realization-dependent constants, so adjacent
@@ -170,7 +157,7 @@ def test_weak_residual_gap_shrinks_under_coupled_refinement(ladder):
 def test_weak_residual_reports_metadata(ladder):
     base, mol, traj = ladder["coarse"]
     phi = build_bank(traj.grid)[0]
-    [r] = weak_residual_batch(traj, [phi], mol, base)
+    [r] = weak_residual_batch(traj, [phi])
     g = traj.grid
     assert (r.d, r.N, r.M) == (g.d, g.N, g.M)
     assert r.n == 4 and r.seed == 3 and r.lam == 1.0
@@ -181,25 +168,18 @@ def test_weak_residual_reports_metadata(ladder):
 def test_weak_residual_batch_matches_single_calls(ladder):
     base, mol, traj = ladder["coarse"]
     bank = build_bank(traj.grid)[:2]
-    batch = weak_residual_batch(traj, bank, mol, base)
-    singles = [weak_residual_batch(traj, [phi], mol, base)[0] for phi in bank]
+    batch = weak_residual_batch(traj, bank)
+    singles = [weak_residual_batch(traj, [phi])[0] for phi in bank]
     assert batch == singles
 
 
 def test_weak_residual_validation(ladder):
     base, mol, traj = ladder["coarse"]
-    g = traj.grid
-    phi = build_bank(g)[0]
-    wrong_base = sample_noise(g, seed=8, lam=1.0)
-    with pytest.raises(ValueError, match="base"):
-        weak_residual_batch(traj, [phi], mol, wrong_base)
-    wrong_mol = mollify(wrong_base, make_mollifier(g, 4))
-    with pytest.raises(ValueError, match="realization"):
-        weak_residual_batch(traj, [phi], wrong_mol, wrong_base)
     with pytest.raises(ValueError, match="at least one"):
-        weak_residual_batch(traj, [], mol, base)
-    with pytest.raises(ValueError, match="mollified"):
-        weak_residual_batch(traj, [phi], base, base)
+        weak_residual_batch(traj, [])
+    planar = TestFunction("planar", 0.05, 0.02, (0.5, 0.5), 0.2, (1.0, -1.0))
+    with pytest.raises(ValueError, match="spatial components"):
+        weak_residual_batch(traj, [planar])
 
 
 def test_gauge_shift_leaves_velocity_unchanged():
@@ -208,13 +188,12 @@ def test_gauge_shift_leaves_velocity_unchanged():
     mol = mollify(base, make_mollifier(g, 4))
     f = initial_gaussian_bump(g, a=0.5, w=0.12, center=[0.37])
     shifted = np.exp(f.values + 0.7)
-    t1 = cole_hopf(solve_heat(g, mol, f))
-    t2 = cole_hopf(solve_heat(g, mol, f, z0_override=shifted))
-    diff = t2.log_values - t1.log_values
-    assert np.max(np.abs(diff - 0.7)) < 1e-11
+    h1 = np.log(solve_heat(g, mol, f).values)
+    h2 = np.log(solve_heat(g, mol, f, z0_override=shifted).values)
+    assert np.max(np.abs(h2 - h1 - 0.7)) < 1e-11
     k = g.M
-    u1 = gradient_values(t1.log_values[k], g.dx)
-    u2 = gradient_values(t2.log_values[k], g.dx)
+    u1 = gradient_values(h1[k], g.dx)
+    u2 = gradient_values(h2[k], g.dx)
     assert np.max(np.abs(u2 - u1)) < 1e-11
 
 
@@ -222,10 +201,7 @@ def test_gauge_shift_leaves_velocity_unchanged():
 def scale_family():
     g = _grid(64)
     base = sample_noise(g, seed=3, lam=1.0)
-    entries = []
-    for n in (4, 8, 16):
-        _, traj = _solve(g, base, n=n)
-        entries.append((n, traj))
+    entries = [_solve(g, base, n=n)[1] for n in (4, 8, 16)]
     return g, base, entries
 
 
@@ -251,11 +227,10 @@ def test_distributional_limit_bank_equals_single_phi_calls(scale_family):
     # each pairing is the space-time sum of the slice pairings ⟨U_k, φ⟩
     phi = bank[2]
     P, _, _ = phi.spatial_tensors(g)
-    tk = g.dt * np.arange(g.M)
-    psi = bump((tk - phi.t_center) / phi.t_radius)
-    traj = entries[0][1]
+    psi, _ = phi.time_profile(g)
+    H = np.log(entries[0].values)
     series = [
-        np.sum(phi.amplitudes[0] * gradient_values(traj.log_values[k], g.dx)[0] * P)
+        np.sum(phi.amplitudes[0] * gradient_values(H[k], g.dx)[0] * P)
         for k in range(g.M)
     ]
     direct = g.cell_volume * g.dt * float(np.sum(psi * np.array(series)))
@@ -271,29 +246,28 @@ def test_distributional_limit_validation(scale_family):
         distributional_limit_1d(entries, [])
     with pytest.raises(ValueError, match="strictly increasing"):
         distributional_limit_1d([entries[1], entries[0]], phis)
-    with pytest.raises(ValueError, match="labeled"):
-        distributional_limit_1d([(4, entries[0][1]), (8, entries[0][1])], phis)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        distributional_limit_1d([entries[0], entries[0]], phis)
     other = sample_noise(g, seed=77, lam=1.0)
     _, foreign = _solve(g, other, n=8)
     with pytest.raises(ValueError, match="base realization"):
-        distributional_limit_1d([entries[0], (8, foreign)], phis)
+        distributional_limit_1d([entries[0], foreign], phis)
 
 
 def test_distributional_limit_needs_one_dimension():
     g = TorusGrid(d=2, N=16, M=208, T=T)
     base = sample_noise(g, seed=1, lam=1.0)
     phis = build_bank(g)[:1]
-    entries = []
-    for n in (2, 4):
-        mol = mollify(base, make_mollifier(g, n))
-        entries.append((n, cole_hopf(solve_heat(g, mol, initial_zero(g)))))
+    entries = [
+        solve_heat(g, mollify(base, make_mollifier(g, n)), initial_zero(g)) for n in (2, 4)
+    ]
     with pytest.raises(ValueError, match="one-dimensional"):
         distributional_limit_1d(entries, phis)
 
 
 def test_section_summation_by_parts_is_exact(scale_family):
     g, base, entries = scale_family
-    traj = entries[1][1]
+    traj = entries[1]
     phi = build_bank(g)[1]
     for eps in (0.02, 0.005):
         sh = lojasiewicz_section(traj, phi, eps, via="h")
@@ -303,7 +277,7 @@ def test_section_summation_by_parts_is_exact(scale_family):
 
 def test_section_validation(scale_family):
     g, base, entries = scale_family
-    traj = entries[0][1]
+    traj = entries[0]
     phi = build_bank(g)[1]
     with pytest.raises(ValueError, match="inside"):
         lojasiewicz_section(traj, phi, 0.06)
@@ -321,7 +295,7 @@ def test_section_approaches_initial_slice_without_noise():
     mol, traj = _solve(g, base)
     phi = build_bank(g)[1]
     P, _, _ = phi.spatial_tensors(g)
-    u0 = gradient_values(traj.log_values[0], g.dx)
+    u0 = gradient_values(np.log(traj.values[0]), g.dx)
     p0 = g.cell_volume * float(np.sum(phi.amplitudes[0] * u0[0] * P))
     errs = [
         abs(lojasiewicz_section(traj, phi, eps) - p0)
@@ -336,10 +310,10 @@ def test_weak_machinery_in_two_dimensions():
     base = sample_noise(g, seed=2, lam=1.0)
     mol, traj = _solve(g, base, n=4, amp=0.3)
     bank = build_bank(g)[:2]
-    reports = weak_residual_batch(traj, bank, mol, base)
+    reports = weak_residual_batch(traj, bank)
     for r in reports:
         assert r.d == 2 and np.isfinite([r.lhs, r.rhs, r.gap]).all()
-    r = kpz_residual(traj, mol)
+    r = kpz_residual(traj)
     assert r.shape == (g.M,) and np.all(np.isfinite(r))
     phi = bank[0]
     sh = lojasiewicz_section(traj, phi, 0.01, via="h")
@@ -350,7 +324,7 @@ def test_weak_machinery_in_two_dimensions():
 def test_report_persistence(ladder):
     base, mol, traj = ladder["coarse"]
     bank = build_bank(traj.grid)[:2]
-    reports = weak_residual_batch(traj, bank, mol, base)
+    reports = weak_residual_batch(traj, bank)
 
     lines = weak_residual_csv_lines(reports)
     assert lines[0] == "d,N,M,n,seed,lambda,phi_id,lhs,rhs,gap,limit_pairing"

@@ -125,6 +125,49 @@ def test_validate_rejects_under_resolved_mollifier():
         ExperimentConfig(study="qv", N=16, M=2048, n=(8,)).validate()
 
 
+def _errors(**fields):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(**fields).validate()
+    return err.value.errors
+
+
+@pytest.mark.parametrize("study", ["heat", "converge"])
+def test_validate_checks_the_divide_by_four_ladder_sizes(study):
+    # both ladders coarsen N by 4 and M by 16; seen: converge at N=130,
+    # M=3400 marched five trajectories before this was noticed
+    errors = _errors(study=study, N=130, M=3400)
+    assert [name for name, _ in errors] == ["N", "M"]
+    assert "divisible by 4" in errors[0][1] and "divisible by 16" in errors[1][1]
+
+
+def test_validate_checks_refine_levels_divisibility():
+    errors = _errors(study="burgers", refine_levels=3, N=130)
+    assert [name for name, _ in errors] == ["refine_levels"]
+    assert "N divisible by 4 and M by 16" in errors[0][1]
+
+
+def test_validate_checks_the_section_step_count():
+    errors = _errors(study="section", N=32, M=40, T=0.001, n=(4,))
+    assert errors == [("M", errors[0][1])] and "M ≥ 64, got 40" in errors[0][1]
+
+
+def test_validate_checks_the_scales_converge_runs():
+    # one n: converge runs (4, 8, 16, 32), and 1/32 < 4·dx at N=64
+    errors = _errors(study="converge", N=64)
+    assert any(name == "n" and "scale 32 (converge runs" in msg for name, msg in errors)
+
+
+@pytest.mark.parametrize("fields", [
+    {"study": "heat", "N": 64},
+    {"study": "burgers", "N": 64, "refine_levels": 3},
+    {"study": "converge", "n": (8, 16)},
+])
+def test_validate_checks_the_scale_on_the_coarsest_ladder_grid(fields):
+    errors = _errors(**fields)
+    assert [name for name, _ in errors] == ["n"]
+    assert "on the coarsest ladder grid" in errors[0][1]
+
+
 def test_validate_rejects_unknown_and_nonpositive_tolerances():
     with pytest.raises(ConfigError, match="unknown names"):
         ExperimentConfig(study="qv", tolerances={"not_a_knob": 1.0}).validate()
@@ -298,12 +341,12 @@ def test_run_study_validates_config_first(tmp_path):
 
 def test_march_breakdown_is_reported_from_the_march_at_its_step(tmp_path):
     # λ = 1e3 drives Z to 0 within the first hundred steps; the chunked march
-    # stops there instead of finishing all M steps and failing in cole_hopf
+    # stops there, before all M steps and before any pass takes log Z
     cfg = ExperimentConfig.from_dict({"study": "burgers", "lambda": 1e3, "refine_levels": 1})
     with pytest.raises(ValueError, match=r"Z at step (\d+), node \(\d+,\) is") as err:
         run_study(cfg, out_dir=tmp_path)
     frames = [entry.name for entry in err.traceback]
-    assert "solve_heat" in frames and "cole_hopf" not in frames
+    assert "solve_heat" in frames and "weak_residual_batch" not in frames
     step = int(re.search(r"step (\d+)", str(err.value)).group(1))
     assert 0 < step < cfg.M
 

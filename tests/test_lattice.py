@@ -14,7 +14,6 @@ from burgerslab.lattice import (
     gradient,
     gradient_values,
     inner_space,
-    inner_spacetime,
     laplacian,
     laplacian_values,
 )
@@ -187,29 +186,6 @@ def test_inner_space_positivity_and_errors():
     other = ScalarField(_grid(d=1, N=32), np.zeros(32))
     with pytest.raises(ValueError):
         inner_space(u, other)
-
-
-def test_inner_spacetime_reductions():
-    g = _grid(d=1, N=16, M=8, T=0.4)
-    rng = np.random.default_rng(11)
-    u = _random_scalar(g, rng)
-    v = _random_scalar(g, rng)
-    us = [u] * g.M
-    vs = [v] * g.M
-    # time-constant sequences reduce to T × inner_space
-    assert abs(inner_spacetime(us, vs) - g.T * inner_space(u, v)) <= 1e-14
-
-    zeros = [ScalarField(g, np.zeros(g.shape))] * g.M
-    assert inner_spacetime(zeros, zeros) == 0.0
-
-    # separable ψ(t)g(x) factorizes into (Σψ dt)·inner_space
-    psi = rng.standard_normal(g.M)
-    us_sep = [ScalarField(g, p * u.values) for p in psi]
-    expected = float(np.sum(psi)) * g.dt * inner_space(u, v)
-    assert abs(inner_spacetime(us_sep, vs) - expected) <= 1e-12 * max(1.0, abs(expected))
-
-    with pytest.raises(ValueError):
-        inner_spacetime(us, vs[:-1])
 
 
 # ---------------------------------------------------------------------------
