@@ -78,12 +78,27 @@ def cole_hopf(sol: HeatSolution, chunk: int = _CHUNK):
     """Yield (lo, hi, H) per time chunk, H = log Z at steps lo .. hi inclusive.
 
     H holds one slice past the chunk, for the update H_{k+1} − H_k; no
-    stack of H outlives its chunk.
+    stack of H outlives its chunk.  Raises if a value of Z in the chunk
+    fails to be finite and strictly positive (NaNs included), naming the
+    first offending step and node.
     """
     M = sol.grid.M
     for lo in range(0, M, chunk):
         hi = min(lo + chunk, M)
-        yield lo, hi, np.log(sol.values[lo : hi + 1])
+        values = sol.values[lo : hi + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            H = np.log(values)
+        # H is finite exactly where Z is finite and positive.  Every finite H
+        # has |H| < 750, so their sum cannot overflow: one sum tells whether
+        # any H is not finite, without a mask the size of the chunk.
+        if not np.isfinite(np.sum(H)):
+            bad = np.argwhere(~np.isfinite(H))[0]
+            k, node = int(bad[0]), tuple(int(i) for i in bad[1:])
+            raise ValueError(
+                f"logarithmic transform needs finite Z > 0 everywhere; "
+                f"Z at step {lo + k}, node {node} is {float(values[tuple(bad)])!r}"
+            )
+        yield lo, hi, H
 
 
 def kpz_residual(traj: HeatSolution) -> np.ndarray:

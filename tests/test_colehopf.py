@@ -15,7 +15,7 @@ from burgerslab.colehopf import (
     weak_residual_batch,
     weak_residual_csv_lines,
 )
-from burgerslab.heat import initial_gaussian_bump, initial_zero, solve_heat
+from burgerslab.heat import HeatSolution, initial_gaussian_bump, initial_zero, solve_heat
 from burgerslab.lattice import TorusGrid, gradient_values, laplacian_values
 from burgerslab.noise import coarse_grain, make_mollifier, mollify, sample_noise
 
@@ -65,6 +65,26 @@ def test_log_transform_is_definitional():
     assert stacked.shape == (g.d, g.M + 1) + g.shape
     for k in (0, g.M // 2, g.M):
         assert np.array_equal(stacked[:, k], gradient_values(H[k], g.dx))
+
+
+def test_cole_hopf_rejects_nonpositive_values():
+    g = TorusGrid(d=1, N=8, M=4, T=T)
+    mol = mollify(sample_noise(g, seed=0, lam=0.0), make_mollifier(g, 2))
+    values = np.ones((5, 8))
+    values[3, 2] = 0.0
+    sol = HeatSolution(grid=g, noise=mol, values=values)
+    with pytest.raises(ValueError, match=r"step 3.*\(2,\)"):
+        list(cole_hopf(sol))
+    # the step is counted from 0, not from the start of its chunk
+    with pytest.raises(ValueError, match=r"step 3.*\(2,\) is 0\.0"):
+        list(cole_hopf(sol, 2))
+    values[3, 2] = np.nan
+    with pytest.raises(ValueError, match="step 3"):
+        list(cole_hopf(HeatSolution(grid=g, noise=mol, values=values)))
+    values[3, 2] = 1.0
+    values[4, 5] = np.inf
+    with pytest.raises(ValueError, match=r"step 4.*\(5,\) is inf"):
+        list(cole_hopf(HeatSolution(grid=g, noise=mol, values=values)))
 
 
 def test_flat_trajectory_is_exactly_stationary():
