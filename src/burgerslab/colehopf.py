@@ -7,11 +7,13 @@ Burgers dynamics
 
     ∂_t U = Δ_x U + ∇_x ‖U‖² + ∇_x Ẇⁿ.
 
-Only Z exists whole.  ``cole_hopf`` takes H = log Z from the
-``HeatSolution`` one time chunk at a time, and every pass reads H through
-it; the march has already checked every Z to be finite and strictly
-positive, so every H is finite.  A solution carries the noise that drove
-it, and the noise its base realization, so a pass needs nothing else.
+Only Z exists whole.  ``cole_hopf`` is the one place log Z is taken: it
+yields H from the ``HeatSolution`` one time chunk at a time and checks
+that every Z it reads is finite and strictly positive.  Every reader of H
+(the passes below, the sections, the harness's heat oracle) goes through
+it, and a section reads only the steps its window covers.  A solution
+carries the noise that drove it, and the noise its base realization, so a
+pass needs nothing else.
 
 Two layers of checks, in increasing depth:
 
@@ -235,24 +237,20 @@ def weak_residual_batch(traj: HeatSolution, phis: Sequence[TestFunction]) -> lis
     return reports
 
 
-def _u_pairing_series(traj: HeatSolution, phis: Sequence[TestFunction]) -> np.ndarray:
-    """Σ_i (a·U_k)_i P_i for each φ and k = 0..M−1, shape (len(phis), M), no dx^d factor.
+def _u_pairings(h: np.ndarray, grid, phis: Sequence[TestFunction]) -> np.ndarray:
+    """Σ_i (a·U_k)_i P_i for each φ and each slice k of ``h``, no dx^d factor.
 
-    One gradient per time chunk serves every φ.
+    One gradient of the slices serves every φ.
     """
-    grid = traj.grid
-    d, dx, M = grid.d, grid.dx, grid.M
+    d = grid.d
     sp_axes = tuple(range(1, d + 1))
-    Ps = [phi.spatial_tensors(grid)[0] for phi in phis]
-    out = np.empty((len(phis), M))
-    for lo, hi, H in cole_hopf(traj):
-        h = H[:-1]
-        grads = gradient_values(h, dx, d)
-        for j, (phi, P) in enumerate(zip(phis, Ps)):
-            au = np.zeros_like(h)
-            for a in range(d):
-                au += phi.amplitudes[a] * grads[a]
-            out[j, lo:hi] = np.sum(au * P, axis=sp_axes)
+    grads = gradient_values(h, grid.dx, d)
+    out = np.empty((len(phis), h.shape[0]))
+    for j, phi in enumerate(phis):
+        au = np.zeros_like(h)
+        for a in range(d):
+            au += phi.amplitudes[a] * grads[a]
+        out[j] = np.sum(au * phi.spatial_tensors(grid)[0], axis=sp_axes)
     return out
 
 
@@ -298,7 +296,9 @@ def distributional_limit_1d(entries, phis: Sequence[TestFunction]) -> list:
     psis = [phi.time_profile(grid)[0] for phi in phis]
     pairings = [[] for _ in phis]
     for traj in entries:
-        series = _u_pairing_series(traj, phis)
+        series = np.empty((len(phis), grid.M))
+        for lo, hi, H in cole_hopf(traj):
+            series[:, lo:hi] = _u_pairings(H[:-1], grid, phis)
         for j, psi in enumerate(psis):
             pairings[j].append(grid.cell_volume * grid.dt * float(np.sum(psi * series[j])))
     return [
@@ -343,14 +343,17 @@ def lojasiewicz_section(
     tk = grid.dt * np.arange(k_hi)
     weights = _bump_constants(1)[0] * bump(tk / eps - 1.0) / eps
 
+    # one chunk of k_hi steps covers the window; asking the generator for
+    # the next chunk would take and check the log of steps the section
+    # never reads
+    _, _, H = next(cole_hopf(traj, k_hi))
+    h = H[:k_hi]
     if via == "h":
         comps = np.asarray(phi.amplitudes).reshape((d,) + (1,) * d) * P
         div = divergence_values(comps, grid.dx)
-        series = np.array(
-            [-np.sum(np.log(traj.values[k]) * div) for k in range(k_hi)]
-        )
+        series = np.array([-np.sum(h[k] * div) for k in range(k_hi)])
     else:
-        series = _u_pairing_series(traj, [phi])[0, :k_hi]
+        series = _u_pairings(h, grid, [phi])[0]
     return grid.cell_volume * grid.dt * float(np.sum(weights * series))
 
 

@@ -209,6 +209,14 @@ class ExperimentConfig:
                 make_initial(grid, self.initial_kind, self.initial_params)
             except (ValueError, TypeError, KeyError) as exc:
                 errors.append(("initial", f"{self.initial_kind!r}: {exc}"))
+            else:
+                if self.study == "heat" and self.initial_kind == "cosine":
+                    # the heat oracle starts from Z = 1 + a·cos, which must stay
+                    # positive, and a = 0 leaves no error to measure an order from
+                    a = float(self.initial_params["a"])
+                    if not 0.0 < abs(a) < 1.0:
+                        errors.append(("initial", f"the heat oracle's single-mode "
+                                                  f"amplitude must satisfy 0 < |a| < 1, got {a}"))
             try:
                 build_bank(grid, list(self.bank) if self.bank is not None else None)
             except (ValueError, TypeError) as exc:

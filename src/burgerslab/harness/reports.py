@@ -7,8 +7,8 @@ convergence orders, optional curve groups, and pre-formatted tables.
 * ``study.json`` — config echo, items, orders, curves, verdict (never the
   wall clock, which would break byte-level reproducibility);
 * one text file per table (the per-module CSV schemas);
-* one hand-emitted SVG per curve group — minimal log-log/linear line
-  charts with no plotting dependency.
+* one hand-emitted SVG per curve group — minimal log-log line charts with
+  no plotting dependency.
 
 Every file is byte-identical across re-emissions of the same report.
 """
@@ -50,7 +50,7 @@ class StudyReport:
     tables: dict = field(default_factory=dict)
     wallclock_s: float | None = None
 
-    def add(self, name: str, value, passed: bool, target=None, tol=None, **extra):
+    def add(self, name: str, value, passed: bool, target=None, tol=None):
         """Record one named check; numeric entries must be finite."""
         value = None if value is None else float(value)
         if value is not None and not math.isfinite(value):
@@ -63,8 +63,6 @@ class StudyReport:
             item["target"] = target
         if tol is not None:
             item["tol"] = float(tol)
-        for key, val in sorted(extra.items()):
-            item[key] = val
         self.items.append(item)
         return item
 
@@ -73,12 +71,12 @@ class StudyReport:
             raise ValueError(f"order {name!r} is non-finite: {value!r}")
         self.orders[name] = float(value)
 
-    def add_curves(self, chart: str, series: dict, xlabel: str, ylabel: str,
-                   loglog: bool = True):
+    def add_curves(self, chart: str, series: dict, xlabel: str, ylabel: str):
+        """Record one log-log chart; points with x ≤ 0 or y ≤ 0 are not drawn."""
         self.curves[chart] = {
             "xlabel": xlabel,
             "ylabel": ylabel,
-            "loglog": bool(loglog),
+            "loglog": True,
             "series": {
                 label: [(float(x), float(y)) for x, y in pts]
                 for label, pts in series.items()
@@ -145,36 +143,25 @@ _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 75, 25, 45, 55
 
 
-def _ticks(lo: float, hi: float, loglog: bool):
-    if loglog:
-        first = math.ceil(lo - 1e-9)
-        last = math.floor(hi + 1e-9)
-        if first > last:
-            return [lo, hi]
-        return [float(k) for k in range(first, last + 1)]
-    step = (hi - lo) / 4.0
-    return [lo + i * step for i in range(5)]
+def _ticks(lo: float, hi: float):
+    """Decade ticks between log10 bounds; the bounds themselves if none fit."""
+    first = math.ceil(lo - 1e-9)
+    last = math.floor(hi + 1e-9)
+    if first > last:
+        return [lo, hi]
+    return [float(k) for k in range(first, last + 1)]
 
 
-def _tick_label(v: float, loglog: bool) -> str:
-    if loglog:
-        return f"1e{v:g}" if v == int(v) else f"{10.0 ** v:.2g}"
-    return f"{v:.3g}"
+def _tick_label(v: float) -> str:
+    return f"1e{v:g}" if v == int(v) else f"{10.0 ** v:.2g}"
 
 
 def _svg_chart(name: str, spec: dict) -> str:
-    loglog = spec["loglog"]
     pts_all = []
     series = []
     for label, pts in spec["series"].items():
-        kept = []
-        for x, y in pts:
-            if loglog:
-                if x <= 0 or y <= 0:
-                    continue
-                kept.append((math.log10(x), math.log10(y)))
-            else:
-                kept.append((float(x), float(y)))
+        kept = [(math.log10(x), math.log10(y)) for x, y in pts
+                if not (x <= 0 or y <= 0)]
         series.append((label, kept))
         pts_all.extend(kept)
 
@@ -208,7 +195,7 @@ def _svg_chart(name: str, spec: dict) -> str:
             f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
             f'height="{_H - _MT - _MB}" fill="none" stroke="#444"/>'
         )
-        for tv in _ticks(xlo, xhi, loglog):
+        for tv in _ticks(xlo, xhi):
             if not (xlo <= tv <= xhi):
                 continue
             x = sx(tv)
@@ -218,9 +205,9 @@ def _svg_chart(name: str, spec: dict) -> str:
             )
             parts.append(
                 f'<text x="{x:.2f}" y="{_H - _MB + 18}" text-anchor="middle">'
-                f'{_tick_label(tv, loglog)}</text>'
+                f'{_tick_label(tv)}</text>'
             )
-        for tv in _ticks(ylo, yhi, loglog):
+        for tv in _ticks(ylo, yhi):
             if not (ylo <= tv <= yhi):
                 continue
             y = sy(tv)
@@ -230,7 +217,7 @@ def _svg_chart(name: str, spec: dict) -> str:
             )
             parts.append(
                 f'<text x="{_ML - 8}" y="{y + 4:.2f}" text-anchor="end">'
-                f'{_tick_label(tv, loglog)}</text>'
+                f'{_tick_label(tv)}</text>'
             )
         for i, (label, kept) in enumerate(series):
             if not kept:

@@ -63,14 +63,12 @@ __all__ = [
 class InitialData:
     """Smooth initial profile f on the torus; the solver starts from exp(f).
 
-    `kind` and `params` echo the preset that produced the samples so reports
-    can reproduce the configuration; `values` holds f at the grid nodes.
-    All presets are smooth and bounded, hence exp(f) > 0 everywhere.
+    `values` holds f at the grid nodes.  The config echoes the preset that
+    produced them.  All presets are smooth and bounded, hence exp(f) > 0
+    everywhere.
     """
 
     grid: TorusGrid
-    kind: str
-    params: dict
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
@@ -86,7 +84,7 @@ class InitialData:
 
 def initial_zero(grid: TorusGrid) -> InitialData:
     """f ≡ 0, i.e. Z(0, ·) ≡ 1."""
-    return InitialData(grid, "zero", {}, np.zeros(grid.shape))
+    return InitialData(grid, np.zeros(grid.shape))
 
 
 def initial_cosine(grid: TorusGrid, a: float, k: int = 1) -> InitialData:
@@ -95,7 +93,7 @@ def initial_cosine(grid: TorusGrid, a: float, k: int = 1) -> InitialData:
     profile = a * np.cos(2.0 * np.pi * k * x / grid.L)
     shape = (grid.N,) + (1,) * (grid.d - 1)
     values = np.broadcast_to(profile.reshape(shape), grid.shape).copy()
-    return InitialData(grid, "cosine", {"a": a, "k": k}, values)
+    return InitialData(grid, values)
 
 
 def initial_gaussian_bump(
@@ -123,9 +121,7 @@ def initial_gaussian_bump(
         shape = [1] * grid.d
         shape[axis] = grid.N
         values = values * factor.reshape(shape)
-    return InitialData(
-        grid, "gaussian-bump", {"a": a, "w": w, "center": list(map(float, c))}, values
-    )
+    return InitialData(grid, values)
 
 
 def make_initial(grid: TorusGrid, kind: str, params: dict) -> InitialData:
@@ -159,8 +155,9 @@ class HeatSolution:
 
     `values` stacks the M+1 time slices, shape (M+1,) + grid.shape, each
     checked by the march to be finite and strictly positive.  This is the
-    one trajectory stack: the `colehopf` passes take H = log Z from it one
-    time chunk at a time, and `noise.base` is the realization underneath.
+    one trajectory stack: every reader of H = log Z takes it one time chunk
+    at a time through `colehopf.cole_hopf`, and `noise.base` is the
+    realization underneath.
     """
 
     grid: TorusGrid

@@ -63,10 +63,8 @@ Brownian motion whose quadratic variation per unit time is c_n_discrete.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -86,8 +84,6 @@ __all__ = [
     "wiener_path",
     "quadratic_variation",
     "coarse_grain",
-    "save_noise",
-    "load_noise",
 ]
 
 # Distinct Philox key tags keep the white-noise stream and the Feynman-Kac
@@ -142,9 +138,7 @@ class Mollifier:
     grid : TorusGrid
         The working grid the kernel and c_n_discrete refer to.
     scale_n : int
-        Concentration scale; support radius is 1/n.
-    rho_l2_sq : float
-        ‖ρ‖² of the unscaled profile, by radial quadrature.
+        Concentration scale; ρ_n is supported in the ball of radius 1/n.
     c_n_continuum : float
         ‖ρ‖² · n^d — the quadratic-variation constant of the limit law.
     c_n_discrete : float
@@ -156,20 +150,9 @@ class Mollifier:
 
     grid: TorusGrid
     scale_n: int
-    rho_l2_sq: float
     c_n_continuum: float
     c_n_discrete: float
     kernel: np.ndarray = field(repr=False)
-
-    @property
-    def support_radius(self) -> float:
-        return 1.0 / self.scale_n
-
-    def rho_radial(self, r: np.ndarray) -> np.ndarray:
-        """Pointwise profile ρ_n as a function of the radius |x|."""
-        c_d, _ = _bump_constants(self.grid.d)
-        n = float(self.scale_n)
-        return c_d * n**self.grid.d * bump(n * np.asarray(r, dtype=np.float64))
 
 
 def _cell_averaged_kernel(grid: TorusGrid, n: int, c_d: float) -> np.ndarray:
@@ -231,7 +214,6 @@ def make_mollifier(grid: TorusGrid, n: int) -> Mollifier:
     return Mollifier(
         grid=grid,
         scale_n=n,
-        rho_l2_sq=l2,
         c_n_continuum=l2 * float(n) ** grid.d,
         c_n_discrete=c_disc,
         kernel=kernel,
@@ -247,17 +229,12 @@ class WhiteNoiseRealization:
     sampling time so that λ = 0 gives exact zeros through unchanged code
     paths; the amplitude is kept as metadata because the Itô compensator of
     the heat scheme scales with λ².
-
-    `origin` records how the realization came to be ("sampled", the
-    coarse-graining note, or "loaded"); regeneration from (grid, seed) is
-    bit-identical only for sampled realizations.
     """
 
     grid: TorusGrid
     seed: int
     lam: float
     increments: np.ndarray = field(repr=False)
-    origin: str = "sampled"
 
     def __post_init__(self) -> None:
         expected = (self.grid.M,) + self.grid.shape
@@ -368,12 +345,11 @@ def mollify(noise: WhiteNoiseRealization, m: Mollifier) -> MollifiedNoise:
     The convolution theorem on the discrete torus gives the exact circular
     sum dx^d Σ_j K_{i−j} ΔW_{k,j}; since K is even, the operation is
     self-adjoint with respect to `pair` to machine precision (the adjoint
-    identity every limit study leans on).
+    identity every limit study leans on).  `make_mollifier` has already
+    checked that the kernel resolves on the grid.
     """
     if m.grid != noise.grid:
         raise ValueError("mollifier was built for a different grid")
-    if m.support_radius < 4.0 * noise.grid.dx:
-        raise ValueError("under-resolved mollifier for this grid")
     mollified = _convolve_slices(noise.increments, m.kernel, noise.grid.cell_volume)
     return MollifiedNoise(base=noise, mollifier=m, increments=mollified)
 
@@ -456,32 +432,28 @@ def quadratic_variation(path: np.ndarray) -> float:
     return float(np.sum(steps * steps))
 
 
-def coarse_grain(
-    noise: WhiteNoiseRealization, factor: int, time_factor: int | None = None
-) -> WhiteNoiseRealization:
-    """Block-sum a fine realization onto a coarser lattice.
+def coarse_grain(noise: WhiteNoiseRealization, factor: int) -> WhiteNoiseRealization:
+    """Block-sum a fine realization onto the lattice coarser by `factor`.
 
-    Spatial blocks of factor^d cells and runs of `time_factor` steps
-    (default: equal to `factor`) are summed and rescaled by factor^{−d},
-    which is exactly the scaling that gives the coarse increments variance
-    dt'/dx'^d — for *any* time_factor, since time aggregation leaves the
-    variance ratio dt/dx^d per block-sum untouched.  Passing
-    time_factor = factor² couples the dt ∝ dx² refinement ladders used by
-    the convergence studies, so one master realization drives every level.
+    Spatial blocks of factor^d cells and runs of factor² steps are summed
+    and rescaled by factor^{−d}, which is exactly the scaling that gives the
+    coarse increments variance dt'/dx'^d.  The time factor factor² keeps
+    dt ∝ dx², the refinement rule of the convergence ladders, so one master
+    realization drives every level.
 
     The defining consistency identity is exact, not approximate: pairing a
     block-constant ξ against the coarse realization telescopes to the fine
     pairing bit for bit in exact arithmetic.
     """
-    tf = factor if time_factor is None else time_factor
-    if factor < 1 or tf < 1:
-        raise ValueError("coarse-graining factors must be positive integers")
+    if factor < 1:
+        raise ValueError(f"coarse-graining factor must be a positive integer, got {factor}")
+    tf = factor * factor
     g = noise.grid
     if g.N % factor or g.M % tf:
         raise ValueError(
-            f"factors ({factor}, time {tf}) must divide N = {g.N} and M = {g.M}"
+            f"factor {factor} must divide N = {g.N} and its square M = {g.M}"
         )
-    if factor == 1 and tf == 1:
+    if factor == 1:
         return noise
     coarse_grid = TorusGrid(d=g.d, N=g.N // factor, M=g.M // tf, L=g.L, T=g.T)
     shape = [coarse_grid.M, tf]
@@ -495,45 +467,4 @@ def coarse_grain(
         seed=noise.seed,
         lam=noise.lam,
         increments=coarse,
-        origin=f"coarse-grained x{factor} (time x{tf}) from {noise.origin}",
-    )
-
-
-# ---------------------------------------------------------------------------
-# binary persistence
-#
-# Fixed 56-byte header (little-endian) followed by the raw increment array:
-#   int64 d | int64 N | int64 M | float64 L | float64 T | int64 seed | float64 λ
-# payload: M · N^d float64 values, row-major node order per time slice.
-# ---------------------------------------------------------------------------
-
-_HEADER = struct.Struct("<qqqddqd")
-
-
-def save_noise(noise: WhiteNoiseRealization, path: str | Path) -> None:
-    """Persist a realization; reload with `load_noise` is bit-exact."""
-    g = noise.grid
-    header = _HEADER.pack(g.d, g.N, g.M, g.L, g.T, noise.seed, noise.lam)
-    payload = np.ascontiguousarray(noise.increments, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.tobytes())
-
-
-def load_noise(path: str | Path) -> WhiteNoiseRealization:
-    """Reload a realization saved by `save_noise` (bit-exact roundtrip)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated noise file")
-    d, N, M, L, T, seed, lam = _HEADER.unpack_from(raw)
-    grid = TorusGrid(d=d, N=N, M=M, L=L, T=T)
-    expected = M * N**d
-    payload = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    if payload.size != expected:
-        raise ValueError(
-            f"{path}: payload has {payload.size} values, header promises {expected}"
-        )
-    increments = payload.reshape((M,) + grid.shape).astype(np.float64)
-    return WhiteNoiseRealization(
-        grid=grid, seed=seed, lam=lam, increments=increments, origin="loaded"
     )

@@ -15,7 +15,13 @@ from burgerslab.colehopf import (
     weak_residual_batch,
     weak_residual_csv_lines,
 )
-from burgerslab.heat import HeatSolution, initial_gaussian_bump, initial_zero, solve_heat
+from burgerslab.heat import (
+    HeatSolution,
+    initial_cosine,
+    initial_gaussian_bump,
+    initial_zero,
+    solve_heat,
+)
 from burgerslab.lattice import TorusGrid, gradient_values, laplacian_values
 from burgerslab.noise import coarse_grain, make_mollifier, mollify, sample_noise
 
@@ -41,8 +47,8 @@ def ladder():
     levels = {}
     for tag, base in (
         ("fine", base_f),
-        ("mid", coarse_grain(base_f, 2, 4)),
-        ("coarse", coarse_grain(base_f, 4, 16)),
+        ("mid", coarse_grain(base_f, 2)),
+        ("coarse", coarse_grain(base_f, 4)),
     ):
         mol, traj = _solve(base.grid, base)
         levels[tag] = (base, mol, traj)
@@ -293,6 +299,33 @@ def test_section_summation_by_parts_is_exact(scale_family):
         sh = lojasiewicz_section(traj, phi, eps, via="h")
         su = lojasiewicz_section(traj, phi, eps, via="u")
         assert abs(sh - su) <= 1e-12 * (1.0 + abs(sh))
+
+
+def test_section_reads_only_its_window_through_the_checked_log():
+    # the section acceptance grid: eps = T/8 covers k_hi = 103 of M = 410 steps
+    g = TorusGrid(d=1, N=64, M=410, T=0.025)
+    eps = g.T / 8
+    k_hi = 103
+    assert k_hi == int(np.ceil(2.0 * eps / g.dt))
+    mol = mollify(sample_noise(g, seed=5, lam=1.0), make_mollifier(g, 4))
+    healthy = solve_heat(g, mol, initial_cosine(g, a=0.2))
+    phi = build_bank(g)[1]
+
+    def with_zero_at(step):
+        values = healthy.values.copy()
+        values[step, 5] = 0.0
+        return HeatSolution(grid=g, noise=mol, values=values)
+
+    # a breakdown past the window is never read
+    outside = with_zero_at(k_hi + 1)
+    for via in ("h", "u"):
+        expected = lojasiewicz_section(healthy, phi, eps, via=via)
+        assert lojasiewicz_section(outside, phi, eps, via=via) == expected
+    # one inside it is reported by the log transform, on both routes
+    inside = with_zero_at(k_hi - 1)
+    for via in ("h", "u"):
+        with pytest.raises(ValueError, match=rf"Z at step {k_hi - 1}, node \(5,\)"):
+            lojasiewicz_section(inside, phi, eps, via=via)
 
 
 def test_section_validation(scale_family):

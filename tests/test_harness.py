@@ -168,6 +168,16 @@ def test_validate_checks_the_scale_on_the_coarsest_ladder_grid(fields):
     assert "on the coarsest ladder grid" in errors[0][1]
 
 
+@pytest.mark.parametrize("a", [1.5, 0.0, -1.0])
+def test_validate_rejects_heat_amplitude_outside_unit_interval(a):
+    # the heat oracle starts from Z = 1 + a·cos; seen: a = 1.5 passed
+    # validate() and the study raised only once it ran
+    errors = _errors(study="heat", initial_kind="cosine", initial_params={"a": a})
+    assert [name for name, _ in errors] == ["initial"]
+    assert f"0 < |a| < 1, got {a}" in errors[0][1]
+    ExperimentConfig(study="heat", initial_kind="cosine", initial_params={"a": -0.5}).validate()
+
+
 def test_validate_rejects_unknown_and_nonpositive_tolerances():
     with pytest.raises(ConfigError, match="unknown names"):
         ExperimentConfig(study="qv", tolerances={"not_a_knob": 1.0}).validate()

@@ -1,4 +1,4 @@
-"""Noise laws: sampling, pairing, mollification, quadratic variation, persistence."""
+"""Noise laws: sampling, pairing, mollification, quadratic variation, coarse graining."""
 
 import math
 
@@ -12,19 +12,23 @@ from burgerslab.noise import (
     _bump_constants,
     coarse_grain,
     h_eval,
-    load_noise,
     make_mollifier,
     mollify,
     pair,
     quadratic_variation,
     sample_noise,
-    save_noise,
     wiener_path,
 )
 
 
 def _grid(d=1, N=32, M=64, T=0.1):
     return TorusGrid(d=d, N=N, M=M, T=T)
+
+
+def _rho(m, r):
+    """Pointwise profile ρ_n of the mollifier as a function of the radius |x|."""
+    n = m.scale_n
+    return _bump_constants(m.grid.d)[0] * n**m.grid.d * bump(n * r)
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +140,10 @@ def test_kernel_mass_and_symmetry(d, N):
     assert np.allclose(m.kernel, flipped, rtol=1e-12, atol=0)
     # the pointwise profile itself is exactly even (a function of |x|)
     r = np.linspace(0, 0.3, 7)
-    assert np.array_equal(m.rho_radial(r), m.rho_radial(-r))
+    assert np.array_equal(_rho(m, r), _rho(m, -r))
     # support: zero beyond 1/n + half a cell
     offsets = g.wrapped_offsets()
-    far = np.abs(offsets) > m.support_radius + g.dx / 2 + 1e-12
+    far = np.abs(offsets) > 1 / m.scale_n + g.dx / 2 + 1e-12
     if d == 1:
         assert np.all(m.kernel[far] == 0.0)
 
@@ -147,7 +151,7 @@ def test_kernel_mass_and_symmetry(d, N):
 def test_pointwise_profile_mass_by_grid_quadrature():
     g = _grid(d=1, N=128, M=8)
     m = make_mollifier(g, 4)
-    mass = g.dx * float(np.sum(m.rho_radial(np.abs(g.wrapped_offsets()))))
+    mass = g.dx * float(np.sum(_rho(m, np.abs(g.wrapped_offsets()))))
     assert abs(mass - 1.0) <= 2 * g.dx**2
 
 
@@ -156,7 +160,7 @@ def test_profile_mass_by_high_resolution_quadrature():
     m = make_mollifier(g, 4)
     # independent fine trapezoid over the support
     r = np.linspace(-1.0 / 4, 1.0 / 4, 200_001)
-    mass = np.trapezoid(m.rho_radial(np.abs(r)), r)
+    mass = np.trapezoid(_rho(m, np.abs(r)), r)
     assert abs(mass - 1.0) <= 1e-8
 
 
@@ -202,7 +206,7 @@ def test_mollify_is_linear_and_zero_preserving():
     assert np.all(mollify(zero, m).increments == 0.0)
     noise = sample_noise(g, seed=3)
     doubled = WhiteNoiseRealization(
-        grid=g, seed=3, lam=2.0, increments=2.0 * noise.increments, origin="test"
+        grid=g, seed=3, lam=2.0, increments=2.0 * noise.increments
     )
     assert np.allclose(
         mollify(doubled, m).increments,
@@ -219,7 +223,7 @@ def test_mollify_adjoint_identity():
     rng = np.random.default_rng(99)
     xi = rng.standard_normal((g.M,) + g.shape)
     lhs = pair(mollify(noise, m), xi)
-    carrier = WhiteNoiseRealization(grid=g, seed=0, lam=1.0, increments=xi, origin="test")
+    carrier = WhiteNoiseRealization(grid=g, seed=0, lam=1.0, increments=xi)
     rhs = pair(noise, mollify(carrier, m).increments)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
@@ -339,8 +343,10 @@ def test_coarse_grain_divisibility_errors():
     noise = sample_noise(g, seed=9)
     with pytest.raises(ValueError):
         coarse_grain(noise, 3)
-    with pytest.raises(ValueError):
-        coarse_grain(noise, 2, time_factor=7)
+    # N = 32 is divisible by 2, but M = 30 is not divisible by 2² = 4
+    short = sample_noise(_grid(d=1, N=32, M=30), seed=9)
+    with pytest.raises(ValueError, match="M = 30"):
+        coarse_grain(short, 2)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -348,7 +354,7 @@ def test_coarse_grain_pairing_consistency_is_exact(d):
     g = _grid(d=d, N=16, M=16)
     noise = sample_noise(g, seed=31)
     factor, tf = 2, 4
-    coarse = coarse_grain(noise, factor, time_factor=tf)
+    coarse = coarse_grain(noise, factor)
     cg = coarse.grid
     rng = np.random.default_rng(8)
     xi_coarse = rng.standard_normal((cg.M,) + cg.shape)
@@ -363,37 +369,11 @@ def test_coarse_grain_pairing_consistency_is_exact(d):
 def test_coarse_increments_have_coarse_variance():
     g = _grid(d=1, N=32, M=256, T=0.1)
     noise = sample_noise(g, seed=55)
-    coarse = coarse_grain(noise, 2, time_factor=4)
+    coarse = coarse_grain(noise, 2)
     cg = coarse.grid
     target = cg.dt / cg.cell_volume
     samples = coarse.increments.ravel()
     assert abs(samples.var() / target - 1.0) <= 0.1
-
-
-# ---------------------------------------------------------------------------
-# persistence
-# ---------------------------------------------------------------------------
-
-
-def test_noise_roundtrip_is_bit_exact(tmp_path):
-    g = TorusGrid(d=2, N=8, M=4, L=2.0, T=0.25)
-    noise = sample_noise(g, seed=77, lam=0.5)
-    path = tmp_path / "noise.bin"
-    save_noise(noise, path)
-    back = load_noise(path)
-    assert back.grid == g
-    assert back.seed == 77
-    assert back.lam == 0.5
-    assert np.array_equal(back.increments, noise.increments)
-    save_noise(back, tmp_path / "again.bin")
-    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
-
-
-def test_truncated_noise_file_rejected(tmp_path):
-    path = tmp_path / "broken.bin"
-    path.write_bytes(b"\x00" * 20)
-    with pytest.raises(ValueError):
-        load_noise(path)
 
 
 def test_unit_bump_has_unit_mass():
