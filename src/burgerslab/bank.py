@@ -33,18 +33,30 @@ spatial contractions every pairing needs are shared tensors:
     D = sum_a a_a psi'_a prod_{l!=a} psi_l      (spatial part of div phi),
     Q = sum_j psi''_j prod_{l!=j} psi_l         (spatial part of Lap phi_i / a_i).
 
-These are cached per (function, grid) pair; a full space-time pairing then
-costs one weighted time loop over precomputed N^d arrays.
+These are cached per (function, grid) pair, next to the lattice duals
+
+    -∇_h·(aP)   and   -∇_h·(aQ),
+
+with which a pairing linear in U = ∇_h H is taken against H itself:
+⟨a·∇_h H, P⟩ = ⟨H, -∇_h·(aP)⟩ holds exactly on the lattice (summation by
+parts), so those pairings need no gradient.  The same place knows each
+function's support: the window of steps with |t_k - t_c| < t_r, and the
+spatial box of nodes within the radius of the centre on each axis, grown by
+one node for the stencil of the duals.  A box that straddles the periodic
+seam is split into basic slices, at most 2^d pieces.  A space-time pairing
+then costs one weighted time loop over the window, each step contracted
+over the box only.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from burgerslab.lattice import TorusGrid
+from burgerslab.lattice import TorusGrid, divergence_values
 
 __all__ = ["TestFunction", "build_bank", "bump", "bump_d1", "bump_d2"]
 
@@ -165,6 +177,22 @@ class TestFunction:
         """Shared tensors (P, D, Q) on the grid; cached, do not mutate."""
         return _spatial_tensors(self, grid)
 
+    def duals(self, grid: TorusGrid):
+        """(-∇_h·(aP), -∇_h·(aQ)) on the grid; cached, do not mutate."""
+        return _duals(self, grid)
+
+    def support(self, grid: TorusGrid):
+        """(window, box): the steps and the spatial slices the function touches; cached.
+
+        ``window`` is the slice of steps k < M with |k·dt - t_c| < t_r.
+        ``box`` is a tuple of pieces, each a tuple of d basic slices; the
+        pieces tile the nodes within x_radius of the centre on each axis
+        (wrapped), grown by one node on each side, so every tensor above and
+        both duals vanish outside them.  Both come from the geometry, not
+        from the nonzeros: in 1-D, D = a·psi' is zero at the centre.
+        """
+        return _support(self, grid)
+
 
 @lru_cache(maxsize=128)
 def _spatial_tensors(tf: TestFunction, grid: TorusGrid):
@@ -199,6 +227,37 @@ def _spatial_tensors(tf: TestFunction, grid: TorusGrid):
     for arr in (P, D, Q):
         arr.setflags(write=False)
     return P, D, Q
+
+
+@lru_cache(maxsize=128)
+def _duals(tf: TestFunction, grid: TorusGrid):
+    P, _, Q = _spatial_tensors(tf, grid)
+    amps = np.asarray(tf.amplitudes).reshape((grid.d,) + (1,) * grid.d)
+    duals = tuple(-divergence_values(amps * arr, grid.dx) for arr in (P, Q))
+    for arr in duals:
+        arr.setflags(write=False)
+    return duals
+
+
+def _axis_pieces(inside: np.ndarray) -> tuple:
+    """Basic slices covering a cyclic arc of nodes grown by one on each side."""
+    N, count = inside.size, int(np.count_nonzero(inside))
+    if count + 2 >= N:
+        return (slice(0, N),)
+    start = (int(np.argmax(inside & ~np.roll(inside, 1))) - 1) % N
+    stop = start + count + 2
+    return (slice(start, min(stop, N)),) + ((slice(0, stop - N),) if stop > N else ())
+
+
+@lru_cache(maxsize=128)
+def _support(tf: TestFunction, grid: TorusGrid):
+    steps = np.flatnonzero(np.abs(grid.dt * np.arange(grid.M) - tf.t_center) < tf.t_radius)
+    window = slice(int(steps[0]), int(steps[-1]) + 1) if steps.size else slice(0, 0)
+    x = grid.axis_coords()
+    per_axis = [
+        _axis_pieces(np.abs(_wrap(x - c, grid.L)) < tf.x_radius) for c in tf.x_center
+    ]
+    return window, tuple(itertools.product(*per_axis))
 
 
 # ---------------------------------------------------------------------------

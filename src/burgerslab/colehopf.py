@@ -36,8 +36,16 @@ Two layers of checks, in increasing depth:
 
 ``distributional_limit_1d`` tracks ⟨U_n, φ⟩ for each φ of a bank across a
 family of trajectories driven by one shared base realization at increasing
-mollification scales, forming each trajectory's gradient once, and reports
-the Cauchy differences of each sequence.
+mollification scales, and reports the Cauchy differences of each sequence.
+
+Both contract each φ only over its support (``TestFunction.support``): the
+window of steps where its time factor lives and the spatial box around its
+centre, split at the periodic seam into basic slices.  The terms linear in
+U are paired with H itself, through the summation-by-parts identity
+⟨a·∇_h H, P⟩ = ⟨H, −∇_h·(aP)⟩ and likewise for Q, which holds exactly on
+the lattice; the duals −∇_h·(aP) and −∇_h·(aQ) are cached with the bank.
+So the Cauchy column takes no gradient at all, and the weak pass forms only
+‖∇_h H‖², once per chunk for the whole bank.
 ``lojasiewicz_section`` evaluates short-time sections ∫ ρ_ε(t) ⟨U_t, φ_x⟩ dt
 through either side of the summation-by-parts identity
 ⟨∇_h H, φ⟩ = −⟨H, ∇_h·φ⟩, which holds exactly on the lattice.
@@ -56,7 +64,7 @@ import numpy as np
 
 from burgerslab.bank import TestFunction, bump
 from burgerslab.heat import HeatSolution
-from burgerslab.lattice import divergence_values, gradient_values, laplacian_values
+from burgerslab.lattice import gradient_values, laplacian_values
 from burgerslab.noise import _bump_constants
 
 __all__ = [
@@ -163,13 +171,27 @@ class WeakResidualReport:
     scale: float = 0.0
 
 
+def _box_sum(stack: np.ndarray, tensor: np.ndarray, box) -> np.ndarray:
+    """Σ over the box of stack·tensor, one value per leading index of ``stack``.
+
+    ``box`` is a φ's tuple of pieces (``TestFunction.support``); each piece
+    is a tuple of basic slices, so no piece copies more than its product.
+    """
+    sp_axes = tuple(range(1, tensor.ndim + 1))
+    out = np.zeros(stack.shape[0])
+    for piece in box:
+        out += np.sum(stack[(slice(None),) + piece] * tensor[piece], axis=sp_axes)
+    return out
+
+
 def weak_residual_batch(traj: HeatSolution, phis: Sequence[TestFunction]) -> list:
     """Weak-form reports for several test functions in one trajectory pass.
 
     The rhs pairs against the mollified increments that drove ``traj``, the
-    limit pairing against their base realization.  The expensive part —
-    forming U_k and its pairings — is shared across the bank, so verifying
-    six test functions costs barely more than one.
+    limit pairing against their base realization.  Each φ is contracted
+    only over its window and box; the pairings linear in U are taken as
+    ⟨H, −∇_h·(aP)⟩ and ⟨H, −∇_h·(aQ)⟩, so only ‖∇_h H‖² needs a gradient,
+    formed once per chunk for the whole bank.
     """
     if not phis:
         raise ValueError("need at least one test function")
@@ -178,45 +200,47 @@ def weak_residual_batch(traj: HeatSolution, phis: Sequence[TestFunction]) -> lis
     grid = traj.grid
     d, dt, dx, M = grid.d, grid.dt, grid.dx, grid.M
     vol = grid.cell_volume
-    sp_axes = tuple(range(1, d + 1))
-    tensors = []
     for phi in phis:
         phi.validate_on(grid)
-        tensors.append(phi.spatial_tensors(grid))
+    supports = [phi.support(grid) for phi in phis]
+    tensors = [(*phi.duals(grid), phi.spatial_tensors(grid)[1]) for phi in phis]
+    first = min(window.start for window, _ in supports)
+    last = max(window.stop for window, _ in supports)
 
     n_phi = len(phis)
-    A = np.zeros((n_phi, M))  # Σ_i (a·U)_i P_i
-    B = np.zeros((n_phi, M))  # Σ_i (a·U)_i Q_i
+    A = np.zeros((n_phi, M))  # Σ_i H_i (−∇_h·(aP))_i = Σ_i (a·U)_i P_i
+    B = np.zeros((n_phi, M))  # Σ_i H_i (−∇_h·(aQ))_i = Σ_i (a·U)_i Q_i
     C = np.zeros((n_phi, M))  # Σ_i ‖U‖²_i D_i
     R = np.zeros((n_phi, M))  # Σ_i ΔWⁿ_i D_i
     Rb = np.zeros((n_phi, M))  # Σ_i ΔW_i D_i
 
     for lo, hi, H in cole_hopf(traj):
-        h = H[:-1]
-        grads = gradient_values(h, dx, d)
-        normsq = np.zeros_like(h)
-        for g in grads:
+        s0, s1 = max(lo, first), min(hi, last)
+        if s0 >= s1:
+            continue
+        normsq = np.zeros((s1 - s0,) + grid.shape)
+        for g in gradient_values(H[s0 - lo : s1 - lo], dx, d):
             normsq += g * g
-        inc = noise.increments[lo:hi]
-        inc_base = base.increments[lo:hi]
-        for j, (phi, (P, D, Q)) in enumerate(zip(phis, tensors)):
-            au = np.zeros_like(h)
-            for a in range(d):
-                au += phi.amplitudes[a] * grads[a]
-            A[j, lo:hi] = np.sum(au * P, axis=sp_axes)
-            B[j, lo:hi] = np.sum(au * Q, axis=sp_axes)
-            C[j, lo:hi] = np.sum(normsq * D, axis=sp_axes)
-            R[j, lo:hi] = np.sum(inc * D, axis=sp_axes)
-            Rb[j, lo:hi] = np.sum(inc_base * D, axis=sp_axes)
+        for j, ((window, box), (dual_p, dual_q, D)) in enumerate(zip(supports, tensors)):
+            a, b = max(s0, window.start), min(s1, window.stop)
+            if a >= b:
+                continue
+            h = H[a - lo : b - lo]
+            A[j, a:b] = _box_sum(h, dual_p, box)
+            B[j, a:b] = _box_sum(h, dual_q, box)
+            C[j, a:b] = _box_sum(normsq[a - s0 : b - s0], D, box)
+            R[j, a:b] = _box_sum(noise.increments[a:b], D, box)
+            Rb[j, a:b] = _box_sum(base.increments[a:b], D, box)
 
     reports = []
-    for j, phi in enumerate(phis):
-        psi, dpsi = phi.time_profile(grid)
-        lhs = vol * dt * float(np.sum(-dpsi * A[j] - psi * B[j] + psi * C[j]))
-        rhs = -vol * float(np.sum(psi * R[j]))
-        limit = -vol * float(np.sum(psi * Rb[j]))
+    for j, (phi, (w, _)) in enumerate(zip(phis, supports)):
+        psi, dpsi = (f[w] for f in phi.time_profile(grid))
+        a_, b_, c_ = A[j, w], B[j, w], C[j, w]
+        lhs = vol * dt * float(np.sum(-dpsi * a_ - psi * b_ + psi * c_))
+        rhs = -vol * float(np.sum(psi * R[j, w]))
+        limit = -vol * float(np.sum(psi * Rb[j, w]))
         scale = vol * dt * float(
-            np.sum(np.abs(dpsi * A[j]) + np.abs(psi * B[j]) + np.abs(psi * C[j]))
+            np.sum(np.abs(dpsi * a_) + np.abs(psi * b_) + np.abs(psi * c_))
         )
         reports.append(
             WeakResidualReport(
@@ -237,23 +261,6 @@ def weak_residual_batch(traj: HeatSolution, phis: Sequence[TestFunction]) -> lis
     return reports
 
 
-def _u_pairings(h: np.ndarray, grid, phis: Sequence[TestFunction]) -> np.ndarray:
-    """Σ_i (a·U_k)_i P_i for each φ and each slice k of ``h``, no dx^d factor.
-
-    One gradient of the slices serves every φ.
-    """
-    d = grid.d
-    sp_axes = tuple(range(1, d + 1))
-    grads = gradient_values(h, grid.dx, d)
-    out = np.empty((len(phis), h.shape[0]))
-    for j, phi in enumerate(phis):
-        au = np.zeros_like(h)
-        for a in range(d):
-            au += phi.amplitudes[a] * grads[a]
-        out[j] = np.sum(au * phi.spatial_tensors(grid)[0], axis=sp_axes)
-    return out
-
-
 @dataclass(frozen=True)
 class LimitSequence:
     """Pairings ⟨U_n, φ⟩ across mollification scales plus Cauchy gaps."""
@@ -271,7 +278,8 @@ def distributional_limit_1d(entries, phis: Sequence[TestFunction]) -> list:
     and be driven by the same base realization (the scales are coupled).
     Returns one LimitSequence per test function in ``phis``: the pairing
     sequence and the absolute differences of consecutive terms.  Each
-    trajectory's gradient is formed once for the whole bank.
+    pairing is ⟨H, −∇_h·(aP)⟩ on φ's window and box, so no gradient is
+    formed.
     """
     entries = list(entries)
     if len(entries) < 2:
@@ -293,14 +301,21 @@ def distributional_limit_1d(entries, phis: Sequence[TestFunction]) -> list:
         if b is not base and not np.array_equal(b.increments, base.increments):
             raise ValueError("all trajectories must share one base realization")
 
-    psis = [phi.time_profile(grid)[0] for phi in phis]
+    supports = [phi.support(grid) for phi in phis]
+    duals = [phi.duals(grid)[0] for phi in phis]
+    psis = [phi.time_profile(grid)[0][window] for phi, (window, _) in zip(phis, supports)]
     pairings = [[] for _ in phis]
     for traj in entries:
-        series = np.empty((len(phis), grid.M))
+        series = np.zeros((len(phis), grid.M))
         for lo, hi, H in cole_hopf(traj):
-            series[:, lo:hi] = _u_pairings(H[:-1], grid, phis)
-        for j, psi in enumerate(psis):
-            pairings[j].append(grid.cell_volume * grid.dt * float(np.sum(psi * series[j])))
+            for j, ((window, box), dual) in enumerate(zip(supports, duals)):
+                a, b = max(lo, window.start), min(hi, window.stop)
+                if a < b:
+                    series[j, a:b] = _box_sum(H[a - lo : b - lo], dual, box)
+        for j, (psi, (window, _)) in enumerate(zip(psis, supports)):
+            pairings[j].append(
+                grid.cell_volume * grid.dt * float(np.sum(psi * series[j, window]))
+            )
     return [
         LimitSequence(
             scales=tuple(scales),
@@ -338,7 +353,6 @@ def lojasiewicz_section(
         raise ValueError(f"via must be 'h' or 'u', got {via!r}")
 
     d = grid.d
-    P, _, _ = phi.spatial_tensors(grid)
     k_hi = min(grid.M, int(np.ceil(2.0 * eps / grid.dt)))
     tk = grid.dt * np.arange(k_hi)
     weights = _bump_constants(1)[0] * bump(tk / eps - 1.0) / eps
@@ -349,11 +363,14 @@ def lojasiewicz_section(
     _, _, H = next(cole_hopf(traj, k_hi))
     h = H[:k_hi]
     if via == "h":
-        comps = np.asarray(phi.amplitudes).reshape((d,) + (1,) * d) * P
-        div = divergence_values(comps, grid.dx)
-        series = np.array([-np.sum(h[k] * div) for k in range(k_hi)])
+        dual = phi.duals(grid)[0]
+        series = np.array([np.sum(h[k] * dual) for k in range(k_hi)])
     else:
-        series = _u_pairings(h, grid, [phi])[0]
+        grads = gradient_values(h, grid.dx, d)
+        au = np.zeros_like(h)
+        for a in range(d):
+            au += phi.amplitudes[a] * grads[a]
+        series = np.sum(au * phi.spatial_tensors(grid)[0], axis=tuple(range(1, d + 1)))
     return grid.cell_volume * grid.dt * float(np.sum(weights * series))
 
 

@@ -170,22 +170,36 @@ class HeatSolution:
 _CHUNK_BYTES = 1 << 20
 
 
-def _check_chunk(block: np.ndarray, first_step: int, batched: bool) -> None:
+def _check_chunk(
+    block: np.ndarray, first_step: int, noises: list, compensated: list, batched: bool
+) -> None:
     """Raise at the first step and node where a chunk of Z is not finite and > 0.
 
     ``block`` has shape (S, K) + grid and holds steps first_step ..
     first_step + K − 1; the first chunk includes the start Z₀ = exp(f),
     which overflows for a large enough f.  The test is two reductions (a
-    NaN makes the minimum NaN), so a healthy chunk allocates no mask.
+    NaN makes the minimum NaN), so a healthy chunk allocates no mask.  Only
+    a failing chunk forms the message's extra numbers: the noise factor
+    exp(ΔWⁿ − ½λ²c_n dt) that carried Z into that step at that node, and the
+    stability margin of the grid.
     """
     if block.min() > 0.0 and block.max() < np.inf:
         return
     bad = np.argwhere(~((block > 0.0) & (block < np.inf)).swapaxes(0, 1))[0]
     k, s, node = int(bad[0]), int(bad[1]), tuple(int(i) for i in bad[2:])
+    step = first_step + k
     member = f" of batch member {s}" if batched else ""
+    mn = noises[s]
+    if step == 0:
+        factor = "none (the start exp(f))"
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            factor = repr(float(np.exp(mn.increments[(step - 1,) + node] - compensated[s])))
     raise ValueError(
-        f"heat march needs finite Z > 0 everywhere; Z{member} at step "
-        f"{first_step + k}, node {node} is {float(block[(s, k) + node])!r}"
+        f"heat march needs finite Z > 0 everywhere (noise factor into that "
+        f"step and node exp(ΔWⁿ − ½λ²c_n dt) = {factor}, stability margin "
+        f"1 − 2d·dt/dx² = {stability_check(mn.grid)!r}); Z{member} at "
+        f"step {step}, node {node} is {float(block[(s, k) + node])!r}"
     )
 
 
@@ -271,7 +285,7 @@ def solve_heat(
             step += z
             np.multiply(step, fac[k - lo], out=z)
             values[:, k + 1] = z
-        _check_chunk(values[:, lo : hi + 1], lo, batched)
+        _check_chunk(values[:, lo : hi + 1], lo, noises, compensated, batched)
 
     sols = [
         HeatSolution(grid=grid, noise=mn, values=values[s]) for s, mn in enumerate(noises)

@@ -226,9 +226,10 @@ class WhiteNoiseRealization:
 
     The array has shape (M,) + grid.shape and, at amplitude λ, entries that
     are independent N(0, λ²·dt/dx^d).  λ multiplies the increments at
-    sampling time so that λ = 0 gives exact zeros through unchanged code
-    paths; the amplitude is kept as metadata because the Itô compensator of
-    the heat scheme scales with λ².
+    sampling time, so at λ = 0 they are exact zeros, which `sample_noise`
+    writes without drawing and `mollify` passes on without convolving; the
+    amplitude is kept as metadata because the Itô compensator of the heat
+    scheme scales with λ².
     """
 
     grid: TorusGrid
@@ -282,10 +283,14 @@ def sample_noise(grid: TorusGrid, seed: int, lam: float = 1.0) -> WhiteNoiseReal
     Returns
     -------
     WhiteNoiseRealization
-        Bit-identical on every call with the same (grid, seed, lam).
+        Bit-identical on every call with the same (grid, seed, lam).  At
+        lam = 0 the increments are zeros and nothing is drawn.
     """
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if lam == 0.0:
+        zeros = np.zeros((grid.M,) + grid.shape)
+        return WhiteNoiseRealization(grid=grid, seed=seed, lam=lam, increments=zeros)
     key = np.array([np.uint64(seed), _NOISE_STREAM_TAG], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     scale = lam * math.sqrt(grid.dt / grid.cell_volume)
@@ -346,10 +351,13 @@ def mollify(noise: WhiteNoiseRealization, m: Mollifier) -> MollifiedNoise:
     sum dx^d Σ_j K_{i−j} ΔW_{k,j}; since K is even, the operation is
     self-adjoint with respect to `pair` to machine precision (the adjoint
     identity every limit study leans on).  `make_mollifier` has already
-    checked that the kernel resolves on the grid.
+    checked that the kernel resolves on the grid.  At λ = 0 the increments
+    are zeros, whose convolution is zero: they are returned as they are.
     """
     if m.grid != noise.grid:
         raise ValueError("mollifier was built for a different grid")
+    if noise.lam == 0.0:
+        return MollifiedNoise(base=noise, mollifier=m, increments=noise.increments)
     mollified = _convolve_slices(noise.increments, m.kernel, noise.grid.cell_volume)
     return MollifiedNoise(base=noise, mollifier=m, increments=mollified)
 

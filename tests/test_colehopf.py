@@ -199,6 +199,79 @@ def test_weak_residual_batch_matches_single_calls(ladder):
     assert batch == singles
 
 
+def _full_grid_reference(traj, phis):
+    """The whole-grid contraction: U = ∇_h H against P, Q, D on all M·N^d nodes.
+
+    Returns (lhs, rhs, limit_pairing, scale) per φ and the Cauchy column's
+    pairing ⟨U, φ⟩ per φ, each computed as the weak pass did before it
+    moved to each φ's support.
+    """
+    g = traj.grid
+    d, dt, vol = g.d, g.dt, g.cell_volume
+    sp = tuple(range(1, d + 1))
+    H = np.log(traj.values)[:-1]
+    grads = gradient_values(H, g.dx, d)
+    normsq = np.zeros_like(H)
+    for grad in grads:
+        normsq += grad * grad
+    out = []
+    for phi in phis:
+        P, D, Q = phi.spatial_tensors(g)
+        psi, dpsi = phi.time_profile(g)
+        au = np.zeros_like(H)
+        for a in range(d):
+            au += phi.amplitudes[a] * grads[a]
+        A = np.sum(au * P, axis=sp)
+        B = np.sum(au * Q, axis=sp)
+        C = np.sum(normsq * D, axis=sp)
+        R = np.sum(traj.noise.increments * D, axis=sp)
+        Rb = np.sum(traj.noise.base.increments * D, axis=sp)
+        out.append({
+            "lhs": vol * dt * float(np.sum(-dpsi * A - psi * B + psi * C)),
+            "rhs": -vol * float(np.sum(psi * R)),
+            "limit_pairing": -vol * float(np.sum(psi * Rb)),
+            "scale": vol * dt * float(
+                np.sum(np.abs(dpsi * A) + np.abs(psi * B) + np.abs(psi * C))
+            ),
+            "pairing": vol * dt * float(np.sum(psi * A)),
+        })
+    return out
+
+
+def test_weak_pass_on_the_support_equals_full_grid_reference():
+    g1 = TorusGrid(d=1, N=32, M=600, T=T)
+    assert g1.M % _CHUNK  # windows cross chunk bounds, the last chunk is short
+    base1 = sample_noise(g1, seed=8, lam=1.0)
+    # the default bank: phi1's D = a·ψ' vanishes at its centre node
+    default = build_bank(g1)
+    x1 = g1.axis_coords()
+    assert default[0].spatial_tensors(g1)[1][np.argmin(abs(x1 - default[0].x_center[0]))] == 0.0
+    seam = TestFunction("seam", 0.05, 0.03, (0.97,), 0.12, (0.8,))
+    wide = TestFunction("wide", 0.06, 0.035, (0.4,), 0.49, (-1.1,))
+    window, box = seam.support(g1)
+    assert len(box) == 2 and box[0][0].stop == g1.N and box[1][0].start == 0
+    assert wide.support(g1)[1] == ((slice(0, g1.N),),)
+    phis1 = default + [seam, wide]
+    entries = [_solve(g1, base1, n=n)[1] for n in (4, 8)]
+
+    g2 = TorusGrid(d=2, N=16, M=208, T=T)
+    _, traj2 = _solve(g2, sample_noise(g2, seed=9, lam=1.0), n=4, amp=0.3)
+    corner = TestFunction("corner", 0.05, 0.04, (0.0, 0.0), 0.2, (1.0, -0.7))
+    assert len(corner.support(g2)[1]) == 4
+    phis2 = build_bank(g2)[:2] + [corner]
+
+    for traj, phis in ((entries[0], phis1), (traj2, phis2)):
+        reference = _full_grid_reference(traj, phis)
+        for r, ref in zip(weak_residual_batch(traj, phis), reference):
+            for key in ("lhs", "rhs", "limit_pairing", "scale"):
+                assert getattr(r, key) == pytest.approx(ref[key], rel=1e-12, abs=0.0), (
+                    r.phi_id, key)
+    seqs = distributional_limit_1d(entries, phis1)
+    for k, traj in enumerate(entries):
+        for seq, ref in zip(seqs, _full_grid_reference(traj, phis1)):
+            assert seq.pairings[k] == pytest.approx(ref["pairing"], rel=1e-12, abs=0.0)
+
+
 def test_weak_residual_validation(ladder):
     base, mol, traj = ladder["coarse"]
     with pytest.raises(ValueError, match="at least one"):

@@ -387,6 +387,26 @@ def test_burgers_tiny_stochastic_run_emits_artifacts(tmp_path):
     assert data["config"]["study"] == "burgers"
 
 
+def test_converge_reports_one_limit_pairing_at_every_scale(tmp_path):
+    # the limit pairing reads only the shared base noise, so each φ's value
+    # is bit-identical at all four scales, in both tables
+    cfg = _tiny("converge", N=64, M=416, T=0.05, n=(2, 4, 8, 16))
+    run_study(cfg, out_dir=tmp_path / "c")
+    limits = {}
+    lines = (tmp_path / "c" / "weak_residuals.csv").read_text().splitlines()
+    for line in lines[1:]:
+        row = line.split(",")
+        limits.setdefault(row[6], []).append((int(row[3]), row[10]))
+    assert len(limits) == 6
+    for values in limits.values():
+        assert [n for n, _ in values] == [2, 4, 8, 16]
+        assert len({v for _, v in values}) == 1
+    table = (tmp_path / "c" / "limit.csv").read_text().splitlines()
+    for line in table[1:]:
+        phi_id, _, _, limit = line.split(",")[:4]
+        assert limit == limits[phi_id][0][1]
+
+
 def test_section_deterministic_tiny_run_passes(tmp_path):
     cfg = _tiny("section", M=512, T=0.05, lam=0.0)
     rep = run_study(cfg, out_dir=tmp_path / "s")

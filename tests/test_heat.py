@@ -1,6 +1,7 @@
 """Heat scheme: stability, positivity, zero-noise reduction, oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -225,8 +226,17 @@ def test_batch_member_on_another_grid_is_rejected():
 def test_breakdown_names_step_and_node():
     g = _stable_grid(N=16)
     noise = _mollified(g, lam=2e3)
-    with pytest.raises(ValueError, match=r"heat march needs finite Z > 0.*step \d+, node \(\d+,\)"):
+    with pytest.raises(ValueError, match=r"heat march needs finite Z > 0.*step \d+, node \(\d+,\)") as err:
         solve_heat(g, noise, initial_zero(g))
+    # the message carries the noise factor that carried Z into the failing
+    # step at the failing node, and the grid's stability margin
+    message = str(err.value)
+    step, node = (int(v) for v in re.search(r"step (\d+), node \((\d+),\)", message).groups())
+    comp = 0.5 * noise.lam**2 * noise.mollifier.c_n_discrete * g.dt
+    with np.errstate(over="ignore"):
+        factor = float(np.exp(noise.increments[step - 1, node] - comp))
+    assert f"dt) = {factor!r}," in message
+    assert f"dx² = {stability_check(g)!r})" in message
     # a noise factor of 0, nan or inf at step 2, node 5 breaks Z at step 3 there
     quiet = _mollified(g, lam=0.0)
     for increment, shown in ((-np.inf, "0.0"), (np.nan, "nan"), (np.inf, "inf")):
@@ -234,8 +244,10 @@ def test_breakdown_names_step_and_node():
         increments[2, 5] = increment
         broken = MollifiedNoise(quiet.base, quiet.mollifier, increments)
         with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError, match=rf"step 3, node \(5,\) is {shown}$"):
+            with pytest.raises(ValueError, match=rf"step 3, node \(5,\) is {shown}$") as err:
                 solve_heat(g, broken, initial_zero(g))
+        assert f"dt) = {shown}," in str(err.value)
+        assert f"dx² = {stability_check(g)!r})" in str(err.value)
 
 
 def test_overflowing_start_is_reported_at_step_zero():

@@ -1,10 +1,13 @@
 """Lattice calculus: stencils, duality, inner products."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import burgerslab
 from burgerslab.lattice import (
     ScalarField,
     TorusGrid,
@@ -246,3 +249,36 @@ def test_grid_rejects_non_integral_sizes_by_name():
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             TorusGrid(**sizes)
     assert TorusGrid(d=np.int64(1), N=np.int32(64), M=10000).shape == (64,)
+
+
+_BLAS_CALLS = frozenset(["dot", "einsum", "tensordot", "matmul", "inner", "vdot"])
+
+
+def _blas_uses(source: str) -> list:
+    """(line, what) of each np/numpy BLAS-backed call and each @ or @= in a module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in _BLAS_CALLS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+    return sorted(found)
+
+
+def test_core_reduces_without_blas():
+    # artifacts are byte-identical across thread counts because every
+    # reduction is an np.sum; a BLAS contraction may split its sum by thread
+    assert _blas_uses("a = np.dot(x, y) + numpy.einsum('i,i', x, y)\nb = x @ y\nb @= y\n") == [
+        (1, "np.dot"), (1, "numpy.einsum"), (2, "@"), (3, "@")]
+    package = Path(burgerslab.__file__).resolve().parent
+    offenders = [
+        f"{path.relative_to(package.parent)}:{line}: {what}"
+        for path in sorted(package.rglob("*.py"))
+        for line, what in _blas_uses(path.read_text())
+    ]
+    assert offenders == []
