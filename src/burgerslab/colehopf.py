@@ -7,13 +7,16 @@ Burgers dynamics
 
     ∂_t U = Δ_x U + ∇_x ‖U‖² + ∇_x Ẇⁿ.
 
-Only Z exists whole.  ``cole_hopf`` is the one place log Z is taken: it
-yields H from the ``HeatSolution`` one time chunk at a time and checks
-that every Z it reads is finite and strictly positive.  Every reader of H
-(the passes below, the sections, the harness's heat oracle) goes through
-it, and a section reads only the steps its window covers.  A solution
-carries the noise that drove it, and the noise its base realization, so a
-pass needs nothing else.
+No stack of H is ever formed.  ``checked_log`` is the one place log Z is
+taken: it maps a run of slices of Z to H and checks that every Z it reads
+is finite and strictly positive.  ``cole_hopf`` feeds it a stored
+``HeatSolution`` one time chunk at a time, for the passes below, the
+sections (which read only the steps their window covers) and the harness's
+heat oracle; the burgers study's stream feeds it each chunk straight from
+the heat march, and no Z outlives its chunk there.  ``WeakPairings``
+accumulates the weak-form pairings chunk by chunk from either source.  A
+solution carries the noise that drove it, and the noise its base
+realization, so a pass needs nothing else.
 
 Two layers of checks, in increasing depth:
 
@@ -25,7 +28,7 @@ Two layers of checks, in increasing depth:
   which also carries the lattice defect of the chain rule
   Δe^H/e^H = ΔH + ‖∇H‖² (zero in the continuum, O(dx²) for smooth H);
 
-* weak-form identity — ``weak_residual_batch`` pairs U against smooth
+* weak-form identity — ``WeakPairings`` pairs U against smooth
   compactly supported space-time test functions and compares
 
       −⟨U, ∂_t φ⟩ − ⟨U, Δφ⟩ + ⟨‖U‖², ∇·φ⟩   (left-endpoint time sums)
@@ -64,12 +67,15 @@ import numpy as np
 
 from burgerslab.bank import TestFunction, bump
 from burgerslab.heat import HeatSolution
-from burgerslab.lattice import gradient_values, laplacian_values
+from burgerslab.lattice import gradient_norm_sq, gradient_values, laplacian_values
 from burgerslab.noise import _bump_constants
 
 __all__ = [
     "WeakResidualReport",
+    "WeakPairings",
     "LimitSequence",
+    "chunk_steps",
+    "checked_log",
     "cole_hopf",
     "kpz_residual",
     "weak_residual_batch",
@@ -78,37 +84,53 @@ __all__ = [
     "weak_residual_csv_lines",
 ]
 
-# Time chunk for streaming passes over a trajectory; sized so a chunk of
-# N^d slices plus its stencil temporaries stays well under 100 MB even in
-# three dimensions.
+# Time chunks of the passes over a trajectory: a chunk of N^d slices holds
+# at most _CHUNK_BYTES (8 MiB, 256 steps of a 2-D N=64 grid) and at most
+# _CHUNK steps, so its stencil temporaries stay a few chunk-sized arrays in
+# any dimension.
 _CHUNK = 256
+_CHUNK_BYTES = 1 << 23
 
 
-def cole_hopf(sol: HeatSolution, chunk: int = _CHUNK):
+def chunk_steps(grid) -> int:
+    """Steps per time chunk on ``grid``: the byte budget, capped at _CHUNK."""
+    return max(1, min(_CHUNK, _CHUNK_BYTES // (grid.num_nodes * 8)))
+
+
+def checked_log(values: np.ndarray, first_step: int) -> np.ndarray:
+    """H = log Z of consecutive slices of Z, the first at step ``first_step``.
+
+    The one place log Z is taken.  Raises if a value of Z fails to be
+    finite and strictly positive (NaNs included), naming the first
+    offending step, counted from 0, and node.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        H = np.log(values)
+    # H is finite exactly where Z is finite and positive.  Every finite H
+    # has |H| < 750, so their sum cannot overflow: one sum tells whether
+    # any H is not finite, without a mask the size of the chunk.
+    if not np.isfinite(np.sum(H)):
+        bad = np.argwhere(~np.isfinite(H))[0]
+        k, node = int(bad[0]), tuple(int(i) for i in bad[1:])
+        raise ValueError(
+            f"logarithmic transform needs finite Z > 0 everywhere; "
+            f"Z at step {first_step + k}, node {node} is {float(values[tuple(bad)])!r}"
+        )
+    return H
+
+
+def cole_hopf(sol: HeatSolution, chunk: int | None = None):
     """Yield (lo, hi, H) per time chunk, H = log Z at steps lo .. hi inclusive.
 
     H holds one slice past the chunk, for the update H_{k+1} − H_k; no
-    stack of H outlives its chunk.  Raises if a value of Z in the chunk
-    fails to be finite and strictly positive (NaNs included), naming the
-    first offending step and node.
+    stack of H outlives its chunk.  ``chunk`` defaults to `chunk_steps`.
+    Every slice goes through `checked_log`.
     """
     M = sol.grid.M
+    chunk = chunk or chunk_steps(sol.grid)
     for lo in range(0, M, chunk):
         hi = min(lo + chunk, M)
-        values = sol.values[lo : hi + 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            H = np.log(values)
-        # H is finite exactly where Z is finite and positive.  Every finite H
-        # has |H| < 750, so their sum cannot overflow: one sum tells whether
-        # any H is not finite, without a mask the size of the chunk.
-        if not np.isfinite(np.sum(H)):
-            bad = np.argwhere(~np.isfinite(H))[0]
-            k, node = int(bad[0]), tuple(int(i) for i in bad[1:])
-            raise ValueError(
-                f"logarithmic transform needs finite Z > 0 everywhere; "
-                f"Z at step {lo + k}, node {node} is {float(values[tuple(bad)])!r}"
-            )
-        yield lo, hi, H
+        yield lo, hi, checked_log(sol.values[lo : hi + 1], lo)
 
 
 def kpz_residual(traj: HeatSolution) -> np.ndarray:
@@ -128,12 +150,8 @@ def kpz_residual(traj: HeatSolution) -> np.ndarray:
     out = np.empty(M)
     for lo, hi, H in cole_hopf(traj):
         h = H[:-1]
-        grads = gradient_values(h, dx, d)
-        normsq = np.zeros_like(h)
-        for g in grads:
-            normsq += g * g
         r = H[1:] - h
-        r -= dt * (laplacian_values(h, dx, d) + normsq)
+        r -= dt * (laplacian_values(h, dx, d) + gradient_norm_sq(h, dx, d))
         r -= noise.increments[lo:hi]
         r += comp
         out[lo:hi] = np.max(np.abs(r), axis=sp_axes)
@@ -184,81 +202,100 @@ def _box_sum(stack: np.ndarray, tensor: np.ndarray, box) -> np.ndarray:
     return out
 
 
-def weak_residual_batch(traj: HeatSolution, phis: Sequence[TestFunction]) -> list:
-    """Weak-form reports for several test functions in one trajectory pass.
+class WeakPairings:
+    """The weak-form pairings of a bank, accumulated one time chunk at a time.
 
-    The rhs pairs against the mollified increments that drove ``traj``, the
-    limit pairing against their base realization.  Each φ is contracted
-    only over its window and box; the pairings linear in U are taken as
-    ⟨H, −∇_h·(aP)⟩ and ⟨H, −∇_h·(aQ)⟩, so only ‖∇_h H‖² needs a gradient,
-    formed once per chunk for the whole bank.
+    ``add`` takes a chunk of H with the mollified and base increments that
+    drove it and contracts each φ only over its window and box; the
+    pairings linear in U are taken as ⟨H, −∇_h·(aP)⟩ and ⟨H, −∇_h·(aQ)⟩, so
+    only ‖∇_h H‖² needs a gradient, formed once per chunk for the whole
+    bank.  Each step's sums are kept, and ``reports`` weights them with the
+    time profiles, so the reports do not depend on how the steps were
+    chunked.
     """
-    if not phis:
-        raise ValueError("need at least one test function")
-    noise = traj.noise
-    base = noise.base
-    grid = traj.grid
-    d, dt, dx, M = grid.d, grid.dt, grid.dx, grid.M
-    vol = grid.cell_volume
-    for phi in phis:
-        phi.validate_on(grid)
-    supports = [phi.support(grid) for phi in phis]
-    tensors = [(*phi.duals(grid), phi.spatial_tensors(grid)[1]) for phi in phis]
-    first = min(window.start for window, _ in supports)
-    last = max(window.stop for window, _ in supports)
 
-    n_phi = len(phis)
-    A = np.zeros((n_phi, M))  # Σ_i H_i (−∇_h·(aP))_i = Σ_i (a·U)_i P_i
-    B = np.zeros((n_phi, M))  # Σ_i H_i (−∇_h·(aQ))_i = Σ_i (a·U)_i Q_i
-    C = np.zeros((n_phi, M))  # Σ_i ‖U‖²_i D_i
-    R = np.zeros((n_phi, M))  # Σ_i ΔWⁿ_i D_i
-    Rb = np.zeros((n_phi, M))  # Σ_i ΔW_i D_i
+    def __init__(self, grid, phis: Sequence[TestFunction]):
+        if not phis:
+            raise ValueError("need at least one test function")
+        for phi in phis:
+            phi.validate_on(grid)
+        self.grid = grid
+        self.phis = list(phis)
+        self.supports = [phi.support(grid) for phi in phis]
+        self.tensors = [(*phi.duals(grid), phi.spatial_tensors(grid)[1]) for phi in phis]
+        self.first = min(window.start for window, _ in self.supports)
+        self.last = max(window.stop for window, _ in self.supports)
+        shape = (len(phis), grid.M)
+        self.A = np.zeros(shape)  # Σ_i H_i (−∇_h·(aP))_i = Σ_i (a·U)_i P_i
+        self.B = np.zeros(shape)  # Σ_i H_i (−∇_h·(aQ))_i = Σ_i (a·U)_i Q_i
+        self.C = np.zeros(shape)  # Σ_i ‖U‖²_i D_i
+        self.R = np.zeros(shape)  # Σ_i ΔWⁿ_i D_i
+        self.Rb = np.zeros(shape)  # Σ_i ΔW_i D_i
 
-    for lo, hi, H in cole_hopf(traj):
-        s0, s1 = max(lo, first), min(hi, last)
+    def add(self, lo: int, hi: int, H: np.ndarray, dwn: np.ndarray, dw: np.ndarray) -> None:
+        """Pair steps lo .. hi − 1: H, ΔWⁿ and ΔW hold those steps from row 0."""
+        grid = self.grid
+        s0, s1 = max(lo, self.first), min(hi, self.last)
         if s0 >= s1:
-            continue
-        normsq = np.zeros((s1 - s0,) + grid.shape)
-        for g in gradient_values(H[s0 - lo : s1 - lo], dx, d):
-            normsq += g * g
-        for j, ((window, box), (dual_p, dual_q, D)) in enumerate(zip(supports, tensors)):
+            return
+        normsq = gradient_norm_sq(H[s0 - lo : s1 - lo], grid.dx, grid.d)
+        for j, ((window, box), (dual_p, dual_q, D)) in enumerate(zip(self.supports, self.tensors)):
             a, b = max(s0, window.start), min(s1, window.stop)
             if a >= b:
                 continue
             h = H[a - lo : b - lo]
-            A[j, a:b] = _box_sum(h, dual_p, box)
-            B[j, a:b] = _box_sum(h, dual_q, box)
-            C[j, a:b] = _box_sum(normsq[a - s0 : b - s0], D, box)
-            R[j, a:b] = _box_sum(noise.increments[a:b], D, box)
-            Rb[j, a:b] = _box_sum(base.increments[a:b], D, box)
+            self.A[j, a:b] = _box_sum(h, dual_p, box)
+            self.B[j, a:b] = _box_sum(h, dual_q, box)
+            self.C[j, a:b] = _box_sum(normsq[a - s0 : b - s0], D, box)
+            self.R[j, a:b] = _box_sum(dwn[a - lo : b - lo], D, box)
+            self.Rb[j, a:b] = _box_sum(dw[a - lo : b - lo], D, box)
 
-    reports = []
-    for j, (phi, (w, _)) in enumerate(zip(phis, supports)):
-        psi, dpsi = (f[w] for f in phi.time_profile(grid))
-        a_, b_, c_ = A[j, w], B[j, w], C[j, w]
-        lhs = vol * dt * float(np.sum(-dpsi * a_ - psi * b_ + psi * c_))
-        rhs = -vol * float(np.sum(psi * R[j, w]))
-        limit = -vol * float(np.sum(psi * Rb[j, w]))
-        scale = vol * dt * float(
-            np.sum(np.abs(dpsi * a_) + np.abs(psi * b_) + np.abs(psi * c_))
-        )
-        reports.append(
-            WeakResidualReport(
-                phi_id=phi.id,
-                lhs=lhs,
-                rhs=rhs,
-                gap=abs(lhs - rhs),
-                limit_pairing=limit,
-                d=d,
-                N=grid.N,
-                M=M,
-                n=noise.mollifier.scale_n,
-                seed=base.seed,
-                lam=noise.lam,
-                scale=scale,
+    def reports(self, n: int, seed: int, lam: float) -> list:
+        """One WeakResidualReport per φ, for mollifier scale n, seed and λ."""
+        grid = self.grid
+        vol, dt = grid.cell_volume, grid.dt
+        reports = []
+        for j, (phi, (w, _)) in enumerate(zip(self.phis, self.supports)):
+            psi, dpsi = (f[w] for f in phi.time_profile(grid))
+            a_, b_, c_ = self.A[j, w], self.B[j, w], self.C[j, w]
+            lhs = vol * dt * float(np.sum(-dpsi * a_ - psi * b_ + psi * c_))
+            rhs = -vol * float(np.sum(psi * self.R[j, w]))
+            limit = -vol * float(np.sum(psi * self.Rb[j, w]))
+            scale = vol * dt * float(
+                np.sum(np.abs(dpsi * a_) + np.abs(psi * b_) + np.abs(psi * c_))
             )
-        )
-    return reports
+            reports.append(
+                WeakResidualReport(
+                    phi_id=phi.id,
+                    lhs=lhs,
+                    rhs=rhs,
+                    gap=abs(lhs - rhs),
+                    limit_pairing=limit,
+                    d=grid.d,
+                    N=grid.N,
+                    M=grid.M,
+                    n=n,
+                    seed=seed,
+                    lam=lam,
+                    scale=scale,
+                )
+            )
+        return reports
+
+
+def weak_residual_batch(traj: HeatSolution, phis: Sequence[TestFunction]) -> list:
+    """Weak-form reports for several test functions in one trajectory pass.
+
+    `WeakPairings` fed from `cole_hopf`: the rhs pairs against the mollified
+    increments that drove ``traj``, the limit pairing against their base
+    realization.
+    """
+    noise = traj.noise
+    base = noise.base
+    pairings = WeakPairings(traj.grid, phis)
+    for lo, hi, H in cole_hopf(traj):
+        pairings.add(lo, hi, H, noise.increments[lo:hi], base.increments[lo:hi])
+    return pairings.reports(noise.mollifier.scale_n, base.seed, noise.lam)
 
 
 @dataclass(frozen=True)

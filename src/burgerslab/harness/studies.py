@@ -33,6 +33,10 @@ burgers
     the decay order of the bank's total gap.  When the rhs vanishes exactly
     (λ = 0) the gap is normalized by the triangle-inequality mass of the
     lhs instead, and a gap of exactly zero (flat data) passes outright.
+    The study is one streaming pass: each time chunk of the master
+    realization is coarse-grained, mollified, marched, logged and paired on
+    every level before the next chunk is drawn, so no space-time stack is
+    held.
 fk-check
     Random-walk estimates of Z at five probe points against the solver
     (calibrated mode, |z| ≤ fk_sigma), the Monte-Carlo error exponent
@@ -87,18 +91,25 @@ from burgerslab.lattice import (
 from burgerslab.noise import (
     Mollifier,
     MollifiedNoise,
+    block_sum,
     coarse_grain,
+    coarse_grid,
     convolve_kernel,
+    draw_chunks,
     h_eval,
     make_mollifier,
     mollify,
+    mollify_increments,
     pair,
     quadratic_variation,
     sample_noise,
     wiener_path,
 )
-from burgerslab.heat import initial_zero, make_initial, solve_heat
+from burgerslab.heat import compensator, initial_zero, make_initial, march, solve_heat
 from burgerslab.colehopf import (
+    WeakPairings,
+    checked_log,
+    chunk_steps,
     cole_hopf,
     distributional_limit_1d,
     kpz_residual,
@@ -417,31 +428,71 @@ def _study_heat(cfg: ExperimentConfig) -> StudyReport:
 # burgers
 
 
+def _burgers_level(chunks, grid, fac, m, f, lam, pairings):
+    """Pair one ladder level over chunks of the master realization.
+
+    Each chunk of fine increments from ``chunks`` is coarse-grained by
+    ``fac``, mollified, marched from the previous chunk's last slice, taken
+    through the checked log and paired into ``pairings``; then the fine
+    chunk is passed on, so levels chained one after another advance in
+    lockstep.
+    """
+    tf = fac * fac
+
+    def noise():
+        for fine in chunks:
+            lo, hi, dw = fine
+            dw = block_sum(dw, fac)
+            yield lo // tf, hi // tf, [mollify_increments(m, dw, lam)], dw, fine
+
+    z0 = np.exp(f.values)
+    for (lo, hi, (dwn,), dw, fine), Z in march(grid, z0, [compensator(lam, m, grid.dt)], noise()):
+        pairings.add(lo, hi, checked_log(Z[0], lo), dwn, dw)
+        yield fine
+
+
+def _burgers_reports(cfg: ExperimentConfig) -> list:
+    """(grid, weak-form reports) of every ladder level, coarsest first, in one pass.
+
+    The master realization is drawn a chunk of fine steps at a time (the
+    largest multiple of the coarsest level's fac² steps within
+    `chunk_steps`, and at least one), and each chunk goes through every
+    level before the next is drawn, so no level holds more than a chunk of
+    noise, Z or H.  The reports equal those of `weak_residual_batch` over
+    `solve_heat` of each coarse-grained, mollified realization.
+    """
+    grid = cfg.grid()
+    factors = [2 ** (cfg.refine_levels - 1 - i) for i in range(cfg.refine_levels)]
+    tf = factors[0] ** 2
+    chunk = max(tf, chunk_steps(grid) // tf * tf)
+    stream = draw_chunks(grid, cfg.seed, cfg.lam, chunk)
+    levels = []
+    for fac in factors:
+        g = coarse_grid(grid, fac)
+        m = make_mollifier(g, cfg.n[0])
+        pairings = WeakPairings(g, build_bank(g, cfg.bank))
+        levels.append((g, m, pairings))
+        stream = _burgers_level(stream, g, fac, m, _initial_on(cfg, g), cfg.lam, pairings)
+    for _ in stream:
+        pass
+    return [(g, pairings.reports(m.scale_n, cfg.seed, cfg.lam)) for g, m, pairings in levels]
+
+
 def _study_burgers(cfg: ExperimentConfig) -> StudyReport:
     tol = cfg.tolerances
     report = StudyReport(study=cfg.study, config=cfg.to_dict())
-    grid = cfg.grid()
-    factors = [2 ** (cfg.refine_levels - 1 - i) for i in range(cfg.refine_levels)]
-    n0 = cfg.n[0]
-    base_fine = sample_noise(grid, cfg.seed, cfg.lam)
 
     all_reports = []
     totals, dxs = [], []
     per_phi_points = {}
-    finest_reports = None
-    for fac in factors:
-        base_l = coarse_grain(base_fine, fac)
-        g = base_l.grid
-        mn = mollify(base_l, make_mollifier(g, n0))
-        sol = solve_heat(g, mn, _initial_on(cfg, g))
-        bank = build_bank(g, cfg.bank)
-        reports = weak_residual_batch(sol, bank)
+    levels = _burgers_reports(cfg)
+    for g, reports in levels:
         all_reports.extend(reports)
         totals.append(sum(r.gap for r in reports))
         dxs.append(g.dx)
         for r in reports:
             per_phi_points.setdefault(r.phi_id, []).append((g.dx, r.gap))
-        finest_reports = reports
+    _, finest_reports = levels[-1]
 
     for r in finest_reports:
         denom = abs(r.rhs) if r.rhs != 0.0 else r.scale
@@ -452,7 +503,7 @@ def _study_burgers(cfg: ExperimentConfig) -> StudyReport:
             report.add(f"rel_gap_{r.phi_id}", rel, rel <= tol["weak_rel_gap"],
                        target=0.0, tol=tol["weak_rel_gap"])
 
-    if len(factors) >= 3:
+    if len(totals) >= 3:
         if all(t > 0.0 for t in totals):
             order = measure_order(totals, dxs)
             report.add("gap_order", order, order >= tol["weak_order_min"],
@@ -462,7 +513,7 @@ def _study_burgers(cfg: ExperimentConfig) -> StudyReport:
             # degenerate exact-zero ladder (λ=0 with flat data): nothing to fit
             worst = max(totals)
             report.add("gap_exact_zero", worst, worst == 0.0, target=0.0)
-    if len(factors) >= 2:
+    if len(totals) >= 2:
         report.add_curves("weak_convergence", per_phi_points,
                           xlabel="dx", ylabel="|lhs - rhs|")
     report.tables["weak_residuals.csv"] = weak_residual_csv_lines(all_reports)

@@ -26,26 +26,29 @@ module hold without a spurious constant.
 The scheme is linear in Z (the noise factor is a state-independent
 multiplier), explicit in time, and deterministic given the realization.
 
-`solve_heat` marches a batch: realizations that share the grid and the
-start Z₀ (say the mollification scales of one base noise) step together as
-one (S,) + grid stack, one Laplacian call per time step for the whole
-batch.  The noise factors are formed for a time chunk at a time, and each
-finished chunk is checked for finite, strictly positive Z (with two
-reductions, no mask), so a numerical breakdown is reported at its step and
-node instead of after all M steps.  Every operation of the per-step update
-is elementwise and kept in the order written above, so a batched trajectory
-equals the single march bit for bit.
+`march` is the one time march.  It steps a batch: realizations that share
+the grid and the start Z₀ (say the mollification scales of one base noise)
+step together as one (S,) + grid stack, one Laplacian call per time step
+for the whole batch.  It is a generator over chunks of noise: it forms the
+noise factors of a short run of steps at a time, checks each finished chunk
+for finite, strictly positive Z (with two reductions, no mask) and yields
+it, so a numerical breakdown is reported at its step and node, and stops
+whatever feeds the march, instead of after all M steps.  `solve_heat`
+collects the chunks into the whole (M+1)-slice stack; the burgers study
+takes each chunk as it comes and keeps none.  Every operation of the
+per-step update is elementwise and kept in the order written above, so a
+batched or chunked trajectory equals the single march bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from burgerslab.lattice import TorusGrid, laplacian_values
-from burgerslab.noise import MollifiedNoise
+from burgerslab.noise import Mollifier, MollifiedNoise
 
 __all__ = [
     "InitialData",
@@ -54,6 +57,8 @@ __all__ = [
     "initial_cosine",
     "initial_gaussian_bump",
     "make_initial",
+    "compensator",
+    "march",
     "solve_heat",
     "stability_check",
 ]
@@ -154,10 +159,11 @@ class HeatSolution:
     """Full trajectory of the heat scheme with the noise that drove it.
 
     `values` stacks the M+1 time slices, shape (M+1,) + grid.shape, each
-    checked by the march to be finite and strictly positive.  This is the
-    one trajectory stack: every reader of H = log Z takes it one time chunk
-    at a time through `colehopf.cole_hopf`, and `noise.base` is the
-    realization underneath.
+    checked by the march to be finite and strictly positive, and
+    `noise.base` is the realization underneath.  The studies that keep a
+    trajectory (heat, converge, section, fk-check) read H = log Z from it one
+    time chunk at a time through `colehopf.cole_hopf`; the burgers study
+    streams `march`'s chunks and builds no stack.
     """
 
     grid: TorusGrid
@@ -165,21 +171,31 @@ class HeatSolution:
     values: np.ndarray = field(repr=False)
 
 
-# Time steps whose noise factors are formed at once: the factor chunk of a
-# batch holds about this many bytes (32 steps of a 2-D N=64 slice).
+# Time steps whose noise factors the march forms at once: the factor run of
+# a batch holds about this many bytes (32 steps of a 2-D N=64 slice).
 _CHUNK_BYTES = 1 << 20
 
 
+def compensator(lam: float, m: Mollifier, dt: float) -> float:
+    """The Itô compensator ½λ²c_n dt of one step, with c_n = c_n_discrete."""
+    return 0.5 * lam * lam * m.c_n_discrete * dt
+
+
 def _check_chunk(
-    block: np.ndarray, first_step: int, noises: list, compensated: list, batched: bool
+    block: np.ndarray,
+    first_step: int,
+    increments: Sequence,
+    compensated: Sequence,
+    grid: TorusGrid,
 ) -> None:
     """Raise at the first step and node where a chunk of Z is not finite and > 0.
 
     ``block`` has shape (S, K) + grid and holds steps first_step ..
-    first_step + K − 1; the first chunk includes the start Z₀ = exp(f),
-    which overflows for a large enough f.  The test is two reductions (a
-    NaN makes the minimum NaN), so a healthy chunk allocates no mask.  Only
-    a failing chunk forms the message's extra numbers: the noise factor
+    first_step + K − 1, and ``increments[s]`` holds member s's ΔWⁿ from
+    first_step on; the first chunk includes the start Z₀ = exp(f), which
+    overflows for a large enough f.  The test is two reductions (a NaN
+    makes the minimum NaN), so a healthy chunk allocates no mask.  Only a
+    failing chunk forms the message's extra numbers: the noise factor
     exp(ΔWⁿ − ½λ²c_n dt) that carried Z into that step at that node, and the
     stability margin of the grid.
     """
@@ -188,19 +204,77 @@ def _check_chunk(
     bad = np.argwhere(~((block > 0.0) & (block < np.inf)).swapaxes(0, 1))[0]
     k, s, node = int(bad[0]), int(bad[1]), tuple(int(i) for i in bad[2:])
     step = first_step + k
-    member = f" of batch member {s}" if batched else ""
-    mn = noises[s]
+    member = f" of batch member {s}" if len(block) > 1 else ""
     if step == 0:
         factor = "none (the start exp(f))"
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            factor = repr(float(np.exp(mn.increments[(step - 1,) + node] - compensated[s])))
+            factor = repr(float(np.exp(increments[s][(k - 1,) + node] - compensated[s])))
     raise ValueError(
         f"heat march needs finite Z > 0 everywhere (noise factor into that "
         f"step and node exp(ΔWⁿ − ½λ²c_n dt) = {factor}, stability margin "
-        f"1 − 2d·dt/dx² = {stability_check(mn.grid)!r}); Z{member} at "
+        f"1 − 2d·dt/dx² = {stability_check(grid)!r}); Z{member} at "
         f"step {step}, node {node} is {float(block[(s, k) + node])!r}"
     )
+
+
+def march(
+    grid: TorusGrid,
+    z0: np.ndarray,
+    compensated: Sequence[float],
+    chunks: Iterable,
+    out: np.ndarray | None = None,
+):
+    """Step a batch of S members from z0 through chunks of noise, one chunk at a time.
+
+    ``chunks`` yields items (lo, hi, increments, ...): ``increments[s]`` is
+    member s's ΔWⁿ at steps lo .. hi − 1, and ``compensated[s]`` its
+    ½λ²c_n dt.  For each item the march yields (item, Z), Z of shape
+    (S, hi − lo + 1) + grid holding steps lo .. hi, so a consumer sees the
+    noise that drove the chunk next to its result.  Z is a view into
+    ``out`` (the whole (S, M+1) + grid stack) when given; otherwise it is a
+    chunk buffer that the next chunk overwrites.  Each chunk is checked for
+    finite Z > 0 before it is yielded, so a breakdown stops the march, and
+    whatever feeds it, in the chunk where it happens.
+    """
+    margin = stability_check(grid)
+    if margin < 0.0:
+        raise ValueError(
+            f"stability violation: margin {margin!r} < 0 (dt too large for dx)"
+        )
+    d, dx, dt = grid.d, grid.dx, grid.dt
+    S = len(compensated)
+    # step buffers: the current slices and their update, contiguous over the batch
+    z = np.empty((S,) + grid.shape)
+    z[...] = z0
+    step = np.empty_like(z)
+    # the noise factors of at most this many steps exist at once
+    run = max(1, _CHUNK_BYTES // (S * grid.num_nodes * 8))
+    factors = np.empty((run, S) + grid.shape)
+    buffer = None
+    for item in chunks:
+        lo, hi, increments = item[:3]
+        if out is not None:
+            block = out[:, lo : hi + 1]
+        else:
+            if buffer is None or buffer.shape[1] < hi - lo + 1:
+                buffer = np.empty((S, hi - lo + 1) + grid.shape)
+            block = buffer[:, : hi - lo + 1]
+        block[:, 0] = z
+        for a in range(0, hi - lo, run):
+            b = min(a + run, hi - lo)
+            fac = factors[: b - a]
+            for s, inc in enumerate(increments):
+                np.subtract(inc[a:b], compensated[s], out=fac[:, s])
+            np.exp(fac, out=fac)
+            for k in range(a, b):
+                laplacian_values(z, dx, d, out=step)
+                step *= dt
+                step += z
+                np.multiply(step, fac[k - a], out=z)
+                block[:, k + 1] = z
+        _check_chunk(block, lo, increments, compensated, grid)
+        yield item, block
 
 
 def solve_heat(
@@ -229,7 +303,7 @@ def solve_heat(
     -------
     HeatSolution, or a list of them (one per noise, in order) for a sequence
         values[0] is exp(f) (or the override) exactly; every slice is
-        strictly positive.
+        strictly positive.  The stack is `march`'s chunks, collected.
 
     Raises
     ------
@@ -246,11 +320,6 @@ def solve_heat(
         raise ValueError("noise realization lives on a different grid")
     if f.grid != grid:
         raise ValueError("initial data lives on a different grid")
-    margin = stability_check(grid)
-    if margin < 0.0:
-        raise ValueError(
-            f"stability violation: margin {margin!r} < 0 (dt too large for dx)"
-        )
     if z0_override is not None:
         z0 = np.asarray(z0_override, dtype=np.float64)
         if z0.shape != grid.shape:
@@ -260,33 +329,17 @@ def solve_heat(
     else:
         z0 = np.exp(f.values)
 
-    d, dx, dt, M = grid.d, grid.dx, grid.dt, grid.M
-    S = len(noises)
-    compensated = [
-        0.5 * mn.lam * mn.lam * mn.mollifier.c_n_discrete * dt for mn in noises
-    ]
+    M, S = grid.M, len(noises)
+    compensated = [compensator(mn.lam, mn.mollifier, grid.dt) for mn in noises]
     values = np.empty((S, M + 1) + grid.shape)
-    values[:, 0] = z0
-    # step buffers: the current slices and their update, contiguous over the batch
-    z = np.empty((S,) + grid.shape)
-    z[...] = z0
-    step = np.empty_like(z)
+    # checked chunks as long as the march's factor runs
     chunk = max(1, min(M, _CHUNK_BYTES // (S * grid.num_nodes * 8)))
-    factors = np.empty((chunk, S) + grid.shape)
-    for lo in range(0, M, chunk):
-        hi = min(lo + chunk, M)
-        fac = factors[: hi - lo]
-        for s, mn in enumerate(noises):
-            np.subtract(mn.increments[lo:hi], compensated[s], out=fac[:, s])
-        np.exp(fac, out=fac)
-        for k in range(lo, hi):
-            laplacian_values(z, dx, d, out=step)
-            step *= dt
-            step += z
-            np.multiply(step, fac[k - lo], out=z)
-            values[:, k + 1] = z
-        _check_chunk(values[:, lo : hi + 1], lo, noises, compensated, batched)
-
+    chunks = (
+        (lo, min(lo + chunk, M), [mn.increments[lo : lo + chunk] for mn in noises])
+        for lo in range(0, M, chunk)
+    )
+    for _ in march(grid, z0, compensated, chunks, out=values):
+        pass
     sols = [
         HeatSolution(grid=grid, noise=mn, values=values[s]) for s, mn in enumerate(noises)
     ]

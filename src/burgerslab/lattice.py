@@ -47,6 +47,7 @@ __all__ = [
     "inner_space",
     "laplacian_values",
     "gradient_values",
+    "gradient_norm_sq",
     "divergence_values",
 ]
 
@@ -231,17 +232,38 @@ def laplacian_values(
     return out
 
 
+def _centered_difference(a: np.ndarray, axis: int, dx: float, out: np.ndarray) -> np.ndarray:
+    """(a₊ − a₋) / (2dx) along one axis of a periodic array, written into ``out``."""
+    for dst, src in _roll_pairs(axis, -1):
+        out[dst] = a[src]
+    for dst, src in _roll_pairs(axis, 1):
+        np.subtract(out[dst], a[src], out=out[dst])
+    out /= 2.0 * dx
+    return out
+
+
 def gradient_values(a: np.ndarray, dx: float, d: int | None = None) -> np.ndarray:
     """Centered gradient over the last `d` axes; returns shape (d,) + a.shape."""
     d = a.ndim if d is None else d
     out = np.empty((d,) + a.shape, dtype=np.float64)
     for i, axis in enumerate(range(a.ndim - d, a.ndim)):
-        comp = out[i]
-        for dst, src in _roll_pairs(axis, -1):
-            comp[dst] = a[src]
-        for dst, src in _roll_pairs(axis, 1):
-            np.subtract(comp[dst], a[src], out=comp[dst])
-    out /= 2.0 * dx
+        _centered_difference(a, axis, dx, out[i])
+    return out
+
+
+def gradient_norm_sq(a: np.ndarray, dx: float, d: int | None = None) -> np.ndarray:
+    """‖∇_h a‖² over the last `d` axes, summed from zero one component at a time.
+
+    Equals Σ_axis gradient_values(a)[axis]² bit for bit while holding one
+    component, not all d of them.
+    """
+    d = a.ndim if d is None else d
+    out = np.zeros_like(a, dtype=np.float64)
+    comp = np.empty_like(out)
+    for axis in range(a.ndim - d, a.ndim):
+        _centered_difference(a, axis, dx, comp)
+        np.square(comp, out=comp)
+        out += comp
     return out
 
 

@@ -76,14 +76,18 @@ __all__ = [
     "WhiteNoiseRealization",
     "MollifiedNoise",
     "make_mollifier",
+    "draw_chunks",
     "sample_noise",
     "pair",
+    "mollify_increments",
     "mollify",
     "convolve_kernel",
     "h_eval",
     "wiener_path",
     "quadratic_variation",
+    "block_sum",
     "coarse_grain",
+    "coarse_grid",
 ]
 
 # Distinct Philox key tags keep the white-noise stream and the Feynman-Kac
@@ -267,8 +271,8 @@ class MollifiedNoise:
         return self.base.lam
 
 
-def sample_noise(grid: TorusGrid, seed: int, lam: float = 1.0) -> WhiteNoiseRealization:
-    """Draw a white-noise realization from a counter-based stream.
+def draw_chunks(grid: TorusGrid, seed: int, lam: float, chunk: int):
+    """Yield (lo, hi, ΔW at steps lo .. hi − 1) from a counter-based stream.
 
     Parameters
     ----------
@@ -279,22 +283,36 @@ def sample_noise(grid: TorusGrid, seed: int, lam: float = 1.0) -> WhiteNoiseReal
         Feynman-Kac Brownian paths) draw from independent streams.
     lam : float
         Noise amplitude λ; increments are λ·N(0, dt/dx^d).
+    chunk : int
+        Steps per yielded block; the last block may be shorter.
 
-    Returns
-    -------
-    WhiteNoiseRealization
-        Bit-identical on every call with the same (grid, seed, lam).  At
-        lam = 0 the increments are zeros and nothing is drawn.
+    The draws of one stream follow each other, so the blocks concatenate to
+    the same bits whatever the chunk.  At lam = 0 each block is zeros and
+    nothing is drawn.
     """
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    if lam == 0.0:
-        zeros = np.zeros((grid.M,) + grid.shape)
-        return WhiteNoiseRealization(grid=grid, seed=seed, lam=lam, increments=zeros)
     key = np.array([np.uint64(seed), _NOISE_STREAM_TAG], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     scale = lam * math.sqrt(grid.dt / grid.cell_volume)
-    increments = scale * rng.standard_normal(size=(grid.M,) + grid.shape)
+    for lo in range(0, grid.M, chunk):
+        hi = min(lo + chunk, grid.M)
+        shape = (hi - lo,) + grid.shape
+        if lam == 0.0:
+            yield lo, hi, np.zeros(shape)
+            continue
+        increments = rng.standard_normal(size=shape)
+        increments *= scale
+        yield lo, hi, increments
+
+
+def sample_noise(grid: TorusGrid, seed: int, lam: float = 1.0) -> WhiteNoiseRealization:
+    """Draw a whole white-noise realization: `draw_chunks` in one block.
+
+    Bit-identical on every call with the same (grid, seed, lam).  At lam = 0
+    the increments are zeros and nothing is drawn.
+    """
+    (_, _, increments), = draw_chunks(grid, seed, lam, grid.M)
     return WhiteNoiseRealization(grid=grid, seed=seed, lam=lam, increments=increments)
 
 
@@ -324,9 +342,9 @@ def _convolve_slices(increments: np.ndarray, kernel: np.ndarray, cell_volume: fl
         stop = min(start + chunk, increments.shape[0])
         block_hat = np.fft.rfftn(increments[start:stop], axes=spatial_axes)
         block_hat *= kernel_hat[None, ...]
-        out[start:stop] = cell_volume * np.fft.irfftn(
-            block_hat, s=kernel.shape, axes=spatial_axes
-        )
+        block = out[start:stop]
+        np.fft.irfftn(block_hat, s=kernel.shape, axes=spatial_axes, out=block)
+        block *= cell_volume
     return out
 
 
@@ -344,6 +362,18 @@ def convolve_kernel(m: Mollifier, values: np.ndarray) -> np.ndarray:
     return _convolve_slices(vals[None], m.kernel, m.grid.cell_volume)[0]
 
 
+def mollify_increments(m: Mollifier, increments: np.ndarray, lam: float) -> np.ndarray:
+    """ΔWⁿ_k = dx^d · (K ⊛ ΔW_k) for a run of time slices of amplitude λ.
+
+    Each slice is convolved on its own, so a chunk of steps mollifies to
+    the same bits as the whole realization.  At λ = 0 the increments are
+    zeros, whose convolution is zero: they are returned as they are.
+    """
+    if lam == 0.0:
+        return increments
+    return _convolve_slices(increments, m.kernel, m.grid.cell_volume)
+
+
 def mollify(noise: WhiteNoiseRealization, m: Mollifier) -> MollifiedNoise:
     """Convolve each time slice of the noise with the mollifier kernel.
 
@@ -351,14 +381,11 @@ def mollify(noise: WhiteNoiseRealization, m: Mollifier) -> MollifiedNoise:
     sum dx^d Σ_j K_{i−j} ΔW_{k,j}; since K is even, the operation is
     self-adjoint with respect to `pair` to machine precision (the adjoint
     identity every limit study leans on).  `make_mollifier` has already
-    checked that the kernel resolves on the grid.  At λ = 0 the increments
-    are zeros, whose convolution is zero: they are returned as they are.
+    checked that the kernel resolves on the grid.
     """
     if m.grid != noise.grid:
         raise ValueError("mollifier was built for a different grid")
-    if noise.lam == 0.0:
-        return MollifiedNoise(base=noise, mollifier=m, increments=noise.increments)
-    mollified = _convolve_slices(noise.increments, m.kernel, noise.grid.cell_volume)
+    mollified = mollify_increments(m, noise.increments, noise.lam)
     return MollifiedNoise(base=noise, mollifier=m, increments=mollified)
 
 
@@ -440,14 +467,35 @@ def quadratic_variation(path: np.ndarray) -> float:
     return float(np.sum(steps * steps))
 
 
+def block_sum(increments: np.ndarray, factor: int) -> np.ndarray:
+    """Coarse increments of a run of fine steps: block sums rescaled by factor^{−d}.
+
+    ``increments`` has shape (K,) + (N,)*d with K a multiple of factor²
+    and N of factor.  Each coarse step sums factor² consecutive fine steps,
+    each coarse node a block of factor^d fine nodes, so a run of whole
+    coarse steps sums to the same bits wherever the run starts.  Factor 1
+    returns the increments as they are.
+    """
+    if factor == 1:
+        return increments
+    d = increments.ndim - 1
+    tf = factor * factor
+    shape = [increments.shape[0] // tf, tf]
+    for n in increments.shape[1:]:
+        shape.extend([n // factor, factor])
+    summed = increments.reshape(shape).sum(axis=tuple(range(1, 2 * d + 2, 2)))
+    return summed / float(factor) ** d
+
+
 def coarse_grain(noise: WhiteNoiseRealization, factor: int) -> WhiteNoiseRealization:
     """Block-sum a fine realization onto the lattice coarser by `factor`.
 
     Spatial blocks of factor^d cells and runs of factor² steps are summed
-    and rescaled by factor^{−d}, which is exactly the scaling that gives the
-    coarse increments variance dt'/dx'^d.  The time factor factor² keeps
-    dt ∝ dx², the refinement rule of the convergence ladders, so one master
-    realization drives every level.
+    and rescaled by factor^{−d} (`block_sum` over the whole range), which is
+    exactly the scaling that gives the coarse increments variance
+    dt'/dx'^d.  The time factor factor² keeps dt ∝ dx², the refinement rule
+    of the convergence ladders, so one master realization drives every
+    level.
 
     The defining consistency identity is exact, not approximate: pairing a
     block-constant ξ against the coarse realization telescopes to the fine
@@ -455,24 +503,21 @@ def coarse_grain(noise: WhiteNoiseRealization, factor: int) -> WhiteNoiseRealiza
     """
     if factor < 1:
         raise ValueError(f"coarse-graining factor must be a positive integer, got {factor}")
-    tf = factor * factor
     g = noise.grid
-    if g.N % factor or g.M % tf:
+    if g.N % factor or g.M % (factor * factor):
         raise ValueError(
             f"factor {factor} must divide N = {g.N} and its square M = {g.M}"
         )
     if factor == 1:
         return noise
-    coarse_grid = TorusGrid(d=g.d, N=g.N // factor, M=g.M // tf, L=g.L, T=g.T)
-    shape = [coarse_grid.M, tf]
-    for _ in range(g.d):
-        shape.extend([coarse_grid.N, factor])
-    blocks = noise.increments.reshape(shape)
-    summed = blocks.sum(axis=tuple(range(1, 2 * g.d + 2, 2)))
-    coarse = summed / float(factor) ** g.d
     return WhiteNoiseRealization(
-        grid=coarse_grid,
+        grid=coarse_grid(g, factor),
         seed=noise.seed,
         lam=noise.lam,
-        increments=coarse,
+        increments=block_sum(noise.increments, factor),
     )
+
+
+def coarse_grid(grid: TorusGrid, factor: int) -> TorusGrid:
+    """The lattice coarser by `factor` in space and factor² in time."""
+    return TorusGrid(d=grid.d, N=grid.N // factor, M=grid.M // factor**2, L=grid.L, T=grid.T)

@@ -8,6 +8,8 @@ import pytest
 from burgerslab.bank import TestFunction, build_bank
 from burgerslab.colehopf import (
     _CHUNK,
+    _CHUNK_BYTES,
+    chunk_steps,
     cole_hopf,
     distributional_limit_1d,
     kpz_residual,
@@ -71,6 +73,19 @@ def test_log_transform_is_definitional():
     assert stacked.shape == (g.d, g.M + 1) + g.shape
     for k in (0, g.M // 2, g.M):
         assert np.array_equal(stacked[:, k], gradient_values(H[k], g.dx))
+
+
+def test_chunks_are_sized_by_bytes_and_capped_in_steps():
+    # 1-D and the 2-D acceptance grid keep 256-step chunks; larger grids get
+    # fewer steps, so one chunk of N^d slices stays within the byte budget
+    assert chunk_steps(TorusGrid(d=1, N=128, M=32768)) == _CHUNK == 256
+    assert chunk_steps(TorusGrid(d=2, N=64, M=8192)) == 256
+    assert chunk_steps(TorusGrid(d=2, N=128, M=32768)) == 64
+    for d, N in ((3, 64), (3, 256)):
+        g = TorusGrid(d=d, N=N, M=4)
+        steps = chunk_steps(g)
+        assert steps >= 1
+        assert steps == 1 or steps * g.num_nodes * 8 <= _CHUNK_BYTES
 
 
 def test_cole_hopf_rejects_nonpositive_values():

@@ -21,8 +21,10 @@ from burgerslab.harness import (
     emit_reports,
     resolve_out_dir,
 )
+from burgerslab.harness import studies
 from burgerslab.harness.cli import main
 from burgerslab.harness.studies import STUDIES, measure_order, run_study
+from burgerslab.noise import draw_chunks
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +351,27 @@ def test_run_study_validates_config_first(tmp_path):
         run_study(_tiny("qv", seed=-4), out_dir=tmp_path)
 
 
-def test_march_breakdown_is_reported_from_the_march_at_its_step(tmp_path):
+def test_march_breakdown_is_reported_from_the_march_at_its_step(tmp_path, monkeypatch):
     # λ = 1e3 drives Z to 0 within the first hundred steps; the chunked march
     # stops there, before all M steps and before any pass takes log Z
+    drawn = []
+
+    def recording_draw(*args):
+        for lo, hi, increments in draw_chunks(*args):
+            drawn.append((lo, hi))
+            yield lo, hi, increments
+
+    monkeypatch.setattr(studies, "draw_chunks", recording_draw)
     cfg = ExperimentConfig.from_dict({"study": "burgers", "lambda": 1e3, "refine_levels": 1})
     with pytest.raises(ValueError, match=r"Z at step (\d+), node \(\d+,\) is") as err:
         run_study(cfg, out_dir=tmp_path)
     frames = [entry.name for entry in err.traceback]
-    assert "solve_heat" in frames and "weak_residual_batch" not in frames
+    assert "march" in frames and "weak_residual_batch" not in frames
     step = int(re.search(r"step (\d+)", str(err.value)).group(1))
     assert 0 < step < cfg.M
+    # the stream raised in the chunk that failed: no later chunk was drawn
+    lo, hi = drawn[-1]
+    assert lo < step <= hi
 
 
 def test_run_study_unknown_study_is_config_error(tmp_path):

@@ -15,6 +15,7 @@ from burgerslab.lattice import (
     divergence,
     divergence_values,
     gradient,
+    gradient_norm_sq,
     gradient_values,
     inner_space,
     laplacian,
@@ -243,6 +244,17 @@ def test_slice_stencils_equal_roll_reference_bit_for_bit(d, stack):
         assert np.array_equal(_bits(divergence_values(v, dx)), _bits(_roll_divergence(v, dx)))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gradient_norm_sq_equals_summed_squared_components_bit_for_bit(d):
+    # one component at a time, in axis order from zero: the same sums as
+    # squaring and adding the stacked gradient's components
+    a = np.random.default_rng(d).standard_normal((5,) + (8,) * d)
+    reference = np.zeros_like(a)
+    for g in gradient_values(a, 0.125, d):
+        reference += g * g
+    assert np.array_equal(_bits(gradient_norm_sq(a, 0.125, d)), _bits(reference))
+
+
 def test_grid_rejects_non_integral_sizes_by_name():
     for name, value in (("d", 1.5), ("N", 64.5), ("M", 10000.5), ("N", 64.0), ("d", True)):
         sizes = {"d": 1, "N": 64, "M": 10000, name: value}
@@ -282,3 +294,42 @@ def test_core_reduces_without_blas():
         for line, what in _blas_uses(path.read_text())
     ]
     assert offenders == []
+
+
+def _log_uses(source: str) -> list:
+    """(line, enclosing function or None) of each np.log / numpy.log in a module."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "log"
+                and isinstance(child.value, ast.Name)
+                and child.value.id in ("np", "numpy")
+            ):
+                found.append((child.lineno, func))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=lambda use: use[0])
+
+
+def test_log_of_z_is_taken_in_one_function():
+    # log Z and its finite-Z > 0 check live in colehopf.checked_log; a second
+    # np.log elsewhere would take the log without the check
+    assert _log_uses("def f(z):\n    return np.log(z)\nw = numpy.log(2.0) + math.log(2.0)\n") == [
+        (2, "f"), (3, None)]
+    package = Path(burgerslab.__file__).resolve().parent
+    uses = [
+        (f"{path.relative_to(package.parent)}:{line}", func)
+        for path in sorted(package.rglob("*.py"))
+        for line, func in _log_uses(path.read_text())
+    ]
+    offenders = [
+        f"{where} in {func}" for where, func in uses
+        if not (where.startswith("burgerslab/colehopf.py:") and func == "checked_log")
+    ]
+    assert offenders == []
+    assert len(uses) == 1, uses
