@@ -37,18 +37,18 @@ Two layers of checks, in increasing depth:
   alongside, the same pairing against the raw (unmollified) increments —
   the candidate limit as the mollification scale grows.
 
-``distributional_limit_1d`` tracks ⟨U_n, φ⟩ for each φ of a bank across a
-family of trajectories driven by one shared base realization at increasing
-mollification scales, and reports the Cauchy differences of each sequence.
-
-Both contract each φ only over its support (``TestFunction.support``): the
+The weak pass (``WeakPairings``) is the one place a space-time φ meets a
+trajectory, and only over its support (``TestFunction.support``): the
 window of steps where its time factor lives and the spatial box around its
 centre, split at the periodic seam into basic slices.  The terms linear in
 U are paired with H itself, through the summation-by-parts identity
 ⟨a·∇_h H, P⟩ = ⟨H, −∇_h·(aP)⟩ and likewise for Q, which holds exactly on
 the lattice; the duals −∇_h·(aP) and −∇_h·(aQ) are cached with the bank.
-So the Cauchy column takes no gradient at all, and the weak pass forms only
-‖∇_h H‖², once per chunk for the whole bank.
+So the pass forms only ‖∇_h H‖², once per chunk for the whole bank, and
+its reports carry the space-time pairing ⟨U, φ⟩ = ⟨a·U, P⟩ that
+``distributional_limit_1d`` reads across trajectories driven by one shared
+base realization at increasing mollification scales, to report the Cauchy
+differences of each φ's sequence without a log or a contraction of its own.
 ``lojasiewicz_section`` evaluates short-time sections ∫ ρ_ε(t) ⟨U_t, φ_x⟩ dt
 through either side of the summation-by-parts identity
 ⟨∇_h H, φ⟩ = −⟨H, ∇_h·φ⟩, which holds exactly on the lattice.
@@ -169,7 +169,9 @@ class WeakResidualReport:
     ``lhs`` collects the deterministic pairings of U, ``rhs`` the Itô
     pairing against the mollified increments, ``gap`` their absolute
     difference, and ``limit_pairing`` the same Itô pairing against the raw
-    base increments (the mollification-free limit candidate).  ``scale`` is
+    base increments (the mollification-free limit candidate).  ``pairing``
+    is the space-time pairing ⟨U, φ⟩ = ⟨a·U, P⟩ that the Cauchy column of
+    `distributional_limit_1d` tracks across scales.  ``scale`` is
     the triangle-inequality mass of the lhs terms before cancellation — the
     natural yardstick for the gap when the rhs is exactly zero (λ = 0).
     The remaining fields echo the configuration for reporting.
@@ -180,6 +182,7 @@ class WeakResidualReport:
     rhs: float
     gap: float
     limit_pairing: float
+    pairing: float
     d: int
     N: int
     M: int
@@ -271,6 +274,7 @@ class WeakPairings:
                     rhs=rhs,
                     gap=abs(lhs - rhs),
                     limit_pairing=limit,
+                    pairing=vol * dt * float(np.sum(psi * a_)),
                     d=grid.d,
                     N=grid.N,
                     M=grid.M,
@@ -307,56 +311,42 @@ class LimitSequence:
     cauchy_gaps: tuple
 
 
-def distributional_limit_1d(entries, phis: Sequence[TestFunction]) -> list:
+def distributional_limit_1d(entries) -> list:
     """Track ⟨U_n, φ⟩_{space-time} across mollification scales in d = 1.
 
-    ``entries`` is a sequence of heat solutions whose mollification scales
-    ``noise.mollifier.scale_n`` strictly increase; all must live on one grid
-    and be driven by the same base realization (the scales are coupled).
-    Returns one LimitSequence per test function in ``phis``: the pairing
-    sequence and the absolute differences of consecutive terms.  Each
-    pairing is ⟨H, −∇_h·(aP)⟩ on φ's window and box, so no gradient is
-    formed.
+    ``entries`` holds one list of weak reports per trajectory
+    (`weak_residual_batch`, `WeakPairings.reports`), each for one bank in
+    one order, with mollification scales ``n`` strictly increasing; all
+    must come from one grid and one base realization (the scales are
+    coupled).  Returns one LimitSequence per test function: the sequence
+    of each report's ``pairing`` and the absolute differences of
+    consecutive terms.
     """
     entries = list(entries)
     if len(entries) < 2:
         raise ValueError("need at least two scales to form Cauchy differences")
-    if not phis:
+    if not entries[0]:
         raise ValueError("need at least one test function")
-    scales = [traj.noise.mollifier.scale_n for traj in entries]
+    r0 = entries[0][0]
+    ids = [r.phi_id for r in entries[0]]
+    for reports in entries:
+        if [r.phi_id for r in reports] != ids:
+            raise ValueError(f"all entries must report one bank, {ids} in this order")
+        for r in reports:
+            if r.d != 1:
+                raise ValueError(f"this diagnostic is one-dimensional, got d={r.d}")
+            if (r.N, r.M) != (r0.N, r0.M):
+                raise ValueError("all trajectories must share one grid")
+            if (r.seed, r.lam) != (r0.seed, r0.lam):
+                raise ValueError("all trajectories must share one base realization")
+    scales = [reports[0].n for reports in entries]
     if any(b <= a for a, b in zip(scales, scales[1:])):
         raise ValueError(f"scales must be strictly increasing, got {scales}")
-
-    grid = entries[0].grid
-    if grid.d != 1:
-        raise ValueError(f"this diagnostic is one-dimensional, got d={grid.d}")
-    base = entries[0].noise.base
-    for traj in entries:
-        if traj.grid != grid:
-            raise ValueError("all trajectories must share one grid")
-        b = traj.noise.base
-        if b is not base and not np.array_equal(b.increments, base.increments):
-            raise ValueError("all trajectories must share one base realization")
-
-    supports = [phi.support(grid) for phi in phis]
-    duals = [phi.duals(grid)[0] for phi in phis]
-    psis = [phi.time_profile(grid)[0][window] for phi, (window, _) in zip(phis, supports)]
-    pairings = [[] for _ in phis]
-    for traj in entries:
-        series = np.zeros((len(phis), grid.M))
-        for lo, hi, H in cole_hopf(traj):
-            for j, ((window, box), dual) in enumerate(zip(supports, duals)):
-                a, b = max(lo, window.start), min(hi, window.stop)
-                if a < b:
-                    series[j, a:b] = _box_sum(H[a - lo : b - lo], dual, box)
-        for j, (psi, (window, _)) in enumerate(zip(psis, supports)):
-            pairings[j].append(
-                grid.cell_volume * grid.dt * float(np.sum(psi * series[j, window]))
-            )
+    pairings = [tuple(r.pairing for r in column) for column in zip(*entries)]
     return [
         LimitSequence(
             scales=tuple(scales),
-            pairings=tuple(p),
+            pairings=p,
             cauchy_gaps=tuple(abs(b - a) for a, b in zip(p, p[1:])),
         )
         for p in pairings

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from burgerslab.heat import InitialData
+from burgerslab.lattice import is_integer
 from burgerslab.noise import MollifiedNoise
 
 __all__ = [
@@ -70,8 +71,8 @@ def _coord_node(grid, x_arr: np.ndarray) -> tuple:
 
 
 def _brownian_rng(seed: int) -> np.random.Generator:
-    if seed < 0:
-        raise ValueError(f"brownian seed must be nonnegative, got {seed}")
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"brownian seed must be a nonnegative integer, got {seed!r}")
     key = np.array([np.uint64(seed), _BROWNIAN_STREAM_TAG], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

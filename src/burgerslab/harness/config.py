@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -144,7 +145,8 @@ class ExperimentConfig:
             if self.M % 16:
                 errors.append(("M", f"the {what} needs M divisible by 16, got {self.M}"))
             coarsest = 4
-        elif self.study == "burgers" and self.refine_levels >= 1:
+        elif (self.study == "burgers" and is_integer(self.refine_levels)
+              and self.refine_levels >= 1):
             coarsest, name = 2 ** (self.refine_levels - 1), "refine_levels"
             if self.N % coarsest or self.M % coarsest**2:
                 errors.append(
@@ -221,13 +223,15 @@ class ExperimentConfig:
                 build_bank(grid, list(self.bank) if self.bank is not None else None)
             except (ValueError, TypeError) as exc:
                 errors.append(("bank", str(exc)))
-        if self.seed < 0:
-            errors.append(("seed", f"must be nonnegative, got {self.seed}"))
-        if self.num_paths < 100:
-            errors.append(("num_paths", f"need ≥ 100, got {self.num_paths}"))
-        if self.refine_levels < 1:
-            errors.append(("refine_levels", f"need ≥ 1, got {self.refine_levels}"))
-        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
+        for name, least in (("seed", 0), ("num_paths", 100), ("refine_levels", 1)):
+            value = getattr(self, name)
+            if not is_integer(value):
+                errors.append((name, f"must be an integer, got {value!r}"))
+            elif value < least:
+                errors.append((name, f"need ≥ {least}, got {value}"))
+        if isinstance(self.lam, bool) or not isinstance(self.lam, numbers.Real):
+            errors.append(("lambda", f"must be a real number, got {self.lam!r}"))
+        elif not (self.lam >= 0.0 and math.isfinite(self.lam)):
             errors.append(("lambda", f"must be finite and nonnegative, got {self.lam}"))
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:

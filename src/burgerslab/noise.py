@@ -69,7 +69,7 @@ from functools import lru_cache
 import numpy as np
 
 from burgerslab.bank import bump
-from burgerslab.lattice import TorusGrid
+from burgerslab.lattice import TorusGrid, is_integer
 
 __all__ = [
     "Mollifier",
@@ -290,8 +290,8 @@ def draw_chunks(grid: TorusGrid, seed: int, lam: float, chunk: int):
     the same bits whatever the chunk.  At lam = 0 each block is zeros and
     nothing is drawn.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     key = np.array([np.uint64(seed), _NOISE_STREAM_TAG], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     scale = lam * math.sqrt(grid.dt / grid.cell_volume)

@@ -278,10 +278,10 @@ def test_weak_pass_on_the_support_equals_full_grid_reference():
     for traj, phis in ((entries[0], phis1), (traj2, phis2)):
         reference = _full_grid_reference(traj, phis)
         for r, ref in zip(weak_residual_batch(traj, phis), reference):
-            for key in ("lhs", "rhs", "limit_pairing", "scale"):
+            for key in ("lhs", "rhs", "limit_pairing", "scale", "pairing"):
                 assert getattr(r, key) == pytest.approx(ref[key], rel=1e-12, abs=0.0), (
                     r.phi_id, key)
-    seqs = distributional_limit_1d(entries, phis1)
+    seqs = distributional_limit_1d(_reports(entries, phis1))
     for k, traj in enumerate(entries):
         for seq, ref in zip(seqs, _full_grid_reference(traj, phis1)):
             assert seq.pairings[k] == pytest.approx(ref["pairing"], rel=1e-12, abs=0.0)
@@ -311,6 +311,11 @@ def test_gauge_shift_leaves_velocity_unchanged():
     assert np.max(np.abs(u2 - u1)) < 1e-11
 
 
+def _reports(entries, phis):
+    """The weak reports of each trajectory: the Cauchy column's input."""
+    return [weak_residual_batch(traj, phis) for traj in entries]
+
+
 @pytest.fixture(scope="module")
 def scale_family():
     g = _grid(64)
@@ -322,7 +327,7 @@ def scale_family():
 def test_distributional_limit_sequence(scale_family):
     g, base, entries = scale_family
     bank = build_bank(g)
-    seqs = distributional_limit_1d(entries, bank)
+    seqs = distributional_limit_1d(_reports(entries, bank))
     assert len(seqs) == len(bank)
     ls = seqs[1]
     assert ls.scales == (4, 8, 16)
@@ -335,9 +340,9 @@ def test_distributional_limit_sequence(scale_family):
 def test_distributional_limit_bank_equals_single_phi_calls(scale_family):
     g, base, entries = scale_family
     bank = build_bank(g)
-    together = distributional_limit_1d(entries, bank)
+    together = distributional_limit_1d(_reports(entries, bank))
     for phi, seq in zip(bank, together):
-        assert distributional_limit_1d(entries, [phi]) == [seq]
+        assert distributional_limit_1d(_reports(entries, [phi])) == [seq]
     # each pairing is the space-time sum of the slice pairings ⟨U_k, φ⟩
     phi = bank[2]
     P, _, _ = phi.spatial_tensors(g)
@@ -353,19 +358,26 @@ def test_distributional_limit_bank_equals_single_phi_calls(scale_family):
 
 def test_distributional_limit_validation(scale_family):
     g, base, entries = scale_family
-    phis = build_bank(g)[1:2]
+    bank = build_bank(g)
+    reports = _reports(entries, bank[1:2])
     with pytest.raises(ValueError, match="at least two"):
-        distributional_limit_1d(entries[:1], phis)
+        distributional_limit_1d(reports[:1])
     with pytest.raises(ValueError, match="at least one test function"):
-        distributional_limit_1d(entries, [])
+        distributional_limit_1d([[], []])
     with pytest.raises(ValueError, match="strictly increasing"):
-        distributional_limit_1d([entries[1], entries[0]], phis)
+        distributional_limit_1d([reports[1], reports[0]])
     with pytest.raises(ValueError, match="strictly increasing"):
-        distributional_limit_1d([entries[0], entries[0]], phis)
+        distributional_limit_1d([reports[0], reports[0]])
     other = sample_noise(g, seed=77, lam=1.0)
     _, foreign = _solve(g, other, n=8)
     with pytest.raises(ValueError, match="base realization"):
-        distributional_limit_1d([entries[0], foreign], phis)
+        distributional_limit_1d([reports[0], weak_residual_batch(foreign, bank[1:2])])
+    with pytest.raises(ValueError, match="one bank"):
+        distributional_limit_1d([reports[0], weak_residual_batch(entries[1], bank[2:3])])
+    g32 = _grid(32)
+    _, coarser = _solve(g32, sample_noise(g32, seed=3, lam=1.0), n=8)
+    with pytest.raises(ValueError, match="one grid"):
+        distributional_limit_1d([reports[0], weak_residual_batch(coarser, bank[1:2])])
 
 
 def test_distributional_limit_needs_one_dimension():
@@ -376,7 +388,7 @@ def test_distributional_limit_needs_one_dimension():
         solve_heat(g, mollify(base, make_mollifier(g, n)), initial_zero(g)) for n in (2, 4)
     ]
     with pytest.raises(ValueError, match="one-dimensional"):
-        distributional_limit_1d(entries, phis)
+        distributional_limit_1d(_reports(entries, phis))
 
 
 def test_section_summation_by_parts_is_exact(scale_family):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import burgerslab
+from burgerslab import colehopf, fk
 from burgerslab.harness import (
     DEFAULT_TOLERANCES,
     STUDY_KINDS,
@@ -131,6 +132,30 @@ def _errors(**fields):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(**fields).validate()
     return err.value.errors
+
+
+@pytest.mark.parametrize("study,key,value,name", [
+    ("fk-check", "seed", 7.5, "seed"),
+    ("fk-check", "seed", True, "seed"),
+    ("fk-check", "num_paths", 1000.5, "num_paths"),
+    ("fk-check", "refine_levels", 2.5, "refine_levels"),
+    ("burgers", "refine_levels", 2.5, "refine_levels"),
+    ("burgers", "refine_levels", "2", "refine_levels"),
+    ("fk-check", "lam", "1", "lambda"),
+    ("fk-check", "lam", True, "lambda"),
+])
+def test_validate_names_fields_it_would_otherwise_coerce(study, key, value, name):
+    # direct construction skips from_dict's conversion: seed=7.5 drew seed 7's
+    # bits while study.json echoed 7.5, and lam="1" escaped as a TypeError
+    fields = dict(study=study, N=32, M=410, n=4) if study == "fk-check" else dict(study=study)
+    errors = _errors(**fields, **{key: value})
+    assert [field for field, _ in errors] == [name]
+    assert errors[0][1].startswith(("must be an integer", "must be a real number"))
+    if key == "seed":
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            next(draw_chunks(ExperimentConfig(**fields).grid(), value, 1.0, 1))
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            fk._brownian_rng(value)
 
 
 @pytest.mark.parametrize("study", ["heat", "converge"])
@@ -418,6 +443,25 @@ def test_converge_reports_one_limit_pairing_at_every_scale(tmp_path):
     for line in table[1:]:
         phi_id, _, _, limit = line.split(",")[:4]
         assert limit == limits[phi_id][0][1]
+
+
+def test_converge_takes_each_fine_trajectorys_log_once(tmp_path, monkeypatch):
+    # the Cauchy column reads the weak reports, so each fine-grid trajectory
+    # is logged once for both: four scales' and the reference's weak passes,
+    # the KPZ residual at n_kpz and the reference's ‖U‖ (11 passes when the
+    # Cauchy column took its own logs)
+    cfg = _tiny("converge", N=64, M=416, T=0.05, n=(2, 4, 8, 16))
+    passes = []
+    checked_log = colehopf.checked_log
+
+    def counted(values, first_step):
+        if first_step == 0 and values.shape[1:] == (cfg.N,):
+            passes.append(first_step)
+        return checked_log(values, first_step)
+
+    monkeypatch.setattr(colehopf, "checked_log", counted)
+    run_study(cfg, out_dir=tmp_path / "c")
+    assert len(passes) == 7
 
 
 def test_section_deterministic_tiny_run_passes(tmp_path):

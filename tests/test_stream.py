@@ -16,7 +16,7 @@ from burgerslab.harness.studies import _burgers_reports
 from burgerslab.heat import make_initial, solve_heat
 from burgerslab.noise import coarse_grain, make_mollifier, mollify, sample_noise
 
-_FLOATS = ("lhs", "rhs", "gap", "limit_pairing", "scale")
+_FLOATS = ("lhs", "rhs", "gap", "limit_pairing", "pairing", "scale")
 
 
 def _config(d, levels, lam, seed):
