@@ -80,6 +80,19 @@ def _integral(name: str, value, errors: list):
     return as_int
 
 
+def _is_real(value) -> bool:
+    """A real number that is not a bool (True would pass as 1)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(name: str, value, errors: list):
+    """``float(value)`` for a real number, else record an error; nothing is parsed."""
+    if not _is_real(value):
+        errors.append((name, f"must be a real number, got {value!r}"))
+        return None
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one study run depends on.  See module docstring."""
@@ -178,14 +191,18 @@ class ExperimentConfig:
         errors = []
         if self.study not in STUDY_KINDS:
             errors.append(("study", f"unknown kind {self.study!r}; expected one of {STUDY_KINDS}"))
-        not_integers = [
+        not_numbers = [
             (name, f"must be an integer, got {getattr(self, name)!r}")
             for name in ("d", "N", "M")
             if not is_integer(getattr(self, name))
+        ] + [
+            (name, f"must be a real number, got {getattr(self, name)!r}")
+            for name in ("L", "T")
+            if not _is_real(getattr(self, name))
         ]
-        errors.extend(not_integers)
+        errors.extend(not_numbers)
         grid = None
-        if not not_integers:
+        if not not_numbers:
             try:
                 grid = self.grid()
             except (ValueError, TypeError) as exc:
@@ -229,17 +246,18 @@ class ExperimentConfig:
                 errors.append((name, f"must be an integer, got {value!r}"))
             elif value < least:
                 errors.append((name, f"need ≥ {least}, got {value}"))
-        if isinstance(self.lam, bool) or not isinstance(self.lam, numbers.Real):
+        if not _is_real(self.lam):
             errors.append(("lambda", f"must be a real number, got {self.lam!r}"))
         elif not (self.lam >= 0.0 and math.isfinite(self.lam)):
             errors.append(("lambda", f"must be finite and nonnegative, got {self.lam}"))
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             errors.append(("tolerances", f"unknown names {sorted(unknown)}"))
-        bad = [k for k, v in self.tolerances.items()
-               if k in DEFAULT_TOLERANCES and not (isinstance(v, (int, float)) and v > 0)]
+        bad = [k for k, v in self.tolerances.items() if k in DEFAULT_TOLERANCES
+               and not (_is_real(v) and math.isfinite(v) and v > 0)]
         if bad:
-            errors.append(("tolerances", f"non-positive values for {sorted(bad)}"))
+            errors.append(("tolerances", f"non-positive, infinite or non-real values "
+                                         f"for {sorted(bad)}"))
         if errors:
             raise ConfigError(errors)
 
@@ -285,13 +303,11 @@ class ExperimentConfig:
         for key in ("d", "N", "M", "seed", "num_paths", "refine_levels"):
             if key in data:
                 kwargs[key] = _integral(key, data[key], errors)
+        for key, name in (("L", "L"), ("T", "T"), ("lambda", "lam")):
+            if key in data:
+                kwargs[name] = _real(key, data[key], errors)
         if errors:
             raise ConfigError(errors)
-        for key in ("L", "T"):
-            if key in data:
-                kwargs[key] = float(data[key])
-        if "lambda" in data:
-            kwargs["lam"] = float(data["lambda"])
         if "n" in data:
             kwargs["n"] = data["n"] if isinstance(data["n"], list) else [data["n"]]
         if "initial" in data:

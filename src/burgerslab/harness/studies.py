@@ -25,7 +25,9 @@ heat
     Deterministic single-mode oracle (λ = 0, 1-D): the solver and the
     log-gradient transform against the analytic solution on three coupled
     refinement levels (dt ∝ dx²), with max errors bounded by
-    heat_C·(dt + dx²) and measured spatial order 2.
+    heat_C·(dt + dx²) and measured spatial order 2.  Each level marches
+    Z₀ = 1 + a·cos chunk by chunk with zero increments and takes the maxima
+    from each checked chunk, so no trajectory is held.
 burgers
     The weak-form identity at the config resolution: per-test-function
     relative gap |lhs − rhs| / |rhs|, and — when refine_levels ≥ 3 — a
@@ -159,10 +161,10 @@ def measure_order(gaps, hs) -> float:
 # shared pieces
 
 
-def _pipeline(grid, seed, lam, n, f, z0_override=None):
+def _pipeline(grid, seed, lam, n, f):
     """Sample → mollify → solve; the standard run."""
     mn = mollify(sample_noise(grid, seed, lam), make_mollifier(grid, n))
-    return solve_heat(grid, mn, f, z0_override=z0_override)
+    return solve_heat(grid, mn, f)
 
 
 def _initial_on(cfg: ExperimentConfig, grid: TorusGrid):
@@ -381,24 +383,31 @@ def _study_heat(cfg: ExperimentConfig) -> StudyReport:
 
     errs_z, errs_u, dxs = [], [], []
     table = ["N,M,dx,dt,err_z,err_u"]
-    n0 = cfg.n[0]
     for fac in (4, 2, 1):
         g = TorusGrid(d=1, N=cfg.N // fac, M=cfg.M // fac**2, L=cfg.L, T=cfg.T)
         x = g.axis_coords()
         wavenum = 2.0 * math.pi / g.L
-        z0 = 1.0 + amp * np.cos(wavenum * x)
-        sol = _pipeline(g, cfg.seed, 0.0, n0, initial_zero(g), z0_override=z0)
         times = g.times()
-        # the errors are maxima, so taking them per chunk of H is exact
+        # λ = 0: zero increments and compensator 0, so every noise factor is 1
+        chunk = chunk_steps(g)
+        quiet = np.zeros((chunk,) + g.shape)
+        block = np.empty((1, chunk + 1) + g.shape)
+        block[0, 0] = 1.0 + amp * np.cos(wavenum * x)
+        # the errors are maxima, so taking them per checked chunk is exact
         err_z = err_u = 0.0
-        for lo, hi, H in cole_hopf(sol):
+        for lo in range(0, g.M, chunk):
+            hi = min(lo + chunk, g.M)
+            Z = block[:, : hi - lo + 1]
+            march(g, Z, [quiet[: hi - lo]], [0.0], lo)
+            H = checked_log(Z[0], lo)
             decay = np.exp(-(wavenum**2) * times[lo : hi + 1])
             z_exact = 1.0 + amp * decay[:, None] * np.cos(wavenum * x)[None, :]
-            err_z = max(err_z, float(np.max(np.abs(sol.values[lo : hi + 1] - z_exact))))
+            err_z = max(err_z, float(np.max(np.abs(Z[0] - z_exact))))
             u_num = gradient_values(H, g.dx, 1)[0]
             u_exact = (-amp * wavenum * decay[:, None] * np.sin(wavenum * x)[None, :]
                        / z_exact)
             err_u = max(err_u, float(np.max(np.abs(u_num - u_exact))))
+            block[:, 0] = Z[:, -1]
         budget = tol["heat_C"] * (g.dt + g.dx**2)
         report.add(f"err_z_N{g.N}", err_z, err_z <= budget, target=0.0, tol=budget)
         report.add(f"err_u_N{g.N}", err_u, err_u <= budget, target=0.0, tol=budget)
@@ -428,54 +437,41 @@ def _study_heat(cfg: ExperimentConfig) -> StudyReport:
 # burgers
 
 
-def _burgers_level(chunks, grid, fac, m, f, lam, pairings):
-    """Pair one ladder level over chunks of the master realization.
-
-    Each chunk of fine increments from ``chunks`` is coarse-grained by
-    ``fac``, mollified, marched from the previous chunk's last slice, taken
-    through the checked log and paired into ``pairings``; then the fine
-    chunk is passed on, so levels chained one after another advance in
-    lockstep.
-    """
-    tf = fac * fac
-
-    def noise():
-        for fine in chunks:
-            lo, hi, dw = fine
-            dw = block_sum(dw, fac)
-            yield lo // tf, hi // tf, [mollify_increments(m, dw, lam)], dw, fine
-
-    z0 = np.exp(f.values)
-    for (lo, hi, (dwn,), dw, fine), Z in march(grid, z0, [compensator(lam, m, grid.dt)], noise()):
-        pairings.add(lo, hi, checked_log(Z[0], lo), dwn, dw)
-        yield fine
-
-
 def _burgers_reports(cfg: ExperimentConfig) -> list:
     """(grid, weak-form reports) of every ladder level, coarsest first, in one pass.
 
     The master realization is drawn a chunk of fine steps at a time (the
     largest multiple of the coarsest level's fac² steps within
     `chunk_steps`, and at least one), and each chunk goes through every
-    level before the next is drawn, so no level holds more than a chunk of
-    noise, Z or H.  The reports equal those of `weak_residual_batch` over
-    `solve_heat` of each coarse-grained, mollified realization.
+    level, coarsest first, before the next is drawn; each level marches in
+    a one-chunk buffer from the previous chunk's last slice, so no level
+    holds more than a chunk of noise, Z or H.  The reports equal those of
+    `weak_residual_batch` over `solve_heat` of each coarse-grained,
+    mollified realization.
     """
     grid = cfg.grid()
     factors = [2 ** (cfg.refine_levels - 1 - i) for i in range(cfg.refine_levels)]
     tf = factors[0] ** 2
     chunk = max(tf, chunk_steps(grid) // tf * tf)
-    stream = draw_chunks(grid, cfg.seed, cfg.lam, chunk)
     levels = []
     for fac in factors:
         g = coarse_grid(grid, fac)
         m = make_mollifier(g, cfg.n[0])
+        block = np.empty((1, chunk // fac**2 + 1) + g.shape)
+        block[0, 0] = np.exp(_initial_on(cfg, g).values)
         pairings = WeakPairings(g, build_bank(g, cfg.bank))
-        levels.append((g, m, pairings))
-        stream = _burgers_level(stream, g, fac, m, _initial_on(cfg, g), cfg.lam, pairings)
-    for _ in stream:
-        pass
-    return [(g, pairings.reports(m.scale_n, cfg.seed, cfg.lam)) for g, m, pairings in levels]
+        levels.append((fac, g, m, compensator(cfg.lam, m, g.dt), block, pairings))
+    for lo, hi, fine in draw_chunks(grid, cfg.seed, cfg.lam, chunk):
+        for fac, g, m, comp, block, pairings in levels:
+            a, b = lo // fac**2, hi // fac**2
+            dw = block_sum(fine, fac)
+            dwn = mollify_increments(m, dw, cfg.lam)
+            Z = block[:, : b - a + 1]
+            march(g, Z, [dwn], [comp], a)
+            pairings.add(a, b, checked_log(Z[0], a), dwn, dw)
+            block[:, 0] = Z[:, -1]
+    return [(g, pairings.reports(m.scale_n, cfg.seed, cfg.lam))
+            for _, g, m, _, _, pairings in levels]
 
 
 def _study_burgers(cfg: ExperimentConfig) -> StudyReport:
@@ -637,6 +633,7 @@ def _study_converge(cfg: ExperimentConfig) -> StudyReport:
             limit_by_phi.setdefault(phi.id, r.limit_pairing)
         if n == n_kpz:
             kpz_fine_value = float(np.sum(kpz_residual(sol)))
+    del sol  # the last scale's stack: nothing below reads it
 
     dev_curves = {}
     for phi in bank:
@@ -732,6 +729,8 @@ def _study_converge(cfg: ExperimentConfig) -> StudyReport:
         report.tables["cauchy.csv"] = cauchy_lines
         report.add_curves("cauchy_gaps", cauchy_curves,
                           xlabel="n", ylabel="|v(n_hi) - v(n_lo)|")
+        # nothing below reads the batch: drop its stacks before the KPZ ladder
+        del mns, sols, ref_sol
 
     # KPZ residual decay under coupled refinement of one realization
     kpz_values, kpz_dxs = [], []

@@ -26,24 +26,26 @@ module hold without a spurious constant.
 The scheme is linear in Z (the noise factor is a state-independent
 multiplier), explicit in time, and deterministic given the realization.
 
-`march` is the one time march.  It steps a batch: realizations that share
-the grid and the start Z₀ (say the mollification scales of one base noise)
-step together as one (S,) + grid stack, one Laplacian call per time step
-for the whole batch.  It is a generator over chunks of noise: it forms the
-noise factors of a short run of steps at a time, checks each finished chunk
-for finite, strictly positive Z (with two reductions, no mask) and yields
-it, so a numerical breakdown is reported at its step and node, and stops
-whatever feeds the march, instead of after all M steps.  `solve_heat`
-collects the chunks into the whole (M+1)-slice stack; the burgers study
-takes each chunk as it comes and keeps none.  Every operation of the
-per-step update is elementwise and kept in the order written above, so a
-batched or chunked trajectory equals the single march bit for bit.
+`march` is the one time march.  It advances a batch in place through one
+chunk of steps: realizations that share the grid and the start Z₀ (say the
+mollification scales of one base noise) step together as one (S,) + grid
+stack, one Laplacian call per time step for the whole batch.  It forms the
+noise factors of a short run of steps at a time and checks the finished
+chunk for finite, strictly positive Z (with two reductions, no mask), so a
+numerical breakdown is reported at its step and node, and stops the
+caller's chunk loop, instead of after all M steps.  Each caller writes its
+own chunk loop: `solve_heat` marches the overlapping chunks of the whole
+(M+1)-slice stack; the heat and burgers studies march a one-chunk buffer
+and carry its last slice into the next chunk, keeping none.  Every
+operation of the per-step update is elementwise and kept in the order
+written above, so a batched or chunked trajectory equals the single march
+bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -160,10 +162,9 @@ class HeatSolution:
 
     `values` stacks the M+1 time slices, shape (M+1,) + grid.shape, each
     checked by the march to be finite and strictly positive, and
-    `noise.base` is the realization underneath.  The studies that keep a
-    trajectory (heat, converge, section, fk-check) read H = log Z from it one
-    time chunk at a time through `colehopf.cole_hopf`; the burgers study
-    streams `march`'s chunks and builds no stack.
+    `noise.base` is the realization underneath.  Only the studies that read
+    a whole trajectory build one (converge, section, fk-check); the heat
+    and burgers studies march chunk by chunk and keep no trajectory.
     """
 
     grid: TorusGrid
@@ -220,22 +221,20 @@ def _check_chunk(
 
 def march(
     grid: TorusGrid,
-    z0: np.ndarray,
+    block: np.ndarray,
+    increments: Sequence,
     compensated: Sequence[float],
-    chunks: Iterable,
-    out: np.ndarray | None = None,
-):
-    """Step a batch of S members from z0 through chunks of noise, one chunk at a time.
+    first_step: int,
+) -> None:
+    """Advance a batch of S members through one chunk of K steps, in place.
 
-    ``chunks`` yields items (lo, hi, increments, ...): ``increments[s]`` is
-    member s's ΔWⁿ at steps lo .. hi − 1, and ``compensated[s]`` its
-    ½λ²c_n dt.  For each item the march yields (item, Z), Z of shape
-    (S, hi − lo + 1) + grid holding steps lo .. hi, so a consumer sees the
-    noise that drove the chunk next to its result.  Z is a view into
-    ``out`` (the whole (S, M+1) + grid stack) when given; otherwise it is a
-    chunk buffer that the next chunk overwrites.  Each chunk is checked for
-    finite Z > 0 before it is yielded, so a breakdown stops the march, and
-    whatever feeds it, in the chunk where it happens.
+    ``block`` has shape (S, K + 1) + grid: ``block[:, 0]`` holds Z at step
+    ``first_step``, and the march writes steps first_step + 1 ..
+    first_step + K into ``block[:, 1:]``.  ``increments[s]`` is member s's
+    ΔWⁿ at steps first_step .. first_step + K − 1 and ``compensated[s]`` its
+    ½λ²c_n dt.  The whole block, start included, is checked for finite
+    Z > 0 before the march returns, so a breakdown stops the caller's chunk
+    loop in the chunk where it happens.
     """
     margin = stability_check(grid)
     if margin < 0.0:
@@ -243,45 +242,32 @@ def march(
             f"stability violation: margin {margin!r} < 0 (dt too large for dx)"
         )
     d, dx, dt = grid.d, grid.dx, grid.dt
-    S = len(compensated)
+    S, K = block.shape[0], block.shape[1] - 1
     # step buffers: the current slices and their update, contiguous over the batch
-    z = np.empty((S,) + grid.shape)
-    z[...] = z0
+    z = block[:, 0].copy()
     step = np.empty_like(z)
     # the noise factors of at most this many steps exist at once
-    run = max(1, _CHUNK_BYTES // (S * grid.num_nodes * 8))
+    run = max(1, min(K, _CHUNK_BYTES // (S * grid.num_nodes * 8)))
     factors = np.empty((run, S) + grid.shape)
-    buffer = None
-    for item in chunks:
-        lo, hi, increments = item[:3]
-        if out is not None:
-            block = out[:, lo : hi + 1]
-        else:
-            if buffer is None or buffer.shape[1] < hi - lo + 1:
-                buffer = np.empty((S, hi - lo + 1) + grid.shape)
-            block = buffer[:, : hi - lo + 1]
-        block[:, 0] = z
-        for a in range(0, hi - lo, run):
-            b = min(a + run, hi - lo)
-            fac = factors[: b - a]
-            for s, inc in enumerate(increments):
-                np.subtract(inc[a:b], compensated[s], out=fac[:, s])
-            np.exp(fac, out=fac)
-            for k in range(a, b):
-                laplacian_values(z, dx, d, out=step)
-                step *= dt
-                step += z
-                np.multiply(step, fac[k - a], out=z)
-                block[:, k + 1] = z
-        _check_chunk(block, lo, increments, compensated, grid)
-        yield item, block
+    for a in range(0, K, run):
+        b = min(a + run, K)
+        fac = factors[: b - a]
+        for s, inc in enumerate(increments):
+            np.subtract(inc[a:b], compensated[s], out=fac[:, s])
+        np.exp(fac, out=fac)
+        for k in range(a, b):
+            laplacian_values(z, dx, d, out=step)
+            step *= dt
+            step += z
+            np.multiply(step, fac[k - a], out=z)
+            block[:, k + 1] = z
+    _check_chunk(block, first_step, increments, compensated, grid)
 
 
 def solve_heat(
     grid: TorusGrid,
     noise: MollifiedNoise | Sequence[MollifiedNoise],
     f: InitialData,
-    z0_override: np.ndarray | None = None,
 ) -> HeatSolution | list[HeatSolution]:
     """March the scheme from exp(f) through all M steps of the realization.
 
@@ -294,23 +280,19 @@ def solve_heat(
         on one grid marches as one (S,) + grid stack from the same start.
     f : InitialData
         Initial profile; the trajectory starts at exp(f) exactly.
-    z0_override : ndarray, optional
-        Test hook: start from these strictly positive values instead of
-        exp(f).  Used by linear-solution oracles that need initial data
-        which is not the exponential of a preset.
 
     Returns
     -------
     HeatSolution, or a list of them (one per noise, in order) for a sequence
-        values[0] is exp(f) (or the override) exactly; every slice is
-        strictly positive.  The stack is `march`'s chunks, collected.
+        values[0] is exp(f) exactly; every slice is strictly positive.  The
+        stack is marched in place by `march`, one chunk at a time.
 
     Raises
     ------
     ValueError
-        On a grid mismatch, a stability violation, a bad override, or as
-        soon as a finished time chunk holds a Z that is not finite and
-        strictly positive, naming its step and node.
+        On a grid mismatch, a stability violation, or as soon as a finished
+        time chunk holds a Z that is not finite and strictly positive,
+        naming its step and node.
     """
     batched = not isinstance(noise, MollifiedNoise)
     noises = list(noise) if batched else [noise]
@@ -320,26 +302,17 @@ def solve_heat(
         raise ValueError("noise realization lives on a different grid")
     if f.grid != grid:
         raise ValueError("initial data lives on a different grid")
-    if z0_override is not None:
-        z0 = np.asarray(z0_override, dtype=np.float64)
-        if z0.shape != grid.shape:
-            raise ValueError(f"z0 override must have shape {grid.shape}")
-        if not np.all(z0 > 0.0):
-            raise ValueError("z0 override must be strictly positive")
-    else:
-        z0 = np.exp(f.values)
 
     M, S = grid.M, len(noises)
     compensated = [compensator(mn.lam, mn.mollifier, grid.dt) for mn in noises]
     values = np.empty((S, M + 1) + grid.shape)
+    values[:, 0] = np.exp(f.values)
     # checked chunks as long as the march's factor runs
     chunk = max(1, min(M, _CHUNK_BYTES // (S * grid.num_nodes * 8)))
-    chunks = (
-        (lo, min(lo + chunk, M), [mn.increments[lo : lo + chunk] for mn in noises])
-        for lo in range(0, M, chunk)
-    )
-    for _ in march(grid, z0, compensated, chunks, out=values):
-        pass
+    for lo in range(0, M, chunk):
+        hi = min(lo + chunk, M)
+        increments = [mn.increments[lo:hi] for mn in noises]
+        march(grid, values[:, lo : hi + 1], increments, compensated, lo)
     sols = [
         HeatSolution(grid=grid, noise=mn, values=values[s]) for s, mn in enumerate(noises)
     ]

@@ -143,10 +143,13 @@ def _errors(**fields):
     ("burgers", "refine_levels", "2", "refine_levels"),
     ("fk-check", "lam", "1", "lambda"),
     ("fk-check", "lam", True, "lambda"),
+    ("fk-check", "L", True, "L"),
+    ("fk-check", "T", "0.1", "T"),
 ])
 def test_validate_names_fields_it_would_otherwise_coerce(study, key, value, name):
     # direct construction skips from_dict's conversion: seed=7.5 drew seed 7's
-    # bits while study.json echoed 7.5, and lam="1" escaped as a TypeError
+    # bits while study.json echoed 7.5, lam="1" escaped as a TypeError, L=True
+    # validated, and T="0.1" was reported under grid as a raw comparison error
     fields = dict(study=study, N=32, M=410, n=4) if study == "fk-check" else dict(study=study)
     errors = _errors(**fields, **{key: value})
     assert [field for field, _ in errors] == [name]
@@ -156,6 +159,21 @@ def test_validate_names_fields_it_would_otherwise_coerce(study, key, value, name
             next(draw_chunks(ExperimentConfig(**fields).grid(), value, 1.0, 1))
         with pytest.raises(ValueError, match="nonnegative integer"):
             fk._brownian_rng(value)
+
+
+@pytest.mark.parametrize("key,value", [("lambda", "1"), ("lambda", "abc"), ("T", True), ("L", "1.0")])
+def test_from_dict_names_real_fields_it_would_otherwise_coerce(key, value):
+    # seen: "lambda": "1" and "T": true loaded as 1.0, and "lambda": "abc"
+    # escaped as a bare ValueError
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict({"study": "qv", key: value})
+    assert err.value.errors == [(key, f"must be a real number, got {value!r}")]
+    # an int still converts to a float, so the study.json echo keeps its form
+    whole = ExperimentConfig.from_dict({"study": "qv", "lambda": 2, "L": 1, "T": 1})
+    assert [type(v) for v in (whole.lam, whole.L, whole.T)] == [float] * 3
+    # an int still converts to a float, so the study.json echo keeps its form
+    whole = ExperimentConfig.from_dict({"study": "qv", "lambda": 2, "L": 1, "T": 1})
+    assert [type(v) for v in (whole.lam, whole.L, whole.T)] == [float] * 3
 
 
 @pytest.mark.parametrize("study", ["heat", "converge"])
@@ -210,6 +228,12 @@ def test_validate_rejects_unknown_and_nonpositive_tolerances():
         ExperimentConfig(study="qv", tolerances={"not_a_knob": 1.0}).validate()
     with pytest.raises(ConfigError, match="non-positive"):
         ExperimentConfig(study="qv", tolerances={"qv_rel": 0.0}).validate()
+    # seen: inf wrote "tol": Infinity (not JSON) into study.json, a section
+    # inf died only after the whole study ran, and True was used as 1
+    for name, value in (("qv_rel", math.inf), ("section_order_min", math.inf), ("cn_order", True)):
+        errors = _errors(study="qv", tolerances={name: value})
+        assert [field for field, _ in errors] == ["tolerances"]
+        assert f"for [{name!r}]" in errors[0][1]
 
 
 def test_from_dict_rejects_unknown_keys_and_missing_study():

@@ -9,10 +9,13 @@ import pytest
 from burgerslab.lattice import TorusGrid, laplacian_values
 from burgerslab.noise import MollifiedNoise, make_mollifier, mollify, sample_noise
 from burgerslab.heat import (
+    InitialData,
+    compensator,
     initial_cosine,
     initial_gaussian_bump,
     initial_zero,
     make_initial,
+    march,
     solve_heat,
     stability_check,
 )
@@ -29,6 +32,15 @@ def _mollified(grid, seed=0, lam=1.0, n=4):
     return mollify(sample_noise(grid, seed=seed, lam=lam), make_mollifier(grid, n))
 
 
+def _march_from(grid, noise, z0):
+    """The M+1 slices of the scheme from an arbitrary start z0: one `march` chunk."""
+    block = np.empty((1, grid.M + 1) + grid.shape)
+    block[0, 0] = z0
+    comp = compensator(noise.lam, noise.mollifier, grid.dt)
+    march(grid, block, [noise.increments], [comp], 0)
+    return block[0]
+
+
 def test_stability_margin_values():
     assert stability_check(TorusGrid(d=1, N=16, M=512, T=1.0)) == pytest.approx(0.0)
     g2 = TorusGrid(d=2, N=16, M=2048, T=1.0)  # dt = dx²/8
@@ -41,18 +53,18 @@ def test_zero_noise_step_is_explicit_heat_step():
     g = _stable_grid()
     rng = np.random.default_rng(1)
     z0 = np.exp(rng.standard_normal(g.shape))
-    sol = solve_heat(g, _mollified(g, lam=0.0), initial_zero(g), z0_override=z0)
+    values = _march_from(g, _mollified(g, lam=0.0), z0)
     for k in (0, g.M // 2, g.M - 1):
-        z = sol.values[k]
+        z = values[k]
         explicit = z + g.dt * laplacian_values(z, g.dx)
-        assert np.array_equal(sol.values[k + 1], explicit)
+        assert np.array_equal(values[k + 1], explicit)
 
 
 def test_constants_are_heat_invariant():
     g = _stable_grid()
     z0 = np.full(g.shape, 2.5)
-    sol = solve_heat(g, _mollified(g, lam=0.0), initial_zero(g), z0_override=z0)
-    assert np.allclose(sol.values, 2.5, rtol=0, atol=1e-14)
+    values = _march_from(g, _mollified(g, lam=0.0), z0)
+    assert np.allclose(values, 2.5, rtol=0, atol=1e-14)
 
 
 def test_step_rejects_bad_input():
@@ -60,12 +72,14 @@ def test_step_rejects_bad_input():
     with pytest.raises(ValueError, match="stability"):
         solve_heat(unstable, _mollified(unstable, n=2), initial_zero(unstable))
     g = _stable_grid()
-    noise, f = _mollified(g), initial_zero(g)
+    noise = _mollified(g)
     one_zero = np.concatenate([[0.0], np.ones(g.N - 1)])
-    with pytest.raises(ValueError, match="positive"):
-        solve_heat(g, noise, f, z0_override=one_zero)
+    # a zero node in the start fails the march's step-0 check
+    with pytest.raises(ValueError, match=r"Z > 0.*step 0, node \(0,\) is 0\.0$"):
+        _march_from(g, noise, one_zero)
+    # a start of the wrong shape is rejected where it is built
     with pytest.raises(ValueError, match="shape"):
-        solve_heat(g, noise, f, z0_override=np.ones(g.N + 1))
+        InitialData(g, np.log(np.ones(g.N + 1)))
 
 
 def test_noise_factor_has_mean_one():
@@ -101,21 +115,16 @@ def test_positivity_along_noisy_trajectory():
 
 
 def test_single_mode_oracle_second_order():
-    # Z(t) = 1 + a e^{−(2π/L)²t} cos(2πx/L), injected via the z0 hook
+    # Z(t) = 1 + a e^{−(2π/L)²t} cos(2πx/L), marched from its own start
     a, T = 0.5, 0.1
     kappa = (2 * np.pi) ** 2
     errs = []
     for N, M in [(32, 512), (64, 2048), (128, 8192)]:
         g = TorusGrid(d=1, N=N, M=M, T=T)
         x = g.axis_coords()
-        sol = solve_heat(
-            g,
-            _mollified(g, lam=0.0),
-            initial_zero(g),
-            z0_override=1.0 + a * np.cos(2 * np.pi * x),
-        )
+        values = _march_from(g, _mollified(g, lam=0.0), 1.0 + a * np.cos(2 * np.pi * x))
         exact = 1.0 + a * math.exp(-kappa * T) * np.cos(2 * np.pi * x)
-        err = float(np.max(np.abs(sol.values[-1] - exact)))
+        err = float(np.max(np.abs(values[-1] - exact)))
         errs.append(err)
         assert err <= 1.0 * (g.dt + g.dx**2)
     order01 = math.log2(errs[0] / errs[1])
@@ -140,16 +149,12 @@ def test_ensemble_mean_solves_deterministic_heat():
 def test_scheme_is_linear_in_initial_data():
     g = _stable_grid(N=32)
     noise = _mollified(g, seed=9, lam=1.0)
-    f = initial_zero(g)
     rng = np.random.default_rng(4)
     z1 = np.exp(rng.standard_normal(g.shape))
     z2 = np.exp(rng.standard_normal(g.shape))
     a, b = 0.7, 1.9
-    combined = solve_heat(g, noise, f, z0_override=a * z1 + b * z2).values[-1]
-    split = (
-        a * solve_heat(g, noise, f, z0_override=z1).values[-1]
-        + b * solve_heat(g, noise, f, z0_override=z2).values[-1]
-    )
+    combined = _march_from(g, noise, a * z1 + b * z2)[-1]
+    split = a * _march_from(g, noise, z1)[-1] + b * _march_from(g, noise, z2)[-1]
     assert np.allclose(combined, split, rtol=1e-12, atol=0)
 
 
@@ -162,7 +167,7 @@ def test_solver_validates_inputs():
     with pytest.raises(ValueError):
         solve_heat(g, noise, initial_zero(other))
     with pytest.raises(ValueError):
-        solve_heat(g, noise, initial_zero(g), z0_override=np.zeros(g.shape))
+        _march_from(g, noise, np.zeros(g.shape))
     unstable = TorusGrid(d=1, N=32, M=4, T=1.0)
     with pytest.raises(ValueError):
         solve_heat(unstable, _mollified(unstable), initial_zero(unstable))
@@ -195,14 +200,17 @@ def test_batched_march_equals_single_marches_bit_for_bit(d, N, T, override, chun
         # chunks of a few steps, with a short last chunk
         monkeypatch.setattr("burgerslab.heat._CHUNK_BYTES", chunk_bytes * N**d)
     g = _stable_grid(d=d, N=N, T=T)
-    f = initial_cosine(g, a=0.4)
-    z0 = np.exp(np.random.default_rng(2).standard_normal(g.shape)) if override else None
+    if override:
+        # an arbitrary start, not one of the presets
+        f = InitialData(g, np.random.default_rng(2).standard_normal(g.shape))
+    else:
+        f = initial_cosine(g, a=0.4)
     for lams in ([1.0, 0.5], [1.0, 0.0, 2.0]):
         noises = _noises(g, lams)
-        batch = solve_heat(g, noises, f, z0_override=z0)
+        batch = solve_heat(g, noises, f)
         assert len(batch) == len(noises)
         for mn, sol in zip(noises, batch):
-            single = solve_heat(g, mn, f, z0_override=z0)
+            single = solve_heat(g, mn, f)
             assert sol.noise is mn
             assert np.array_equal(sol.values, single.values)
     # the march is the scheme, step for step
