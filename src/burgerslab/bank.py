@@ -310,6 +310,8 @@ def build_bank(grid: TorusGrid, specs=None):
         )
         tf.validate_on(grid)
         bank.append(tf)
+    if not bank:
+        raise ValueError("need at least one test function")
     ids = [tf.id for tf in bank]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate test function ids in bank: {ids}")

@@ -6,6 +6,11 @@ kind, and the tolerances the verdict is judged against.  Validation is
 total — every offending field is reported by name in one pass, so a bad
 config never dies halfway through a run.
 
+``validate()`` checks what every study shares (kind, field types, the
+config grid and its stability, n, seed, num_paths, refine_levels, lambda,
+tolerances), then runs and returns the study's plan (``harness.studies``):
+each study checks what it builds — its ladders, scales, initial data, bank.
+
 Tolerances default to the acceptance thresholds; tightening them is a
 config edit, not a code change.
 """
@@ -19,10 +24,8 @@ import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from burgerslab.bank import build_bank
-from burgerslab.heat import make_initial, stability_check
+from burgerslab.heat import stability_check
 from burgerslab.lattice import TorusGrid, is_integer
-from burgerslab.noise import make_mollifier
 
 __all__ = ["ExperimentConfig", "ConfigError", "STUDY_KINDS", "DEFAULT_TOLERANCES"]
 
@@ -136,58 +139,14 @@ class ExperimentConfig:
     def grid(self) -> TorusGrid:
         return TorusGrid(d=self.d, N=self.N, M=self.M, L=self.L, T=self.T)
 
-    def mollifier_scales(self) -> tuple:
-        """The scales the study mollifies at: ``converge`` runs (4, 8, 16, 32) for one n."""
-        if self.study == "converge" and len(self.n) < 2:
-            return (4, 8, 16, 32)
-        return self.n
+    def validate(self):
+        """Check the shared fields, then run the study's plan and return it.
 
-    def _ladder_errors(self) -> list:
-        """Named errors of the coarse grids the study's refinement ladders run on.
-
-        heat and the converge KPZ ladder coarsen the grid by 2 and 4, burgers
-        by up to 2^(refine_levels − 1), all at dt ∝ dx²; the coarsest grid
-        must exist and resolve the scale mollified on it.
+        The plan runs once the fields it reads are well formed (a known kind,
+        a grid, some n, refine_levels ≥ 1); both report in one ConfigError.
         """
-        errors = []
-        coarsest, name = 1, "grid"
-        if self.study in ("heat", "converge"):
-            what = "three-level heat ladder" if self.study == "heat" else "KPZ ladder"
-            if self.N % 4:
-                errors.append(("N", f"the {what} needs N divisible by 4, got {self.N}"))
-            if self.M % 16:
-                errors.append(("M", f"the {what} needs M divisible by 16, got {self.M}"))
-            coarsest = 4
-        elif (self.study == "burgers" and is_integer(self.refine_levels)
-              and self.refine_levels >= 1):
-            coarsest, name = 2 ** (self.refine_levels - 1), "refine_levels"
-            if self.N % coarsest or self.M % coarsest**2:
-                errors.append(
-                    (name, f"a {self.refine_levels}-level coupled ladder needs N divisible "
-                           f"by {coarsest} and M by {coarsest**2}; got N={self.N}, M={self.M}")
-                )
-        elif self.study == "section" and self.M < 64:
-            errors.append(
-                ("M", f"the section window eps = T/32 must cover two time steps; "
-                      f"need M ≥ 64, got {self.M}")
-            )
-        if errors or coarsest == 1 or not self.n:
-            return errors
-        scale = self.mollifier_scales()[1] if self.study == "converge" else self.n[0]
-        at = f"the coarsest ladder grid (N/{coarsest}, M/{coarsest**2})"
-        try:
-            coarse = TorusGrid(d=self.d, N=self.N // coarsest, M=self.M // coarsest**2,
-                               L=self.L, T=self.T)
-        except ValueError as exc:
-            return [(name, f"{at}: {exc}")]
-        try:
-            make_mollifier(coarse, scale)
-        except ValueError as exc:
-            errors.append(("n", f"scale {scale} on {at}: {exc}"))
-        return errors
+        from burgerslab.harness.studies import STUDIES
 
-    def validate(self) -> None:
-        """Collect every named field error; raise ConfigError if any."""
         errors = []
         if self.study not in STUDY_KINDS:
             errors.append(("study", f"unknown kind {self.study!r}; expected one of {STUDY_KINDS}"))
@@ -214,32 +173,8 @@ class ExperimentConfig:
                     ("M", f"explicit scheme unstable: margin {margin:.3f} < 0 "
                           f"(need dt ≤ dx²/(2d))")
                 )
-            if not self.n:
-                errors.append(("n", "need at least one mollifier scale"))
-            scales = self.mollifier_scales()
-            for scale in dict.fromkeys(self.n + scales):
-                try:
-                    make_mollifier(grid, scale)
-                except (ValueError, TypeError) as exc:
-                    runs = "" if scale in self.n else f" (converge runs {scales} for one n)"
-                    errors.append(("n", f"scale {scale}{runs}: {exc}"))
-            errors.extend(self._ladder_errors())
-            try:
-                make_initial(grid, self.initial_kind, self.initial_params)
-            except (ValueError, TypeError, KeyError) as exc:
-                errors.append(("initial", f"{self.initial_kind!r}: {exc}"))
-            else:
-                if self.study == "heat" and self.initial_kind == "cosine":
-                    # the heat oracle starts from Z = 1 + a·cos, which must stay
-                    # positive, and a = 0 leaves no error to measure an order from
-                    a = float(self.initial_params["a"])
-                    if not 0.0 < abs(a) < 1.0:
-                        errors.append(("initial", f"the heat oracle's single-mode "
-                                                  f"amplitude must satisfy 0 < |a| < 1, got {a}"))
-            try:
-                build_bank(grid, list(self.bank) if self.bank is not None else None)
-            except (ValueError, TypeError) as exc:
-                errors.append(("bank", str(exc)))
+        if not self.n:
+            errors.append(("n", "need at least one mollifier scale"))
         for name, least in (("seed", 0), ("num_paths", 100), ("refine_levels", 1)):
             value = getattr(self, name)
             if not is_integer(value):
@@ -258,8 +193,16 @@ class ExperimentConfig:
         if bad:
             errors.append(("tolerances", f"non-positive, infinite or non-real values "
                                          f"for {sorted(bad)}"))
+        plan = None
+        if (grid is not None and self.study in STUDY_KINDS and self.n
+                and is_integer(self.refine_levels) and self.refine_levels >= 1):
+            try:
+                plan = STUDIES[self.study][0](self, grid)
+            except ConfigError as exc:
+                errors.extend(exc.errors)
         if errors:
             raise ConfigError(errors)
+        return plan
 
     # -- serialization ---------------------------------------------------
 

@@ -1,10 +1,14 @@
 """The seven verification studies behind the CLI.
 
-Each study takes a validated ExperimentConfig, runs one block of numerical
-checks, and returns a StudyReport whose items carry named pass/fail
-verdicts against the config's tolerance table.  ``run_study`` dispatches by
-study kind and emits the report's artifacts (study.json, CSV tables, SVG
-charts) into the resolved output directory.
+Each study is a plan and a run, registered together in ``STUDIES``.  The
+plan ``_plan_<kind>(cfg, grid)`` builds the grids, mollifiers, bank and
+initial data the study runs on (nothing larger than one N^d slice) and
+raises one ConfigError naming the field of each check it fails;
+``ExperimentConfig.validate()`` returns it.  The run
+``_study_<kind>(cfg, report, *plan)`` fills a StudyReport with named
+pass/fail verdicts against the config's tolerance table, and ``run_study``
+emits its artifacts (study.json, CSV tables, SVG charts).  Every planned
+scale must be resolved (1/n ≥ 4·dx, 2/n ≤ L) on each grid it is built on.
 
 Study kinds
 -----------
@@ -15,19 +19,21 @@ noise-check
     covariance of mollified increments against dt·h_n(lag).  The two
     statistical blocks run on small fixed 1-D lattices regardless of the
     config dimension — they are per-node scalar laws, and the reduced size
-    buys seed count.
+    buys seed count.  Plan: each n, and n[0] on the 128-node lag grid.
 qv
     Quadratic variation of a single mollified path at one node against
     λ²·c_n_discrete (M = 10⁴ forced, the criterion's sample size), plus the
     second-order convergence c_n_discrete → ‖ρ‖²·n^d under dx → dx/2 on a
-    dedicated 1-D ladder.
+    dedicated 1-D ladder from 4n nodes (at least 64).  Plan: each n on the
+    path grid and on its ladder.
 heat
     Deterministic single-mode oracle (λ = 0, 1-D): the solver and the
     log-gradient transform against the analytic solution on three coupled
     refinement levels (dt ∝ dx²), with max errors bounded by
     heat_C·(dt + dx²) and measured spatial order 2.  Each level marches
     Z₀ = 1 + a·cos chunk by chunk with zero increments and takes the maxima
-    from each checked chunk, so no trajectory is held.
+    from each checked chunk, so no trajectory is held.  Plan: N % 4 = M % 16
+    = 0, a cosine amplitude 0 < |a| < 1; nothing is mollified.
 burgers
     The weak-form identity at the config resolution: per-test-function
     relative gap |lhs − rhs| / |rhs|, and — when refine_levels ≥ 3 — a
@@ -38,12 +44,13 @@ burgers
     The study is one streaming pass: each time chunk of the master
     realization is coarse-grained, mollified, marched, logged and paired on
     every level before the next chunk is drawn, so no space-time stack is
-    held.
+    held.  Plan: 2^(refine_levels − 1) divides N, its square M; n[0], f and
+    the bank on every level.
 fk-check
     Random-walk estimates of Z at five probe points against the solver
     (calibrated mode, |z| ≤ fk_sigma), the Monte-Carlo error exponent
     stderr ∝ paths^(−1/2), and the λ = 0 block where both correction modes
-    must agree bitwise.
+    must agree bitwise.  Plan: n[0] and the initial data on the config grid.
 converge
     The mollification ladder n ∈ {4, 8, 16, 32} on one fixed grid and one
     fixed realization: per test function, |rhs(n) − limit_pairing| must
@@ -58,7 +65,9 @@ converge
     same scheme driven by the raw increments through a delta kernel) for
     every test function; and the KPZ residual sum must decay with order
     ≥ kpz_order_min under coupled refinement, vanishing exactly for flat
-    λ = 0 data.
+    λ = 0 data.  Plan: N % 4 = M % 16 = 0, the second scale on the N/4 and
+    N/2 grids; in d = 1 at least 3 strictly increasing scales below N (the
+    reference's), as the Cauchy monotone gate needs two ladder gaps.
 section
     Time sections of the gradient field by averaging against a shrinking
     one-sided bump: in the λ = 0 branch |s(eps) − ⟨∇f, φ_x⟩| must decay
@@ -66,6 +75,7 @@ section
     and the two evaluation routes (via H, via U) must agree to
     duality_tol; the λ > 0 branch is reported without a tolerance —
     fluctuations of time sections at t → 0 are unbounded in distribution.
+    Plan: M ≥ 64, so that eps = T/32 covers two steps; n[0], f and the bank.
 
 All numerics reduce through plain elementwise kernels and np.sum/np.mean
 (no BLAS reductions), so reports are byte-identical across thread counts;
@@ -76,6 +86,8 @@ to that.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import time
 
 import numpy as np
@@ -121,7 +133,7 @@ from burgerslab.colehopf import (
     weak_residual_csv_lines,
 )
 from burgerslab.fk import fk_csv_lines, fk_estimate, z_score
-from burgerslab.harness.config import ExperimentConfig
+from burgerslab.harness.config import ConfigError, ExperimentConfig
 from burgerslab.harness.reports import StudyReport, emit_reports, resolve_out_dir
 
 __all__ = ["STUDIES", "measure_order", "run_study"]
@@ -161,40 +173,54 @@ def measure_order(gaps, hs) -> float:
 # shared pieces
 
 
-def _pipeline(grid, seed, lam, n, f):
-    """Sample → mollify → solve; the standard run."""
-    mn = mollify(sample_noise(grid, seed, lam), make_mollifier(grid, n))
-    return solve_heat(grid, mn, f)
+def _planned(errors: list, name: str, what: str, build, *args):
+    """``build(*args)``, or None with the failure recorded under ``name``."""
+    try:
+        return build(*args)
+    except (ValueError, TypeError, KeyError) as exc:
+        errors.append((name, f"{what}: {exc}" if what else str(exc)))
+
+
+def _raise_errors(errors: list) -> None:
+    """Raise a plan's distinct errors as one ConfigError (a bank bad on every level is one)."""
+    if errors:
+        raise ConfigError(dict.fromkeys(errors))
 
 
 def _initial_on(cfg: ExperimentConfig, grid: TorusGrid):
     return make_initial(grid, cfg.initial_kind, dict(cfg.initial_params))
 
 
-def _grid_scale_noise(base):
-    """Mollified view whose kernel is the lattice delta: increments == base.
+def _quarter_errors(cfg: ExperimentConfig, what: str) -> list:
+    """The N and M errors of a ladder that coarsens the grid by 4 and 2 at dt ∝ dx²."""
+    errors = []
+    if cfg.N % 4:
+        errors.append(("N", f"the {what} needs N divisible by 4, got {cfg.N}"))
+    if cfg.M % 16:
+        errors.append(("M", f"the {what} needs M divisible by 16, got {cfg.M}"))
+    return errors
 
-    The sharpest mollifier the lattice can express — ρ_n at concentration
-    scale n = N, where one cell carries all the mass.  Convolution with it
-    reproduces the raw increments (up to FFT roundoff), and its variance
-    constant is dx^d·(1/dx^d)² = 1/cell_volume.  Used as the grid-scale
-    reference trajectory for the distributional-limit check.
-    """
-    g = base.grid
+
+def _ladder(errors: list, name: str, fine: TorusGrid, factors, n=None, cfg=None) -> list:
+    """(fac, grid, mollifier at n, cfg's f) per level whose grid builds, coarser by fac, fac²."""
+    levels = []
+    for fac in factors:
+        at = f"the {'coarsest ' if fac == factors[0] else ''}ladder grid (N/{fac}, M/{fac**2})"
+        g = _planned(errors, name, at, coarse_grid, fine, fac)
+        if g is not None:
+            where = f"scale {n} on {at}" if fac > 1 else f"scale {n}"
+            m = None if n is None else _planned(errors, "n", where, make_mollifier, g, n)
+            f = cfg and _planned(errors, "initial", repr(cfg.initial_kind), _initial_on, cfg, g)
+            levels.append((fac, g, m, f))
+    return levels
+
+
+def _grid_scale_mollifier(g: TorusGrid) -> Mollifier:
+    """The lattice delta, ρ_n at n = N, which make_mollifier rejects as the sub-grid limit."""
+    c = 1.0 / g.cell_volume
     kernel = np.zeros(g.shape)
-    kernel[(0,) * g.d] = 1.0 / g.cell_volume
-    delta = Mollifier(
-        grid=g,
-        scale_n=g.N,
-        c_n_continuum=1.0 / g.cell_volume,
-        c_n_discrete=1.0 / g.cell_volume,
-        kernel=kernel,
-    )
-    # Convolution with the lattice delta is the identity, so skip the FFT
-    # round trip and its roundoff (make_mollifier would reject this kernel
-    # as under-resolved: the delta is exactly the sub-grid-scale limit that
-    # guard is for).
-    return MollifiedNoise(base=base, mollifier=delta, increments=base.increments)
+    kernel[(0,) * g.d] = c
+    return Mollifier(grid=g, scale_n=g.N, c_n_continuum=c, c_n_discrete=c, kernel=kernel)
 
 
 def _mollification_defect(m, phi, grid) -> float:
@@ -231,14 +257,21 @@ def _u_l2_sq(sol) -> float:
 # noise-check
 
 
-def _study_noise_check(cfg: ExperimentConfig) -> StudyReport:
-    grid = cfg.grid()
+def _plan_noise_check(cfg: ExperimentConfig, grid: TorusGrid) -> tuple:
+    errors = []
+    mollifiers = [_planned(errors, "n", f"scale {n}", make_mollifier, grid, n) for n in cfg.n]
+    lag_grid = TorusGrid(d=1, N=128, M=8, L=cfg.L, T=cfg.T)
+    lag_m = _planned(errors, "n", f"scale {cfg.n[0]} on the 128-node lag grid",
+                     make_mollifier, lag_grid, cfg.n[0])
+    _raise_errors(errors)
+    return grid, mollifiers, TorusGrid(d=1, N=32, M=8, L=cfg.L, T=cfg.T), lag_m
+
+
+def _study_noise_check(cfg, report, grid, mollifiers, rg, m2) -> None:
     tol = cfg.tolerances
-    report = StudyReport(study=cfg.study, config=cfg.to_dict())
 
     # kernel laws on the config grid, one block per mollifier scale
-    for n in cfg.n:
-        m = make_mollifier(grid, n)
+    for n, m in zip(cfg.n, mollifiers):
         mass = grid.cell_volume * float(np.sum(m.kernel))
         report.add(f"kernel_mass_n{n}", abs(mass - 1.0), abs(mass - 1.0) <= tol["kernel_mass"],
                    target=0.0, tol=tol["kernel_mass"])
@@ -269,7 +302,6 @@ def _study_noise_check(cfg: ExperimentConfig) -> StudyReport:
                target=0.0, tol=tol["duality_tol"])
 
     # pairing-variance law: Var ⟨ξ, ΔW⟩ = λ²·dt·dx^d·Σξ² over 10⁴ seeds
-    rg = TorusGrid(d=1, N=32, M=8, L=cfg.L, T=cfg.T)
     xi = np.sin(0.37 * np.arange(rg.M * rg.N, dtype=np.float64)).reshape(rg.M, rg.N) + 0.5
     num_seeds = 10_000
     pairings = np.empty(num_seeds)
@@ -285,9 +317,7 @@ def _study_noise_check(cfg: ExperimentConfig) -> StudyReport:
                    target=0.0, tol=tol["pair_var_rel"])
 
     # lag covariance of mollified increments vs dt·h_n(lag)
-    rg2 = TorusGrid(d=1, N=128, M=8, L=cfg.L, T=cfg.T)
-    n0 = cfg.n[0]
-    m2 = make_mollifier(rg2, n0)
+    rg2 = m2.grid
     lags = (0, 4, 8, 16, 40)
     i0 = 11
     num_cov_seeds = 2_500
@@ -317,21 +347,35 @@ def _study_noise_check(cfg: ExperimentConfig) -> StudyReport:
             f"{lag},{lag * rg2.dx!r},{mean!r},{target!r},{se!r},{sigma!r}"
         )
     report.tables["noise_covariance.csv"] = cov_lines
-    return report
 
 
 # ---------------------------------------------------------------------------
 # qv
 
 
-def _study_qv(cfg: ExperimentConfig) -> StudyReport:
+def _plan_qv(cfg: ExperimentConfig, grid: TorusGrid) -> tuple:
+    errors = []
+    path_grid = TorusGrid(d=1, N=cfg.N, M=10_000, L=cfg.L, T=cfg.T)
+    # each n resolved on the path grid also bounds the size of its ladder
+    path = [_planned(errors, "n", f"scale {n}", make_mollifier, path_grid, n) for n in cfg.n]
+    ladders = []
+    for n in (n for n, m in zip(cfg.n, path) if m is not None):
+        base_n = 64
+        while base_n < 4 * n:
+            base_n *= 2
+        ladders.append([_planned(errors, "n", f"scale {n} on its dx-ladder grid N = {num}",
+                                 make_mollifier, TorusGrid(d=1, N=num, M=8, L=cfg.L, T=cfg.T), n)
+                        for num in (base_n, 2 * base_n, 4 * base_n)])
+    _raise_errors(errors)
+    return path[0], ladders
+
+
+def _study_qv(cfg, report, path_m, ladders) -> None:
     tol = cfg.tolerances
-    report = StudyReport(study=cfg.study, config=cfg.to_dict())
-    n0 = cfg.n[0]
 
     # single-path quadratic variation at one node, M = 10⁴ steps
-    qv_grid = TorusGrid(d=1, N=cfg.N, M=10_000, L=cfg.L, T=cfg.T)
-    mn = mollify(sample_noise(qv_grid, cfg.seed, cfg.lam), make_mollifier(qv_grid, n0))
+    qv_grid = path_m.grid
+    mn = mollify(sample_noise(qv_grid, cfg.seed, cfg.lam), path_m)
     path = wiener_path(mn, (qv_grid.N // 2,))
     qv_rate = quadratic_variation(path) / qv_grid.T
     target = cfg.lam**2 * mn.mollifier.c_n_discrete
@@ -344,21 +388,16 @@ def _study_qv(cfg: ExperimentConfig) -> StudyReport:
     # c_n_discrete → c_n_continuum at order 2 on a dedicated 1-D dx-ladder
     table = ["n,N,dx,c_n_discrete,c_n_continuum,gap"]
     curves = {}
-    for n in cfg.n:
-        base_n = 64
-        while base_n < 4 * n:
-            base_n *= 2
-        ladder = (base_n, 2 * base_n, 4 * base_n)
+    for n, ladder in zip(cfg.n, ladders):
         gaps, dxs, pts = [], [], []
-        for num in ladder:
-            g = TorusGrid(d=1, N=num, M=8, L=cfg.L, T=cfg.T)
-            m = make_mollifier(g, n)
+        for m in ladder:
+            g = m.grid
             gap = abs(m.c_n_discrete - m.c_n_continuum)
             gaps.append(gap)
             dxs.append(g.dx)
             pts.append((g.dx, gap))
             table.append(
-                f"{n},{num},{g.dx!r},{m.c_n_discrete!r},{m.c_n_continuum!r},{gap!r}"
+                f"{n},{g.N},{g.dx!r},{m.c_n_discrete!r},{m.c_n_continuum!r},{gap!r}"
             )
         order = measure_order(gaps, dxs)
         report.add(f"cn_order_n{n}", order, abs(order - 2.0) <= tol["cn_order"],
@@ -367,24 +406,33 @@ def _study_qv(cfg: ExperimentConfig) -> StudyReport:
         curves[f"n={n}"] = pts
     report.tables["qv.csv"] = table
     report.add_curves("cn_convergence", curves, xlabel="dx", ylabel="|c_n_discrete - c_n|")
-    return report
 
 
 # ---------------------------------------------------------------------------
 # heat
 
 
-def _study_heat(cfg: ExperimentConfig) -> StudyReport:
-    tol = cfg.tolerances
-    report = StudyReport(study=cfg.study, config=cfg.to_dict())
-    amp = 0.2
+def _plan_heat(cfg: ExperimentConfig, grid: TorusGrid) -> tuple:
+    errors = _quarter_errors(cfg, "three-level heat ladder")
+    line = TorusGrid(d=1, N=cfg.N, M=cfg.M, L=cfg.L, T=cfg.T)
+    levels = [] if errors else _ladder(errors, "grid", line, (4, 2, 1))
+    a = 0.2
     if cfg.initial_kind == "cosine":
-        amp = float(cfg.initial_params.get("a", 0.2))
+        a = _planned(errors, "initial", "'cosine'", operator.getitem, cfg.initial_params, "a")
+    # Z₀ = 1 + a·cos must stay positive, and a = 0 leaves no error to measure an order from
+    if a is not None and not (isinstance(a, numbers.Real) and 0.0 < abs(a) < 1.0):
+        errors.append(("initial", f"the heat oracle's single-mode amplitude must "
+                                  f"satisfy 0 < |a| < 1, got {a}"))
+    _raise_errors(errors)
+    return float(a), [g for _, g, _, _ in levels]
+
+
+def _study_heat(cfg, report, amp, grids) -> None:
+    tol = cfg.tolerances
 
     errs_z, errs_u, dxs = [], [], []
     table = ["N,M,dx,dt,err_z,err_u"]
-    for fac in (4, 2, 1):
-        g = TorusGrid(d=1, N=cfg.N // fac, M=cfg.M // fac**2, L=cfg.L, T=cfg.T)
+    for g in grids:
         x = g.axis_coords()
         wavenum = 2.0 * math.pi / g.L
         times = g.times()
@@ -430,14 +478,29 @@ def _study_heat(cfg: ExperimentConfig) -> StudyReport:
         {"err_z": list(zip(dxs, errs_z)), "err_u": list(zip(dxs, errs_u))},
         xlabel="dx", ylabel="max error",
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
 # burgers
 
 
-def _burgers_reports(cfg: ExperimentConfig) -> list:
+def _plan_burgers(cfg: ExperimentConfig, grid: TorusGrid) -> tuple:
+    """Each level (fac, grid, mollifier, f, bank), coarsest first; just fac 1 if not divisible."""
+    factors = [2 ** (cfg.refine_levels - 1 - i) for i in range(cfg.refine_levels)]
+    c = factors[0]
+    errors = []
+    if cfg.N % c or cfg.M % c**2:
+        errors.append(("refine_levels", f"a {cfg.refine_levels}-level coupled ladder needs N "
+                                        f"divisible by {c} and M by {c**2}; "
+                                        f"got N={cfg.N}, M={cfg.M}"))
+        factors = factors[-1:]
+    levels = [(fac, g, m, f, _planned(errors, "bank", "", build_bank, g, cfg.bank))
+              for fac, g, m, f in _ladder(errors, "refine_levels", grid, factors, cfg.n[0], cfg)]
+    _raise_errors(errors)
+    return (levels,)
+
+
+def _burgers_reports(cfg: ExperimentConfig, levels=None) -> list:
     """(grid, weak-form reports) of every ladder level, coarsest first, in one pass.
 
     The master realization is drawn a chunk of fine steps at a time (the
@@ -447,22 +510,22 @@ def _burgers_reports(cfg: ExperimentConfig) -> list:
     a one-chunk buffer from the previous chunk's last slice, so no level
     holds more than a chunk of noise, Z or H.  The reports equal those of
     `weak_residual_batch` over `solve_heat` of each coarse-grained,
-    mollified realization.
+    mollified realization.  ``levels`` is the study's plan, made from
+    ``cfg`` when not given.
     """
-    grid = cfg.grid()
-    factors = [2 ** (cfg.refine_levels - 1 - i) for i in range(cfg.refine_levels)]
-    tf = factors[0] ** 2
+    if levels is None:
+        (levels,) = _plan_burgers(cfg, cfg.grid())
+    grid = levels[-1][1]
+    tf = levels[0][0] ** 2
     chunk = max(tf, chunk_steps(grid) // tf * tf)
-    levels = []
-    for fac in factors:
-        g = coarse_grid(grid, fac)
-        m = make_mollifier(g, cfg.n[0])
+    streams = []
+    for fac, g, m, f, bank in levels:
         block = np.empty((1, chunk // fac**2 + 1) + g.shape)
-        block[0, 0] = np.exp(_initial_on(cfg, g).values)
-        pairings = WeakPairings(g, build_bank(g, cfg.bank))
-        levels.append((fac, g, m, compensator(cfg.lam, m, g.dt), block, pairings))
+        block[0, 0] = np.exp(f.values)
+        pairings = WeakPairings(g, bank)
+        streams.append((fac, g, m, compensator(cfg.lam, m, g.dt), block, pairings))
     for lo, hi, fine in draw_chunks(grid, cfg.seed, cfg.lam, chunk):
-        for fac, g, m, comp, block, pairings in levels:
+        for fac, g, m, comp, block, pairings in streams:
             a, b = lo // fac**2, hi // fac**2
             dw = block_sum(fine, fac)
             dwn = mollify_increments(m, dw, cfg.lam)
@@ -471,17 +534,16 @@ def _burgers_reports(cfg: ExperimentConfig) -> list:
             pairings.add(a, b, checked_log(Z[0], a), dwn, dw)
             block[:, 0] = Z[:, -1]
     return [(g, pairings.reports(m.scale_n, cfg.seed, cfg.lam))
-            for _, g, m, _, _, pairings in levels]
+            for _, g, m, _, _, pairings in streams]
 
 
-def _study_burgers(cfg: ExperimentConfig) -> StudyReport:
+def _study_burgers(cfg, report, ladder) -> None:
     tol = cfg.tolerances
-    report = StudyReport(study=cfg.study, config=cfg.to_dict())
 
     all_reports = []
     totals, dxs = [], []
     per_phi_points = {}
-    levels = _burgers_reports(cfg)
+    levels = _burgers_reports(cfg, ladder)
     for g, reports in levels:
         all_reports.extend(reports)
         totals.append(sum(r.gap for r in reports))
@@ -513,20 +575,23 @@ def _study_burgers(cfg: ExperimentConfig) -> StudyReport:
         report.add_curves("weak_convergence", per_phi_points,
                           xlabel="dx", ylabel="|lhs - rhs|")
     report.tables["weak_residuals.csv"] = weak_residual_csv_lines(all_reports)
-    return report
 
 
 # ---------------------------------------------------------------------------
 # fk-check
 
 
-def _study_fk_check(cfg: ExperimentConfig) -> StudyReport:
+def _plan_fk_check(cfg: ExperimentConfig, grid: TorusGrid) -> tuple:
+    errors = []
+    m = _planned(errors, "n", f"scale {cfg.n[0]}", make_mollifier, grid, cfg.n[0])
+    f = _planned(errors, "initial", repr(cfg.initial_kind), _initial_on, cfg, grid)
+    _raise_errors(errors)
+    return grid, m, f
+
+
+def _study_fk_check(cfg, report, grid, m, f) -> None:
     tol = cfg.tolerances
-    report = StudyReport(study=cfg.study, config=cfg.to_dict())
-    grid = cfg.grid()
-    n0 = cfg.n[0]
-    f = _initial_on(cfg, grid)
-    sol = _pipeline(grid, cfg.seed, cfg.lam, n0, f)
+    sol = solve_heat(grid, mollify(sample_noise(grid, cfg.seed, cfg.lam), m), f)
     mn = sol.noise
 
     M, N = grid.M, grid.N
@@ -580,7 +645,7 @@ def _study_fk_check(cfg: ExperimentConfig) -> StudyReport:
         )
 
     # λ = 0: the compensator vanishes, so both modes must agree bitwise
-    mn0 = mollify(sample_noise(grid, cfg.seed, 0.0), mn.mollifier)
+    mn0 = mollify(sample_noise(grid, cfg.seed, 0.0), m)
     p0 = max(100, min(cfg.num_paths, 1_000))
     t_mid = (M // 2) * grid.dt
     x_mid = ((N // 2) * grid.dx,) + (0.0,) * (grid.d - 1)
@@ -590,21 +655,36 @@ def _study_fk_check(cfg: ExperimentConfig) -> StudyReport:
                         mode="uncompensated", brownian_seed=cfg.seed + 3_000)
     diff = abs(est_a.mean - est_b.mean)
     report.add("fk_modes_lambda0", diff, diff == 0.0, target=0.0)
-    return report
 
 
 # ---------------------------------------------------------------------------
 # converge
 
 
-def _study_converge(cfg: ExperimentConfig) -> StudyReport:
+def _plan_converge(cfg: ExperimentConfig, grid: TorusGrid) -> tuple:
+    """One n runs (4, 8, 16, 32); the KPZ ladder is (fac, grid, mollifier, f) at N/4, N/2."""
+    scales = (4, 8, 16, 32) if len(cfg.n) < 2 else cfg.n
+    errors = _quarter_errors(cfg, "KPZ ladder")
+    divisible = not errors
+    runs = f" (converge runs {scales} for one n)"
+    mollifiers = [_planned(errors, "n", f"scale {n}{'' if n in cfg.n else runs}",
+                           make_mollifier, grid, n) for n in scales]
+    kpz = _ladder(errors, "grid", grid, (4, 2), scales[1], cfg) if divisible else []
+    ordered = all(a < b for a, b in zip(scales, scales[1:]))
+    resolved = "n" not in dict(errors)  # the Cauchy column reads every scale's trajectory
+    if grid.d == 1 and resolved and not (len(scales) >= 3 and ordered and scales[-1] < grid.N):
+        errors.append(("n", f"the d = 1 Cauchy column needs at least 3 strictly increasing "
+                            f"scales below N = {grid.N}, got {scales}"))
+    f = _planned(errors, "initial", repr(cfg.initial_kind), _initial_on, cfg, grid)
+    bank = _planned(errors, "bank", "", build_bank, grid, cfg.bank)
+    _raise_errors(errors)
+    reference = _grid_scale_mollifier(grid) if grid.d == 1 else None
+    return grid, scales, mollifiers, reference, f, bank, kpz
+
+
+def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, kpz) -> None:
     tol = cfg.tolerances
-    report = StudyReport(study=cfg.study, config=cfg.to_dict())
-    grid = cfg.grid()
-    scales = cfg.mollifier_scales()
-    f = _initial_on(cfg, grid)
     base = sample_noise(grid, cfg.seed, cfg.lam)
-    bank = build_bank(grid, cfg.bank)
 
     rhs_by_phi = {phi.id: [] for phi in bank}
     defect_by_phi = {phi.id: [] for phi in bank}
@@ -613,12 +693,13 @@ def _study_converge(cfg: ExperimentConfig) -> StudyReport:
     n_kpz = scales[1]
     table = ["phi_id,n,rhs,limit_pairing,deviation,defect,ratio"]
     weak_by_scale = []
-    mollifiers = [make_mollifier(grid, n) for n in scales]
     if grid.d == 1:
         # the scales and the grid-scale reference of the Cauchy column share
-        # the base noise, the grid and f: they march as one batch
+        # the base noise, the grid and f: they march as one batch.  The delta
+        # convolves to the identity: the reference takes the raw increments.
         mns = [mollify(base, m) for m in mollifiers]
-        *sols, ref_sol = solve_heat(grid, mns + [_grid_scale_noise(base)], f)
+        ref = MollifiedNoise(base=base, mollifier=reference, increments=base.increments)
+        *sols, ref_sol = solve_heat(grid, mns + [ref], f)
     else:
         # nothing outlives its scale, so one scale at a time holds one stack
         sols = (solve_heat(grid, mollify(base, m), f) for m in mollifiers)
@@ -735,11 +816,9 @@ def _study_converge(cfg: ExperimentConfig) -> StudyReport:
     # KPZ residual decay under coupled refinement of one realization
     kpz_values, kpz_dxs = [], []
     kpz_lines = ["N,M,dx,dt,residual_sum"]
-    for fac in (4, 2):
-        base_l = coarse_grain(base, fac)
-        g = base_l.grid
-        mn_l = mollify(base_l, make_mollifier(g, n_kpz))
-        val = float(np.sum(kpz_residual(solve_heat(g, mn_l, _initial_on(cfg, g)))))
+    for fac, g, m, f_l in kpz:
+        mn_l = mollify(coarse_grain(base, fac), m)
+        val = float(np.sum(kpz_residual(solve_heat(g, mn_l, f_l))))
         kpz_values.append(val)
         kpz_dxs.append(g.dx)
         kpz_lines.append(f"{g.N},{g.M},{g.dx!r},{g.dt!r},{val!r}")
@@ -761,29 +840,34 @@ def _study_converge(cfg: ExperimentConfig) -> StudyReport:
         worst = max(kpz_values)
         report.add("kpz_exact_zero", worst, worst == 0.0, target=0.0)
 
-    # flat λ=0 data: the KPZ residual must vanish identically
-    g0 = TorusGrid(d=grid.d, N=cfg.N // 4, M=cfg.M // 16, L=cfg.L, T=cfg.T)
-    sol0 = _pipeline(g0, cfg.seed, 0.0, n_kpz, initial_zero(g0))
+    # flat λ=0 data on the coarsest KPZ grid: the residual must vanish identically
+    _, g0, m0, _ = kpz[0]
+    sol0 = solve_heat(g0, mollify(sample_noise(g0, cfg.seed, 0.0), m0), initial_zero(g0))
     flat = float(np.max(kpz_residual(sol0)))
     report.add("kpz_flat_zero", flat, flat == 0.0, target=0.0)
     report.tables["weak_residuals.csv"] = weak_residual_csv_lines(sum(weak_by_scale, []))
-    return report
 
 
 # ---------------------------------------------------------------------------
 # section
 
 
-def _study_section(cfg: ExperimentConfig) -> StudyReport:
-    tol = cfg.tolerances
-    report = StudyReport(study=cfg.study, config=cfg.to_dict())
-    grid = cfg.grid()
-    n0 = cfg.n[0]
-    f = _initial_on(cfg, grid)
-    bank = build_bank(grid, cfg.bank)
+def _plan_section(cfg: ExperimentConfig, grid: TorusGrid) -> tuple:
+    errors = []
+    if cfg.M < 64:
+        errors.append(("M", f"the section window eps = T/32 must cover two time steps; "
+                            f"need M ≥ 64, got {cfg.M}"))
+    m = _planned(errors, "n", f"scale {cfg.n[0]}", make_mollifier, grid, cfg.n[0])
+    f = _planned(errors, "initial", repr(cfg.initial_kind), _initial_on, cfg, grid)
+    bank = _planned(errors, "bank", "", build_bank, grid, cfg.bank)
+    _raise_errors(errors)
     # the second bank entry is off-center: a symmetric initial profile then
     # still produces a nonzero reference pairing
-    phi = bank[1] if len(bank) > 1 else bank[0]
+    return grid, m, f, bank[1] if len(bank) > 1 else bank[0]
+
+
+def _study_section(cfg, report, grid, m, f, phi) -> None:
+    tol = cfg.tolerances
     eps_list = [grid.T / 8.0, grid.T / 16.0, grid.T / 32.0]
 
     # reference: the t→0 section is the initial-slice pairing ⟨∇f, φ_x⟩
@@ -795,7 +879,7 @@ def _study_section(cfg: ExperimentConfig) -> StudyReport:
     p0 = grid.cell_volume * float(np.sum(combined * P))
 
     # λ=0 branch: deterministic decay toward the initial pairing
-    sol0 = _pipeline(grid, cfg.seed, 0.0, n0, f)
+    sol0 = solve_heat(grid, mollify(sample_noise(grid, cfg.seed, 0.0), m), f)
     table = ["lambda,eps,section,reference,gap"]
     gaps = []
     for eps in eps_list:
@@ -824,40 +908,41 @@ def _study_section(cfg: ExperimentConfig) -> StudyReport:
     # λ>0 branch: reported, not asserted — section fluctuations at t→0 are
     # unbounded in distribution, so no tolerance applies
     if cfg.lam > 0.0:
-        sol1 = _pipeline(grid, cfg.seed, cfg.lam, n0, f)
+        sol1 = solve_heat(grid, mollify(sample_noise(grid, cfg.seed, cfg.lam), m), f)
         for i, eps in enumerate(eps_list):
             s = lojasiewicz_section(sol1, phi, eps, via="h")
             report.add(f"section_lambda_eps{i}", s, True)
             table.append(f"{cfg.lam!r},{eps!r},{s!r},{p0!r},{abs(s - p0)!r}")
     report.tables["section.csv"] = table
-    return report
 
 
 # ---------------------------------------------------------------------------
 # registry and entry point
 
+# kind -> (plan, run): ExperimentConfig.validate() calls the plan, run_study the run
 STUDIES = {
-    "noise-check": _study_noise_check,
-    "qv": _study_qv,
-    "heat": _study_heat,
-    "burgers": _study_burgers,
-    "fk-check": _study_fk_check,
-    "converge": _study_converge,
-    "section": _study_section,
+    "noise-check": (_plan_noise_check, _study_noise_check),
+    "qv": (_plan_qv, _study_qv),
+    "heat": (_plan_heat, _study_heat),
+    "burgers": (_plan_burgers, _study_burgers),
+    "fk-check": (_plan_fk_check, _study_fk_check),
+    "converge": (_plan_converge, _study_converge),
+    "section": (_plan_section, _study_section),
 }
 
 
 def run_study(config: ExperimentConfig, out_dir=None) -> StudyReport:
-    """Validate, dispatch, time, and emit one study; returns its report.
+    """Validate (which plans), run from the plan, time, and emit one study; returns its report.
 
     Artifacts land in `out_dir` if given, else the config's output
     directory, else $BURGERSLAB_OUT, else ./burgerslab-out.  Identical
     configs produce byte-identical artifacts (the wall clock lives only on
     the returned object).
     """
-    config.validate()
+    plan = config.validate()
     start = time.perf_counter()
-    report = STUDIES[config.study](config)
+    report = StudyReport(study=config.study, config=config.to_dict())
+    STUDIES[config.study][1](config, report, *plan)
     report.wallclock_s = time.perf_counter() - start
     emit_reports(report, resolve_out_dir(out_dir if out_dir else config.out_dir))
     return report

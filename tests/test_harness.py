@@ -6,10 +6,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import burgerslab
 from burgerslab import colehopf, fk
@@ -171,9 +173,6 @@ def test_from_dict_names_real_fields_it_would_otherwise_coerce(key, value):
     # an int still converts to a float, so the study.json echo keeps its form
     whole = ExperimentConfig.from_dict({"study": "qv", "lambda": 2, "L": 1, "T": 1})
     assert [type(v) for v in (whole.lam, whole.L, whole.T)] == [float] * 3
-    # an int still converts to a float, so the study.json echo keeps its form
-    whole = ExperimentConfig.from_dict({"study": "qv", "lambda": 2, "L": 1, "T": 1})
-    assert [type(v) for v in (whole.lam, whole.L, whole.T)] == [float] * 3
 
 
 @pytest.mark.parametrize("study", ["heat", "converge"])
@@ -203,7 +202,6 @@ def test_validate_checks_the_scales_converge_runs():
 
 
 @pytest.mark.parametrize("fields", [
-    {"study": "heat", "N": 64},
     {"study": "burgers", "N": 64, "refine_levels": 3},
     {"study": "converge", "n": (8, 16)},
 ])
@@ -211,6 +209,32 @@ def test_validate_checks_the_scale_on_the_coarsest_ladder_grid(fields):
     errors = _errors(**fields)
     assert [name for name, _ in errors] == ["n"]
     assert "on the coarsest ladder grid" in errors[0][1]
+
+
+@pytest.mark.parametrize("fields", [{"N": 64}, {"n": (16,)}])
+def test_heat_validates_where_it_mollifies_nothing(fields):
+    # the heat oracle marches zero increments: no scale is checked on its
+    # ladder; seen: both were rejected as under-resolved on the N/4 grid
+    ExperimentConfig(study="heat", **fields).validate()
+
+
+@pytest.mark.parametrize("fields", [
+    {"study": "converge", "n": (4, 8)},
+    {"study": "converge", "n": (16, 8, 4)},
+    {"study": "noise-check", "N": 256, "n": (64,)},
+    {"study": "qv", "L": 2.0, "n": (16,)},
+])
+def test_validate_rejects_what_the_study_would_fail_on(fields):
+    # seen: each passed validate() and died in the study with a bare
+    # ValueError — two Cauchy-column scale rules of converge, the 128-node
+    # lag grid of noise-check and the dx-ladder of qv
+    errors = _errors(**fields)
+    assert [name for name, _ in errors] == ["n"]
+
+
+def test_validate_reports_shared_and_plan_errors_in_one_pass():
+    errors = _errors(study="converge", lam=-1.0, n=(4, 8))
+    assert [name for name, _ in errors] == ["lambda", "n"]
 
 
 @pytest.mark.parametrize("a", [1.5, 0.0, -1.0])
@@ -493,6 +517,40 @@ def test_section_deterministic_tiny_run_passes(tmp_path):
     rep = run_study(cfg, out_dir=tmp_path / "s")
     assert rep.passed
     assert "section_order" in {it["name"] for it in rep.items}
+
+
+@st.composite
+def _small_configs(draw):
+    d = draw(st.sampled_from([1, 2]))
+    N = draw(st.sampled_from([8, 16, 32]))
+    stable = math.ceil(2 * d * 0.1 * N * N)  # the least M with dt ≤ dx²/(2d) at T = 0.1
+    M = draw(st.one_of(st.integers(stable, 3 * stable),
+                       st.sampled_from([64 * k for k in range(1, 20) if 64 * k >= stable])))
+    return ExperimentConfig(
+        study=draw(st.sampled_from(STUDY_KINDS)), d=d, N=N, M=M,
+        n=tuple(draw(st.lists(st.sampled_from([1, 2, 3, 4, 8]), min_size=1, max_size=3))),
+        lam=draw(st.sampled_from([0.0, 1.0])), refine_levels=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 99)), num_paths=100,
+        initial_params={"a": 0.5, "w": 0.12, "center": [0.37, 0.61][:d]},
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cfg=_small_configs())
+def test_a_validated_config_reaches_a_verdict_or_breaks_down_by_name(cfg):
+    # validate() rejects by field name, or the study reaches a verdict, or
+    # the march or the log names the step and node where Z broke down
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            report = run_study(cfg, out_dir=out)
+        except ValueError as exc:
+            assert re.search(r"Z( of batch member \d+)? at step \d+, node \(", str(exc)), exc
+            return
+    assert report.items
 
 
 def test_study_json_is_byte_stable_across_runs(tmp_path):
