@@ -7,9 +7,9 @@ total — every offending field is reported by name in one pass, so a bad
 config never dies halfway through a run.
 
 ``validate()`` checks what every study shares (kind, field types, the
-config grid and its stability, n, seed, num_paths, refine_levels, lambda,
-tolerances), then runs and returns the study's plan (``harness.studies``):
-each study checks what it builds — its ladders, scales, initial data, bank.
+config grid and its stability, n ≥ 1, seed, num_paths, refine_levels,
+lambda, tolerances), then runs and returns the study's plan: each study
+checks what it builds, and not a bank or initial data it never reads.
 
 Tolerances default to the acceptance thresholds; tightening them is a
 config edit, not a code change.
@@ -143,7 +143,7 @@ class ExperimentConfig:
         """Check the shared fields, then run the study's plan and return it.
 
         The plan runs once the fields it reads are well formed (a known kind,
-        a grid, some n, refine_levels ≥ 1); both report in one ConfigError.
+        a grid, scales ≥ 1, refine_levels ≥ 1); both report in one ConfigError.
         """
         from burgerslab.harness.studies import STUDIES
 
@@ -173,8 +173,9 @@ class ExperimentConfig:
                     ("M", f"explicit scheme unstable: margin {margin:.3f} < 0 "
                           f"(need dt ≤ dx²/(2d))")
                 )
-        if not self.n:
-            errors.append(("n", "need at least one mollifier scale"))
+        scales_ok = bool(self.n) and min(self.n) >= 1
+        if not scales_ok:
+            errors.append(("n", f"need at least one mollifier scale, each ≥ 1, got {self.n}"))
         for name, least in (("seed", 0), ("num_paths", 100), ("refine_levels", 1)):
             value = getattr(self, name)
             if not is_integer(value):
@@ -194,14 +195,11 @@ class ExperimentConfig:
             errors.append(("tolerances", f"non-positive, infinite or non-real values "
                                          f"for {sorted(bad)}"))
         plan = None
-        if (grid is not None and self.study in STUDY_KINDS and self.n
+        if (grid is not None and self.study in STUDY_KINDS and scales_ok
                 and is_integer(self.refine_levels) and self.refine_levels >= 1):
-            try:
-                plan = STUDIES[self.study][0](self, grid)
-            except ConfigError as exc:
-                errors.extend(exc.errors)
-        if errors:
-            raise ConfigError(errors)
+            plan = STUDIES[self.study][0](self, grid, errors)
+        if errors:  # a bank bad on every burgers level is reported once
+            raise ConfigError(dict.fromkeys(errors))
         return plan
 
     # -- serialization ---------------------------------------------------

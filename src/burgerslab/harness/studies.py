@@ -1,10 +1,10 @@
 """The seven verification studies behind the CLI.
 
 Each study is a plan and a run, registered together in ``STUDIES``.  The
-plan ``_plan_<kind>(cfg, grid)`` builds the grids, mollifiers, bank and
-initial data the study runs on (nothing larger than one N^d slice) and
-raises one ConfigError naming the field of each check it fails;
-``ExperimentConfig.validate()`` returns it.  The run
+plan ``_plan_<kind>(cfg, grid, errors)`` builds the grids, mollifiers, bank
+and initial data the study runs on (nothing larger than one N^d slice) and
+records a named error for each check it fails; ``ExperimentConfig.validate()``
+raises them as one ConfigError, or returns the plan.  The run
 ``_study_<kind>(cfg, report, *plan)`` fills a StudyReport with named
 pass/fail verdicts against the config's tolerance table, and ``run_study``
 emits its artifacts (study.json, CSV tables, SVG charts).  Every planned
@@ -19,21 +19,19 @@ noise-check
     covariance of mollified increments against dt·h_n(lag).  The two
     statistical blocks run on small fixed 1-D lattices regardless of the
     config dimension — they are per-node scalar laws, and the reduced size
-    buys seed count.  Plan: each n, and n[0] on the 128-node lag grid.
+    buys seed count.
 qv
     Quadratic variation of a single mollified path at one node against
     λ²·c_n_discrete (M = 10⁴ forced, the criterion's sample size), plus the
     second-order convergence c_n_discrete → ‖ρ‖²·n^d under dx → dx/2 on a
-    dedicated 1-D ladder from 4n nodes (at least 64).  Plan: each n on the
-    path grid and on its ladder.
+    dedicated 1-D ladder from 4n nodes (at least 64).
 heat
     Deterministic single-mode oracle (λ = 0, 1-D): the solver and the
     log-gradient transform against the analytic solution on three coupled
     refinement levels (dt ∝ dx²), with max errors bounded by
     heat_C·(dt + dx²) and measured spatial order 2.  Each level marches
     Z₀ = 1 + a·cos chunk by chunk with zero increments and takes the maxima
-    from each checked chunk, so no trajectory is held.  Plan: N % 4 = M % 16
-    = 0, a cosine amplitude 0 < |a| < 1; nothing is mollified.
+    from each checked chunk, so no trajectory is held; nothing is mollified.
 burgers
     The weak-form identity at the config resolution: per-test-function
     relative gap |lhs − rhs| / |rhs|, and — when refine_levels ≥ 3 — a
@@ -44,13 +42,12 @@ burgers
     The study is one streaming pass: each time chunk of the master
     realization is coarse-grained, mollified, marched, logged and paired on
     every level before the next chunk is drawn, so no space-time stack is
-    held.  Plan: 2^(refine_levels − 1) divides N, its square M; n[0], f and
-    the bank on every level.
+    held.
 fk-check
     Random-walk estimates of Z at five probe points against the solver
     (calibrated mode, |z| ≤ fk_sigma), the Monte-Carlo error exponent
     stderr ∝ paths^(−1/2), and the λ = 0 block where both correction modes
-    must agree bitwise.  Plan: n[0] and the initial data on the config grid.
+    must agree bitwise.
 converge
     The mollification ladder n ∈ {4, 8, 16, 32} on one fixed grid and one
     fixed realization: per test function, |rhs(n) − limit_pairing| must
@@ -65,9 +62,8 @@ converge
     same scheme driven by the raw increments through a delta kernel) for
     every test function; and the KPZ residual sum must decay with order
     ≥ kpz_order_min under coupled refinement, vanishing exactly for flat
-    λ = 0 data.  Plan: N % 4 = M % 16 = 0, the second scale on the N/4 and
-    N/2 grids; in d = 1 at least 3 strictly increasing scales below N (the
-    reference's), as the Cauchy monotone gate needs two ladder gaps.
+    λ = 0 data.  In d = 1 it needs at least 3 strictly increasing scales
+    below N (the reference's): the Cauchy monotone gate reads two ladder gaps.
 section
     Time sections of the gradient field by averaging against a shrinking
     one-sided bump: in the λ = 0 branch |s(eps) − ⟨∇f, φ_x⟩| must decay
@@ -75,7 +71,6 @@ section
     and the two evaluation routes (via H, via U) must agree to
     duality_tol; the λ > 0 branch is reported without a tolerance —
     fluctuations of time sections at t → 0 are unbounded in distribution.
-    Plan: M ≥ 64, so that eps = T/32 covers two steps; n[0], f and the bank.
 
 All numerics reduce through plain elementwise kernels and np.sum/np.mean
 (no BLAS reductions), so reports are byte-identical across thread counts;
@@ -86,8 +81,6 @@ to that.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 import time
 
 import numpy as np
@@ -133,7 +126,7 @@ from burgerslab.colehopf import (
     weak_residual_csv_lines,
 )
 from burgerslab.fk import fk_csv_lines, fk_estimate, z_score
-from burgerslab.harness.config import ConfigError, ExperimentConfig
+from burgerslab.harness.config import ExperimentConfig
 from burgerslab.harness.reports import StudyReport, emit_reports, resolve_out_dir
 
 __all__ = ["STUDIES", "measure_order", "run_study"]
@@ -181,24 +174,17 @@ def _planned(errors: list, name: str, what: str, build, *args):
         errors.append((name, f"{what}: {exc}" if what else str(exc)))
 
 
-def _raise_errors(errors: list) -> None:
-    """Raise a plan's distinct errors as one ConfigError (a bank bad on every level is one)."""
-    if errors:
-        raise ConfigError(dict.fromkeys(errors))
-
-
 def _initial_on(cfg: ExperimentConfig, grid: TorusGrid):
     return make_initial(grid, cfg.initial_kind, dict(cfg.initial_params))
 
 
-def _quarter_errors(cfg: ExperimentConfig, what: str) -> list:
-    """The N and M errors of a ladder that coarsens the grid by 4 and 2 at dt ∝ dx²."""
-    errors = []
+def _quarter_ladder_fits(errors: list, cfg: ExperimentConfig, what: str) -> bool:
+    """Record the N, M errors of a ladder coarser by 4 and 2 (dt ∝ dx²); True if none."""
     if cfg.N % 4:
         errors.append(("N", f"the {what} needs N divisible by 4, got {cfg.N}"))
     if cfg.M % 16:
         errors.append(("M", f"the {what} needs M divisible by 16, got {cfg.M}"))
-    return errors
+    return not (cfg.N % 4 or cfg.M % 16)
 
 
 def _ladder(errors: list, name: str, fine: TorusGrid, factors, n=None, cfg=None) -> list:
@@ -257,13 +243,11 @@ def _u_l2_sq(sol) -> float:
 # noise-check
 
 
-def _plan_noise_check(cfg: ExperimentConfig, grid: TorusGrid) -> tuple:
-    errors = []
+def _plan_noise_check(cfg: ExperimentConfig, grid: TorusGrid, errors: list) -> tuple:
     mollifiers = [_planned(errors, "n", f"scale {n}", make_mollifier, grid, n) for n in cfg.n]
     lag_grid = TorusGrid(d=1, N=128, M=8, L=cfg.L, T=cfg.T)
     lag_m = _planned(errors, "n", f"scale {cfg.n[0]} on the 128-node lag grid",
                      make_mollifier, lag_grid, cfg.n[0])
-    _raise_errors(errors)
     return grid, mollifiers, TorusGrid(d=1, N=32, M=8, L=cfg.L, T=cfg.T), lag_m
 
 
@@ -353,8 +337,7 @@ def _study_noise_check(cfg, report, grid, mollifiers, rg, m2) -> None:
 # qv
 
 
-def _plan_qv(cfg: ExperimentConfig, grid: TorusGrid) -> tuple:
-    errors = []
+def _plan_qv(cfg: ExperimentConfig, grid: TorusGrid, errors: list) -> tuple:
     path_grid = TorusGrid(d=1, N=cfg.N, M=10_000, L=cfg.L, T=cfg.T)
     # each n resolved on the path grid also bounds the size of its ladder
     path = [_planned(errors, "n", f"scale {n}", make_mollifier, path_grid, n) for n in cfg.n]
@@ -366,7 +349,6 @@ def _plan_qv(cfg: ExperimentConfig, grid: TorusGrid) -> tuple:
         ladders.append([_planned(errors, "n", f"scale {n} on its dx-ladder grid N = {num}",
                                  make_mollifier, TorusGrid(d=1, N=num, M=8, L=cfg.L, T=cfg.T), n)
                         for num in (base_n, 2 * base_n, 4 * base_n)])
-    _raise_errors(errors)
     return path[0], ladders
 
 
@@ -412,19 +394,18 @@ def _study_qv(cfg, report, path_m, ladders) -> None:
 # heat
 
 
-def _plan_heat(cfg: ExperimentConfig, grid: TorusGrid) -> tuple:
-    errors = _quarter_errors(cfg, "three-level heat ladder")
+def _plan_heat(cfg: ExperimentConfig, grid: TorusGrid, errors: list) -> tuple:
+    fits = _quarter_ladder_fits(errors, cfg, "three-level heat ladder")
     line = TorusGrid(d=1, N=cfg.N, M=cfg.M, L=cfg.L, T=cfg.T)
-    levels = [] if errors else _ladder(errors, "grid", line, (4, 2, 1))
+    levels = _ladder(errors, "grid", line, (4, 2, 1)) if fits else []
     a = 0.2
-    if cfg.initial_kind == "cosine":
-        a = _planned(errors, "initial", "'cosine'", operator.getitem, cfg.initial_params, "a")
+    if cfg.initial_kind == "cosine":  # read as make_initial reads it for every other study
+        a = _planned(errors, "initial", "'cosine'", lambda: float(cfg.initial_params["a"]))
     # Z₀ = 1 + a·cos must stay positive, and a = 0 leaves no error to measure an order from
-    if a is not None and not (isinstance(a, numbers.Real) and 0.0 < abs(a) < 1.0):
+    if a is not None and not 0.0 < abs(a) < 1.0:
         errors.append(("initial", f"the heat oracle's single-mode amplitude must "
                                   f"satisfy 0 < |a| < 1, got {a}"))
-    _raise_errors(errors)
-    return float(a), [g for _, g, _, _ in levels]
+    return a, [g for _, g, _, _ in levels]
 
 
 def _study_heat(cfg, report, amp, grids) -> None:
@@ -484,11 +465,10 @@ def _study_heat(cfg, report, amp, grids) -> None:
 # burgers
 
 
-def _plan_burgers(cfg: ExperimentConfig, grid: TorusGrid) -> tuple:
+def _plan_burgers(cfg: ExperimentConfig, grid: TorusGrid, errors: list) -> tuple:
     """Each level (fac, grid, mollifier, f, bank), coarsest first; just fac 1 if not divisible."""
     factors = [2 ** (cfg.refine_levels - 1 - i) for i in range(cfg.refine_levels)]
     c = factors[0]
-    errors = []
     if cfg.N % c or cfg.M % c**2:
         errors.append(("refine_levels", f"a {cfg.refine_levels}-level coupled ladder needs N "
                                         f"divisible by {c} and M by {c**2}; "
@@ -496,11 +476,10 @@ def _plan_burgers(cfg: ExperimentConfig, grid: TorusGrid) -> tuple:
         factors = factors[-1:]
     levels = [(fac, g, m, f, _planned(errors, "bank", "", build_bank, g, cfg.bank))
               for fac, g, m, f in _ladder(errors, "refine_levels", grid, factors, cfg.n[0], cfg)]
-    _raise_errors(errors)
     return (levels,)
 
 
-def _burgers_reports(cfg: ExperimentConfig, levels=None) -> list:
+def _burgers_reports(cfg: ExperimentConfig, levels: list) -> list:
     """(grid, weak-form reports) of every ladder level, coarsest first, in one pass.
 
     The master realization is drawn a chunk of fine steps at a time (the
@@ -510,11 +489,8 @@ def _burgers_reports(cfg: ExperimentConfig, levels=None) -> list:
     a one-chunk buffer from the previous chunk's last slice, so no level
     holds more than a chunk of noise, Z or H.  The reports equal those of
     `weak_residual_batch` over `solve_heat` of each coarse-grained,
-    mollified realization.  ``levels`` is the study's plan, made from
-    ``cfg`` when not given.
+    mollified realization; ``levels`` is the study's plan.
     """
-    if levels is None:
-        (levels,) = _plan_burgers(cfg, cfg.grid())
     grid = levels[-1][1]
     tf = levels[0][0] ** 2
     chunk = max(tf, chunk_steps(grid) // tf * tf)
@@ -581,11 +557,9 @@ def _study_burgers(cfg, report, ladder) -> None:
 # fk-check
 
 
-def _plan_fk_check(cfg: ExperimentConfig, grid: TorusGrid) -> tuple:
-    errors = []
+def _plan_fk_check(cfg: ExperimentConfig, grid: TorusGrid, errors: list) -> tuple:
     m = _planned(errors, "n", f"scale {cfg.n[0]}", make_mollifier, grid, cfg.n[0])
     f = _planned(errors, "initial", repr(cfg.initial_kind), _initial_on, cfg, grid)
-    _raise_errors(errors)
     return grid, m, f
 
 
@@ -661,15 +635,14 @@ def _study_fk_check(cfg, report, grid, m, f) -> None:
 # converge
 
 
-def _plan_converge(cfg: ExperimentConfig, grid: TorusGrid) -> tuple:
+def _plan_converge(cfg: ExperimentConfig, grid: TorusGrid, errors: list) -> tuple:
     """One n runs (4, 8, 16, 32); the KPZ ladder is (fac, grid, mollifier, f) at N/4, N/2."""
     scales = (4, 8, 16, 32) if len(cfg.n) < 2 else cfg.n
-    errors = _quarter_errors(cfg, "KPZ ladder")
-    divisible = not errors
+    fits = _quarter_ladder_fits(errors, cfg, "KPZ ladder")
     runs = f" (converge runs {scales} for one n)"
     mollifiers = [_planned(errors, "n", f"scale {n}{'' if n in cfg.n else runs}",
                            make_mollifier, grid, n) for n in scales]
-    kpz = _ladder(errors, "grid", grid, (4, 2), scales[1], cfg) if divisible else []
+    kpz = _ladder(errors, "grid", grid, (4, 2), scales[1], cfg) if fits else []
     ordered = all(a < b for a, b in zip(scales, scales[1:]))
     resolved = "n" not in dict(errors)  # the Cauchy column reads every scale's trajectory
     if grid.d == 1 and resolved and not (len(scales) >= 3 and ordered and scales[-1] < grid.N):
@@ -677,7 +650,6 @@ def _plan_converge(cfg: ExperimentConfig, grid: TorusGrid) -> tuple:
                             f"scales below N = {grid.N}, got {scales}"))
     f = _planned(errors, "initial", repr(cfg.initial_kind), _initial_on, cfg, grid)
     bank = _planned(errors, "bank", "", build_bank, grid, cfg.bank)
-    _raise_errors(errors)
     reference = _grid_scale_mollifier(grid) if grid.d == 1 else None
     return grid, scales, mollifiers, reference, f, bank, kpz
 
@@ -852,22 +824,21 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
 # section
 
 
-def _plan_section(cfg: ExperimentConfig, grid: TorusGrid) -> tuple:
-    errors = []
+def _plan_section(cfg: ExperimentConfig, grid: TorusGrid, errors: list) -> tuple:
     if cfg.M < 64:
         errors.append(("M", f"the section window eps = T/32 must cover two time steps; "
                             f"need M ≥ 64, got {cfg.M}"))
     m = _planned(errors, "n", f"scale {cfg.n[0]}", make_mollifier, grid, cfg.n[0])
     f = _planned(errors, "initial", repr(cfg.initial_kind), _initial_on, cfg, grid)
     bank = _planned(errors, "bank", "", build_bank, grid, cfg.bank)
-    _raise_errors(errors)
+    return grid, m, f, bank
+
+
+def _study_section(cfg, report, grid, m, f, bank) -> None:
+    tol = cfg.tolerances
     # the second bank entry is off-center: a symmetric initial profile then
     # still produces a nonzero reference pairing
-    return grid, m, f, bank[1] if len(bank) > 1 else bank[0]
-
-
-def _study_section(cfg, report, grid, m, f, phi) -> None:
-    tol = cfg.tolerances
+    phi = bank[1] if len(bank) > 1 else bank[0]
     eps_list = [grid.T / 8.0, grid.T / 16.0, grid.T / 32.0]
 
     # reference: the t→0 section is the initial-slice pairing ⟨∇f, φ_x⟩

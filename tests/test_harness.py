@@ -218,6 +218,26 @@ def test_heat_validates_where_it_mollifies_nothing(fields):
     ExperimentConfig(study="heat", **fields).validate()
 
 
+@pytest.mark.parametrize("study,n", [("heat", (-5,)), ("burgers", (4, 0))])
+def test_validate_checks_every_scale_is_positive(study, n):
+    # a shared check: heat reads no n and burgers only n[0], but study.json
+    # echoes every scale
+    errors = _errors(study=study, n=n)
+    assert [name for name, _ in errors] == ["n"]
+    assert f"each ≥ 1, got {n}" in errors[0][1]
+
+
+def test_a_study_checks_the_bank_and_initial_data_only_where_it_reads_them():
+    # qv never reads the bank; section does
+    ExperimentConfig(study="qv", bank=[{"id": "x"}]).validate()
+    assert [name for name, _ in _errors(study="section", bank=[{"id": "x"}])] == ["bank"]
+    # heat reads a cosine amplitude with float(), as make_initial does for the rest
+    for study in ("heat", "burgers"):
+        ExperimentConfig(study=study, initial_kind="cosine", initial_params={"a": "0.5"}).validate()
+        errors = _errors(study=study, initial_kind="cosine", initial_params={"a": "abc"})
+        assert [name for name, _ in errors] == ["initial"]
+
+
 @pytest.mark.parametrize("fields", [
     {"study": "converge", "n": (4, 8)},
     {"study": "converge", "n": (16, 8, 4)},
