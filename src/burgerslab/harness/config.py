@@ -123,12 +123,19 @@ class ExperimentConfig:
         scales = self.n if isinstance(self.n, (list, tuple)) else (self.n,)
         errors = []
         scales = tuple(_integral("n", v, errors) for v in scales)
+        if not isinstance(self.initial_params, dict):
+            errors.append(("initial", f"params must be an object, got {self.initial_params!r}"))
+        if not isinstance(self.tolerances, dict):
+            errors.append(("tolerances", f"must be an object of name: value, got {self.tolerances!r}"))
+        if self.bank is not None and not (
+            isinstance(self.bank, (list, tuple)) and all(isinstance(spec, dict) for spec in self.bank)
+        ):
+            errors.append(("bank", f"must be a list of test-function objects, got {self.bank!r}"))
         if errors:
             raise ConfigError(errors)
         object.__setattr__(self, "n", scales)
-        merged = dict(DEFAULT_TOLERANCES)
-        merged.update(self.tolerances)
-        object.__setattr__(self, "tolerances", merged)
+        object.__setattr__(self, "initial_params", dict(self.initial_params))
+        object.__setattr__(self, "tolerances", {**DEFAULT_TOLERANCES, **self.tolerances})
         if self.bank is not None:
             object.__setattr__(
                 self, "bank", tuple(dict(spec) for spec in self.bank)
@@ -256,13 +263,13 @@ class ExperimentConfig:
             if not isinstance(init, dict) or "kind" not in init:
                 raise ConfigError([("initial", "expected {'kind': ..., 'params': {...}}")])
             kwargs["initial_kind"] = init["kind"]
-            kwargs["initial_params"] = dict(init.get("params", {}))
+            kwargs["initial_params"] = init.get("params", {})
         if "bank" in data and data["bank"] is not None:
-            kwargs["bank"] = tuple(data["bank"])
+            kwargs["bank"] = data["bank"]
         if "out_dir" in data and data["out_dir"] is not None:
             kwargs["out_dir"] = str(data["out_dir"])
         if "tolerances" in data:
-            kwargs["tolerances"] = dict(data["tolerances"])
+            kwargs["tolerances"] = data["tolerances"]
         return cls(**kwargs)
 
     @classmethod

@@ -32,6 +32,9 @@ heat
     heat_C·(dt + dx²) and measured spatial order 2.  Each level marches
     Z₀ = 1 + a·cos chunk by chunk with zero increments and takes the maxima
     from each checked chunk, so no trajectory is held; nothing is mollified.
+    A non-cosine initial profile (the default gaussian bump included) runs
+    the cosine oracle at a = 0.2, while study.json echoes the config's
+    profile.
 burgers
     The weak-form identity at the config resolution: per-test-function
     relative gap |lhs − rhs| / |rhs|, and — when refine_levels ≥ 3 — a

@@ -45,6 +45,7 @@ __all__ = [
     "gradient",
     "divergence",
     "inner_space",
+    "padded_laplacian",
     "laplacian_values",
     "gradient_values",
     "gradient_norm_sq",
@@ -204,32 +205,63 @@ def _roll_pairs(axis: int, shift: int) -> tuple:
     )
 
 
+def padded_laplacian(a: np.ndarray, dx: float, d: int) -> tuple:
+    """Copy ``a`` into a buffer with a one-node halo on its last `d` axes.
+
+    Returns ``(core, laplacian)``: ``core`` is the writable interior view
+    (shape ``a.shape``), and ``laplacian(out)`` fills the halo with the
+    periodic neighbours of ``core`` (two slice copies per axis, no corners),
+    writes ``(0 + Σ_axis ((core₊ − 2·core) + core₋)) / dx²`` into ``out``
+    from shifted views and returns it.  The ``0 +`` makes a −0.0 sum +0.0,
+    as a sum started from zero does.  This is the one place the Laplacian's
+    operation order is written; the heat march updates ``core`` between calls.
+    """
+    lead = a.ndim - d
+    padded = np.empty(a.shape[:lead] + tuple(n + 2 for n in a.shape[lead:]))
+    inner = (slice(None),) * lead + (slice(1, -1),) * d
+    core = padded[inner]
+    core[...] = a
+    halo, shifts = [], []
+    for axis in range(lead, a.ndim):
+
+        def along(index, axis=axis):
+            return padded[inner[:axis] + (index,) + inner[axis + 1 :]]
+
+        halo.append((along(slice(None, 1)), along(slice(-2, -1))))  # ghost, last node
+        halo.append((along(slice(-1, None)), along(slice(1, 2))))  # ghost, first node
+        shifts.append((along(slice(2, None)), along(slice(None, -2))))
+    (plus, minus), rest = shifts[0], shifts[1:]
+    twice = np.empty_like(core)
+    spare = np.empty_like(core) if rest else None
+
+    def laplacian(out: np.ndarray) -> np.ndarray:
+        for ghost, node in halo:
+            ghost[...] = node
+        np.multiply(2.0, core, out=twice)
+        np.subtract(plus, twice, out=out)
+        np.add(out, minus, out=out)
+        np.add(0.0, out, out=out)
+        for up, down in rest:
+            np.subtract(up, twice, out=spare)
+            np.add(spare, down, out=spare)
+            out += spare
+        out /= dx * dx
+        return out
+
+    return core, laplacian
+
+
 def laplacian_values(
     a: np.ndarray, dx: float, d: int | None = None, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Compact second-difference Laplacian over the last `d` axes of a periodic array.
 
-    Evaluated as ``(0 + Σ_axis ((a₊ − 2a) + a₋)) / dx²`` with the shifts
-    taken by slices; ``out``, if given (and not overlapping ``a``), receives
-    the result.
+    Pads a copy of ``a`` and applies `padded_laplacian`'s stencil; ``out``,
+    if given, receives the result.
     """
     d = a.ndim if d is None else d
-    if out is None:
-        out = np.empty_like(a)
-    twice = 2.0 * a
-    spare = np.empty_like(a) if d > 1 else None
-    for axis in range(a.ndim - d, a.ndim):
-        term = out if axis == a.ndim - d else spare
-        for dst, src in _roll_pairs(axis, -1):
-            np.subtract(a[src], twice[dst], out=term[dst])
-        for dst, src in _roll_pairs(axis, 1):
-            np.add(term[dst], a[src], out=term[dst])
-        if term is out:
-            np.add(0.0, out, out=out)  # the sum starts from zero
-        else:
-            out += term
-    out /= dx * dx
-    return out
+    _, laplacian = padded_laplacian(a, dx, d)
+    return laplacian(np.empty(a.shape) if out is None else out)
 
 
 def _centered_difference(a: np.ndarray, axis: int, dx: float, out: np.ndarray) -> np.ndarray:

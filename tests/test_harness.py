@@ -289,6 +289,28 @@ def test_from_dict_rejects_unknown_keys_and_missing_study():
         ExperimentConfig.from_dict({"study": "qv", "initial": "cosine"})
 
 
+@pytest.mark.parametrize(
+    "data, fields",
+    [
+        ({"bank": 5}, {"bank": 5}),
+        ({"initial": {"kind": "cosine", "params": 5}}, {"initial_params": 5}),
+        ({"tolerances": 5}, {"tolerances": 5}),
+        ({"bank": ["x"]}, {"bank": ("x",)}),
+    ],
+    ids=["bank", "initial", "tolerances", "bank-of-strings"],
+)
+def test_from_dict_names_malformed_bank_initial_and_tolerances(data, fields):
+    # the first three raised a bare TypeError (the CLI printed a traceback and
+    # exited 1, the code for failed checks); the last an unnamed ValueError
+    field = next(iter(data))
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict({"study": "heat", **data})
+    assert [name for name, _ in err.value.errors] == [field]
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(study="heat", **fields)
+    assert [name for name, _ in err.value.errors] == [field]
+
+
 @pytest.mark.parametrize("key", ["n", "d", "N", "M", "seed", "num_paths", "refine_levels"])
 def test_from_dict_rejects_non_integral_integer_fields(key):
     with pytest.raises(ConfigError) as err:

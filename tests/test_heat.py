@@ -2,12 +2,14 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from burgerslab.lattice import TorusGrid, laplacian_values
 from burgerslab.noise import MollifiedNoise, make_mollifier, mollify, sample_noise
+from burgerslab import heat
 from burgerslab.heat import (
     InitialData,
     compensator,
@@ -220,6 +222,24 @@ def test_batched_march_equals_single_marches_bit_for_bit(d, N, T, override, chun
     for k in range(g.M):
         z = (z + g.dt * laplacian_values(z, g.dx)) * np.exp(mn.increments[k] - comp)
         assert np.array_equal(batch[-1].values[k + 1], z)
+
+
+@pytest.mark.parametrize("S", [1, 3])
+def test_march_allocates_one_factor_run_and_a_few_slices(S):
+    # the march's own buffers are the noise-factor run, the padded slice and
+    # per-slice scratch: a temporary the size of the (S, 257, 64, 64) block
+    # (8 MiB per member) would show here, as it would in the 2-D weak study's peak
+    g = TorusGrid(d=2, N=64, M=8192, T=0.1)
+    block = np.ones((S, 257) + g.shape)
+    increments = [np.zeros((256,) + g.shape)] * S
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        march(g, block, increments, [0.0] * S, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < heat._CHUNK_BYTES + 16 * S * g.num_nodes * 8
 
 
 def test_batch_member_on_another_grid_is_rejected():
