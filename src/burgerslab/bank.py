@@ -56,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from burgerslab.lattice import TorusGrid, divergence_values
+from burgerslab.lattice import TorusGrid, divergence_values, real, wrap
 
 __all__ = ["TestFunction", "build_bank", "bump", "bump_d1", "bump_d2"]
 
@@ -98,11 +98,6 @@ def bump_d2(u):
     gp = -2.0 / den**2 - 8.0 * ui * ui / den**3
     out[inside] = np.exp(-1.0 / den) * (g * g + gp)
     return out
-
-
-def _wrap(delta, period):
-    """Minimum-image displacement in (-period/2, period/2]."""
-    return (delta + 0.5 * period) % period - 0.5 * period
 
 
 @dataclass(frozen=True)
@@ -200,7 +195,7 @@ def _spatial_tensors(tf: TestFunction, grid: TorusGrid):
     x = grid.axis_coords()
     psi, dpsi, ddpsi = [], [], []
     for a in range(grid.d):
-        u = _wrap(x - tf.x_center[a], grid.L) / tf.x_radius
+        u = wrap(x - tf.x_center[a], grid.L) / tf.x_radius
         psi.append(bump(u))
         dpsi.append(bump_d1(u) / tf.x_radius)
         ddpsi.append(bump_d2(u) / tf.x_radius**2)
@@ -255,13 +250,20 @@ def _support(tf: TestFunction, grid: TorusGrid):
     window = slice(int(steps[0]), int(steps[-1]) + 1) if steps.size else slice(0, 0)
     x = grid.axis_coords()
     per_axis = [
-        _axis_pieces(np.abs(_wrap(x - c, grid.L)) < tf.x_radius) for c in tf.x_center
+        _axis_pieces(np.abs(wrap(x - c, grid.L)) < tf.x_radius) for c in tf.x_center
     ]
     return window, tuple(itertools.product(*per_axis))
 
 
 # ---------------------------------------------------------------------------
 # default bank
+
+
+def _reals(name: str, values) -> tuple:
+    """A list of real numbers as a tuple of floats; anything else is named, not parsed."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list of real numbers, got {values!r}")
+    return tuple(real(name, v) for v in values)
 
 
 def build_bank(grid: TorusGrid, specs=None):
@@ -271,7 +273,8 @@ def build_bank(grid: TorusGrid, specs=None):
     staggered centers, radii, and sign patterns (amplitude vectors are
     truncated to the grid dimension).  Otherwise ``specs`` is an iterable
     of dicts with keys ``t_center, t_radius, x_center, x_radius,
-    amplitudes`` and optional ``id``.
+    amplitudes`` and optional ``id``, whose numbers must already be real
+    numbers: a string or a bool is refused by name, not converted.
     """
     if specs is None:
         T, L, d = grid.T, grid.L, grid.d
@@ -300,13 +303,14 @@ def build_bank(grid: TorusGrid, specs=None):
         missing = {"t_center", "t_radius", "x_center", "x_radius", "amplitudes"} - set(s)
         if missing:
             raise ValueError(f"test function spec {i} is missing keys {sorted(missing)}")
+        spec = f"test function spec {i}: "
         tf = TestFunction(
             id=s.get("id", f"phi{i + 1}"),
-            t_center=float(s["t_center"]),
-            t_radius=float(s["t_radius"]),
-            x_center=tuple(s["x_center"]),
-            x_radius=float(s["x_radius"]),
-            amplitudes=tuple(s["amplitudes"]),
+            t_center=real(spec + "t_center", s["t_center"]),
+            t_radius=real(spec + "t_radius", s["t_radius"]),
+            x_center=_reals(spec + "x_center", s["x_center"]),
+            x_radius=real(spec + "x_radius", s["x_radius"]),
+            amplitudes=_reals(spec + "amplitudes", s["amplitudes"]),
         )
         tf.validate_on(grid)
         bank.append(tf)

@@ -66,15 +66,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from burgerslab.bank import TestFunction, bump
-from burgerslab.heat import HeatSolution
-from burgerslab.lattice import gradient_norm_sq, gradient_values, laplacian_values
+from burgerslab.heat import HeatSolution, compensator
+from burgerslab.lattice import chunk_steps, gradient_norm_sq, gradient_values, laplacian_values
 from burgerslab.noise import _bump_constants
 
 __all__ = [
     "WeakResidualReport",
     "WeakPairings",
     "LimitSequence",
-    "chunk_steps",
     "checked_log",
     "cole_hopf",
     "kpz_residual",
@@ -83,19 +82,6 @@ __all__ = [
     "lojasiewicz_section",
     "weak_residual_csv_lines",
 ]
-
-# Time chunks of the passes over a trajectory: a chunk of N^d slices holds
-# at most _CHUNK_BYTES (8 MiB, 256 steps of a 2-D N=64 grid) and at most
-# _CHUNK steps, so its stencil temporaries stay a few chunk-sized arrays in
-# any dimension.
-_CHUNK = 256
-_CHUNK_BYTES = 1 << 23
-
-
-def chunk_steps(grid) -> int:
-    """Steps per time chunk on ``grid``: the byte budget, capped at _CHUNK."""
-    return max(1, min(_CHUNK, _CHUNK_BYTES // (grid.num_nodes * 8)))
-
 
 def checked_log(values: np.ndarray, first_step: int) -> np.ndarray:
     """H = log Z of consecutive slices of Z, the first at step ``first_step``.
@@ -123,7 +109,7 @@ def cole_hopf(sol: HeatSolution, chunk: int | None = None):
     """Yield (lo, hi, H) per time chunk, H = log Z at steps lo .. hi inclusive.
 
     H holds one slice past the chunk, for the update H_{k+1} − H_k; no
-    stack of H outlives its chunk.  ``chunk`` defaults to `chunk_steps`.
+    stack of H outlives its chunk.  ``chunk`` defaults to `lattice.chunk_steps`.
     Every slice goes through `checked_log`.
     """
     M = sol.grid.M
@@ -145,7 +131,6 @@ def kpz_residual(traj: HeatSolution) -> np.ndarray:
     noise = traj.noise
     grid = traj.grid
     d, dt, dx, M = grid.d, grid.dt, grid.dx, grid.M
-    comp = 0.5 * noise.lam**2 * noise.mollifier.c_n_discrete * dt
     sp_axes = tuple(range(1, d + 1))
     out = np.empty(M)
     for lo, hi, H in cole_hopf(traj):
@@ -153,7 +138,7 @@ def kpz_residual(traj: HeatSolution) -> np.ndarray:
         r = H[1:] - h
         r -= dt * (laplacian_values(h, dx, d) + gradient_norm_sq(h, dx, d))
         r -= noise.increments[lo:hi]
-        r += comp
+        r += compensator(noise.lam, noise.mollifier, dt)
         out[lo:hi] = np.max(np.abs(r), axis=sp_axes)
     return out
 

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from burgerslab.heat import InitialData
-from burgerslab.lattice import is_integer
-from burgerslab.noise import MollifiedNoise
+from burgerslab.heat import compensator
+from burgerslab.lattice import ScalarField
+from burgerslab.noise import MollifiedNoise, seeded_stream
 
 __all__ = [
     "FkEstimate",
@@ -48,8 +48,6 @@ __all__ = [
     "z_score",
 ]
 
-# Stream tag for the Brownian key: distinct from the noise tag, so walks
-# and realizations drawn from one experiment seed are independent.
 _BROWNIAN_STREAM_TAG = np.uint64(0x42524F574E)
 
 _MODES = ("ito-compensated", "uncompensated")
@@ -70,13 +68,6 @@ def _coord_node(grid, x_arr: np.ndarray) -> tuple:
     return tuple(out)
 
 
-def _brownian_rng(seed: int) -> np.random.Generator:
-    if not is_integer(seed) or seed < 0:
-        raise ValueError(f"brownian seed must be a nonnegative integer, got {seed!r}")
-    key = np.array([np.uint64(seed), _BROWNIAN_STREAM_TAG], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 @dataclass(frozen=True)
 class FkEstimate:
     """Monte Carlo estimate of Z(t, x) under a frozen realization."""
@@ -91,7 +82,7 @@ class FkEstimate:
 
 def fk_estimate(
     noise: MollifiedNoise,
-    f: InitialData,
+    f: ScalarField,
     t: float,
     x,
     num_paths: int,
@@ -121,7 +112,7 @@ def fk_estimate(
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     _coord_node(grid, x_arr)  # raises if off-grid
 
-    rng = _brownian_rng(brownian_seed)
+    rng = seeded_stream(brownian_seed, _BROWNIAN_STREAM_TAG)
     scale = math.sqrt(2.0 * grid.dt)
     inv_dx = 1.0 / grid.dx
     N = grid.N
@@ -140,17 +131,14 @@ def fk_estimate(
         pos %= grid.L
 
     if mode == "ito-compensated":
-        expo -= 0.5 * noise.lam**2 * noise.mollifier.c_n_discrete * (m * grid.dt)
+        expo -= compensator(noise.lam, noise.mollifier, m * grid.dt)
 
     nodes = tuple(
         (np.rint(pos[:, a] * inv_dx).astype(np.int64) % N) for a in range(d)
     )
     values = np.exp(f.values[nodes] + expo)
     mean = float(np.mean(values))
-    if num_paths > 1:
-        stderr = float(np.std(values, ddof=1) / math.sqrt(num_paths))
-    else:
-        stderr = 0.0
+    stderr = float(np.std(values, ddof=1) / math.sqrt(num_paths))  # num_paths ≥ 100
     return FkEstimate(
         t=m * grid.dt,
         x=tuple(float(c) for c in x_arr),

@@ -7,9 +7,9 @@ total — every offending field is reported by name in one pass, so a bad
 config never dies halfway through a run.
 
 ``validate()`` checks what every study shares (kind, field types, the
-config grid and its stability, n ≥ 1, seed, num_paths, refine_levels,
+config grid and its stability, n ≥ 1, seed < 2⁶⁴, num_paths, refine_levels,
 lambda, tolerances), then runs and returns the study's plan: each study
-checks what it builds, and not a bank or initial data it never reads.
+checks what it builds and seeds, not a bank or initial data it never reads.
 
 Tolerances default to the acceptance thresholds; tightening them is a
 config edit, not a code change.
@@ -20,24 +20,17 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from burgerslab.harness.studies import STUDIES
 from burgerslab.heat import stability_check
-from burgerslab.lattice import TorusGrid, is_integer
+from burgerslab.lattice import TorusGrid, is_integer, is_real
+from burgerslab.noise import is_seed
 
 __all__ = ["ExperimentConfig", "ConfigError", "STUDY_KINDS", "DEFAULT_TOLERANCES"]
 
-STUDY_KINDS = (
-    "noise-check",
-    "qv",
-    "heat",
-    "burgers",
-    "fk-check",
-    "converge",
-    "section",
-)
+STUDY_KINDS = tuple(STUDIES)
 
 # Defaults mirror the acceptance thresholds; studies read these through
 # config.tolerances so a run can tighten or loosen any of them.
@@ -83,14 +76,9 @@ def _integral(name: str, value, errors: list):
     return as_int
 
 
-def _is_real(value) -> bool:
-    """A real number that is not a bool (True would pass as 1)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _real(name: str, value, errors: list):
     """``float(value)`` for a real number, else record an error; nothing is parsed."""
-    if not _is_real(value):
+    if not is_real(value):
         errors.append((name, f"must be a real number, got {value!r}"))
         return None
     return float(value)
@@ -152,8 +140,6 @@ class ExperimentConfig:
         The plan runs once the fields it reads are well formed (a known kind,
         a grid, scales ≥ 1, refine_levels ≥ 1); both report in one ConfigError.
         """
-        from burgerslab.harness.studies import STUDIES
-
         errors = []
         if self.study not in STUDY_KINDS:
             errors.append(("study", f"unknown kind {self.study!r}; expected one of {STUDY_KINDS}"))
@@ -164,7 +150,7 @@ class ExperimentConfig:
         ] + [
             (name, f"must be a real number, got {getattr(self, name)!r}")
             for name in ("L", "T")
-            if not _is_real(getattr(self, name))
+            if not is_real(getattr(self, name))
         ]
         errors.extend(not_numbers)
         grid = None
@@ -189,7 +175,9 @@ class ExperimentConfig:
                 errors.append((name, f"must be an integer, got {value!r}"))
             elif value < least:
                 errors.append((name, f"need ≥ {least}, got {value}"))
-        if not _is_real(self.lam):
+            elif name == "seed" and not is_seed(value):
+                errors.append((name, f"need < 2**64 (a Philox key word), got {value}"))
+        if not is_real(self.lam):
             errors.append(("lambda", f"must be a real number, got {self.lam!r}"))
         elif not (self.lam >= 0.0 and math.isfinite(self.lam)):
             errors.append(("lambda", f"must be finite and nonnegative, got {self.lam}"))
@@ -197,7 +185,7 @@ class ExperimentConfig:
         if unknown:
             errors.append(("tolerances", f"unknown names {sorted(unknown)}"))
         bad = [k for k, v in self.tolerances.items() if k in DEFAULT_TOLERANCES
-               and not (_is_real(v) and math.isfinite(v) and v > 0)]
+               and not (is_real(v) and math.isfinite(v) and v > 0)]
         if bad:
             errors.append(("tolerances", f"non-positive, infinite or non-real values "
                                          f"for {sorted(bad)}"))

@@ -93,6 +93,7 @@ from burgerslab.lattice import (
     ScalarField,
     TorusGrid,
     VectorField,
+    chunk_steps,
     divergence,
     gradient,
     gradient_norm_sq,
@@ -108,6 +109,7 @@ from burgerslab.noise import (
     convolve_kernel,
     draw_chunks,
     h_eval,
+    is_seed,
     make_mollifier,
     mollify,
     mollify_increments,
@@ -120,7 +122,6 @@ from burgerslab.heat import compensator, initial_zero, make_initial, march, solv
 from burgerslab.colehopf import (
     WeakPairings,
     checked_log,
-    chunk_steps,
     cole_hopf,
     distributional_limit_1d,
     kpz_residual,
@@ -129,7 +130,6 @@ from burgerslab.colehopf import (
     weak_residual_csv_lines,
 )
 from burgerslab.fk import fk_csv_lines, fk_estimate, z_score
-from burgerslab.harness.config import ExperimentConfig
 from burgerslab.harness.reports import StudyReport, emit_reports, resolve_out_dir
 
 __all__ = ["STUDIES", "measure_order", "run_study"]
@@ -177,11 +177,18 @@ def _planned(errors: list, name: str, what: str, build, *args):
         errors.append((name, f"{what}: {exc}" if what else str(exc)))
 
 
-def _initial_on(cfg: ExperimentConfig, grid: TorusGrid):
+def _initial_on(cfg, grid: TorusGrid):
     return make_initial(grid, cfg.initial_kind, dict(cfg.initial_params))
 
 
-def _quarter_ladder_fits(errors: list, cfg: ExperimentConfig, what: str) -> bool:
+def _seeds_fit(errors: list, cfg, last: int) -> None:
+    """Record a seed error if the study's largest derived seed, seed + last, reaches 2⁶⁴."""
+    if is_seed(cfg.seed) and not is_seed(int(cfg.seed) + last):
+        errors.append(("seed", f"the {cfg.study} study draws seeds up to seed + {last}, "
+                               f"which must stay below 2**64; got {cfg.seed}"))
+
+
+def _quarter_ladder_fits(errors: list, cfg, what: str) -> bool:
     """Record the N, M errors of a ladder coarser by 4 and 2 (dt ∝ dx²); True if none."""
     if cfg.N % 4:
         errors.append(("N", f"the {what} needs N divisible by 4, got {cfg.N}"))
@@ -233,7 +240,8 @@ def _psi_l2_sq(phi, grid) -> float:
 def _u_l2_sq(sol) -> float:
     """Space-time L² norm squared of the gradient field.
 
-    Summed per 1024-step chunk; the chunk fixes how the float sums group.
+    Summed per 1024-step chunk, the one chunk `lattice.chunk_steps` does not
+    size: it fixes how the float sums of the Cauchy terminal budget group.
     """
     grid = sol.grid
     total = 0.0
@@ -246,11 +254,12 @@ def _u_l2_sq(sol) -> float:
 # noise-check
 
 
-def _plan_noise_check(cfg: ExperimentConfig, grid: TorusGrid, errors: list) -> tuple:
+def _plan_noise_check(cfg, grid: TorusGrid, errors: list) -> tuple:
     mollifiers = [_planned(errors, "n", f"scale {n}", make_mollifier, grid, n) for n in cfg.n]
     lag_grid = TorusGrid(d=1, N=128, M=8, L=cfg.L, T=cfg.T)
     lag_m = _planned(errors, "n", f"scale {cfg.n[0]} on the 128-node lag grid",
                      make_mollifier, lag_grid, cfg.n[0])
+    _seeds_fit(errors, cfg, 50_000 + 2_500 - 1)  # the last lag-covariance seed
     return grid, mollifiers, TorusGrid(d=1, N=32, M=8, L=cfg.L, T=cfg.T), lag_m
 
 
@@ -340,7 +349,7 @@ def _study_noise_check(cfg, report, grid, mollifiers, rg, m2) -> None:
 # qv
 
 
-def _plan_qv(cfg: ExperimentConfig, grid: TorusGrid, errors: list) -> tuple:
+def _plan_qv(cfg, grid: TorusGrid, errors: list) -> tuple:
     path_grid = TorusGrid(d=1, N=cfg.N, M=10_000, L=cfg.L, T=cfg.T)
     # each n resolved on the path grid also bounds the size of its ladder
     path = [_planned(errors, "n", f"scale {n}", make_mollifier, path_grid, n) for n in cfg.n]
@@ -397,13 +406,14 @@ def _study_qv(cfg, report, path_m, ladders) -> None:
 # heat
 
 
-def _plan_heat(cfg: ExperimentConfig, grid: TorusGrid, errors: list) -> tuple:
+def _plan_heat(cfg, grid: TorusGrid, errors: list) -> tuple:
     fits = _quarter_ladder_fits(errors, cfg, "three-level heat ladder")
     line = TorusGrid(d=1, N=cfg.N, M=cfg.M, L=cfg.L, T=cfg.T)
     levels = _ladder(errors, "grid", line, (4, 2, 1)) if fits else []
     a = 0.2
-    if cfg.initial_kind == "cosine":  # read as make_initial reads it for every other study
-        a = _planned(errors, "initial", "'cosine'", lambda: float(cfg.initial_params["a"]))
+    if cfg.initial_kind == "cosine":  # checked by make_initial, as for every other study
+        f = _planned(errors, "initial", "'cosine'", _initial_on, cfg, line)
+        a = None if f is None else float(cfg.initial_params["a"])
     # Z₀ = 1 + a·cos must stay positive, and a = 0 leaves no error to measure an order from
     if a is not None and not 0.0 < abs(a) < 1.0:
         errors.append(("initial", f"the heat oracle's single-mode amplitude must "
@@ -468,7 +478,7 @@ def _study_heat(cfg, report, amp, grids) -> None:
 # burgers
 
 
-def _plan_burgers(cfg: ExperimentConfig, grid: TorusGrid, errors: list) -> tuple:
+def _plan_burgers(cfg, grid: TorusGrid, errors: list) -> tuple:
     """Each level (fac, grid, mollifier, f, bank), coarsest first; just fac 1 if not divisible."""
     factors = [2 ** (cfg.refine_levels - 1 - i) for i in range(cfg.refine_levels)]
     c = factors[0]
@@ -482,7 +492,7 @@ def _plan_burgers(cfg: ExperimentConfig, grid: TorusGrid, errors: list) -> tuple
     return (levels,)
 
 
-def _burgers_reports(cfg: ExperimentConfig, levels: list) -> list:
+def _burgers_reports(cfg, levels: list) -> list:
     """(grid, weak-form reports) of every ladder level, coarsest first, in one pass.
 
     The master realization is drawn a chunk of fine steps at a time (the
@@ -560,9 +570,10 @@ def _study_burgers(cfg, report, ladder) -> None:
 # fk-check
 
 
-def _plan_fk_check(cfg: ExperimentConfig, grid: TorusGrid, errors: list) -> tuple:
+def _plan_fk_check(cfg, grid: TorusGrid, errors: list) -> tuple:
     m = _planned(errors, "n", f"scale {cfg.n[0]}", make_mollifier, grid, cfg.n[0])
     f = _planned(errors, "initial", repr(cfg.initial_kind), _initial_on, cfg, grid)
+    _seeds_fit(errors, cfg, 3_000)  # the λ = 0 block's walks
     return grid, m, f
 
 
@@ -638,7 +649,7 @@ def _study_fk_check(cfg, report, grid, m, f) -> None:
 # converge
 
 
-def _plan_converge(cfg: ExperimentConfig, grid: TorusGrid, errors: list) -> tuple:
+def _plan_converge(cfg, grid: TorusGrid, errors: list) -> tuple:
     """One n runs (4, 8, 16, 32); the KPZ ladder is (fac, grid, mollifier, f) at N/4, N/2."""
     scales = (4, 8, 16, 32) if len(cfg.n) < 2 else cfg.n
     fits = _quarter_ladder_fits(errors, cfg, "KPZ ladder")
@@ -827,7 +838,7 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
 # section
 
 
-def _plan_section(cfg: ExperimentConfig, grid: TorusGrid, errors: list) -> tuple:
+def _plan_section(cfg, grid: TorusGrid, errors: list) -> tuple:
     if cfg.M < 64:
         errors.append(("M", f"the section window eps = T/32 must cover two time steps; "
                             f"need M ≥ 64, got {cfg.M}"))

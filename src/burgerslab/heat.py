@@ -55,7 +55,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from burgerslab.lattice import TorusGrid, padded_laplacian
+from burgerslab.lattice import ScalarField, TorusGrid, chunk_steps, padded_laplacian
+from burgerslab.lattice import is_integer, real
 # Unused here.  perfbench/tracing.py resolves its lattice.laplacian_values
 # target through this module, and perfbench/test_perfbench.py expects no
 # target but its own renamed one to be missing; the binding goes when that
@@ -64,7 +65,6 @@ from burgerslab.lattice import laplacian_values  # noqa: F401
 from burgerslab.noise import Mollifier, MollifiedNoise
 
 __all__ = [
-    "InitialData",
     "HeatSolution",
     "initial_zero",
     "initial_cosine",
@@ -77,46 +77,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InitialData:
-    """Smooth initial profile f on the torus; the solver starts from exp(f).
-
-    `values` holds f at the grid nodes.  The config echoes the preset that
-    produced them.  All presets are smooth and bounded, hence exp(f) > 0
-    everywhere.
-    """
-
-    grid: TorusGrid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.shape != self.grid.shape:
-            raise ValueError(
-                f"initial data must have shape {self.grid.shape}, got {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("initial data contains non-finite values")
-        object.__setattr__(self, "values", arr)
-
-
-def initial_zero(grid: TorusGrid) -> InitialData:
+def initial_zero(grid: TorusGrid) -> ScalarField:
     """f ≡ 0, i.e. Z(0, ·) ≡ 1."""
-    return InitialData(grid, np.zeros(grid.shape))
+    return ScalarField(grid, np.zeros(grid.shape))
 
 
-def initial_cosine(grid: TorusGrid, a: float, k: int = 1) -> InitialData:
+def initial_cosine(grid: TorusGrid, a: float, k: int = 1) -> ScalarField:
     """f(x) = a · cos(2π k x₁ / L): a single Fourier mode along the first axis."""
     x = grid.axis_coords()
     profile = a * np.cos(2.0 * np.pi * k * x / grid.L)
     shape = (grid.N,) + (1,) * (grid.d - 1)
     values = np.broadcast_to(profile.reshape(shape), grid.shape).copy()
-    return InitialData(grid, values)
+    return ScalarField(grid, values)
 
 
 def initial_gaussian_bump(
     grid: TorusGrid, a: float, w: float, center: Sequence[float] | float
-) -> InitialData:
+) -> ScalarField:
     """f(x) = a · Π_axis S_w(x_axis − c_axis): a periodized Gaussian bump.
 
     Each factor sums the five nearest periodic images, so the preset is
@@ -139,21 +116,29 @@ def initial_gaussian_bump(
         shape = [1] * grid.d
         shape[axis] = grid.N
         values = values * factor.reshape(shape)
-    return InitialData(grid, values)
+    return ScalarField(grid, values)
 
 
-def make_initial(grid: TorusGrid, kind: str, params: dict) -> InitialData:
-    """Build a preset by name — the config-file entry point."""
+def make_initial(grid: TorusGrid, kind: str, params: dict) -> ScalarField:
+    """Build a preset by name — the config-file entry point; no parameter is converted.
+
+    Every preset is a smooth, bounded ScalarField f, so the start exp(f) is > 0.
+    """
     if kind == "zero":
         return initial_zero(grid)
     if kind == "cosine":
-        return initial_cosine(grid, a=float(params["a"]), k=int(params.get("k", 1)))
+        k = params.get("k", 1)
+        if not is_integer(k):
+            raise ValueError(f"k must be an integer, got {k!r}")
+        return initial_cosine(grid, a=real("a", params["a"]), k=int(k))
     if kind == "gaussian-bump":
+        center = params.get("center", [grid.L / 2] * grid.d)
         return initial_gaussian_bump(
             grid,
-            a=float(params["a"]),
-            w=float(params["w"]),
-            center=params.get("center", [grid.L / 2] * grid.d),
+            a=real("a", params["a"]),
+            w=real("w", params["w"]),
+            center=[real("center", c) for c in
+                    (center if isinstance(center, (list, tuple)) else [center])],
         )
     raise ValueError(f"unknown initial-data preset {kind!r}")
 
@@ -181,11 +166,6 @@ class HeatSolution:
     grid: TorusGrid
     noise: MollifiedNoise
     values: np.ndarray = field(repr=False)
-
-
-# Time steps whose noise factors the march forms at once: the factor run of
-# a batch holds about this many bytes (32 steps of a 2-D N=64 slice).
-_CHUNK_BYTES = 1 << 20
 
 
 def compensator(lam: float, m: Mollifier, dt: float) -> float:
@@ -258,7 +238,7 @@ def march(
     step = np.empty_like(z)
     dt = grid.dt
     # the noise factors of at most this many steps exist at once
-    run = max(1, min(K, _CHUNK_BYTES // (S * grid.num_nodes * 8)))
+    run = min(K, chunk_steps(grid, S))
     factors = np.empty((run, S) + grid.shape)
     for a in range(0, K, run):
         b = min(a + run, K)
@@ -278,7 +258,7 @@ def march(
 def solve_heat(
     grid: TorusGrid,
     noise: MollifiedNoise | Sequence[MollifiedNoise],
-    f: InitialData,
+    f: ScalarField,
 ) -> HeatSolution | list[HeatSolution]:
     """March the scheme from exp(f) through all M steps of the realization.
 
@@ -289,7 +269,7 @@ def solve_heat(
     noise : MollifiedNoise or sequence of MollifiedNoise
         The frozen realization driving the run.  A sequence of realizations
         on one grid marches as one (S,) + grid stack from the same start.
-    f : InitialData
+    f : ScalarField
         Initial profile; the trajectory starts at exp(f) exactly.
 
     Returns
@@ -318,8 +298,7 @@ def solve_heat(
     compensated = [compensator(mn.lam, mn.mollifier, grid.dt) for mn in noises]
     values = np.empty((S, M + 1) + grid.shape)
     values[:, 0] = np.exp(f.values)
-    # checked chunks as long as the march's factor runs
-    chunk = max(1, min(M, _CHUNK_BYTES // (S * grid.num_nodes * 8)))
+    chunk = chunk_steps(grid, S)  # checked chunks as long as the march's factor runs
     for lo in range(0, M, chunk):
         hi = min(lo + chunk, M)
         increments = [mn.increments[lo:hi] for mn in noises]

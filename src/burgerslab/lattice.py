@@ -32,6 +32,7 @@ Nyquist band exactly.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,10 @@ import numpy as np
 __all__ = [
     "TorusGrid",
     "is_integer",
+    "is_real",
+    "real",
+    "wrap",
+    "chunk_steps",
     "ScalarField",
     "VectorField",
     "laplacian",
@@ -56,6 +61,35 @@ __all__ = [
 def is_integer(value) -> bool:
     """True for Python and numpy integers; False for bools, floats and the rest."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for real numbers; False for bools (True would pass as 1), strings and the rest."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def real(name: str, value) -> float:
+    """``float(value)`` for a real number; anything else is named, not parsed."""
+    if not is_real(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def wrap(delta, period):
+    """Minimum-image displacement in [−period/2, period/2)."""
+    return (delta + 0.5 * period) % period - 0.5 * period
+
+
+# The one chunk rule of every time loop: at most _CHUNK steps whose slices,
+# times the batch, hold at most _CHUNK_BYTES (32 steps of a 2-D N=64 slice),
+# so a loop's temporaries stay small and its peak does not hang on heap layout.
+_CHUNK = 256
+_CHUNK_BYTES = 1 << 20
+
+
+def chunk_steps(grid, members: int = 1) -> int:
+    """Steps per time chunk of a batch of ``members`` N^d slices on ``grid``."""
+    return max(1, min(_CHUNK, _CHUNK_BYTES // (members * grid.num_nodes * 8)))
 
 
 @dataclass(frozen=True)
@@ -137,12 +171,11 @@ class TorusGrid:
         return np.arange(self.M + 1) * self.dt
 
     def wrapped_offsets(self) -> np.ndarray:
-        """Signed periodic offsets of each node from the origin, in (−L/2, L/2].
+        """Signed periodic offsets of each node from the origin, in [−L/2, L/2).
 
         Used to center kernels and compactly supported profiles at node 0.
         """
-        x = self.axis_coords()
-        return (x + self.L / 2.0) % self.L - self.L / 2.0
+        return wrap(self.axis_coords(), self.L)
 
 
 def _check_values(grid: TorusGrid, values: np.ndarray, expected_shape: tuple[int, ...], kind: str) -> np.ndarray:
@@ -251,17 +284,14 @@ def padded_laplacian(a: np.ndarray, dx: float, d: int) -> tuple:
     return core, laplacian
 
 
-def laplacian_values(
-    a: np.ndarray, dx: float, d: int | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
+def laplacian_values(a: np.ndarray, dx: float, d: int | None = None) -> np.ndarray:
     """Compact second-difference Laplacian over the last `d` axes of a periodic array.
 
-    Pads a copy of ``a`` and applies `padded_laplacian`'s stencil; ``out``,
-    if given, receives the result.
+    Pads a copy of ``a`` and applies `padded_laplacian`'s stencil.
     """
     d = a.ndim if d is None else d
     _, laplacian = padded_laplacian(a, dx, d)
-    return laplacian(np.empty(a.shape) if out is None else out)
+    return laplacian(np.empty(a.shape))
 
 
 def _centered_difference(a: np.ndarray, axis: int, dx: float, out: np.ndarray) -> np.ndarray:

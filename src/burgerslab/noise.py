@@ -69,13 +69,15 @@ from functools import lru_cache
 import numpy as np
 
 from burgerslab.bank import bump
-from burgerslab.lattice import TorusGrid, is_integer
+from burgerslab.lattice import TorusGrid, chunk_steps, is_integer
 
 __all__ = [
     "Mollifier",
     "WhiteNoiseRealization",
     "MollifiedNoise",
     "make_mollifier",
+    "is_seed",
+    "seeded_stream",
     "draw_chunks",
     "sample_noise",
     "pair",
@@ -90,8 +92,8 @@ __all__ = [
     "coarse_grid",
 ]
 
-# Distinct Philox key tags keep the white-noise stream and the Feynman-Kac
-# Brownian stream independent even when built from the same user seed.
+# Each consumer of a seed keys its stream with its own tag (fk has the
+# Brownian one), so the streams of one seed are independent.
 _NOISE_STREAM_TAG = np.uint64(0x57484E5345)
 
 # Surface area of the unit sphere S^{d-1} bounding the unit ball in R^d.
@@ -100,15 +102,20 @@ _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
+def _simpson_weights(panels: int) -> np.ndarray:
+    """Composite Simpson weights 1, 4, 2, 4, …, 2, 4, 1 over an even number of panels."""
+    w = np.ones(panels + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
+
+
 def _simpson(f, a: float, b: float, panels: int) -> float:
     """Composite Simpson rule with an even number of panels."""
     if panels % 2:
         panels += 1
     x = np.linspace(a, b, panels + 1)
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float((b - a) / panels / 3.0 * np.sum(w * f(x)))
+    return float((b - a) / panels / 3.0 * np.sum(_simpson_weights(panels) * f(x)))
 
 
 @lru_cache(maxsize=None)
@@ -271,6 +278,19 @@ class MollifiedNoise:
         return self.base.lam
 
 
+def is_seed(value) -> bool:
+    """True for an integer in [0, 2⁶⁴): one word of a Philox key."""
+    return is_integer(value) and 0 <= value <= np.iinfo(np.uint64).max
+
+
+def seeded_stream(seed: int, tag: np.uint64) -> np.random.Generator:
+    """The Philox stream keyed by (seed, tag), the one place a seed becomes a stream."""
+    if not is_seed(seed):
+        raise ValueError(f"seed must be a nonnegative integer below 2**64, got {seed!r}")
+    key = np.array([np.uint64(seed), tag], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def draw_chunks(grid: TorusGrid, seed: int, lam: float, chunk: int):
     """Yield (lo, hi, ΔW at steps lo .. hi − 1) from a counter-based stream.
 
@@ -278,9 +298,7 @@ def draw_chunks(grid: TorusGrid, seed: int, lam: float, chunk: int):
     ----------
     grid : TorusGrid
     seed : int
-        Nonnegative 64-bit seed.  The Philox key combines the seed with a
-        fixed stream tag, so other consumers of the same seed (e.g. the
-        Feynman-Kac Brownian paths) draw from independent streams.
+        Keyed with the white-noise tag by `seeded_stream`.
     lam : float
         Noise amplitude λ; increments are λ·N(0, dt/dx^d).
     chunk : int
@@ -290,10 +308,7 @@ def draw_chunks(grid: TorusGrid, seed: int, lam: float, chunk: int):
     the same bits whatever the chunk.  At lam = 0 each block is zeros and
     nothing is drawn.
     """
-    if not is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    key = np.array([np.uint64(seed), _NOISE_STREAM_TAG], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = seeded_stream(seed, _NOISE_STREAM_TAG)
     scale = lam * math.sqrt(grid.dt / grid.cell_volume)
     for lo in range(0, grid.M, chunk):
         hi = min(lo + chunk, grid.M)
@@ -331,20 +346,19 @@ def pair(noise: WhiteNoiseRealization | MollifiedNoise, xi: np.ndarray) -> float
     return float(np.sum(noise.increments * xi)) * noise.grid.cell_volume
 
 
-def _convolve_slices(increments: np.ndarray, kernel: np.ndarray, cell_volume: float) -> np.ndarray:
-    """dx^d · (K ⊛ ΔW_k) for every slice k, chunked circular FFT convolution."""
-    d = kernel.ndim
-    spatial_axes = tuple(range(1, d + 1))
-    kernel_hat = np.fft.rfftn(kernel)
+def _convolve_slices(increments: np.ndarray, m: Mollifier) -> np.ndarray:
+    """dx^d · (K ⊛ ΔW_k) for every slice k, circular FFT convolution per time chunk."""
+    spatial_axes = tuple(range(1, m.grid.d + 1))
+    kernel_hat = np.fft.rfftn(m.kernel)
     out = np.empty_like(increments)
-    chunk = max(1, 2**22 // max(1, kernel.size))  # ~32 MB of float64 per chunk
+    chunk = chunk_steps(m.grid)
     for start in range(0, increments.shape[0], chunk):
         stop = min(start + chunk, increments.shape[0])
         block_hat = np.fft.rfftn(increments[start:stop], axes=spatial_axes)
         block_hat *= kernel_hat[None, ...]
         block = out[start:stop]
-        np.fft.irfftn(block_hat, s=kernel.shape, axes=spatial_axes, out=block)
-        block *= cell_volume
+        np.fft.irfftn(block_hat, s=m.kernel.shape, axes=spatial_axes, out=block)
+        block *= m.grid.cell_volume
     return out
 
 
@@ -359,7 +373,7 @@ def convolve_kernel(m: Mollifier, values: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"field shape {vals.shape} does not match grid shape {m.grid.shape}"
         )
-    return _convolve_slices(vals[None], m.kernel, m.grid.cell_volume)[0]
+    return _convolve_slices(vals[None], m)[0]
 
 
 def mollify_increments(m: Mollifier, increments: np.ndarray, lam: float) -> np.ndarray:
@@ -371,7 +385,7 @@ def mollify_increments(m: Mollifier, increments: np.ndarray, lam: float) -> np.n
     """
     if lam == 0.0:
         return increments
-    return _convolve_slices(increments, m.kernel, m.grid.cell_volume)
+    return _convolve_slices(increments, m)
 
 
 def mollify(noise: WhiteNoiseRealization, m: Mollifier) -> MollifiedNoise:
@@ -408,9 +422,7 @@ def h_eval(m: Mollifier, z) -> float:
     c_d, _ = _bump_constants(d)
     panels = {1: 4000, 2: 600, 3: 160}[d]
     axis = np.linspace(-1.0, 1.0, panels + 1)
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
+    w = _simpson_weights(panels)
     step_factor = (2.0 / panels / 3.0) ** d
     # |v|² and |v + s e₁|² via broadcast sums of per-axis squares
     sq = axis * axis

@@ -7,9 +7,6 @@ import pytest
 
 from burgerslab.bank import TestFunction, build_bank
 from burgerslab.colehopf import (
-    _CHUNK,
-    _CHUNK_BYTES,
-    chunk_steps,
     cole_hopf,
     distributional_limit_1d,
     kpz_residual,
@@ -19,13 +16,12 @@ from burgerslab.colehopf import (
 )
 from burgerslab.heat import (
     HeatSolution,
-    InitialData,
     initial_cosine,
     initial_gaussian_bump,
     initial_zero,
     solve_heat,
 )
-from burgerslab.lattice import TorusGrid, gradient_values, laplacian_values
+from burgerslab.lattice import _CHUNK, ScalarField, TorusGrid, gradient_values, laplacian_values
 from burgerslab.noise import coarse_grain, make_mollifier, mollify, sample_noise
 
 T = 0.1
@@ -74,19 +70,6 @@ def test_log_transform_is_definitional():
     assert stacked.shape == (g.d, g.M + 1) + g.shape
     for k in (0, g.M // 2, g.M):
         assert np.array_equal(stacked[:, k], gradient_values(H[k], g.dx))
-
-
-def test_chunks_are_sized_by_bytes_and_capped_in_steps():
-    # 1-D and the 2-D acceptance grid keep 256-step chunks; larger grids get
-    # fewer steps, so one chunk of N^d slices stays within the byte budget
-    assert chunk_steps(TorusGrid(d=1, N=128, M=32768)) == _CHUNK == 256
-    assert chunk_steps(TorusGrid(d=2, N=64, M=8192)) == 256
-    assert chunk_steps(TorusGrid(d=2, N=128, M=32768)) == 64
-    for d, N in ((3, 64), (3, 256)):
-        g = TorusGrid(d=d, N=N, M=4)
-        steps = chunk_steps(g)
-        assert steps >= 1
-        assert steps == 1 or steps * g.num_nodes * 8 <= _CHUNK_BYTES
 
 
 def test_cole_hopf_rejects_nonpositive_values():
@@ -302,7 +285,7 @@ def test_gauge_shift_leaves_velocity_unchanged():
     base = sample_noise(g, seed=5, lam=1.0)
     mol = mollify(base, make_mollifier(g, 4))
     f = initial_gaussian_bump(g, a=0.5, w=0.12, center=[0.37])
-    shifted = InitialData(g, f.values + 0.7)
+    shifted = ScalarField(g, f.values + 0.7)
     h1 = np.log(solve_heat(g, mol, f).values)
     h2 = np.log(solve_heat(g, mol, shifted).values)
     assert np.max(np.abs(h2 - h1 - 0.7)) < 1e-11

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from burgerslab.fk import FkEstimate, fk_csv_lines, fk_estimate, z_score
-from burgerslab.heat import InitialData, initial_gaussian_bump, initial_zero, solve_heat
-from burgerslab.lattice import TorusGrid
+from burgerslab.heat import initial_gaussian_bump, initial_zero, solve_heat
+from burgerslab.lattice import ScalarField, TorusGrid
 from burgerslab.noise import make_mollifier, mollify, sample_noise
 
 
@@ -27,7 +27,7 @@ def _displacement_moment(g, axis, power, t, num_paths=20_000, seed=0):
     shape = [1] * g.d
     shape[axis] = g.N
     values = np.log(np.broadcast_to(profile.reshape(shape), g.shape))
-    f = InitialData(grid=g, values=values)
+    f = ScalarField(grid=g, values=values)
     return fk_estimate(_noise(g, lam=0.0), f, t, centre, num_paths,
                        "ito-compensated", brownian_seed=seed)
 
@@ -96,7 +96,7 @@ def test_heat_kernel_oracle_without_noise():
     noise = _noise(g, lam=0.0, n=8)
     a = 0.5
     x = g.axis_coords()
-    f = InitialData(grid=g, values=np.log(1.0 + a * np.cos(2 * np.pi * x)))
+    f = ScalarField(grid=g, values=np.log(1.0 + a * np.cos(2 * np.pi * x)))
     for node in (0, 32, 64):
         target = 1.0 + a * math.exp(-4.0 * math.pi**2 * g.T) * math.cos(2 * np.pi * x[node])
         est = fk_estimate(noise, f, g.T, [x[node]], 10_000, "ito-compensated")

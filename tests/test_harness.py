@@ -27,7 +27,7 @@ from burgerslab.harness import (
 from burgerslab.harness import studies
 from burgerslab.harness.cli import main
 from burgerslab.harness.studies import STUDIES, measure_order, run_study
-from burgerslab.noise import draw_chunks
+from burgerslab.noise import draw_chunks, seeded_stream
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,35 @@ def test_validate_names_fields_it_would_otherwise_coerce(study, key, value, name
         with pytest.raises(ValueError, match="nonnegative integer"):
             next(draw_chunks(ExperimentConfig(**fields).grid(), value, 1.0, 1))
         with pytest.raises(ValueError, match="nonnegative integer"):
-            fk._brownian_rng(value)
+            seeded_stream(value, fk._BROWNIAN_STREAM_TAG)
+
+
+@pytest.mark.parametrize("study,seed,last", [
+    ("qv", 2**64, 0),
+    ("heat", 2**64, 0),
+    ("noise-check", 2**64 - 52_499, 52_499),
+    ("fk-check", 2**64 - 3_000, 3_000),
+    ("fk-check", 2**64 - 1, 3_000),
+])
+def test_validate_names_a_seed_whose_streams_pass_64_bits(study, seed, last, tmp_path, capsys):
+    # seen: `burgerslab qv --config` at seed 2**64 printed an OverflowError
+    # traceback and exited 1, and fk-check at 2**64 − 1 validated, marched and
+    # died the same way at the walk's seed + 1,000
+    fields = dict(study=study, N=32, M=410, n=4) if study == "fk-check" else dict(study=study)
+    assert [name for name, _ in _errors(**fields, seed=seed)] == ["seed"]
+    ExperimentConfig(**fields, seed=2**64 - 1 - last).validate()  # the largest that fits
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**fields, "seed": seed}))
+    assert main([study, "--config", str(cfg_path), "--out", str(tmp_path / "art")]) == 2
+    assert "seed:" in capsys.readouterr().err
+
+
+def test_the_stream_builder_names_a_seed_outside_64_bits():
+    for seed in (-1, 2**64, 7.0, True, "7"):
+        with pytest.raises(ValueError, match=r"nonnegative integer below 2\*\*64"):
+            seeded_stream(seed, fk._BROWNIAN_STREAM_TAG)
+    first = seeded_stream(2**64 - 1, fk._BROWNIAN_STREAM_TAG).standard_normal()
+    assert first == seeded_stream(2**64 - 1, fk._BROWNIAN_STREAM_TAG).standard_normal()
 
 
 @pytest.mark.parametrize("key,value", [("lambda", "1"), ("lambda", "abc"), ("T", True), ("L", "1.0")])
@@ -231,11 +259,37 @@ def test_a_study_checks_the_bank_and_initial_data_only_where_it_reads_them():
     # qv never reads the bank; section does
     ExperimentConfig(study="qv", bank=[{"id": "x"}]).validate()
     assert [name for name, _ in _errors(study="section", bank=[{"id": "x"}])] == ["bank"]
-    # heat reads a cosine amplitude with float(), as make_initial does for the rest
+    # heat reads a cosine amplitude through make_initial, as the rest do;
+    # a string amplitude is named, not parsed
     for study in ("heat", "burgers"):
-        ExperimentConfig(study=study, initial_kind="cosine", initial_params={"a": "0.5"}).validate()
-        errors = _errors(study=study, initial_kind="cosine", initial_params={"a": "abc"})
-        assert [name for name, _ in errors] == ["initial"]
+        ExperimentConfig(study=study, initial_kind="cosine", initial_params={"a": 0.5}).validate()
+        for a in ("abc", "0.5"):
+            errors = _errors(study=study, initial_kind="cosine", initial_params={"a": a})
+            assert [name for name, _ in errors] == ["initial"]
+
+
+_SPEC = {"t_center": 0.05, "t_radius": 0.02, "x_center": [0.5], "x_radius": 0.2, "amplitudes": [1.0]}
+
+
+@pytest.mark.parametrize("fields,name", [
+    ({"initial_params": {"a": True, "w": 0.12, "center": [0.37]}}, "initial"),
+    ({"initial_params": {"a": 0.5, "w": "0.12", "center": [0.37]}}, "initial"),
+    ({"initial_params": {"a": 0.5, "w": 0.12, "center": ["0.37"]}}, "initial"),
+    ({"initial_params": {"a": True, "w": "0.12", "center": ["0.37"]}}, "initial"),
+    ({"initial_kind": "cosine", "initial_params": {"a": 0.3, "k": 2.7}}, "initial"),
+    ({"initial_kind": "cosine", "initial_params": {"a": 0.3, "k": True}}, "initial"),
+    ({"bank": [{**_SPEC, "t_center": "0.05"}]}, "bank"),
+    ({"bank": [{**_SPEC, "x_radius": "0.2"}]}, "bank"),
+    ({"bank": [{**_SPEC, "amplitudes": [True]}]}, "bank"),
+    ({"bank": [{**_SPEC, "x_center": "0.5"}]}, "bank"),
+], ids=["bool-a", "string-w", "string-center", "all-three", "fractional-k", "bool-k",
+        "string-t_center", "string-x_radius", "bool-amplitude", "string-x_center"])
+def test_initial_params_and_bank_specs_are_named_not_coerced(fields, name):
+    # seen: each validated, and float()/int() ran the study on a converted
+    # value (cosine k = 2.7 marched as k = 2)
+    errors = _errors(study="burgers", **fields)
+    assert [field for field, _ in errors] == [name]
+    assert "must be" in errors[0][1]
 
 
 @pytest.mark.parametrize("fields", [

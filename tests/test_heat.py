@@ -7,11 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from burgerslab.lattice import TorusGrid, laplacian_values
+from burgerslab.lattice import ScalarField, TorusGrid, laplacian_values
 from burgerslab.noise import MollifiedNoise, make_mollifier, mollify, sample_noise
-from burgerslab import heat
+from burgerslab import lattice
 from burgerslab.heat import (
-    InitialData,
     compensator,
     initial_cosine,
     initial_gaussian_bump,
@@ -81,7 +80,7 @@ def test_step_rejects_bad_input():
         _march_from(g, noise, one_zero)
     # a start of the wrong shape is rejected where it is built
     with pytest.raises(ValueError, match="shape"):
-        InitialData(g, np.log(np.ones(g.N + 1)))
+        ScalarField(g, np.log(np.ones(g.N + 1)))
 
 
 def test_noise_factor_has_mean_one():
@@ -200,11 +199,11 @@ def _noises(grid, lams):
 def test_batched_march_equals_single_marches_bit_for_bit(d, N, T, override, chunk_bytes, monkeypatch):
     if chunk_bytes is not None:
         # chunks of a few steps, with a short last chunk
-        monkeypatch.setattr("burgerslab.heat._CHUNK_BYTES", chunk_bytes * N**d)
+        monkeypatch.setattr("burgerslab.lattice._CHUNK_BYTES", chunk_bytes * N**d)
     g = _stable_grid(d=d, N=N, T=T)
     if override:
         # an arbitrary start, not one of the presets
-        f = InitialData(g, np.random.default_rng(2).standard_normal(g.shape))
+        f = ScalarField(g, np.random.default_rng(2).standard_normal(g.shape))
     else:
         f = initial_cosine(g, a=0.4)
     for lams in ([1.0, 0.5], [1.0, 0.0, 2.0]):
@@ -239,7 +238,7 @@ def test_march_allocates_one_factor_run_and_a_few_slices(S):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - before < heat._CHUNK_BYTES + 16 * S * g.num_nodes * 8
+    assert peak - before < lattice._CHUNK_BYTES + 16 * S * g.num_nodes * 8
 
 
 def test_batch_member_on_another_grid_is_rejected():

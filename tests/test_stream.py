@@ -62,7 +62,7 @@ def test_streamed_reports_equal_the_stored_path_bit_for_bit(d, levels, lam, seed
     plan = cfg.validate()
     # chunks of a few coarsest steps: seams cut through every φ's window on
     # every level, and M is no multiple of the chunk for runs = 3, 5 or 6
-    with mock.patch("burgerslab.colehopf._CHUNK", runs * 4 ** (levels - 1)):
+    with mock.patch("burgerslab.lattice._CHUNK", runs * 4 ** (levels - 1)):
         streamed = _burgers_reports(cfg, *plan)
     assert len(streamed) == levels
     for i, (g, reports) in enumerate(streamed):
