@@ -10,18 +10,19 @@ Burgers dynamics
 No stack of H is ever formed.  ``checked_log`` is the one place log Z is
 taken: it maps a run of slices of Z to H and checks that every Z it reads
 is finite and strictly positive.  ``cole_hopf`` feeds it a stored
-``HeatSolution`` one time chunk at a time, for the passes below, the
-sections (which read only the steps their window covers) and the harness's
-heat oracle; the burgers study's stream feeds it each chunk straight from
-the heat march, and no Z outlives its chunk there.  ``WeakPairings``
-accumulates the weak-form pairings chunk by chunk from either source.  A
-solution carries the noise that drove it, and the noise its base
-realization, so a pass needs nothing else.
+``HeatSolution`` one time chunk at a time, for the passes below and the
+sections (which read only the steps their window covers); the studies that
+stream (`heat.stream`) feed it each chunk straight from the march, and no
+Z outlives its chunk there.  ``WeakPairings`` and ``kpz_step_residuals``
+take their chunks from either source.  A solution carries the noise that
+drove it, and the noise its base realization, so a pass needs nothing
+else.
 
 Two layers of checks, in increasing depth:
 
-* growth-equation residual — ``kpz_residual`` re-assembles the update of
-  H step by step and reports per-step max norms of
+* growth-equation residual — ``kpz_step_residuals`` re-assembles the
+  update of H step by step over one chunk, and ``kpz_residual`` over a
+  stored trajectory, reporting per-step max norms of
 
       H_{k+1} − H_k − dt (Δ_h H_k + ‖∇_h H_k‖²) − ΔWⁿ_k + ½λ²c_n dt ,
 
@@ -76,6 +77,7 @@ __all__ = [
     "LimitSequence",
     "checked_log",
     "cole_hopf",
+    "kpz_step_residuals",
     "kpz_residual",
     "weak_residual_batch",
     "distributional_limit_1d",
@@ -119,27 +121,34 @@ def cole_hopf(sol: HeatSolution, chunk: int | None = None):
         yield lo, hi, checked_log(sol.values[lo : hi + 1], lo)
 
 
-def kpz_residual(traj: HeatSolution) -> np.ndarray:
-    """Per-step max-norm defect of the discrete growth equation.
+def kpz_step_residuals(
+    grid, H: np.ndarray, increments: np.ndarray, compensated: float
+) -> np.ndarray:
+    """Per-step max-norm defect of the discrete growth equation over one chunk.
 
-    Returns an array of length M whose k-th entry is
+    ``H`` holds log Z at steps lo .. hi, one slice past the chunk, and
+    ``increments`` the ΔWⁿ of steps lo .. hi − 1 with ``compensated`` their
+    ½λ²c_n dt; entry k is
 
-        max_x |H_{k+1} − H_k − dt (Δ_h H_k + ‖∇_h H_k‖²) − ΔWⁿ_k + ½λ²c_n dt| ,
-
-    with ΔWⁿ the realization that drove the trajectory.
+        max_x |H_{k+1} − H_k − dt (Δ_h H_k + ‖∇_h H_k‖²) − ΔWⁿ_k + ½λ²c_n dt| .
     """
+    d, dt, dx = grid.d, grid.dt, grid.dx
+    h = H[:-1]
+    r = H[1:] - h
+    r -= dt * (laplacian_values(h, dx, d) + gradient_norm_sq(h, dx, d))
+    r -= increments
+    r += compensated
+    return np.max(np.abs(r), axis=tuple(range(1, d + 1)))
+
+
+def kpz_residual(traj: HeatSolution) -> np.ndarray:
+    """`kpz_step_residuals` of all M steps of a stored trajectory and the noise that drove it."""
     noise = traj.noise
     grid = traj.grid
-    d, dt, dx, M = grid.d, grid.dt, grid.dx, grid.M
-    sp_axes = tuple(range(1, d + 1))
-    out = np.empty(M)
+    compensated = compensator(noise.lam, noise.mollifier, grid.dt)
+    out = np.empty(grid.M)
     for lo, hi, H in cole_hopf(traj):
-        h = H[:-1]
-        r = H[1:] - h
-        r -= dt * (laplacian_values(h, dx, d) + gradient_norm_sq(h, dx, d))
-        r -= noise.increments[lo:hi]
-        r += compensator(noise.lam, noise.mollifier, dt)
-        out[lo:hi] = np.max(np.abs(r), axis=sp_axes)
+        out[lo:hi] = kpz_step_residuals(grid, H, noise.increments[lo:hi], compensated)
     return out
 
 

@@ -29,12 +29,12 @@ heat
     Deterministic single-mode oracle (λ = 0, 1-D): the solver and the
     log-gradient transform against the analytic solution on three coupled
     refinement levels (dt ∝ dx²), with max errors bounded by
-    heat_C·(dt + dx²) and measured spatial order 2.  Each level marches
-    Z₀ = 1 + a·cos chunk by chunk with zero increments and takes the maxima
-    from each checked chunk, so no trajectory is held; nothing is mollified.
-    A non-cosine initial profile (the default gaussian bump included) runs
-    the cosine oracle at a = 0.2, while study.json echoes the config's
-    profile.
+    heat_C·(dt + dx²) and measured spatial order 2.  Each level streams
+    Z₀ = 1 + a·cos(2πkx/L) at λ = 0 (`heat.stream`: nothing is drawn or
+    mollified) and takes the maxima from each checked chunk, so no
+    trajectory is held.  A non-cosine initial profile (the default gaussian
+    bump included) runs the cosine oracle at a = 0.2, k = 1, while
+    study.json echoes the config's profile.
 burgers
     The weak-form identity at the config resolution: per-test-function
     relative gap |lhs − rhs| / |rhs|, and — when refine_levels ≥ 3 — a
@@ -42,7 +42,7 @@ burgers
     the decay order of the bank's total gap.  When the rhs vanishes exactly
     (λ = 0) the gap is normalized by the triangle-inequality mass of the
     lhs instead, and a gap of exactly zero (flat data) passes outright.
-    The study is one streaming pass: each time chunk of the master
+    The study is one `heat.stream` pass: each time chunk of the master
     realization is coarse-grained, mollified, marched, logged and paired on
     every level before the next chunk is drawn, so no space-time stack is
     held.
@@ -67,6 +67,8 @@ converge
     ≥ kpz_order_min under coupled refinement, vanishing exactly for flat
     λ = 0 data.  In d = 1 it needs at least 3 strictly increasing scales
     below N (the reference's): the Cauchy monotone gate reads two ladder gaps.
+    The scales and the reference march as one `heat.stream` batch; only
+    the base noise and the reference's Z are kept whole.
 section
     Time sections of the gradient field by averaging against a shrinking
     one-sided bump: in the λ = 0 branch |s(eps) − ⟨∇f, φ_x⟩| must decay
@@ -93,7 +95,6 @@ from burgerslab.lattice import (
     ScalarField,
     TorusGrid,
     VectorField,
-    chunk_steps,
     divergence,
     gradient,
     gradient_norm_sq,
@@ -101,30 +102,29 @@ from burgerslab.lattice import (
     inner_space,
 )
 from burgerslab.noise import (
-    Mollifier,
-    MollifiedNoise,
-    block_sum,
+    WhiteNoiseRealization,
     coarse_grain,
     coarse_grid,
     convolve_kernel,
-    draw_chunks,
     h_eval,
     is_seed,
+    lattice_delta,
     make_mollifier,
     mollify,
-    mollify_increments,
     pair,
     quadratic_variation,
     sample_noise,
     wiener_path,
 )
-from burgerslab.heat import compensator, initial_zero, make_initial, march, solve_heat
+from burgerslab.heat import HeatSolution, compensator, initial_zero, make_initial, solve_heat
+from burgerslab.heat import stream
 from burgerslab.colehopf import (
     WeakPairings,
     checked_log,
     cole_hopf,
     distributional_limit_1d,
     kpz_residual,
+    kpz_step_residuals,
     lojasiewicz_section,
     weak_residual_batch,
     weak_residual_csv_lines,
@@ -209,14 +209,6 @@ def _ladder(errors: list, name: str, fine: TorusGrid, factors, n=None, cfg=None)
             f = cfg and _planned(errors, "initial", repr(cfg.initial_kind), _initial_on, cfg, g)
             levels.append((fac, g, m, f))
     return levels
-
-
-def _grid_scale_mollifier(g: TorusGrid) -> Mollifier:
-    """The lattice delta, ρ_n at n = N, which make_mollifier rejects as the sub-grid limit."""
-    c = 1.0 / g.cell_volume
-    kernel = np.zeros(g.shape)
-    kernel[(0,) * g.d] = c
-    return Mollifier(grid=g, scale_n=g.N, c_n_continuum=c, c_n_discrete=c, kernel=kernel)
 
 
 def _mollification_defect(m, phi, grid) -> float:
@@ -410,46 +402,44 @@ def _plan_heat(cfg, grid: TorusGrid, errors: list) -> tuple:
     fits = _quarter_ladder_fits(errors, cfg, "three-level heat ladder")
     line = TorusGrid(d=1, N=cfg.N, M=cfg.M, L=cfg.L, T=cfg.T)
     levels = _ladder(errors, "grid", line, (4, 2, 1)) if fits else []
-    a = 0.2
+    a, k = 0.2, 1
     if cfg.initial_kind == "cosine":  # checked by make_initial, as for every other study
         f = _planned(errors, "initial", "'cosine'", _initial_on, cfg, line)
         a = None if f is None else float(cfg.initial_params["a"])
-    # Z₀ = 1 + a·cos must stay positive, and a = 0 leaves no error to measure an order from
+        k = None if f is None else int(cfg.initial_params.get("k", 1))
+    # Z₀ = 1 + a·cos must stay positive, and a = 0 or k = 0 leaves no error
+    # to measure an order from
     if a is not None and not 0.0 < abs(a) < 1.0:
         errors.append(("initial", f"the heat oracle's single-mode amplitude must "
                                   f"satisfy 0 < |a| < 1, got {a}"))
-    return a, [g for _, g, _, _ in levels]
+    if k == 0:
+        errors.append(("initial", "the heat oracle's mode k must be nonzero, got 0"))
+    return a, k, [g for _, g, _, _ in levels]
 
 
-def _study_heat(cfg, report, amp, grids) -> None:
+def _study_heat(cfg, report, amp, k, grids) -> None:
     tol = cfg.tolerances
 
     errs_z, errs_u, dxs = [], [], []
     table = ["N,M,dx,dt,err_z,err_u"]
     for g in grids:
         x = g.axis_coords()
-        wavenum = 2.0 * math.pi / g.L
+        wavenum = 2.0 * math.pi * k / g.L
+        mode = np.cos(wavenum * x)
         times = g.times()
-        # λ = 0: zero increments and compensator 0, so every noise factor is 1
-        chunk = chunk_steps(g)
-        quiet = np.zeros((chunk,) + g.shape)
-        block = np.empty((1, chunk + 1) + g.shape)
-        block[0, 0] = 1.0 + amp * np.cos(wavenum * x)
-        # the errors are maxima, so taking them per checked chunk is exact
+        # λ = 0: nothing is drawn and every noise factor is 1; the errors are
+        # maxima, so taking them per checked chunk is exact
         err_z = err_u = 0.0
-        for lo in range(0, g.M, chunk):
-            hi = min(lo + chunk, g.M)
-            Z = block[:, : hi - lo + 1]
-            march(g, Z, [quiet[: hi - lo]], [0.0], lo)
-            H = checked_log(Z[0], lo)
-            decay = np.exp(-(wavenum**2) * times[lo : hi + 1])
-            z_exact = 1.0 + amp * decay[:, None] * np.cos(wavenum * x)[None, :]
+        for _, a, b, Z, _, _ in stream([(1, g, [lattice_delta(g)])], cfg.seed, 0.0,
+                                       [1.0 + amp * mode]):
+            H = checked_log(Z[0], a)
+            decay = np.exp(-(wavenum**2) * times[a : b + 1])
+            z_exact = 1.0 + amp * decay[:, None] * mode[None, :]
             err_z = max(err_z, float(np.max(np.abs(Z[0] - z_exact))))
             u_num = gradient_values(H, g.dx, 1)[0]
             u_exact = (-amp * wavenum * decay[:, None] * np.sin(wavenum * x)[None, :]
                        / z_exact)
             err_u = max(err_u, float(np.max(np.abs(u_num - u_exact))))
-            block[:, 0] = Z[:, -1]
         budget = tol["heat_C"] * (g.dt + g.dx**2)
         report.add(f"err_z_N{g.N}", err_z, err_z <= budget, target=0.0, tol=budget)
         report.add(f"err_u_N{g.N}", err_u, err_u <= budget, target=0.0, tol=budget)
@@ -495,35 +485,20 @@ def _plan_burgers(cfg, grid: TorusGrid, errors: list) -> tuple:
 def _burgers_reports(cfg, levels: list) -> list:
     """(grid, weak-form reports) of every ladder level, coarsest first, in one pass.
 
-    The master realization is drawn a chunk of fine steps at a time (the
-    largest multiple of the coarsest level's fac² steps within
-    `chunk_steps`, and at least one), and each chunk goes through every
-    level, coarsest first, before the next is drawn; each level marches in
-    a one-chunk buffer from the previous chunk's last slice, so no level
+    Each level is a one-member batch of `heat.stream`, whose checked chunks
+    are logged and paired into the level's `WeakPairings`, so no level
     holds more than a chunk of noise, Z or H.  The reports equal those of
     `weak_residual_batch` over `solve_heat` of each coarse-grained,
     mollified realization; ``levels`` is the study's plan.
     """
-    grid = levels[-1][1]
-    tf = levels[0][0] ** 2
-    chunk = max(tf, chunk_steps(grid) // tf * tf)
-    streams = []
-    for fac, g, m, f, bank in levels:
-        block = np.empty((1, chunk // fac**2 + 1) + g.shape)
-        block[0, 0] = np.exp(f.values)
-        pairings = WeakPairings(g, bank)
-        streams.append((fac, g, m, compensator(cfg.lam, m, g.dt), block, pairings))
-    for lo, hi, fine in draw_chunks(grid, cfg.seed, cfg.lam, chunk):
-        for fac, g, m, comp, block, pairings in streams:
-            a, b = lo // fac**2, hi // fac**2
-            dw = block_sum(fine, fac)
-            dwn = mollify_increments(m, dw, cfg.lam)
-            Z = block[:, : b - a + 1]
-            march(g, Z, [dwn], [comp], a)
-            pairings.add(a, b, checked_log(Z[0], a), dwn, dw)
-            block[:, 0] = Z[:, -1]
-    return [(g, pairings.reports(m.scale_n, cfg.seed, cfg.lam))
-            for _, g, m, _, _, pairings in streams]
+    pairings = [WeakPairings(g, bank) for _, g, _, _, bank in levels]
+    chunks = stream([(fac, g, [m]) for fac, g, m, _, _ in levels], cfg.seed, cfg.lam,
+                    [np.exp(f.values) for _, _, _, f, _ in levels])
+    for i, a, b, Z, (dwn,), dw in chunks:
+        pairings[i].add(a, b, checked_log(Z[0], a), dwn, dw)
+        del dwn, dw  # else they live on while the next chunk is drawn and mollified
+    return [(g, p.reports(m.scale_n, cfg.seed, cfg.lam))
+            for (_, g, m, _, _), p in zip(levels, pairings)]
 
 
 def _study_burgers(cfg, report, ladder) -> None:
@@ -664,43 +639,58 @@ def _plan_converge(cfg, grid: TorusGrid, errors: list) -> tuple:
                             f"scales below N = {grid.N}, got {scales}"))
     f = _planned(errors, "initial", repr(cfg.initial_kind), _initial_on, cfg, grid)
     bank = _planned(errors, "bank", "", build_bank, grid, cfg.bank)
-    reference = _grid_scale_mollifier(grid) if grid.d == 1 else None
+    reference = lattice_delta(grid) if grid.d == 1 else None
     return grid, scales, mollifiers, reference, f, bank, kpz
+
+
+def _stream_scales(cfg, grid, mollifiers, reference, f, bank) -> tuple:
+    """Weak reports per scale, the KPZ residual sum at the second, the base and the reference.
+
+    The scales and, in d = 1, the grid-scale reference march as one
+    `heat.stream` batch; each scale's chunk is logged once for its weak
+    pass and KPZ residual.  Only the base (for the KPZ ladder) and the
+    reference's Z (a stored `HeatSolution` for the Cauchy column) are kept.
+    """
+    members = mollifiers + ([] if reference is None else [reference])
+    pairings = [WeakPairings(grid, bank) for _ in mollifiers]
+    increments = np.empty((grid.M,) + grid.shape)
+    ref_values = None if reference is None else np.empty((grid.M + 1,) + grid.shape)
+    residual = np.empty(grid.M)
+    kpz_comp = compensator(cfg.lam, mollifiers[1], grid.dt)
+    for _, a, b, Z, dwns, dw in stream([(1, grid, members)], cfg.seed, cfg.lam,
+                                       [np.exp(f.values)]):
+        increments[a:b] = dw
+        for s, p in enumerate(pairings):
+            H = checked_log(Z[s], a)
+            p.add(a, b, H, dwns[s], dw)
+            if s == 1:
+                residual[a:b] = kpz_step_residuals(grid, H, dwns[s], kpz_comp)
+        if reference is not None:
+            ref_values[a : b + 1] = Z[-1]
+    base = WhiteNoiseRealization(grid=grid, seed=cfg.seed, lam=cfg.lam, increments=increments)
+    ref_sol = (None if reference is None
+               else HeatSolution(grid, mollify(base, reference), ref_values))
+    weak_by_scale = [p.reports(m.scale_n, cfg.seed, cfg.lam)
+                     for m, p in zip(mollifiers, pairings)]
+    return weak_by_scale, float(np.sum(residual)), base, ref_sol
 
 
 def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, kpz) -> None:
     tol = cfg.tolerances
-    base = sample_noise(grid, cfg.seed, cfg.lam)
+    weak_by_scale, kpz_fine_value, base, ref_sol = _stream_scales(
+        cfg, grid, mollifiers, reference, f, bank)
 
     rhs_by_phi = {phi.id: [] for phi in bank}
     defect_by_phi = {phi.id: [] for phi in bank}
     limit_by_phi = {}
-    kpz_fine_value = None
-    n_kpz = scales[1]
     table = ["phi_id,n,rhs,limit_pairing,deviation,defect,ratio"]
-    weak_by_scale = []
-    if grid.d == 1:
-        # the scales and the grid-scale reference of the Cauchy column share
-        # the base noise, the grid and f: they march as one batch.  The delta
-        # convolves to the identity: the reference takes the raw increments.
-        mns = [mollify(base, m) for m in mollifiers]
-        ref = MollifiedNoise(base=base, mollifier=reference, increments=base.increments)
-        *sols, ref_sol = solve_heat(grid, mns + [ref], f)
-    else:
-        # nothing outlives its scale, so one scale at a time holds one stack
-        sols = (solve_heat(grid, mollify(base, m), f) for m in mollifiers)
-    for n, m, sol in zip(scales, mollifiers, sols):
-        reports = weak_residual_batch(sol, bank)
-        weak_by_scale.append(reports)
+    for m, reports in zip(mollifiers, weak_by_scale):
         for phi, r in zip(bank, reports):
             rhs_by_phi[phi.id].append(r.rhs)
             defect_by_phi[phi.id].append(_mollification_defect(m, phi, grid))
             # the limit pairing reads only the shared base noise: every scale
             # reports the same value, so the first one is kept
             limit_by_phi.setdefault(phi.id, r.limit_pairing)
-        if n == n_kpz:
-            kpz_fine_value = float(np.sum(kpz_residual(sol)))
-    del sol  # the last scale's stack: nothing below reads it
 
     dev_curves = {}
     for phi in bank:
@@ -796,8 +786,7 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
         report.tables["cauchy.csv"] = cauchy_lines
         report.add_curves("cauchy_gaps", cauchy_curves,
                           xlabel="n", ylabel="|v(n_hi) - v(n_lo)|")
-        # nothing below reads the batch: drop its stacks before the KPZ ladder
-        del mns, sols, ref_sol
+        del ref_sol  # nothing below reads the reference
 
     # KPZ residual decay under coupled refinement of one realization
     kpz_values, kpz_dxs = [], []

@@ -39,13 +39,15 @@ buffers the march adds to its noise-factor run.  It forms the
 noise factors of a short run of steps at a time and checks the finished
 chunk for finite, strictly positive Z (with two reductions, no mask), so a
 numerical breakdown is reported at its step and node, and stops the
-caller's chunk loop, instead of after all M steps.  Each caller writes its
-own chunk loop: `solve_heat` marches the overlapping chunks of the whole
-(M+1)-slice stack; the heat and burgers studies march a one-chunk buffer
-and carry its last slice into the next chunk, keeping none.  Every
-operation of the per-step update is elementwise and kept in the order
-written above, so a batched or chunked trajectory equals the single march
-bit for bit.
+chunk loop, instead of after all M steps.
+
+`stream` is the one chunk loop of the studies that keep no trajectory: it
+draws, block-sums, mollifies and marches a coupled ladder of batches one
+chunk at a time and yields each checked chunk.  `solve_heat` marches a
+whole stored (M+1)-slice stack for the readers of a whole trajectory.
+Every operation of the per-step update is elementwise and kept in the
+order written above, so a batched, chunked or streamed trajectory equals
+the single march bit for bit.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ from burgerslab.lattice import is_integer, real
 # target but its own renamed one to be missing; the binding goes when that
 # target does.
 from burgerslab.lattice import laplacian_values  # noqa: F401
-from burgerslab.noise import Mollifier, MollifiedNoise
+from burgerslab.noise import Mollifier, MollifiedNoise, block_sum, draw_chunks
+from burgerslab.noise import mollify_increments
 
 __all__ = [
     "HeatSolution",
@@ -72,6 +75,7 @@ __all__ = [
     "make_initial",
     "compensator",
     "march",
+    "stream",
     "solve_heat",
     "stability_check",
 ]
@@ -158,9 +162,9 @@ class HeatSolution:
 
     `values` stacks the M+1 time slices, shape (M+1,) + grid.shape, each
     checked by the march to be finite and strictly positive, and
-    `noise.base` is the realization underneath.  Only the studies that read
-    a whole trajectory build one (converge, section, fk-check); the heat
-    and burgers studies march chunk by chunk and keep no trajectory.
+    `noise.base` is the realization underneath.  Only the readers of a
+    whole trajectory build one: section, fk-check, converge's KPZ ladder,
+    flat run and grid-scale reference; the other studies `stream`.
     """
 
     grid: TorusGrid
@@ -255,28 +259,50 @@ def march(
     _check_chunk(block, first_step, increments, compensated, grid)
 
 
-def solve_heat(
-    grid: TorusGrid,
-    noise: MollifiedNoise | Sequence[MollifiedNoise],
-    f: ScalarField,
-) -> HeatSolution | list[HeatSolution]:
-    """March the scheme from exp(f) through all M steps of the realization.
+def stream(levels: Sequence, seed: int, lam: float, z0s: Sequence):
+    """March one realization through a ladder of batches, a chunk at a time.
 
-    Parameters
-    ----------
-    grid : TorusGrid
-        Must match the grid the noise was sampled on.
-    noise : MollifiedNoise or sequence of MollifiedNoise
-        The frozen realization driving the run.  A sequence of realizations
-        on one grid marches as one (S,) + grid stack from the same start.
-    f : ScalarField
-        Initial profile; the trajectory starts at exp(f) exactly.
+    Each level is (fac, grid, members): ``members`` are the mollifiers of
+    the batch marched on ``grid``, the fine grid coarser by fac in space and
+    fac² in time; the fine grid itself, fac 1, comes last.  ``z0s[i]`` is
+    level i's start Z₀.  The realization `draw_chunks` gives for (seed, λ)
+    on the fine grid is drawn in chunks of the largest multiple of the
+    coarsest fac² within `chunk_steps` of the fine grid and the largest
+    batch, and each chunk goes through every level in turn.  Yields
+    (i, a, b, Z, dwns, dw) per level i and checked chunk: Z holds the
+    batch's steps a .. b, ``dwns[s]`` member s's ΔWⁿ of steps a .. b − 1
+    and ``dw`` the raw ΔW on the level.  Each level keeps only its chunk
+    buffer; a consumer that still holds an item's arrays while it asks for
+    the next one holds them through the next draw and mollification.
+    """
+    if levels[-1][0] != 1 or not all(ms and all(m.grid == g for m in ms) for _, g, ms in levels):
+        raise ValueError("each level needs a batch of mollifiers on its own grid, fac 1 last")
+    tf = max(fac for fac, _, _ in levels) ** 2
+    fine = levels[-1][1]
+    chunk = max(tf, chunk_steps(fine, max(len(ms) for _, _, ms in levels)) // tf * tf)
+    runs = []
+    for (fac, g, members), z0 in zip(levels, z0s, strict=True):
+        block = np.empty((len(members), chunk // fac**2 + 1) + g.shape)
+        block[:, 0] = z0
+        runs.append((fac, g, members, [compensator(lam, m, g.dt) for m in members], block))
+    for lo, hi, fine_dw in draw_chunks(fine, seed, lam, chunk):
+        for i, (fac, g, members, compensated, block) in enumerate(runs):
+            a, b = lo // fac**2, hi // fac**2
+            dw = block_sum(fine_dw, fac)
+            dwns = [mollify_increments(m, dw, lam) for m in members]
+            Z = block[:, : b - a + 1]
+            march(g, Z, dwns, compensated, a)
+            yield i, a, b, Z, dwns, dw
+            block[:, 0] = Z[:, -1]
 
-    Returns
-    -------
-    HeatSolution, or a list of them (one per noise, in order) for a sequence
-        values[0] is exp(f) exactly; every slice is strictly positive.  The
-        stack is marched in place by `march`, one chunk at a time.
+
+def solve_heat(grid: TorusGrid, noise: MollifiedNoise, f: ScalarField) -> HeatSolution:
+    """March the scheme from exp(f) through all M steps of a stored realization.
+
+    ``grid`` must be the grid the noise was sampled on, and ``f`` the
+    initial profile on it.  The returned trajectory's values[0] is exp(f)
+    exactly, and every slice is strictly positive: the stack is marched in
+    place by `march`, one checked chunk at a time.
 
     Raises
     ------
@@ -285,25 +311,15 @@ def solve_heat(
         time chunk holds a Z that is not finite and strictly positive,
         naming its step and node.
     """
-    batched = not isinstance(noise, MollifiedNoise)
-    noises = list(noise) if batched else [noise]
-    if not noises:
-        raise ValueError("need at least one noise realization")
-    if any(mn.grid != grid for mn in noises):
+    if noise.grid != grid:
         raise ValueError("noise realization lives on a different grid")
     if f.grid != grid:
         raise ValueError("initial data lives on a different grid")
-
-    M, S = grid.M, len(noises)
-    compensated = [compensator(mn.lam, mn.mollifier, grid.dt) for mn in noises]
-    values = np.empty((S, M + 1) + grid.shape)
-    values[:, 0] = np.exp(f.values)
-    chunk = chunk_steps(grid, S)  # checked chunks as long as the march's factor runs
-    for lo in range(0, M, chunk):
-        hi = min(lo + chunk, M)
-        increments = [mn.increments[lo:hi] for mn in noises]
-        march(grid, values[:, lo : hi + 1], increments, compensated, lo)
-    sols = [
-        HeatSolution(grid=grid, noise=mn, values=values[s]) for s, mn in enumerate(noises)
-    ]
-    return sols if batched else sols[0]
+    values = np.empty((grid.M + 1,) + grid.shape)
+    values[0] = np.exp(f.values)
+    compensated = [compensator(noise.lam, noise.mollifier, grid.dt)]
+    chunk = chunk_steps(grid)  # checked chunks as long as the march's factor runs
+    for lo in range(0, grid.M, chunk):
+        hi = min(lo + chunk, grid.M)
+        march(grid, values[None, lo : hi + 1], [noise.increments[lo:hi]], compensated, lo)
+    return HeatSolution(grid=grid, noise=noise, values=values)

@@ -76,6 +76,7 @@ __all__ = [
     "WhiteNoiseRealization",
     "MollifiedNoise",
     "make_mollifier",
+    "lattice_delta",
     "is_seed",
     "seeded_stream",
     "draw_chunks",
@@ -231,6 +232,18 @@ def make_mollifier(grid: TorusGrid, n: int) -> Mollifier:
     )
 
 
+def lattice_delta(grid: TorusGrid) -> Mollifier:
+    """The lattice delta dx⁻ᵈ·δ₀ (ρ_n at n = N), whose convolution is the identity.
+
+    It is the one single-node kernel: make_mollifier's bumps span at least
+    8 cells per axis.  Its c_n_discrete is dx⁻ᵈ.
+    """
+    c = 1.0 / grid.cell_volume
+    kernel = np.zeros(grid.shape)
+    kernel[(0,) * grid.d] = c
+    return Mollifier(grid=grid, scale_n=grid.N, c_n_continuum=c, c_n_discrete=c, kernel=kernel)
+
+
 @dataclass(frozen=True)
 class WhiteNoiseRealization:
     """A seeded grid of white-noise increments ΔW_{k,i}.
@@ -380,10 +393,11 @@ def mollify_increments(m: Mollifier, increments: np.ndarray, lam: float) -> np.n
     """ΔWⁿ_k = dx^d · (K ⊛ ΔW_k) for a run of time slices of amplitude λ.
 
     Each slice is convolved on its own, so a chunk of steps mollifies to
-    the same bits as the whole realization.  At λ = 0 the increments are
-    zeros, whose convolution is zero: they are returned as they are.
+    the same bits as the whole realization.  The increments are returned as
+    they are where the convolution is exact without it: at λ = 0 (they are
+    zeros) and for the single-node `lattice_delta` (the identity).
     """
-    if lam == 0.0:
+    if lam == 0.0 or np.count_nonzero(m.kernel) == 1:
         return increments
     return _convolve_slices(increments, m)
 

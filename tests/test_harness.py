@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import burgerslab
-from burgerslab import colehopf, fk
+from burgerslab import colehopf, fk, heat
 from burgerslab.harness import (
     DEFAULT_TOLERANCES,
     STUDY_KINDS,
@@ -321,6 +321,23 @@ def test_validate_rejects_heat_amplitude_outside_unit_interval(a):
     ExperimentConfig(study="heat", initial_kind="cosine", initial_params={"a": -0.5}).validate()
 
 
+def test_the_heat_oracle_marches_the_configs_cosine_mode(tmp_path):
+    # seen: k = 3 wrote a heat.csv byte-identical to k = 1's; the oracle now
+    # starts from 1 + a·cos(2πkx/L) and decays it at the rate (2πk/L)²
+    tables = {}
+    for k in (1, 3):
+        cfg = ExperimentConfig(study="heat", N=64, M=8192, initial_kind="cosine",
+                               initial_params={"a": 0.3, "k": k})
+        rep = run_study(cfg, out_dir=tmp_path / f"k{k}")
+        tables[k] = (tmp_path / f"k{k}" / "heat.csv").read_text()
+        err_z = [it for it in rep.items if it["name"].startswith("err_z_N")]
+        assert len(err_z) == 3 and all(it["passed"] for it in err_z), (k, err_z)
+    assert tables[1] != tables[3]
+    # k = 0 is a constant start: no error to measure an order from
+    errors = _errors(study="heat", initial_kind="cosine", initial_params={"a": 0.3, "k": 0})
+    assert [name for name, _ in errors] == ["initial"] and "k must be nonzero" in errors[0][1]
+
+
 def test_validate_rejects_unknown_and_nonpositive_tolerances():
     with pytest.raises(ConfigError, match="unknown names"):
         ExperimentConfig(study="qv", tolerances={"not_a_knob": 1.0}).validate()
@@ -530,7 +547,7 @@ def test_march_breakdown_is_reported_from_the_march_at_its_step(tmp_path, monkey
             drawn.append((lo, hi))
             yield lo, hi, increments
 
-    monkeypatch.setattr(studies, "draw_chunks", recording_draw)
+    monkeypatch.setattr(heat, "draw_chunks", recording_draw)
     cfg = ExperimentConfig.from_dict({"study": "burgers", "lambda": 1e3, "refine_levels": 1})
     with pytest.raises(ValueError, match=r"Z at step (\d+), node \(\d+,\) is") as err:
         run_study(cfg, out_dir=tmp_path)
@@ -590,10 +607,11 @@ def test_converge_reports_one_limit_pairing_at_every_scale(tmp_path):
 
 
 def test_converge_takes_each_fine_trajectorys_log_once(tmp_path, monkeypatch):
-    # the Cauchy column reads the weak reports, so each fine-grid trajectory
-    # is logged once for both: four scales' and the reference's weak passes,
-    # the KPZ residual at n_kpz and the reference's ‖U‖ (11 passes when the
-    # Cauchy column took its own logs)
+    # each scale's streamed chunk is logged once for its weak pass and, at
+    # n_kpz, its KPZ residual; the stored grid-scale reference is logged for
+    # its weak pass and for ‖U‖, which the Cauchy budget reads: 6 passes on
+    # the fine grid (7 when the KPZ residual took its own log, 11 when the
+    # Cauchy column did)
     cfg = _tiny("converge", N=64, M=416, T=0.05, n=(2, 4, 8, 16))
     passes = []
     checked_log = colehopf.checked_log
@@ -603,9 +621,12 @@ def test_converge_takes_each_fine_trajectorys_log_once(tmp_path, monkeypatch):
             passes.append(first_step)
         return checked_log(values, first_step)
 
-    monkeypatch.setattr(colehopf, "checked_log", counted)
+    # count the logs wherever they are taken: at every binding of checked_log
+    for module in (colehopf, heat, studies):
+        if getattr(module, "checked_log", None) is checked_log:
+            monkeypatch.setattr(module, "checked_log", counted)
     run_study(cfg, out_dir=tmp_path / "c")
-    assert len(passes) == 7
+    assert len(passes) == 6
 
 
 def test_section_deterministic_tiny_run_passes(tmp_path):

@@ -19,6 +19,7 @@ from burgerslab.heat import (
     march,
     solve_heat,
     stability_check,
+    stream,
 )
 
 
@@ -208,19 +209,20 @@ def test_batched_march_equals_single_marches_bit_for_bit(d, N, T, override, chun
         f = initial_cosine(g, a=0.4)
     for lams in ([1.0, 0.5], [1.0, 0.0, 2.0]):
         noises = _noises(g, lams)
-        batch = solve_heat(g, noises, f)
-        assert len(batch) == len(noises)
-        for mn, sol in zip(noises, batch):
-            single = solve_heat(g, mn, f)
-            assert sol.noise is mn
-            assert np.array_equal(sol.values, single.values)
+        # one batch through all M steps, against solve_heat's checked chunks
+        batch = np.empty((len(noises), g.M + 1) + g.shape)
+        batch[:, 0] = np.exp(f.values)
+        march(g, batch, [mn.increments for mn in noises],
+              [compensator(mn.lam, mn.mollifier, g.dt) for mn in noises], 0)
+        for mn, values in zip(noises, batch):
+            assert np.array_equal(values, solve_heat(g, mn, f).values)
     # the march is the scheme, step for step
     mn = noises[-1]
     comp = 0.5 * mn.lam**2 * mn.mollifier.c_n_discrete * g.dt
-    z = batch[-1].values[0]
+    z = batch[-1, 0]
     for k in range(g.M):
         z = (z + g.dt * laplacian_values(z, g.dx)) * np.exp(mn.increments[k] - comp)
-        assert np.array_equal(batch[-1].values[k + 1], z)
+        assert np.array_equal(batch[-1, k + 1], z)
 
 
 @pytest.mark.parametrize("S", [1, 3])
@@ -244,10 +246,13 @@ def test_march_allocates_one_factor_run_and_a_few_slices(S):
 def test_batch_member_on_another_grid_is_rejected():
     g = _stable_grid()
     other = TorusGrid(d=1, N=g.N, M=g.M, T=g.T * 0.5)
+    z0 = np.ones(g.shape)
+    with pytest.raises(ValueError, match="on its own grid"):
+        next(stream([(1, g, [make_mollifier(g, 4), make_mollifier(other, 4)])], 0, 1.0, [z0]))
+    with pytest.raises(ValueError, match="on its own grid"):
+        next(stream([(1, g, [])], 0, 1.0, [z0]))
     with pytest.raises(ValueError, match="different grid"):
-        solve_heat(g, [_mollified(g), _mollified(other)], initial_zero(g))
-    with pytest.raises(ValueError, match="at least one"):
-        solve_heat(g, [], initial_zero(g))
+        solve_heat(g, _mollified(other), initial_zero(g))
 
 
 def test_breakdown_names_step_and_node():

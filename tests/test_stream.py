@@ -1,21 +1,37 @@
-"""The streaming passes: the stored path's burgers reports, without a space-time stack."""
+"""The streaming passes: the stored path's reports, without a space-time stack."""
 
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import burgerslab
 from burgerslab.bank import build_bank
-from burgerslab.colehopf import weak_residual_batch
+from burgerslab.colehopf import (
+    WeakPairings,
+    checked_log,
+    kpz_residual,
+    kpz_step_residuals,
+    weak_residual_batch,
+)
 from burgerslab.harness.config import ExperimentConfig
-from burgerslab.harness.studies import _burgers_reports
-from burgerslab.heat import make_initial, solve_heat
-from burgerslab.noise import coarse_grain, make_mollifier, mollify, sample_noise
+from burgerslab.harness.studies import _burgers_reports, run_study
+from burgerslab.heat import compensator, make_initial, solve_heat, stream
+from burgerslab.noise import (
+    MollifiedNoise,
+    coarse_grain,
+    coarse_grid,
+    lattice_delta,
+    make_mollifier,
+    mollify,
+    sample_noise,
+)
 
 _FLOATS = ("lhs", "rhs", "gap", "limit_pairing", "pairing", "scale")
 
@@ -74,6 +90,75 @@ def test_streamed_reports_equal_the_stored_path_bit_for_bit(d, levels, lam, seed
                 getattr(e, k).hex() for k in _FLOATS
             ], r.phi_id
             assert r == e
+
+
+def _hexes(reports):
+    return [(r.phi_id, r.n) + tuple(getattr(r, k).hex() for k in _FLOATS) for r in reports]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from([1, 2]),
+    levels=st.sampled_from([1, 2]),
+    lam=st.sampled_from([0.0, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    runs=st.integers(1, 6),
+)
+def test_the_driver_equals_per_member_solve_heat_bit_for_bit(d, levels, lam, seed, runs):
+    # each level marches a batch of two scales and the lattice delta; every
+    # member's weak reports and its KPZ residual taken per chunk equal
+    # weak_residual_batch and kpz_residual over its own stored solve_heat
+    cfg = _config(d, 2, lam, seed)
+    fine = cfg.grid()
+    ladder = []
+    for fac in (2, 1)[2 - levels:]:
+        g = coarse_grid(fine, fac)
+        members = [make_mollifier(g, 2), make_mollifier(g, 4), lattice_delta(g)]
+        f = make_initial(g, cfg.initial_kind, dict(cfg.initial_params))
+        ladder.append((fac, g, members, f, build_bank(g, cfg.bank)))
+    pairings = [[WeakPairings(g, bank) for _ in ms] for _, g, ms, _, bank in ladder]
+    residuals = [np.full((len(ms), g.M), np.nan) for _, g, ms, _, _ in ladder]
+    with mock.patch("burgerslab.lattice._CHUNK", runs * 4 ** (levels - 1)):
+        chunks = stream([(fac, g, ms) for fac, g, ms, _, _ in ladder], seed, lam,
+                        [np.exp(f.values) for _, _, _, f, _ in ladder])
+        for i, a, b, Z, dwns, dw in chunks:
+            _, g, ms, _, _ = ladder[i]
+            for s, m in enumerate(ms):
+                H = checked_log(Z[s], a)
+                pairings[i][s].add(a, b, H, dwns[s], dw)
+                residuals[i][s, a:b] = kpz_step_residuals(
+                    g, H, dwns[s], compensator(lam, m, g.dt))
+
+    base = sample_noise(fine, seed, lam)
+    for (fac, g, ms, f, bank), level_pairings, level_residuals in zip(
+            ladder, pairings, residuals):
+        coarse = coarse_grain(base, fac)
+        for m, p, residual in zip(ms, level_pairings, level_residuals):
+            # the delta's noise is written out as the raw increments, so the
+            # check does not lean on mollify's rule for it
+            mn = (MollifiedNoise(base=coarse, mollifier=m, increments=coarse.increments)
+                  if m.scale_n == g.N else mollify(coarse, m))
+            sol = solve_heat(g, mn, f)
+            assert _hexes(p.reports(m.scale_n, seed, lam)) == _hexes(
+                weak_residual_batch(sol, bank)), (fac, m.scale_n)
+            assert residual.tobytes() == kpz_residual(sol).tobytes(), (fac, m.scale_n)
+
+
+def test_converge_holds_no_batch_sized_stack(tmp_path):
+    # perfbench's shrunk converge: a (M+1)·N stack is 4.2 MB.  Streaming the
+    # scales keeps the base, the grid-scale reference and the weak-pass sums,
+    # a traced peak of 4.2 stacks; the stored batch (three scales and the
+    # reference, their mollified noise and the base) peaked at 8.9
+    cfg = ExperimentConfig.from_dict({"study": "converge", "N": 64, "M": 8192, "n": [2, 4, 8]})
+    cfg.validate()  # the plan's kernels and bank are not the run's peak
+    tracemalloc.start()
+    try:
+        run_study(cfg, out_dir=tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stack = (cfg.M + 1) * cfg.N * 8
+    assert peak < 6 * stack, (peak, stack)
 
 
 _CHILD = """
