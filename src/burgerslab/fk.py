@@ -28,6 +28,15 @@ probing.
 
 Estimates are plain Monte Carlo: mean, and standard error of the mean
 with the usual 1/√num_paths decay.  No variance reduction.
+
+The periodic wrap of the walk is exact without a float remainder: a
+wrapped position plus one step lies in [−L, 2L) unless the step is
+comparable with L, and there one subtraction or addition of L gives the
+float ``np.remainder`` would.  A step whose positions leave [−L, 2L) (only
+when √(2dt) is comparable with L) takes ``np.remainder`` instead.  Wrapped
+positions lie in [0, L], so their nearest nodes run over 0 .. N; each
+increment slice is read through a buffer one node wider per axis, whose
+index N repeats node 0, in place of an integer modulo per axis and step.
 """
 
 from __future__ import annotations
@@ -66,6 +75,41 @@ def _coord_node(grid, x_arr: np.ndarray) -> tuple:
             )
         out.append(j)
     return tuple(out)
+
+
+def _wrap(pos: np.ndarray, L: float) -> None:
+    """pos mod L in place, equal to ``np.remainder(pos, L)`` bit for bit.
+
+    For pos in [−L, 2L) one subtraction or addition of L gives the same
+    float as the remainder: pos − L is exact for pos in [L, 2L) (Sterbenz),
+    and pos + L for pos in [−L, 0) is the addition the remainder rounds
+    with.  Only an array that leaves [−L, 2L), a step comparable with L,
+    takes the remainder itself.
+    """
+    if pos.min() < -L or pos.max() >= 2.0 * L:
+        np.remainder(pos, L, out=pos)
+        return
+    np.subtract(pos, L, out=pos, where=pos >= L)
+    np.add(pos, L, out=pos, where=pos < 0.0)
+
+
+def _fill_wrapped(wrapped: np.ndarray, values: np.ndarray) -> None:
+    """Copy an N^d slice into the (N+1)^d buffer, index N on each axis reading node 0."""
+    n = values.shape[0]
+    wrapped[(slice(n),) * values.ndim] = values
+    for a in range(values.ndim):
+        wrapped[(slice(None),) * a + (n,)] = wrapped[(slice(None),) * a + (0,)]
+
+
+def _locate(pos: np.ndarray, inv_dx: float, nodes: tuple) -> tuple:
+    """Each path's nearest node on every axis, written into ``nodes``.
+
+    Wrapped positions lie in [0, L], so the indices run over 0 .. N, and
+    index N is node 0 in the buffer `_fill_wrapped` writes.
+    """
+    for a, out in enumerate(nodes):
+        out[...] = np.rint(pos[:, a] * inv_dx)
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -115,28 +159,24 @@ def fk_estimate(
     rng = seeded_stream(brownian_seed, _BROWNIAN_STREAM_TAG)
     scale = math.sqrt(2.0 * grid.dt)
     inv_dx = 1.0 / grid.dx
-    N = grid.N
     d = grid.d
 
     pos = np.tile(x_arr, (num_paths, 1))
     expo = np.zeros(num_paths)
     inc = noise.increments
+    wrapped = np.empty((grid.N + 1,) * d)
+    nodes = tuple(np.empty(num_paths, dtype=np.int64) for _ in range(d))
     for k in range(m):
-        slice_k = inc[m - 1 - k]
-        nodes = tuple(
-            (np.rint(pos[:, a] * inv_dx).astype(np.int64) % N) for a in range(d)
-        )
-        expo += slice_k[nodes]
+        _fill_wrapped(wrapped, inc[m - 1 - k])
+        expo += wrapped[_locate(pos, inv_dx, nodes)]
         pos += rng.normal(0.0, scale, size=(num_paths, d))
-        pos %= grid.L
+        _wrap(pos, grid.L)
 
     if mode == "ito-compensated":
         expo -= compensator(noise.lam, noise.mollifier, m * grid.dt)
 
-    nodes = tuple(
-        (np.rint(pos[:, a] * inv_dx).astype(np.int64) % N) for a in range(d)
-    )
-    values = np.exp(f.values[nodes] + expo)
+    _fill_wrapped(wrapped, f.values)
+    values = np.exp(wrapped[_locate(pos, inv_dx, nodes)] + expo)
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(num_paths))  # num_paths ≥ 100
     return FkEstimate(

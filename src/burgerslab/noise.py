@@ -58,6 +58,18 @@ colored in space with spatial kernel
 
 and the per-node path W^n_t(x) = Σ_{k<t/dt} ΔW^n_{k,x} is a discrete
 Brownian motion whose quadratic variation per unit time is c_n_discrete.
+
+Seeds and streams
+-----------------
+A seed becomes the Philox key (seed, tag), where the tag names the consumer
+(white noise here, the Brownian walk in `fk`), so the streams of one seed
+are independent.  `draw_chunks` reads one seed's stream in time chunks.
+`draw_seeds` draws a batch of seeds, one row each, from a single Philox that
+it re-keys before each row to a fresh stream's state (counter 0, empty
+buffer), so every row equals that seed's own stream bit for bit; a study
+that needs thousands of small realizations draws them in blocks of seeds
+sized by `lattice.chunk_steps(grid, grid.M)`.  No generator is built at
+import.
 """
 
 from __future__ import annotations
@@ -80,6 +92,7 @@ __all__ = [
     "is_seed",
     "seeded_stream",
     "draw_chunks",
+    "draw_seeds",
     "sample_noise",
     "pair",
     "mollify_increments",
@@ -246,23 +259,25 @@ def lattice_delta(grid: TorusGrid) -> Mollifier:
 
 @dataclass(frozen=True)
 class WhiteNoiseRealization:
-    """A seeded grid of white-noise increments ΔW_{k,i}.
+    """A seeded grid of white-noise increments ΔW_{k,i}, or a batch of them.
 
     The array has shape (M,) + grid.shape and, at amplitude λ, entries that
     are independent N(0, λ²·dt/dx^d).  λ multiplies the increments at
     sampling time, so at λ = 0 they are exact zeros, which `sample_noise`
     writes without drawing and `mollify` passes on without convolving; the
     amplitude is kept as metadata because the Itô compensator of the heat
-    scheme scales with λ².
+    scheme scales with λ².  A batch (`draw_seeds`) has a tuple of seeds and
+    one leading row per seed.
     """
 
     grid: TorusGrid
-    seed: int
+    seed: int | tuple
     lam: float
     increments: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        expected = (self.grid.M,) + self.grid.shape
+        rows = (len(self.seed),) if isinstance(self.seed, tuple) else ()
+        expected = rows + (self.grid.M,) + self.grid.shape
         if self.increments.shape != expected:
             raise ValueError(
                 f"increments must have shape {expected}, got {self.increments.shape}"
@@ -296,12 +311,21 @@ def is_seed(value) -> bool:
     return is_integer(value) and 0 <= value <= np.iinfo(np.uint64).max
 
 
-def seeded_stream(seed: int, tag: np.uint64) -> np.random.Generator:
-    """The Philox stream keyed by (seed, tag), the one place a seed becomes a stream."""
+def _stream_key(seed: int, tag: np.uint64) -> np.ndarray:
+    """The Philox key (seed, tag), the one place a seed becomes a key."""
     if not is_seed(seed):
         raise ValueError(f"seed must be a nonnegative integer below 2**64, got {seed!r}")
-    key = np.array([np.uint64(seed), tag], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.array([np.uint64(seed), tag], dtype=np.uint64)
+
+
+def seeded_stream(seed: int, tag: np.uint64) -> np.random.Generator:
+    """The Philox stream keyed by (seed, tag)."""
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, tag)))
+
+
+def _scale(grid: TorusGrid, lam: float) -> float:
+    """λ·sqrt(dt/dx^d), the standard deviation of one increment."""
+    return lam * math.sqrt(grid.dt / grid.cell_volume)
 
 
 def draw_chunks(grid: TorusGrid, seed: int, lam: float, chunk: int):
@@ -322,7 +346,7 @@ def draw_chunks(grid: TorusGrid, seed: int, lam: float, chunk: int):
     nothing is drawn.
     """
     rng = seeded_stream(seed, _NOISE_STREAM_TAG)
-    scale = lam * math.sqrt(grid.dt / grid.cell_volume)
+    scale = _scale(grid, lam)
     for lo in range(0, grid.M, chunk):
         hi = min(lo + chunk, grid.M)
         shape = (hi - lo,) + grid.shape
@@ -344,19 +368,47 @@ def sample_noise(grid: TorusGrid, seed: int, lam: float = 1.0) -> WhiteNoiseReal
     return WhiteNoiseRealization(grid=grid, seed=seed, lam=lam, increments=increments)
 
 
-def pair(noise: WhiteNoiseRealization | MollifiedNoise, xi: np.ndarray) -> float:
+def draw_seeds(grid: TorusGrid, seeds, lam: float) -> WhiteNoiseRealization:
+    """The realizations of a run of seeds as one batch, drawn from one Philox.
+
+    Row i equals ``sample_noise(grid, seeds[i], lam).increments`` bit for
+    bit: before each row the one generator is re-keyed to (seeds[i], the
+    white-noise tag) with the counter at 0 and an empty buffer, the state of
+    a fresh stream, so a batch builds one Philox instead of one per seed.
+    At lam = 0 the rows are zeros and nothing is drawn or built.
+    """
+    seeds = tuple(seeds)
+    keys = [_stream_key(seed, _NOISE_STREAM_TAG) for seed in seeds]
+    increments = np.zeros((len(keys), grid.M) + grid.shape)
+    if lam != 0.0 and keys:
+        bits = np.random.Philox(key=keys[0])
+        rng = np.random.Generator(bits)
+        fresh = bits.state
+        for key, row in zip(keys, increments):
+            fresh["state"]["key"] = key
+            bits.state = fresh
+            rng.standard_normal(out=row)
+        increments *= _scale(grid, lam)
+    return WhiteNoiseRealization(grid=grid, seed=seeds, lam=lam, increments=increments)
+
+
+def pair(noise: WhiteNoiseRealization | MollifiedNoise, xi: np.ndarray):
     """Pair a space-time sample array against the noise: Σ ξ·ΔW·dx^d.
 
     For white noise with λ = 1 the result is Gaussian with mean 0 and
     variance dt·dx^d·Σξ² — the discrete pairing law.  ξ must be sampled on
-    the same space-time lattice as the increments.
+    the same space-time lattice as the increments.  A batch pairs each row
+    and returns one value per realization; a realization returns a float.
     """
     xi = np.asarray(xi, dtype=np.float64)
-    if xi.shape != noise.increments.shape:
+    increments = noise.increments
+    rows = increments.shape[: increments.ndim - xi.ndim]
+    if len(rows) > 1 or rows + xi.shape != increments.shape:
         raise ValueError(
-            f"pairing shape mismatch: xi {xi.shape} vs increments {noise.increments.shape}"
+            f"pairing shape mismatch: xi {xi.shape} vs increments {increments.shape}"
         )
-    return float(np.sum(noise.increments * xi)) * noise.grid.cell_volume
+    values = np.sum((increments * xi).reshape(rows + (-1,)), axis=-1) * noise.grid.cell_volume
+    return values if rows else float(values)
 
 
 def _convolve_slices(increments: np.ndarray, m: Mollifier) -> np.ndarray:
@@ -457,28 +509,13 @@ def h_eval(m: Mollifier, z) -> float:
     return n**d * h_unscaled
 
 
-def _node_index(grid: TorusGrid, x) -> tuple[int, ...]:
-    idx = (x,) if np.isscalar(x) else tuple(x)
-    if len(idx) != grid.d:
-        raise ValueError(f"node index must have {grid.d} components, got {idx!r}")
-    out = []
-    for component in idx:
-        i = int(component)
-        if i != component or not (0 <= i < grid.N):
-            raise ValueError(f"node index {idx!r} is off the grid (N = {grid.N})")
-        out.append(i)
-    return tuple(out)
-
-
-def wiener_path(mn: MollifiedNoise, x) -> np.ndarray:
+def wiener_path(node_increments: np.ndarray) -> np.ndarray:
     """Cumulative mollified noise at one node: the path W^n_t(x), starting at 0.
 
-    Returns the M+1 values at t = 0, dt, …, T; consecutive differences are
-    exactly the stored increments at that node.
+    ``node_increments`` are the node's M mollified increments; returns the
+    M+1 values at t = 0, dt, …, T, their running sums from 0.
     """
-    idx = _node_index(mn.grid, x)
-    node_increments = mn.increments[(slice(None),) + idx]
-    path = np.empty(mn.grid.M + 1)
+    path = np.empty(len(node_increments) + 1)
     path[0] = 0.0
     np.cumsum(node_increments, out=path[1:])
     return path

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from burgerslab import fk
 from burgerslab.fk import FkEstimate, fk_csv_lines, fk_estimate, z_score
-from burgerslab.heat import initial_gaussian_bump, initial_zero, solve_heat
+from burgerslab.heat import compensator, initial_gaussian_bump, initial_zero, solve_heat
 from burgerslab.lattice import ScalarField, TorusGrid
 from burgerslab.noise import make_mollifier, mollify, sample_noise
 
@@ -193,3 +195,88 @@ def test_csv_report():
     assert fk_csv_lines([(est, 1.0)]) == lines
     with pytest.raises(ValueError, match="nothing"):
         fk_csv_lines([])
+
+
+# ---------------------------------------------------------------------------
+# the walk's wrap: exactly np.remainder
+
+
+_L = 1.0
+_EDGES = [
+    0.0, -0.0, _L, -_L, 2.0 * _L - 2.0**-52, np.nextafter(0.0, 1.0), np.nextafter(0.0, -1.0),
+    np.nextafter(_L, 0.0), np.nextafter(_L, 2.0), np.nextafter(-_L, 0.0),
+    -2.0**-60, -1e-17, -5e-324,  # x + L rounds to L
+]
+_IN_RANGE = st.one_of(st.sampled_from(_EDGES),
+                      st.floats(-_L, 2.0 * _L, exclude_max=True, allow_subnormal=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inside=st.lists(_IN_RANGE, min_size=1, max_size=40),
+       outside=st.lists(st.floats(-6.0 * _L, 7.0 * _L), max_size=3),
+       N=st.sampled_from([8, 13, 32]))
+def test_wrap_equals_remainder_in_floats_and_nodes(inside, outside, N):
+    # positions in [−L, 2L) take the exact fix-up; a set with any position
+    # outside takes np.remainder itself
+    pos = np.array(inside + outside).reshape(-1, 1)
+    expected = np.remainder(pos, _L)
+    got = pos.copy()
+    fk._wrap(got, _L)
+    assert np.array_equal(got, expected)
+    # the walk reads node index N as node 0, where the remainder took % N
+    inv_dx = N / _L
+    nodes = fk._locate(got, inv_dx, (np.empty(len(pos), dtype=np.int64),))[0]
+    assert np.all((0 <= nodes) & (nodes <= N))
+    assert np.array_equal(nodes % N, np.rint(expected[:, 0] * inv_dx).astype(np.int64) % N)
+
+
+def _reference_estimate(noise, f, t, x, num_paths, mode, brownian_seed):
+    """The walk as written with a float remainder and an integer modulo per step."""
+    grid = noise.grid
+    m = int(round(t / grid.dt))
+    rng = fk.seeded_stream(brownian_seed, fk._BROWNIAN_STREAM_TAG)
+    scale = math.sqrt(2.0 * grid.dt)
+    inv_dx = 1.0 / grid.dx
+    N, d = grid.N, grid.d
+    pos = np.tile(np.atleast_1d(np.asarray(x, dtype=float)), (num_paths, 1))
+    expo = np.zeros(num_paths)
+    for k in range(m):
+        nodes = tuple((np.rint(pos[:, a] * inv_dx).astype(np.int64) % N) for a in range(d))
+        expo += noise.increments[m - 1 - k][nodes]
+        pos += rng.normal(0.0, scale, size=(num_paths, d))
+        pos %= grid.L
+    if mode == "ito-compensated":
+        expo -= compensator(noise.lam, noise.mollifier, m * grid.dt)
+    nodes = tuple((np.rint(pos[:, a] * inv_dx).astype(np.int64) % N) for a in range(d))
+    values = np.exp(f.values[nodes] + expo)
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(num_paths))
+
+
+@pytest.mark.parametrize("d,N,M,T,n,steps,coarse", [
+    (1, 32, 410, 0.1, 4, 410, False),
+    (1, 16, 8, 0.1, 2, 8, False),
+    (2, 16, 64, 0.01, 4, 40, False),
+    # √(2dt) = 0.71 > L/3: some steps leave [−L, 2L) and take the remainder
+    (1, 8, 4, 1.0, 2, 4, True),
+])
+def test_walk_equals_the_remainder_walk_bit_for_bit(d, N, M, T, n, steps, coarse, monkeypatch):
+    g = TorusGrid(d=d, N=N, M=M, T=T)
+    noise = _noise(g, seed=3, lam=1.0, n=n)
+    center = [0.3] + [0.6] * (d - 1)
+    f = initial_gaussian_bump(g, a=0.4, w=0.2, center=center)
+    remainders = []
+    remainder = np.remainder
+
+    def counted(*args, **kwargs):
+        remainders.append(1)
+        return remainder(*args, **kwargs)
+
+    monkeypatch.setattr(np, "remainder", counted)
+    x = [(N // 2) * g.dx] + [(N // 4) * g.dx] * (d - 1)
+    for seed in range(3):
+        for mode in ("ito-compensated", "uncompensated"):
+            est = fk_estimate(noise, f, steps * g.dt, x, 500, mode, brownian_seed=seed)
+            ref = _reference_estimate(noise, f, steps * g.dt, x, 500, mode, seed)
+            assert (est.mean, est.stderr) == ref, (seed, mode)
+    # the remainder runs only on the steps the fix-up cannot reach
+    assert bool(remainders) == coarse

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,8 @@ from burgerslab.harness import (
 from burgerslab.harness import studies
 from burgerslab.harness.cli import main
 from burgerslab.harness.studies import STUDIES, measure_order, run_study
-from burgerslab.noise import draw_chunks, seeded_stream
+from burgerslab.lattice import TorusGrid
+from burgerslab.noise import draw_chunks, make_mollifier, mollify, sample_noise, seeded_stream
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +338,23 @@ def test_the_heat_oracle_marches_the_configs_cosine_mode(tmp_path):
     # k = 0 is a constant start: no error to measure an order from
     errors = _errors(study="heat", initial_kind="cosine", initial_params={"a": 0.3, "k": 0})
     assert [name for name, _ in errors] == ["initial"] and "k must be nonzero" in errors[0][1]
+
+
+def test_heat_names_a_non_cosine_initial_other_than_the_default_bump(tmp_path, capsys):
+    # seen: an explicit bump validated, ran the cosine oracle at a = 0.2, and
+    # study.json echoed a bump that was never marched
+    bump = {"kind": "gaussian-bump", "params": {"a": 0.9, "w": 0.1, "center": [0.5]}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"study": "heat", "initial": bump}))
+    assert main(["heat", "--config", str(cfg_path), "--out", str(tmp_path / "art")]) == 2
+    err = capsys.readouterr().err
+    assert "initial:" in err and "0.9" in err
+    assert not (tmp_path / "art").exists()
+    errors = _errors(study="heat", initial_kind="zero", initial_params={})
+    assert [name for name, _ in errors] == ["initial"]
+    # the default bump keeps its documented fallback (the acceptance config)
+    ExperimentConfig.from_dict({"study": "heat", "initial": {
+        "kind": "gaussian-bump", "params": {"a": 0.5, "w": 0.12, "center": [0.37]}}}).validate()
 
 
 def test_validate_rejects_unknown_and_nonpositive_tolerances():
@@ -747,6 +766,74 @@ def test_cli_env_var_default_out_dir(tmp_path, monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
+# the laws: seed batches
+
+
+def test_seed_blocks_cover_the_seeds_in_order_one_chunk_each():
+    lag_grid = TorusGrid(d=1, N=128, M=8)
+    blocks = list(studies._seed_blocks(lag_grid, 2**64 - 300, 300))
+    assert [len(b) for b in blocks] == [128, 128, 44]
+    assert [s for b in blocks for s in b] == list(range(2**64 - 300, 2**64))
+    assert len(next(studies._seed_blocks(TorusGrid(d=1, N=32, M=8), 7, 10_000))) == 256
+
+
+def test_block_lag_sums_equal_a_per_seed_loop():
+    # 300 seeds cross two block boundaries of the 128-node lag grid; every
+    # float add happens in the per-seed loop's order
+    g = TorusGrid(d=1, N=128, M=8)
+    m = make_mollifier(g, 8)
+    lags, i0 = (0, 4, 8, 16, 40), 11
+    sums = np.zeros(len(lags))
+    sumsq = np.zeros(len(lags))
+    for seed in range(1_000, 1_300):
+        mn = mollify(sample_noise(g, seed, 0.8), m)
+        col0 = mn.increments[:, i0]
+        for j, lag in enumerate(lags):
+            prod = col0 * mn.increments[:, (i0 + lag) % g.N]
+            sums[j] += float(np.sum(prod))
+            sumsq[j] += float(np.sum(prod * prod))
+    got, got_sq = studies._lag_sums(m, 1_000, 300, 0.8, lags)
+    assert np.array_equal(got, sums) and np.array_equal(got_sq, sumsq)
+    zero, zero_sq = studies._lag_sums(m, 1_000, 300, 0.0, lags)
+    assert not np.any(zero) and not np.any(zero_sq)
+
+
+def test_noise_check_builds_one_philox_per_seed_block(tmp_path, monkeypatch):
+    # seen: one Generator(Philox) per seed, 12,500 in all
+    built, blocks = [], []
+    philox, draw_seeds = np.random.Philox, studies.draw_seeds
+
+    def counted_philox(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    def counted_draw(grid, seeds, lam):
+        blocks.append(len(seeds))
+        return draw_seeds(grid, seeds, lam)
+
+    monkeypatch.setattr(np.random, "Philox", counted_philox)
+    monkeypatch.setattr(studies, "draw_seeds", counted_draw)
+    run_study(ExperimentConfig(study="noise-check"), out_dir=tmp_path)
+    assert sum(blocks) == 12_500 and len(blocks) == 40 + 20
+    assert len(built) == len(blocks)
+
+
+def test_qv_holds_no_space_time_stack(tmp_path):
+    # seen: qv drew and mollified the whole (10⁴, 128) realization, 10.2 MB
+    # each, to read one node's path
+    cfg = ExperimentConfig(study="qv")
+    cfg.validate()  # the plan's kernels and quadrature are not the run's peak
+    tracemalloc.start()
+    try:
+        run_study(cfg, out_dir=tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stack = 10_000 * cfg.N * 8
+    assert peak < stack, (peak, stack)
+
+
+# ---------------------------------------------------------------------------
 # layering
 
 
@@ -770,3 +857,27 @@ def test_core_modules_do_not_import_the_harness(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_importing_the_package_builds_no_generator(tmp_path):
+    # a process's first Philox raises its peak RSS by about 5 MiB, so a
+    # module-level generator would cost every run, and its set-up time
+    src_dir = str(Path(burgerslab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, os.environ.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import numpy as np\n"
+        "built = []\n"
+        "philox = np.random.Philox\n"
+        "np.random.Philox = lambda *a, **k: built.append(1) or philox(*a, **k)\n"
+        "import burgerslab.harness.cli\n"
+        "print(len(built))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"

@@ -11,6 +11,7 @@ from burgerslab.noise import (
     WhiteNoiseRealization,
     _bump_constants,
     coarse_grain,
+    draw_seeds,
     h_eval,
     make_mollifier,
     mollify,
@@ -68,9 +69,72 @@ def test_increment_moments_match_white_noise_law():
     assert abs(samples.mean()) <= 4 * se_mean
 
 
+def _counting_philox(monkeypatch) -> list:
+    """Count every Philox built from here on; the list holds one entry per build."""
+    built = []
+    original = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(kwargs.get("key"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    return built
+
+
+@pytest.mark.parametrize("d,N,M", [(1, 32, 8), (2, 16, 6)])
+def test_seed_batch_rows_equal_each_seeds_own_draw(d, N, M, monkeypatch):
+    # one re-keyed Philox per batch: every row is the seed's fresh stream,
+    # the largest seed included, and no state leaks into the next call
+    g = _grid(d=d, N=N, M=M)
+    seeds = (0, 1, 2**64 - 1, 12_345, 3)
+    built = _counting_philox(monkeypatch)
+    batch = draw_seeds(g, seeds, 0.7)
+    assert len(built) == 1
+    assert batch.increments.shape == (len(seeds), M) + g.shape
+    assert batch.seed == seeds and batch.lam == 0.7
+    for seed, row in zip(seeds, batch.increments):
+        assert np.array_equal(row, sample_noise(g, seed, 0.7).increments)
+    assert np.array_equal(draw_seeds(g, seeds, 0.7).increments, batch.increments)
+    # a range of seeds reads the same rows as the seeds one at a time
+    assert np.array_equal(draw_seeds(g, range(2, 5), 0.7).increments,
+                          np.stack([draw_seeds(g, [s], 0.7).increments[0] for s in (2, 3, 4)]))
+
+
+def test_seed_batch_at_zero_amplitude_draws_nothing(monkeypatch):
+    g = _grid(d=1, N=32, M=8)
+    built = _counting_philox(monkeypatch)
+    zero = draw_seeds(g, range(300), 0.0)
+    assert built == []
+    assert zero.increments.shape == (300, g.M) + g.shape
+    assert not np.any(zero.increments)
+    assert draw_seeds(g, (), 1.0).increments.shape == (0, g.M) + g.shape
+
+
+def test_seed_batch_names_a_seed_outside_64_bits():
+    g = _grid(d=1, N=32, M=8)
+    for seeds in ((0, 2**64), (-1,), (1, 2.0)):
+        with pytest.raises(ValueError, match=r"nonnegative integer below 2\*\*64"):
+            draw_seeds(g, seeds, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # pairing
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d,N,M", [(1, 32, 8), (2, 16, 6)])
+def test_batched_pair_equals_the_scalar_pair_per_row(d, N, M):
+    g = _grid(d=d, N=N, M=M)
+    xi = np.random.default_rng(4).standard_normal((M,) + g.shape)
+    batch = draw_seeds(g, range(40, 340), 1.3)
+    values = pair(batch, xi)
+    assert values.shape == (300,)
+    for seed, value in zip(batch.seed, values):
+        scalar = pair(sample_noise(g, seed, 1.3), xi)
+        assert type(scalar) is float and value == scalar
+    with pytest.raises(ValueError, match="shape mismatch"):
+        pair(batch, xi[:-1])
 
 
 def test_pair_of_zero_test_function_is_zero():
@@ -284,19 +348,10 @@ def test_wiener_path_telescopes_stored_increments():
     g = _grid(d=1, N=32, M=64)
     m = make_mollifier(g, 4)
     mn = mollify(sample_noise(g, seed=2), m)
-    path = wiener_path(mn, 5)
+    path = wiener_path(mn.increments[:, 5])
     assert path[0] == 0.0
     assert path.shape == (g.M + 1,)
     assert np.allclose(np.diff(path), mn.increments[:, 5], rtol=0, atol=1e-15)
-
-
-def test_wiener_path_rejects_off_grid_nodes():
-    g = _grid(d=1, N=32, M=8)
-    mn = mollify(sample_noise(g, seed=2), make_mollifier(g, 4))
-    with pytest.raises(ValueError):
-        wiener_path(mn, 32)
-    with pytest.raises(ValueError):
-        wiener_path(mn, (1, 1))
 
 
 def test_quadratic_variation_basics():
@@ -312,7 +367,7 @@ def test_single_path_quadratic_variation_law():
     g = TorusGrid(d=1, N=16, M=10_000, T=0.1)
     m = make_mollifier(g, 4)
     mn = mollify(sample_noise(g, seed=41), m)
-    qv = quadratic_variation(wiener_path(mn, 3))
+    qv = quadratic_variation(wiener_path(mn.increments[:, 3]))
     target = g.T * m.c_n_discrete
     assert abs(qv / target - 1.0) <= 0.05  # estimator spread ~ √(2/M) ≈ 1.4%
 
@@ -321,7 +376,7 @@ def test_terminal_variance_of_paths():
     g = _grid(d=1, N=16, M=8, T=0.1)
     m = make_mollifier(g, 4)
     finals = np.array(
-        [wiener_path(mollify(sample_noise(g, seed=s), m), 0)[-1] for s in range(2500)]
+        [wiener_path(mollify(sample_noise(g, seed=s), m).increments[:, 0])[-1] for s in range(2500)]
     )
     target = g.T * m.c_n_discrete
     assert abs(finals.var() / target - 1.0) <= 0.08
