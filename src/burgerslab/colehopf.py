@@ -61,6 +61,7 @@ pairings carry the cell volume dx^d.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -85,15 +86,16 @@ __all__ = [
     "weak_residual_csv_lines",
 ]
 
-def checked_log(values: np.ndarray, first_step: int) -> np.ndarray:
+def checked_log(values: np.ndarray, first_step: int, out: np.ndarray | None = None) -> np.ndarray:
     """H = log Z of consecutive slices of Z, the first at step ``first_step``.
 
-    The one place log Z is taken.  Raises if a value of Z fails to be
-    finite and strictly positive (NaNs included), naming the first
-    offending step, counted from 0, and node.
+    The one place log Z is taken, into ``out`` (``values``' shape) when it
+    is given.  Raises if a value of Z fails to be finite and strictly
+    positive (NaNs included), naming the first offending step, counted
+    from 0, and node.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        H = np.log(values)
+        H = np.log(values, out=out)
     # H is finite exactly where Z is finite and positive.  Every finite H
     # has |H| < 750, so their sum cannot overflow: one sum tells whether
     # any H is not finite, without a mask the size of the chunk.
@@ -186,16 +188,20 @@ class WeakResidualReport:
     scale: float = 0.0
 
 
-def _box_sum(stack: np.ndarray, tensor: np.ndarray, box) -> np.ndarray:
+def _box_sum(stack: np.ndarray, tensor: np.ndarray, box, spare: np.ndarray) -> np.ndarray:
     """Σ over the box of stack·tensor, one value per leading index of ``stack``.
 
     ``box`` is a φ's tuple of pieces (``TestFunction.support``); each piece
-    is a tuple of basic slices, so no piece copies more than its product.
+    is a tuple of basic slices, so no piece copies more than its product,
+    which is formed in the head of the flat buffer ``spare``.
     """
     sp_axes = tuple(range(1, tensor.ndim + 1))
     out = np.zeros(stack.shape[0])
     for piece in box:
-        out += np.sum(stack[(slice(None),) + piece] * tensor[piece], axis=sp_axes)
+        part = stack[(slice(None),) + piece]
+        product = spare[: part.size].reshape(part.shape)
+        np.multiply(part, tensor[piece], out=product)
+        out += np.sum(product, axis=sp_axes)
     return out
 
 
@@ -206,12 +212,15 @@ class WeakPairings:
     drove it and contracts each φ only over its window and box; the
     pairings linear in U are taken as ⟨H, −∇_h·(aP)⟩ and ⟨H, −∇_h·(aQ)⟩, so
     only ‖∇_h H‖² needs a gradient, formed once per chunk for the whole
-    bank.  Each step's sums are kept, and ``reports`` weights them with the
-    time profiles, so the reports do not depend on how the steps were
-    chunked.
+    bank.  Its buffers live in ``buffers``, a dict that pairings fed one
+    after another share, so they exist once: allocated at the first chunk,
+    reused by every later one of at most that many steps, and freed by
+    ``reports``.  Each step's sums are kept, and ``reports`` weights them
+    with the time profiles, so the reports do not depend on how the steps
+    were chunked.
     """
 
-    def __init__(self, grid, phis: Sequence[TestFunction]):
+    def __init__(self, grid, phis: Sequence[TestFunction], buffers: dict | None = None):
         if not phis:
             raise ValueError("need at least one test function")
         for phi in phis:
@@ -228,6 +237,16 @@ class WeakPairings:
         self.C = np.zeros(shape)  # Σ_i ‖U‖²_i D_i
         self.R = np.zeros(shape)  # Σ_i ΔWⁿ_i D_i
         self.Rb = np.zeros(shape)  # Σ_i ΔW_i D_i
+        self.buffers = {} if buffers is None else buffers
+        self._box = max(math.prod(len(range(grid.N)[part]) for part in piece)
+                        for _, pieces in self.supports for piece in pieces)
+
+    def _buffer(self, name: str, size: int) -> np.ndarray:
+        """The flat shared buffer ``name`` of at least ``size`` values."""
+        buffer = self.buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self.buffers[name] = np.empty(size)
+        return buffer
 
     def add(self, lo: int, hi: int, H: np.ndarray, dwn: np.ndarray, dw: np.ndarray) -> None:
         """Pair steps lo .. hi − 1: H, ΔWⁿ and ΔW hold those steps from row 0."""
@@ -235,20 +254,29 @@ class WeakPairings:
         s0, s1 = max(lo, self.first), min(hi, self.last)
         if s0 >= s1:
             return
-        normsq = gradient_norm_sq(H[s0 - lo : s1 - lo], grid.dx, grid.d)
+        # ‖∇_h H‖², its further components a quarter chunk at a time, then
+        # each box product in one scratch
+        steps, nodes = hi - lo, grid.num_nodes
+        rows = min(steps, chunk_steps(grid, 4))
+        spare = self._buffer("scratch", max(steps * self._box, rows * nodes * (grid.d > 1)))
+        comp = spare[: rows * nodes].reshape((rows,) + grid.shape) if grid.d > 1 else None
+        normsq = self._buffer("normsq", steps * nodes)[: (s1 - s0) * nodes]
+        normsq = gradient_norm_sq(H[s0 - lo : s1 - lo], grid.dx, grid.d,
+                                  normsq.reshape((s1 - s0,) + grid.shape), comp)
         for j, ((window, box), (dual_p, dual_q, D)) in enumerate(zip(self.supports, self.tensors)):
             a, b = max(s0, window.start), min(s1, window.stop)
             if a >= b:
                 continue
             h = H[a - lo : b - lo]
-            self.A[j, a:b] = _box_sum(h, dual_p, box)
-            self.B[j, a:b] = _box_sum(h, dual_q, box)
-            self.C[j, a:b] = _box_sum(normsq[a - s0 : b - s0], D, box)
-            self.R[j, a:b] = _box_sum(dwn[a - lo : b - lo], D, box)
-            self.Rb[j, a:b] = _box_sum(dw[a - lo : b - lo], D, box)
+            self.A[j, a:b] = _box_sum(h, dual_p, box, spare)
+            self.B[j, a:b] = _box_sum(h, dual_q, box, spare)
+            self.C[j, a:b] = _box_sum(normsq[a - s0 : b - s0], D, box, spare)
+            self.R[j, a:b] = _box_sum(dwn[a - lo : b - lo], D, box, spare)
+            self.Rb[j, a:b] = _box_sum(dw[a - lo : b - lo], D, box, spare)
 
     def reports(self, n: int, seed: int, lam: float) -> list:
-        """One WeakResidualReport per φ, for mollifier scale n, seed and λ."""
+        """One WeakResidualReport per φ, for mollifier scale n, seed and λ; frees the chunk buffers."""
+        self.buffers.clear()
         grid = self.grid
         vol, dt = grid.cell_volume, grid.dt
         reports = []

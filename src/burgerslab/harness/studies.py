@@ -115,6 +115,7 @@ from burgerslab.noise import (
     make_mollifier,
     mollify,
     mollify_increments,
+    mollifying,
     pair,
     quadratic_variation,
     sample_noise,
@@ -385,8 +386,10 @@ def _study_qv(cfg, report, path_m, ladders) -> None:
     # the node's column is taken per chunk, so no (M, N) stack is held
     qv_grid = path_m.grid
     column = np.empty(qv_grid.M)
-    for lo, hi, dw in draw_chunks(qv_grid, cfg.seed, cfg.lam, chunk_steps(qv_grid)):
-        column[lo:hi] = mollify_increments(path_m, dw, cfg.lam)[:, qv_grid.N // 2]
+    chunk = chunk_steps(qv_grid)
+    mollify_run = mollifying([path_m], cfg.lam, chunk)
+    for lo, hi, dw in draw_chunks(qv_grid, cfg.seed, cfg.lam, chunk):
+        column[lo:hi] = mollify_run(dw)[0][:, qv_grid.N // 2]
     qv_rate = quadratic_variation(wiener_path(column)) / qv_grid.T
     target = cfg.lam**2 * path_m.c_n_discrete
     if target == 0.0:
@@ -524,11 +527,14 @@ def _burgers_reports(cfg, levels: list) -> list:
     mollified realization; ``levels`` is the study's plan.
     """
     pairings = [WeakPairings(g, bank) for _, g, _, _, bank in levels]
+    logs = [None] * len(levels)  # each level's H, allocated at its first chunk
     chunks = stream([(fac, g, [m]) for fac, g, m, _, _ in levels], cfg.seed, cfg.lam,
                     [np.exp(f.values) for _, _, _, f, _ in levels])
     for i, a, b, Z, (dwn,), dw in chunks:
-        pairings[i].add(a, b, checked_log(Z[0], a), dwn, dw)
-        del dwn, dw  # else they live on while the next chunk is drawn and mollified
+        if logs[i] is None:
+            logs[i] = np.empty_like(Z[0])
+        pairings[i].add(a, b, checked_log(Z[0], a, logs[i][: b - a + 1]), dwn, dw)
+    del logs, Z, dwn, dw  # the last chunk's buffers, which the reports do not read
     return [(g, p.reports(m.scale_n, cfg.seed, cfg.lam))
             for (_, g, m, _, _), p in zip(levels, pairings)]
 
@@ -684,21 +690,26 @@ def _stream_scales(cfg, grid, mollifiers, reference, f, bank) -> tuple:
     reference's Z (a stored `HeatSolution` for the Cauchy column) are kept.
     """
     members = mollifiers + ([] if reference is None else [reference])
-    pairings = [WeakPairings(grid, bank) for _ in mollifiers]
+    buffers = {}  # the scales are paired one after another: one set of chunk buffers
+    pairings = [WeakPairings(grid, bank, buffers) for _ in mollifiers]
     increments = np.empty((grid.M,) + grid.shape)
     ref_values = None if reference is None else np.empty((grid.M + 1,) + grid.shape)
     residual = np.empty(grid.M)
     kpz_comp = compensator(cfg.lam, mollifiers[1], grid.dt)
+    log = None  # each scale's H in turn, allocated at the first chunk
     for _, a, b, Z, dwns, dw in stream([(1, grid, members)], cfg.seed, cfg.lam,
                                        [np.exp(f.values)]):
         increments[a:b] = dw
+        if log is None:
+            log = np.empty_like(Z[0])
         for s, p in enumerate(pairings):
-            H = checked_log(Z[s], a)
+            H = checked_log(Z[s], a, log[: b - a + 1])
             p.add(a, b, H, dwns[s], dw)
             if s == 1:
                 residual[a:b] = kpz_step_residuals(grid, H, dwns[s], kpz_comp)
         if reference is not None:
             ref_values[a : b + 1] = Z[-1]
+    del log, H, Z, dwns, dw  # the last chunk's buffers, which the reports do not read
     base = WhiteNoiseRealization(grid=grid, seed=cfg.seed, lam=cfg.lam, increments=increments)
     ref_sol = (None if reference is None
                else HeatSolution(grid, mollify(base, reference), ref_values))

@@ -65,7 +65,7 @@ from burgerslab.lattice import is_integer, real
 # target does.
 from burgerslab.lattice import laplacian_values  # noqa: F401
 from burgerslab.noise import Mollifier, MollifiedNoise, block_sum, draw_chunks
-from burgerslab.noise import mollify_increments
+from burgerslab.noise import mollifying
 
 __all__ = [
     "HeatSolution",
@@ -74,7 +74,7 @@ __all__ = [
     "initial_gaussian_bump",
     "make_initial",
     "compensator",
-    "march",
+    "marcher",
     "stream",
     "solve_heat",
     "stability_check",
@@ -214,49 +214,50 @@ def _check_chunk(
     )
 
 
-def march(
-    grid: TorusGrid,
-    block: np.ndarray,
-    increments: Sequence,
-    compensated: Sequence[float],
-    first_step: int,
-) -> None:
-    """Advance a batch of S members through one chunk of K steps, in place.
+def marcher(grid: TorusGrid, members: int, steps: int):
+    """The time march of a batch of ``members`` on ``grid``, chunks of at most ``steps`` steps.
 
-    ``block`` has shape (S, K + 1) + grid: ``block[:, 0]`` holds Z at step
+    Returns ``march(block, increments, compensated, first_step)``, which
+    advances the batch through one chunk of K ≤ ``steps`` steps in place:
+    ``block`` has shape (S, K + 1) + grid, ``block[:, 0]`` holds Z at step
     ``first_step``, and the march writes steps first_step + 1 ..
     first_step + K into ``block[:, 1:]``.  ``increments[s]`` is member s's
     ΔWⁿ at steps first_step .. first_step + K − 1 and ``compensated[s]`` its
-    ½λ²c_n dt.  The whole block, start included, is checked for finite
-    Z > 0 before the march returns, so a breakdown stops the caller's chunk
-    loop in the chunk where it happens.
+    ½λ²c_n dt.  The padded slice, its stencil buffers and the noise-factor
+    run are allocated here, once for every chunk.  The whole block, start
+    included, is checked for finite Z > 0 before ``march`` returns, so a
+    breakdown stops the caller's chunk loop in the chunk where it happens.
     """
     margin = stability_check(grid)
     if margin < 0.0:
         raise ValueError(
             f"stability violation: margin {margin!r} < 0 (dt too large for dx)"
         )
-    S, K = block.shape[0], block.shape[1] - 1
-    # step buffers: the current slices inside their padded slice, and their update
-    z, laplacian = padded_laplacian(block[:, 0], grid.dx, grid.d)
-    step = np.empty_like(z)
+    # the current slices inside their padded slice; step holds their update
+    core, z, step, laplacian = padded_laplacian((members,) + grid.shape, grid.dx, grid.d)
     dt = grid.dt
-    # the noise factors of at most this many steps exist at once
-    run = min(K, chunk_steps(grid, S))
-    factors = np.empty((run, S) + grid.shape)
-    for a in range(0, K, run):
-        b = min(a + run, K)
-        fac = factors[: b - a]
-        for s, inc in enumerate(increments):
-            np.subtract(inc[a:b], compensated[s], out=fac[:, s])
-        np.exp(fac, out=fac)
-        for k in range(a, b):
-            laplacian(step)
-            step *= dt
-            step += z
-            np.multiply(step, fac[k - a], out=z)
-            block[:, k + 1] = z
-    _check_chunk(block, first_step, increments, compensated, grid)
+    # the noise factors of at most this many steps exist at once: a quarter chunk
+    run = min(steps, chunk_steps(grid, 4 * members))
+    factors = np.empty((run, members) + grid.shape)
+
+    def march(block, increments, compensated, first_step) -> None:
+        core[...] = block[:, 0]
+        K = block.shape[1] - 1
+        for a in range(0, K, run):
+            b = min(a + run, K)
+            fac = factors[: b - a]
+            for s, inc in enumerate(increments):
+                np.subtract(inc[a:b], compensated[s], out=fac[:, s])
+            np.exp(fac, out=fac)
+            for k in range(a, b):
+                bracket = laplacian()
+                np.multiply(step, dt, out=step)
+                np.add(step, z, out=step)
+                np.multiply(bracket, fac[k - a], out=core)
+                block[:, k + 1] = core
+        _check_chunk(block, first_step, increments, compensated, grid)
+
+    return march
 
 
 def stream(levels: Sequence, seed: int, lam: float, z0s: Sequence):
@@ -271,9 +272,10 @@ def stream(levels: Sequence, seed: int, lam: float, z0s: Sequence):
     batch, and each chunk goes through every level in turn.  Yields
     (i, a, b, Z, dwns, dw) per level i and checked chunk: Z holds the
     batch's steps a .. b, ``dwns[s]`` member s's ΔWⁿ of steps a .. b − 1
-    and ``dw`` the raw ΔW on the level.  Each level keeps only its chunk
-    buffer; a consumer that still holds an item's arrays while it asks for
-    the next one holds them through the next draw and mollification.
+    and ``dw`` the raw ΔW on the level.  Each level keeps one buffer for
+    each of these and its march's buffers, allocated before the first chunk
+    and refilled by every later one, so a yielded array is valid only until
+    the next item is requested: a consumer that needs one longer copies it.
     """
     if levels[-1][0] != 1 or not all(ms and all(m.grid == g for m in ms) for _, g, ms in levels):
         raise ValueError("each level needs a batch of mollifiers on its own grid, fac 1 last")
@@ -282,16 +284,20 @@ def stream(levels: Sequence, seed: int, lam: float, z0s: Sequence):
     chunk = max(tf, chunk_steps(fine, max(len(ms) for _, _, ms in levels)) // tf * tf)
     runs = []
     for (fac, g, members), z0 in zip(levels, z0s, strict=True):
-        block = np.empty((len(members), chunk // fac**2 + 1) + g.shape)
+        steps = min(chunk, fine.M) // fac**2
+        block = np.empty((len(members), steps + 1) + g.shape)
         block[:, 0] = z0
-        runs.append((fac, g, members, [compensator(lam, m, g.dt) for m in members], block))
+        coarse = np.empty((steps,) + g.shape) if fac > 1 else None
+        runs.append((fac, block, coarse, mollifying(members, lam, steps),
+                     marcher(g, len(members), steps),
+                     [compensator(lam, m, g.dt) for m in members]))
     for lo, hi, fine_dw in draw_chunks(fine, seed, lam, chunk):
-        for i, (fac, g, members, compensated, block) in enumerate(runs):
+        for i, (fac, block, coarse, mollify_run, march, compensated) in enumerate(runs):
             a, b = lo // fac**2, hi // fac**2
-            dw = block_sum(fine_dw, fac)
-            dwns = [mollify_increments(m, dw, lam) for m in members]
+            dw = block_sum(fine_dw, fac, None if coarse is None else coarse[: b - a])
+            dwns = mollify_run(dw)
             Z = block[:, : b - a + 1]
-            march(g, Z, dwns, compensated, a)
+            march(Z, dwns, compensated, a)
             yield i, a, b, Z, dwns, dw
             block[:, 0] = Z[:, -1]
 
@@ -319,7 +325,8 @@ def solve_heat(grid: TorusGrid, noise: MollifiedNoise, f: ScalarField) -> HeatSo
     values[0] = np.exp(f.values)
     compensated = [compensator(noise.lam, noise.mollifier, grid.dt)]
     chunk = chunk_steps(grid)  # checked chunks as long as the march's factor runs
+    march = marcher(grid, 1, chunk)
     for lo in range(0, grid.M, chunk):
         hi = min(lo + chunk, grid.M)
-        march(grid, values[None, lo : hi + 1], [noise.increments[lo:hi]], compensated, lo)
+        march(values[None, lo : hi + 1], [noise.increments[lo:hi]], compensated, lo)
     return HeatSolution(grid=grid, noise=noise, values=values)

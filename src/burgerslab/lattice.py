@@ -238,50 +238,57 @@ def _roll_pairs(axis: int, shift: int) -> tuple:
     )
 
 
-def padded_laplacian(a: np.ndarray, dx: float, d: int) -> tuple:
-    """Copy ``a`` into a buffer with a one-node halo on its last `d` axes.
+def padded_laplacian(shape: tuple, dx: float, d: int) -> tuple:
+    """A buffer with a one-node halo on the last `d` axes of ``shape``, and its Laplacian.
 
-    Returns ``(core, laplacian)``: ``core`` is the writable interior view
-    (shape ``a.shape``), and ``laplacian(out)`` fills the halo with the
-    periodic neighbours of ``core`` (two slice copies per axis, no corners),
-    writes ``(0 + Σ_axis ((core₊ − 2·core) + core₋)) / dx²`` into ``out``
-    from shifted views and returns it.  The ``0 +`` makes a −0.0 sum +0.0,
-    as a sum started from zero does.  This is the one place the Laplacian's
-    operation order is written; the heat march updates ``core`` between calls.
+    Returns ``(core, z, step, laplacian)``.  ``core`` is the buffer's
+    writable interior (shape ``shape``); ``z`` and ``step`` are flat
+    contiguous runs, from the first interior node to the last, of the
+    buffer and of a result buffer of the same layout.  ``laplacian()``
+    fills the halo with the periodic neighbours of ``core`` (one strided
+    copy per axis, the last axis first, so corners hold periodic values
+    too), writes ``(0 + Σ_axis ((z₊ − 2·z) + z₋)) / dx²`` into ``step`` from
+    views of ``z`` shifted by ±(N+2)^j nodes, and returns ``step``'s
+    interior nodes.  The run crosses ghost cells, whose results are finite
+    and discarded.  The ``0 +`` makes a −0.0 sum +0.0, as a sum started
+    from zero does.  This is the one place the Laplacian's operation order
+    is written; the heat march updates ``core`` between calls.
     """
-    lead = a.ndim - d
-    padded = np.empty(a.shape[:lead] + tuple(n + 2 for n in a.shape[lead:]))
+    lead = len(shape) - d
+    padded = np.empty(shape[:lead] + tuple(n + 2 for n in shape[lead:]))
+    result = np.empty_like(padded)
     inner = (slice(None),) * lead + (slice(1, -1),) * d
-    core = padded[inner]
-    core[...] = a
-    halo, shifts = [], []
-    for axis in range(lead, a.ndim):
-
-        def along(index, axis=axis):
-            return padded[inner[:axis] + (index,) + inner[axis + 1 :]]
-
-        halo.append((along(slice(None, 1)), along(slice(-2, -1))))  # ghost, last node
-        halo.append((along(slice(-1, None)), along(slice(1, 2))))  # ghost, first node
-        shifts.append((along(slice(2, None)), along(slice(None, -2))))
+    offsets = [padded.strides[axis] // padded.itemsize for axis in range(lead, len(shape))]
+    first = sum(offsets)  # the first interior node; the last is as far from the end
+    stop = padded.size - first
+    flat = padded.reshape(-1)
+    z, step = flat[first:stop], result.reshape(-1)[first:stop]
+    halo = [
+        (padded[(slice(None),) * axis + (slice(None, None, n + 1),)],  # ghosts 0 and N+1
+         padded[(slice(None),) * axis + (slice(n, 0, -(n - 1)),)])  # nodes N and 1
+        for axis, n in reversed(list(enumerate(shape))[lead:])
+    ]
+    shifts = [(flat[first + o : stop + o], flat[first - o : stop - o]) for o in offsets]
     (plus, minus), rest = shifts[0], shifts[1:]
-    twice = np.empty_like(core)
-    spare = np.empty_like(core) if rest else None
+    twice = np.empty_like(z)
+    spare = np.empty_like(z) if rest else None
+    out = result[inner]
 
-    def laplacian(out: np.ndarray) -> np.ndarray:
+    def laplacian() -> np.ndarray:
         for ghost, node in halo:
             ghost[...] = node
-        np.multiply(2.0, core, out=twice)
-        np.subtract(plus, twice, out=out)
-        np.add(out, minus, out=out)
-        np.add(0.0, out, out=out)
+        np.multiply(2.0, z, out=twice)
+        np.subtract(plus, twice, out=step)
+        np.add(step, minus, out=step)
+        np.add(0.0, step, out=step)
         for up, down in rest:
             np.subtract(up, twice, out=spare)
             np.add(spare, down, out=spare)
-            out += spare
-        out /= dx * dx
+            np.add(step, spare, out=step)
+        np.divide(step, dx * dx, out=step)
         return out
 
-    return core, laplacian
+    return padded[inner], z, step, laplacian
 
 
 def laplacian_values(a: np.ndarray, dx: float, d: int | None = None) -> np.ndarray:
@@ -290,8 +297,9 @@ def laplacian_values(a: np.ndarray, dx: float, d: int | None = None) -> np.ndarr
     Pads a copy of ``a`` and applies `padded_laplacian`'s stencil.
     """
     d = a.ndim if d is None else d
-    _, laplacian = padded_laplacian(a, dx, d)
-    return laplacian(np.empty(a.shape))
+    core, _, _, laplacian = padded_laplacian(a.shape, dx, d)
+    core[...] = a
+    return laplacian()
 
 
 def _centered_difference(a: np.ndarray, axis: int, dx: float, out: np.ndarray) -> np.ndarray:
@@ -313,19 +321,32 @@ def gradient_values(a: np.ndarray, dx: float, d: int | None = None) -> np.ndarra
     return out
 
 
-def gradient_norm_sq(a: np.ndarray, dx: float, d: int | None = None) -> np.ndarray:
+def gradient_norm_sq(
+    a: np.ndarray, dx: float, d: int | None = None, out: np.ndarray | None = None,
+    comp: np.ndarray | None = None,
+) -> np.ndarray:
     """‖∇_h a‖² over the last `d` axes, summed from zero one component at a time.
 
     Equals Σ_axis gradient_values(a)[axis]² bit for bit while holding one
-    component, not all d of them.
+    component, not all d of them: the first square goes straight into
+    ``out`` (0 + x² is x² for every x² ≥ 0), each further one through
+    ``comp``, a leading block of rows at a time when ``a`` has a leading
+    axis and ``comp`` fewer rows.  Pass both to allocate nothing.
     """
     d = a.ndim if d is None else d
-    out = np.zeros_like(a, dtype=np.float64)
-    comp = np.empty_like(out)
-    for axis in range(a.ndim - d, a.ndim):
-        _centered_difference(a, axis, dx, comp)
-        np.square(comp, out=comp)
-        out += comp
+    axes = range(a.ndim - d, a.ndim)
+    out = _centered_difference(a, axes[0], dx, np.empty(a.shape) if out is None else out)
+    np.square(out, out=out)
+    if d == 1:
+        return out
+    comp = np.empty(a.shape) if comp is None or a.ndim == d else comp
+    rows = len(comp)
+    for lo in range(0, len(a), rows):
+        part, total = a[lo : lo + rows], out[lo : lo + rows]
+        for axis in axes[1:]:
+            square = _centered_difference(part, axis, dx, comp[: len(part)])
+            np.square(square, out=square)
+            total += square
     return out
 
 

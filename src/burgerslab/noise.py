@@ -75,6 +75,7 @@ import.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -95,6 +96,7 @@ __all__ = [
     "draw_seeds",
     "sample_noise",
     "pair",
+    "mollifying",
     "mollify_increments",
     "mollify",
     "convolve_kernel",
@@ -342,19 +344,21 @@ def draw_chunks(grid: TorusGrid, seed: int, lam: float, chunk: int):
         Steps per yielded block; the last block may be shorter.
 
     The draws of one stream follow each other, so the blocks concatenate to
-    the same bits whatever the chunk.  At lam = 0 each block is zeros and
+    the same bits whatever the chunk.  Every block is drawn into one buffer
+    of ``chunk`` steps (a short last block into its head), so a yielded
+    block is valid only until the next one is requested; a single block of
+    all M steps is that buffer itself.  At lam = 0 each block is zeros and
     nothing is drawn.
     """
     rng = seeded_stream(seed, _NOISE_STREAM_TAG)
     scale = _scale(grid, lam)
+    buffer = (np.zeros if lam == 0.0 else np.empty)((min(chunk, grid.M),) + grid.shape)
     for lo in range(0, grid.M, chunk):
         hi = min(lo + chunk, grid.M)
-        shape = (hi - lo,) + grid.shape
-        if lam == 0.0:
-            yield lo, hi, np.zeros(shape)
-            continue
-        increments = rng.standard_normal(size=shape)
-        increments *= scale
+        increments = buffer if hi - lo == len(buffer) else buffer[: hi - lo]
+        if lam != 0.0:
+            rng.standard_normal(out=increments)
+            increments *= scale
         yield lo, hi, increments
 
 
@@ -411,20 +415,45 @@ def pair(noise: WhiteNoiseRealization | MollifiedNoise, xi: np.ndarray):
     return values if rows else float(values)
 
 
-def _convolve_slices(increments: np.ndarray, m: Mollifier) -> np.ndarray:
-    """dx^d · (K ⊛ ΔW_k) for every slice k, circular FFT convolution per time chunk."""
-    spatial_axes = tuple(range(1, m.grid.d + 1))
-    kernel_hat = np.fft.rfftn(m.kernel)
-    out = np.empty_like(increments)
-    chunk = chunk_steps(m.grid)
-    for start in range(0, increments.shape[0], chunk):
-        stop = min(start + chunk, increments.shape[0])
-        block_hat = np.fft.rfftn(increments[start:stop], axes=spatial_axes)
-        block_hat *= kernel_hat[None, ...]
-        block = out[start:stop]
-        np.fft.irfftn(block_hat, s=m.kernel.shape, axes=spatial_axes, out=block)
-        block *= m.grid.cell_volume
-    return out
+def _convolution(members: Sequence[Mollifier], steps: int):
+    """convolve(increments) -> [dx^d · (K ⊛ ΔW_k) for each member's K], k over ≤ ``steps`` slices.
+
+    The circular FFT convolution of every slice, in blocks of slices: the
+    rfft along the last axis goes into one complex buffer, the fft along
+    each other axis runs in place in it (the axis order of `np.fft.rfftn`),
+    and every member multiplies that one forward transform by its kernel's
+    transform, takes the inverse ffts in place (the axis order of
+    `np.fft.irfftn`) and the irfft into its output, so each member's slices
+    equal ``irfftn(rfftn(ΔW_k) · rfftn(K))·dx^d`` bit for bit.  The
+    members' outputs and the complex buffers are allocated here, once, and
+    a returned list is valid until the next call.
+    """
+    grid = members[0].grid
+    axes = tuple(range(1, grid.d + 1))
+    hats = [np.fft.rfftn(m.kernel) for m in members]
+    block = min(steps, chunk_steps(grid, 4 * len(members)))  # a quarter chunk per member
+    spectrum = np.empty((block,) + grid.shape[:-1] + (grid.N // 2 + 1,), dtype=complex)
+    product = np.empty_like(spectrum) if len(members) > 1 else spectrum
+    outs = [np.empty((steps,) + grid.shape) for _ in members]
+
+    def convolve(increments: np.ndarray) -> list:
+        K = len(increments)
+        for lo in range(0, K, block):
+            hi = min(lo + block, K)
+            forward, inverse = spectrum[: hi - lo], product[: hi - lo]
+            np.fft.rfft(increments[lo:hi], axis=-1, out=forward)
+            for axis in reversed(axes[:-1]):
+                np.fft.fft(forward, axis=axis, out=forward)
+            for hat, out in zip(hats, outs):
+                np.multiply(forward, hat, out=inverse)
+                for axis in axes[:-1]:
+                    np.fft.ifft(inverse, axis=axis, out=inverse)
+                part = out[lo:hi]
+                np.fft.irfft(inverse, n=grid.N, axis=-1, out=part)
+                part *= grid.cell_volume
+        return [out if K == steps else out[:K] for out in outs]
+
+    return convolve
 
 
 def convolve_kernel(m: Mollifier, values: np.ndarray) -> np.ndarray:
@@ -438,20 +467,34 @@ def convolve_kernel(m: Mollifier, values: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"field shape {vals.shape} does not match grid shape {m.grid.shape}"
         )
-    return _convolve_slices(vals[None], m)[0]
+    (out,) = _convolution([m], 1)(vals[None])
+    return out[0]
+
+
+def mollifying(members: Sequence[Mollifier], lam: float, steps: int):
+    """mollify(increments) -> each member's ΔWⁿ of a run of ≤ ``steps`` slices of amplitude λ.
+
+    ΔWⁿ_k = dx^d · (K ⊛ ΔW_k), each slice convolved on its own, so a chunk
+    of steps mollifies to the same bits as the whole realization.  A member
+    gets the increments as they are where the convolution is exact without
+    it: at λ = 0 (they are zeros) and for the single-node `lattice_delta`
+    (the identity).  The others share one `_convolution`, whose buffers
+    the returned arrays are: each is valid until the next call.
+    """
+    identity = [lam == 0.0 or np.count_nonzero(m.kernel) == 1 for m in members]
+    convolved = [m for m, same in zip(members, identity) if not same]
+    convolve = _convolution(convolved, steps) if convolved else None
+
+    def mollify(increments: np.ndarray) -> list:
+        outs = iter(convolve(increments) if convolve else ())
+        return [increments if same else next(outs) for same in identity]
+
+    return mollify
 
 
 def mollify_increments(m: Mollifier, increments: np.ndarray, lam: float) -> np.ndarray:
-    """ΔWⁿ_k = dx^d · (K ⊛ ΔW_k) for a run of time slices of amplitude λ.
-
-    Each slice is convolved on its own, so a chunk of steps mollifies to
-    the same bits as the whole realization.  The increments are returned as
-    they are where the convolution is exact without it: at λ = 0 (they are
-    zeros) and for the single-node `lattice_delta` (the identity).
-    """
-    if lam == 0.0 or np.count_nonzero(m.kernel) == 1:
-        return increments
-    return _convolve_slices(increments, m)
+    """ΔWⁿ_k = dx^d · (K ⊛ ΔW_k) for a run of time slices of amplitude λ: `mollifying` once."""
+    return mollifying([m], lam, len(increments))(increments)[0]
 
 
 def mollify(noise: WhiteNoiseRealization, m: Mollifier) -> MollifiedNoise:
@@ -530,14 +573,15 @@ def quadratic_variation(path: np.ndarray) -> float:
     return float(np.sum(steps * steps))
 
 
-def block_sum(increments: np.ndarray, factor: int) -> np.ndarray:
+def block_sum(increments: np.ndarray, factor: int, out: np.ndarray | None = None) -> np.ndarray:
     """Coarse increments of a run of fine steps: block sums rescaled by factor^{−d}.
 
     ``increments`` has shape (K,) + (N,)*d with K a multiple of factor²
     and N of factor.  Each coarse step sums factor² consecutive fine steps,
     each coarse node a block of factor^d fine nodes, so a run of whole
-    coarse steps sums to the same bits wherever the run starts.  Factor 1
-    returns the increments as they are.
+    coarse steps sums to the same bits wherever the run starts.  The sums
+    go into ``out`` (the coarse shape) when it is given.  Factor 1 returns
+    the increments as they are.
     """
     if factor == 1:
         return increments
@@ -546,8 +590,9 @@ def block_sum(increments: np.ndarray, factor: int) -> np.ndarray:
     shape = [increments.shape[0] // tf, tf]
     for n in increments.shape[1:]:
         shape.extend([n // factor, factor])
-    summed = increments.reshape(shape).sum(axis=tuple(range(1, 2 * d + 2, 2)))
-    return summed / float(factor) ** d
+    summed = increments.reshape(shape).sum(axis=tuple(range(1, 2 * d + 2, 2)), out=out)
+    summed /= float(factor) ** d
+    return summed
 
 
 def coarse_grain(noise: WhiteNoiseRealization, factor: int) -> WhiteNoiseRealization:

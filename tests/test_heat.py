@@ -16,7 +16,7 @@ from burgerslab.heat import (
     initial_gaussian_bump,
     initial_zero,
     make_initial,
-    march,
+    marcher,
     solve_heat,
     stability_check,
     stream,
@@ -39,7 +39,7 @@ def _march_from(grid, noise, z0):
     block = np.empty((1, grid.M + 1) + grid.shape)
     block[0, 0] = z0
     comp = compensator(noise.lam, noise.mollifier, grid.dt)
-    march(grid, block, [noise.increments], [comp], 0)
+    marcher(grid, 1, grid.M)(block, [noise.increments], [comp], 0)
     return block[0]
 
 
@@ -212,8 +212,8 @@ def test_batched_march_equals_single_marches_bit_for_bit(d, N, T, override, chun
         # one batch through all M steps, against solve_heat's checked chunks
         batch = np.empty((len(noises), g.M + 1) + g.shape)
         batch[:, 0] = np.exp(f.values)
-        march(g, batch, [mn.increments for mn in noises],
-              [compensator(mn.lam, mn.mollifier, g.dt) for mn in noises], 0)
+        marcher(g, len(noises), g.M)(batch, [mn.increments for mn in noises],
+                                     [compensator(mn.lam, mn.mollifier, g.dt) for mn in noises], 0)
         for mn, values in zip(noises, batch):
             assert np.array_equal(values, solve_heat(g, mn, f).values)
     # the march is the scheme, step for step
@@ -236,7 +236,7 @@ def test_march_allocates_one_factor_run_and_a_few_slices(S):
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        march(g, block, increments, [0.0] * S, 0)
+        marcher(g, S, 256)(block, increments, [0.0] * S, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
