@@ -26,20 +26,20 @@ module hold without a spurious constant.
 The scheme is linear in Z (the noise factor is a state-independent
 multiplier), explicit in time, and deterministic given the realization.
 
-`march` is the one time march.  It advances a batch in place through one
-chunk of steps: realizations that share the grid and the start Z₀ (say the
-mollification scales of one base noise) step together as one (S,) + grid
-stack.  The batch's current Z lives in one padded (S,) + (N+2)^d slice
-whose one-node halo holds the periodic neighbours; each step fills the
-halo and takes the whole batch's Laplacian from shifted views of that
-slice through `lattice.padded_laplacian`, the stencil `laplacian_values`
-also runs, then applies ·dt, +Z and the noise factor and copies the new Z
-into the block.  The padded slice and per-slice scratch are the only
-buffers the march adds to its noise-factor run.  It forms the
-noise factors of a short run of steps at a time and checks the finished
-chunk for finite, strictly positive Z (with two reductions, no mask), so a
-numerical breakdown is reported at its step and node, and stops the
-chunk loop, instead of after all M steps.
+`marcher` builds the one time march.  It advances a batch in place through
+one chunk of steps: realizations that share the grid and the start Z₀ (say
+the mollification scales of one base noise) step together as one (S,) +
+grid stack.  The batch's current Z lives in one padded (S,) + (N+2)^d slice
+whose one-node halo holds the periodic neighbours; each step fills the halo
+and takes the whole batch's Laplacian from flat views of that slice through
+`lattice.padded_laplacian`, the stencil `laplacian_values` also runs, then
+applies ·dt and +Z on the same flat views, the noise factor, and copies the
+new Z into the block.  The padded slice, its stencil buffers and the
+noise-factor run are allocated once, when the march is built, and serve
+every chunk.  It forms the noise factors of a short run of steps at a time
+and checks the finished chunk for finite, strictly positive Z (with two
+reductions, no mask), so a numerical breakdown is reported at its step and
+node, and stops the chunk loop, instead of after all M steps.
 
 `stream` is the one chunk loop of the studies that keep no trajectory: it
 draws, block-sums, mollifies and marches a coupled ladder of batches one

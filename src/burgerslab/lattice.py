@@ -246,13 +246,14 @@ def padded_laplacian(shape: tuple, dx: float, d: int) -> tuple:
     contiguous runs, from the first interior node to the last, of the
     buffer and of a result buffer of the same layout.  ``laplacian()``
     fills the halo with the periodic neighbours of ``core`` (one strided
-    copy per axis, the last axis first, so corners hold periodic values
+    copy per axis over the whole buffer, so corners hold periodic values
     too), writes ``(0 + Σ_axis ((z₊ − 2·z) + z₋)) / dx²`` into ``step`` from
     views of ``z`` shifted by ±(N+2)^j nodes, and returns ``step``'s
-    interior nodes.  The run crosses ghost cells, whose results are finite
-    and discarded.  The ``0 +`` makes a −0.0 sum +0.0, as a sum started
-    from zero does.  This is the one place the Laplacian's operation order
-    is written; the heat march updates ``core`` between calls.
+    interior nodes.  The run crosses ghost cells, which read only periodic
+    copies of ``core``, so their results are finite; they are discarded.
+    The ``0 +`` makes a −0.0 sum +0.0, as a sum started from zero does.
+    This is the one place the Laplacian's operation order is written; the
+    heat march updates ``core`` between calls.
     """
     lead = len(shape) - d
     padded = np.empty(shape[:lead] + tuple(n + 2 for n in shape[lead:]))
@@ -266,7 +267,7 @@ def padded_laplacian(shape: tuple, dx: float, d: int) -> tuple:
     halo = [
         (padded[(slice(None),) * axis + (slice(None, None, n + 1),)],  # ghosts 0 and N+1
          padded[(slice(None),) * axis + (slice(n, 0, -(n - 1)),)])  # nodes N and 1
-        for axis, n in reversed(list(enumerate(shape))[lead:])
+        for axis, n in enumerate(shape) if axis >= lead
     ]
     shifts = [(flat[first + o : stop + o], flat[first - o : stop - o]) for o in offsets]
     (plus, minus), rest = shifts[0], shifts[1:]

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import burgerslab
 from burgerslab.lattice import (
@@ -23,6 +24,7 @@ from burgerslab.lattice import (
     inner_space,
     laplacian,
     laplacian_values,
+    padded_laplacian,
 )
 
 
@@ -253,6 +255,42 @@ def test_gradient_norm_sq_equals_summed_squared_components_bit_for_bit(d):
     for g in gradient_values(a, 0.125, d):
         reference += g * g
     assert np.array_equal(_bits(gradient_norm_sq(a, 0.125, d)), _bits(reference))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+    N=st.sampled_from([8, 9, 12]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_view_stencil_equals_the_roll_reference_bit_for_bit(d, lead, N, seed):
+    # the stencil runs on flat views of the padded buffer, across its ghost
+    # cells; every interior node equals the roll reference, signed zeros
+    # and H of either sign included, call after call as the core changes
+    rng = np.random.default_rng(seed)
+    shape = lead + (N,) * d
+    dx = 1.0 / N
+    core, z, step, laplacian = padded_laplacian(shape, dx, d)
+    for scale in (1.0, 1e-3, 40.0):
+        a = scale * rng.standard_normal(shape)
+        a.flat[::5] = -0.0
+        a.flat[1::7] = 0.0
+        core[...] = a
+        assert np.array_equal(_bits(laplacian()), _bits(_roll_laplacian(a, dx, d)))
+    assert z.flags.c_contiguous and step.flags.c_contiguous
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_gradient_norm_sq_in_row_blocks_equals_one_pass_bit_for_bit(d, rows):
+    # a scratch of fewer rows than the stack takes the further components a
+    # block of rows at a time, into a caller's out: the same bits
+    a = np.random.default_rng(d + rows).standard_normal((5,) + (8,) * d)
+    out, comp = np.empty_like(a), np.empty((rows,) + a.shape[1:])
+    result = gradient_norm_sq(a, 0.125, d, out, comp)
+    assert result is out
+    assert np.array_equal(_bits(result), _bits(gradient_norm_sq(a, 0.125, d)))
 
 
 def test_grid_rejects_non_integral_sizes_by_name():

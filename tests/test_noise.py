@@ -1,9 +1,11 @@
 """Noise laws: sampling, pairing, mollification, quadratic variation, coarse graining."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burgerslab.bank import bump
 from burgerslab.lattice import TorusGrid
@@ -13,8 +15,11 @@ from burgerslab.noise import (
     coarse_grain,
     draw_seeds,
     h_eval,
+    lattice_delta,
     make_mollifier,
     mollify,
+    mollify_increments,
+    mollifying,
     pair,
     quadratic_variation,
     sample_noise,
@@ -51,6 +56,14 @@ def test_zero_amplitude_gives_exact_zeros():
     off = sample_noise(g, seed=5, lam=0.0)
     assert np.all(off.increments == 0.0)
     assert off.lam == 0.0
+
+
+def test_a_whole_realization_owns_its_increments():
+    # sample_noise reads its draw_chunks stream as one chunk of all M
+    # steps: the stream's one buffer itself, not a view of it
+    for d, lam in ((1, 1.0), (2, 1.0), (1, 0.0)):
+        increments = sample_noise(_grid(d=d, N=16), 3, lam).increments
+        assert increments.flags.owndata and increments.base is None
 
 
 def test_negative_seed_rejected():
@@ -261,6 +274,59 @@ def test_h_kernel_symmetry_and_support():
     assert h_eval(m, [2.0 / 4]) == 0.0
     assert h_eval(m, [0.7]) == 0.0
     assert h_eval(m, [0.2 / 4]) > 0.0
+
+
+def _fft_reference(m, increments):
+    """dx^d · irfftn(rfftn(ΔW) · rfftn(K)) over the spatial axes, in rfftn's own order."""
+    axes = tuple(range(1, m.grid.d + 1))
+    spectrum = np.fft.rfftn(increments, axes=axes)
+    spectrum *= np.fft.rfftn(m.kernel)[None, ...]
+    out = np.fft.irfftn(spectrum, s=m.grid.shape, axes=axes)
+    out *= m.grid.cell_volume
+    return out
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    steps=st.integers(1, 9),
+    short=st.integers(0, 8),
+    block=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_in_place_convolution_equals_rfftn_irfftn_bit_for_bit(d, steps, short, block, seed):
+    # rfft into one complex buffer, fft and ifft in place along the other
+    # axes, irfft into the output: blocks of `block` slices (a short last
+    # one), and a later call on fewer slices than the buffers hold, as the
+    # stream's last chunk is
+    g = TorusGrid(d=d, N=16 if d < 3 else 8, M=16, T=0.01)
+    m = make_mollifier(g, 4 if d < 3 else 2)
+    rng = np.random.default_rng(seed)
+    with mock.patch("burgerslab.lattice._CHUNK", block):
+        mollify_run = mollifying([m], 1.0, steps)
+    for k in (steps, max(1, steps - short)):
+        increments = rng.standard_normal((k,) + g.shape)
+        (out,) = mollify_run(increments)
+        assert out.shape == increments.shape
+        assert np.array_equal(out.view(np.int64), _fft_reference(m, increments).view(np.int64))
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 32)])
+def test_one_forward_transform_serves_every_member_bit_for_bit(d, N):
+    # the members share one forward transform per block; each equals its own
+    # mollify, and the lattice delta and λ = 0 get the increments as they are
+    g = TorusGrid(d=d, N=N, M=24, T=0.01)
+    noise = sample_noise(g, 5, 1.0)
+    members = [make_mollifier(g, n) for n in (2, 4, 8)] + [lattice_delta(g)]
+    with mock.patch("burgerslab.lattice._CHUNK", 5):
+        outs = mollifying(members, 1.0, g.M)(noise.increments)
+    for m, out in zip(members[:3], outs):
+        assert np.array_equal(out.view(np.int64), mollify(noise, m).increments.view(np.int64))
+        assert np.array_equal(out.view(np.int64), _fft_reference(m, noise.increments).view(np.int64))
+    assert outs[3] is noise.increments
+    zeros = np.zeros((g.M,) + g.shape)
+    assert all(out is zeros for out in mollifying(members, 0.0, g.M)(zeros))
+    assert mollify_increments(members[0], zeros, 0.0) is zeros
 
 
 def test_mollify_is_linear_and_zero_preserving():

@@ -144,6 +144,25 @@ def test_the_driver_equals_per_member_solve_heat_bit_for_bit(d, levels, lam, see
             assert residual.tobytes() == kpz_residual(sol).tobytes(), (fac, m.scale_n)
 
 
+def test_each_level_yields_its_chunks_in_one_set_of_buffers():
+    # a yielded Z, ΔWⁿ and ΔW are valid only until the next item: every
+    # chunk of a level, the short last one included, refills the same memory
+    cfg = _config(2, 2, 1.0, 11)
+    fine = cfg.grid()
+    ladder = []
+    for fac in (2, 1):
+        g = coarse_grid(fine, fac)
+        ladder.append((fac, g, [make_mollifier(g, 2), lattice_delta(g)]))
+    seen = {}
+    with mock.patch("burgerslab.lattice._CHUNK", 24):  # 10 chunks of M = 256, the last of 16
+        for i, a, b, Z, dwns, dw in stream(ladder, 11, 1.0, [1.0, 1.0]):
+            pointers = tuple(x.ctypes.data for x in (Z, *dwns, dw))
+            seen.setdefault(i, set()).add(pointers)
+            assert dwns[1] is dw  # the lattice delta's noise is the raw increments
+    assert sorted(seen) == [0, 1]
+    assert all(len(pointers) == 1 for pointers in seen.values()), seen
+
+
 def test_converge_holds_no_batch_sized_stack(tmp_path):
     # perfbench's shrunk converge: a (M+1)·N stack is 4.2 MB.  Streaming the
     # scales keeps the base, the grid-scale reference and the weak-pass sums,
@@ -180,19 +199,24 @@ print(before, peak())
 """
 
 
-def _rss_rise(tmp_path, config: dict) -> int:
-    """Bytes the study adds to a fresh process's high-water mark after the imports."""
+def _child(tmp_path, script: str, config: dict) -> list:
+    """The integers a fresh single-threaded process running ``script`` on ``config`` prints."""
     src_dir = str(Path(burgerslab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, os.environ.get("PYTHONPATH")) if p)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(tmp_path), json.dumps(config)],
+        [sys.executable, "-c", script, str(tmp_path), json.dumps(config)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    before, after = (1024 * int(v) for v in proc.stdout.split())  # VmHWM is in KiB
+    return [int(v) for v in proc.stdout.split()]
+
+
+def _rss_rise(tmp_path, config: dict) -> int:
+    """Bytes the study adds to a fresh process's high-water mark after the imports."""
+    before, after = (1024 * v for v in _child(tmp_path, _CHILD, config))  # VmHWM is in KiB
     return after - before
 
 
@@ -215,3 +239,28 @@ def test_heat_holds_no_space_time_stack(tmp_path):
     rise = _rss_rise(tmp_path, {"study": "heat"})
     stack = (cfg.M + 1) * cfg.N * 8
     assert rise < stack / 2, (rise, stack)
+
+
+_FAULTS = """
+import json, resource, sys
+from burgerslab.harness.config import ExperimentConfig
+from burgerslab.harness.studies import run_study
+
+cfg = ExperimentConfig.from_dict(json.loads(sys.argv[2]))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_study(cfg, out_dir=sys.argv[1])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_the_2d_weak_study_takes_no_page_faults_per_chunk(tmp_path):
+    # the chunk loop allocates nothing chunk-sized after its first chunk, so
+    # doubling M adds only the faults of the per-step sums, not of freshly
+    # zeroed pages for every chunk's temporaries (a heap trimmed after each
+    # chunk and faulted back in added about 48,000 here)
+    config = {
+        "study": "burgers", "d": 2, "N": 32,
+        "initial": {"kind": "gaussian-bump", "params": {"a": 0.5, "w": 0.12, "center": [0.37, 0.61]}},
+    }
+    (short,), (long,) = (_child(tmp_path / str(M), _FAULTS, dict(config, M=M)) for M in (8192, 16384))
+    assert long - short < 2000, (short, long)
