@@ -69,7 +69,8 @@ import numpy as np
 
 from burgerslab.bank import TestFunction, bump
 from burgerslab.heat import HeatSolution, compensator
-from burgerslab.lattice import chunk_steps, gradient_norm_sq, gradient_values, laplacian_values
+from burgerslab.lattice import block_steps, chunk_steps, gradient_norm_sq, gradient_values
+from burgerslab.lattice import laplacian_values
 from burgerslab.noise import _bump_constants
 
 __all__ = [
@@ -254,10 +255,10 @@ class WeakPairings:
         s0, s1 = max(lo, self.first), min(hi, self.last)
         if s0 >= s1:
             return
-        # ‖∇_h H‖², its further components a quarter chunk at a time, then
+        # ‖∇_h H‖², its further components a block of rows at a time, then
         # each box product in one scratch
         steps, nodes = hi - lo, grid.num_nodes
-        rows = min(steps, chunk_steps(grid, 4))
+        rows = min(steps, block_steps(grid))
         spare = self._buffer("scratch", max(steps * self._box, rows * nodes * (grid.d > 1)))
         comp = spare[: rows * nodes].reshape((rows,) + grid.shape) if grid.d > 1 else None
         normsq = self._buffer("normsq", steps * nodes)[: (s1 - s0) * nodes]

@@ -57,7 +57,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from burgerslab.lattice import ScalarField, TorusGrid, chunk_steps, padded_laplacian
+from burgerslab.lattice import ScalarField, TorusGrid, block_steps, chunk_steps, padded_laplacian
 from burgerslab.lattice import is_integer, real
 # Unused here.  perfbench/tracing.py resolves its lattice.laplacian_values
 # target through this module, and perfbench/test_perfbench.py expects no
@@ -236,8 +236,8 @@ def marcher(grid: TorusGrid, members: int, steps: int):
     # the current slices inside their padded slice; step holds their update
     core, z, step, laplacian = padded_laplacian((members,) + grid.shape, grid.dx, grid.d)
     dt = grid.dt
-    # the noise factors of at most this many steps exist at once: a quarter chunk
-    run = min(steps, chunk_steps(grid, 4 * members))
+    # the noise factors of at most this many steps exist at once
+    run = min(steps, block_steps(grid, members))
     factors = np.empty((run, members) + grid.shape)
 
     def march(block, increments, compensated, first_step) -> None:
@@ -324,7 +324,7 @@ def solve_heat(grid: TorusGrid, noise: MollifiedNoise, f: ScalarField) -> HeatSo
     values = np.empty((grid.M + 1,) + grid.shape)
     values[0] = np.exp(f.values)
     compensated = [compensator(noise.lam, noise.mollifier, grid.dt)]
-    chunk = chunk_steps(grid)  # checked chunks as long as the march's factor runs
+    chunk = chunk_steps(grid)  # checked chunks of the one chunk rule
     march = marcher(grid, 1, chunk)
     for lo in range(0, grid.M, chunk):
         hi = min(lo + chunk, grid.M)

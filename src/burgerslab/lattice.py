@@ -44,6 +44,7 @@ __all__ = [
     "real",
     "wrap",
     "chunk_steps",
+    "block_steps",
     "ScalarField",
     "VectorField",
     "laplacian",
@@ -90,6 +91,16 @@ _CHUNK_BYTES = 1 << 20
 def chunk_steps(grid, members: int = 1) -> int:
     """Steps per time chunk of a batch of ``members`` N^d slices on ``grid``."""
     return max(1, min(_CHUNK, _CHUNK_BYTES // (members * grid.num_nodes * 8)))
+
+
+def block_steps(grid, members: int = 1) -> int:
+    """Slices per block of a loop's scratch: a quarter of `chunk_steps`' budget.
+
+    The march's noise factors, the FFT's complex slices and the weak pass's
+    gradient components go a block at a time, so the scratch beside a
+    stream's chunk buffers stays a fraction of one chunk.
+    """
+    return chunk_steps(grid, 4 * members)
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,7 @@ from functools import lru_cache
 import numpy as np
 
 from burgerslab.bank import bump
-from burgerslab.lattice import TorusGrid, chunk_steps, is_integer
+from burgerslab.lattice import TorusGrid, block_steps, is_integer
 
 __all__ = [
     "Mollifier",
@@ -431,7 +431,7 @@ def _convolution(members: Sequence[Mollifier], steps: int):
     grid = members[0].grid
     axes = tuple(range(1, grid.d + 1))
     hats = [np.fft.rfftn(m.kernel) for m in members]
-    block = min(steps, chunk_steps(grid, 4 * len(members)))  # a quarter chunk per member
+    block = min(steps, block_steps(grid, len(members)))
     spectrum = np.empty((block,) + grid.shape[:-1] + (grid.N // 2 + 1,), dtype=complex)
     product = np.empty_like(spectrum) if len(members) > 1 else spectrum
     outs = [np.empty((steps,) + grid.shape) for _ in members]

@@ -15,6 +15,7 @@ from burgerslab.lattice import (
     ScalarField,
     TorusGrid,
     VectorField,
+    block_steps,
     chunk_steps,
     divergence,
     divergence_values,
@@ -381,6 +382,9 @@ def test_chunks_are_sized_by_bytes_and_capped_in_steps():
     assert chunk_steps(TorusGrid(d=2, N=128, M=32768)) == 8
     # converge's batch of four scales and the grid-scale reference
     assert chunk_steps(TorusGrid(d=1, N=128, M=32768), members=5) == 204
+    # a loop's scratch goes in blocks of a quarter of the budget
+    assert block_steps(TorusGrid(d=2, N=64, M=8192)) == 8
+    assert block_steps(TorusGrid(d=1, N=128, M=32768), members=5) == 51
     for d, N, S in ((3, 64, 1), (3, 256, 1), (1, 128, 5), (2, 64, 3)):
         g = TorusGrid(d=d, N=N, M=4)
         steps = chunk_steps(g, S)
