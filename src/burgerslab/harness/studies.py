@@ -390,6 +390,7 @@ def _study_qv(cfg, report, path_m, ladders) -> None:
     mollify_run = mollifying([path_m], cfg.lam, chunk)
     for lo, hi, dw in draw_chunks(qv_grid, cfg.seed, cfg.lam, chunk):
         column[lo:hi] = mollify_run(dw)[0][:, qv_grid.N // 2]
+    del mollify_run, dw  # the chunk buffers, which nothing below reads
     qv_rate = quadratic_variation(wiener_path(column)) / qv_grid.T
     target = cfg.lam**2 * path_m.c_n_discrete
     if target == 0.0:
