@@ -94,13 +94,13 @@ def chunk_steps(grid, members: int = 1) -> int:
 
 
 def block_steps(grid, members: int = 1) -> int:
-    """Slices per block of a loop's scratch: a quarter of `chunk_steps`' budget.
+    """Slices per block of a loop's scratch: a quarter of a chunk's steps.
 
     The march's noise factors, the FFT's complex slices and the weak pass's
     gradient components go a block at a time, so the scratch beside a
     stream's chunk buffers stays a fraction of one chunk.
     """
-    return chunk_steps(grid, 4 * members)
+    return max(1, chunk_steps(grid, members) // 4)
 
 
 @dataclass(frozen=True)

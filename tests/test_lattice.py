@@ -382,9 +382,11 @@ def test_chunks_are_sized_by_bytes_and_capped_in_steps():
     assert chunk_steps(TorusGrid(d=2, N=128, M=32768)) == 8
     # converge's batch of four scales and the grid-scale reference
     assert chunk_steps(TorusGrid(d=1, N=128, M=32768), members=5) == 204
-    # a loop's scratch goes in blocks of a quarter of the budget
+    # a loop's scratch goes in blocks of a quarter chunk
     assert block_steps(TorusGrid(d=2, N=64, M=8192)) == 8
+    assert block_steps(TorusGrid(d=1, N=128, M=32768)) == 64
     assert block_steps(TorusGrid(d=1, N=128, M=32768), members=5) == 51
+    assert block_steps(TorusGrid(d=3, N=256, M=4)) == 1
     for d, N, S in ((3, 64, 1), (3, 256, 1), (1, 128, 5), (2, 64, 3)):
         g = TorusGrid(d=d, N=N, M=4)
         steps = chunk_steps(g, S)
