@@ -70,7 +70,7 @@ import numpy as np
 from burgerslab.bank import TestFunction, bump
 from burgerslab.heat import HeatSolution, compensator
 from burgerslab.lattice import block_steps, chunk_steps, gradient_norm_sq, gradient_values
-from burgerslab.lattice import laplacian_values
+from burgerslab.lattice import padded_laplacian
 from burgerslab.noise import _bump_constants
 
 __all__ = [
@@ -79,6 +79,7 @@ __all__ = [
     "LimitSequence",
     "checked_log",
     "cole_hopf",
+    "kpz_pass",
     "kpz_step_residuals",
     "kpz_residual",
     "weak_residual_batch",
@@ -124,6 +125,37 @@ def cole_hopf(sol: HeatSolution, chunk: int | None = None):
         yield lo, hi, checked_log(sol.values[lo : hi + 1], lo)
 
 
+def kpz_pass(grid, compensated: float):
+    """``residuals(H, increments)``: `kpz_step_residuals` of one chunk after another.
+
+    The stencil and the buffers are built for the first chunk's shape and
+    serve every later chunk of that shape; a chunk of another shape, such
+    as a short last one, replaces them.  The operation order is that of
+    `kpz_step_residuals`, so each chunk's residuals keep their bits.
+    """
+    d, dx = grid.d, grid.dx
+    built = None
+
+    def residuals(H: np.ndarray, increments: np.ndarray) -> np.ndarray:
+        nonlocal built
+        h = H[:-1]
+        if built is None or built[0].shape != h.shape:
+            core, _, _, laplacian = padded_laplacian(h.shape, dx, d)
+            comp = np.empty((min(len(h), block_steps(grid)),) + grid.shape) if d > 1 else None
+            built = core, laplacian, np.empty(h.shape), np.empty(h.shape), comp
+        core, laplacian, r, total, comp = built
+        core[...] = h
+        np.add(laplacian(), gradient_norm_sq(h, dx, d, total, comp), total)
+        np.multiply(grid.dt, total, total)
+        np.subtract(H[1:], h, r)
+        r -= total
+        r -= increments
+        r += compensated
+        return np.max(np.abs(r, r), axis=tuple(range(1, d + 1)))
+
+    return residuals
+
+
 def kpz_step_residuals(
     grid, H: np.ndarray, increments: np.ndarray, compensated: float
 ) -> np.ndarray:
@@ -133,25 +165,21 @@ def kpz_step_residuals(
     ``increments`` the ΔWⁿ of steps lo .. hi − 1 with ``compensated`` their
     ½λ²c_n dt; entry k is
 
-        max_x |H_{k+1} − H_k − dt (Δ_h H_k + ‖∇_h H_k‖²) − ΔWⁿ_k + ½λ²c_n dt| .
+        max_x |H_{k+1} − H_k − dt (Δ_h H_k + ‖∇_h H_k‖²) − ΔWⁿ_k + ½λ²c_n dt| ,
+
+    formed in that order.  A run of chunks goes through one `kpz_pass`.
     """
-    d, dt, dx = grid.d, grid.dt, grid.dx
-    h = H[:-1]
-    r = H[1:] - h
-    r -= dt * (laplacian_values(h, dx, d) + gradient_norm_sq(h, dx, d))
-    r -= increments
-    r += compensated
-    return np.max(np.abs(r), axis=tuple(range(1, d + 1)))
+    return kpz_pass(grid, compensated)(H, increments)
 
 
 def kpz_residual(traj: HeatSolution) -> np.ndarray:
     """`kpz_step_residuals` of all M steps of a stored trajectory and the noise that drove it."""
     noise = traj.noise
     grid = traj.grid
-    compensated = compensator(noise.lam, noise.mollifier, grid.dt)
+    residuals = kpz_pass(grid, compensator(noise.lam, noise.mollifier, grid.dt))
     out = np.empty(grid.M)
     for lo, hi, H in cole_hopf(traj):
-        out[lo:hi] = kpz_step_residuals(grid, H, noise.increments[lo:hi], compensated)
+        out[lo:hi] = residuals(H, noise.increments[lo:hi])
     return out
 
 
@@ -207,21 +235,24 @@ def _box_sum(stack: np.ndarray, tensor: np.ndarray, box, spare: np.ndarray) -> n
 
 
 class WeakPairings:
-    """The weak-form pairings of a bank, accumulated one time chunk at a time.
+    """The weak-form pairings of a bank for a batch of members, one time chunk at a time.
 
-    ``add`` takes a chunk of H with the mollified and base increments that
-    drove it and contracts each φ only over its window and box; the
-    pairings linear in U are taken as ⟨H, −∇_h·(aP)⟩ and ⟨H, −∇_h·(aQ)⟩, so
-    only ‖∇_h H‖² needs a gradient, formed once per chunk for the whole
-    bank.  Its buffers live in ``buffers``, a dict that pairings fed one
-    after another share, so they exist once: allocated at the first chunk,
-    reused by every later one of at most that many steps, and freed by
-    ``reports``.  Each step's sums are kept, and ``reports`` weights them
-    with the time profiles, so the reports do not depend on how the steps
-    were chunked.
+    The members are trajectories on one grid driven by one base
+    realization, say its mollification scales.  ``add_base`` pairs a chunk
+    of the base increments, once for the whole batch, so every member
+    reports the same limit pairing.  ``add`` takes a chunk of one member's
+    H with the mollified increments that drove it and contracts each φ only
+    over its window and box; the pairings linear in U are taken as
+    ⟨H, −∇_h·(aP)⟩ and ⟨H, −∇_h·(aQ)⟩, so only ‖∇_h H‖² needs a gradient,
+    formed once per chunk and member for the whole bank.  The members are
+    paired in turn through one set of buffers, allocated at the first
+    chunk, reused by every later one of at most that many steps, and freed
+    by ``reports``.  Each step's sums are kept, and ``reports`` weights
+    them with the time profiles, so the reports do not depend on how the
+    steps were chunked.
     """
 
-    def __init__(self, grid, phis: Sequence[TestFunction], buffers: dict | None = None):
+    def __init__(self, grid, phis: Sequence[TestFunction], members: int = 1):
         if not phis:
             raise ValueError("need at least one test function")
         for phi in phis:
@@ -232,25 +263,44 @@ class WeakPairings:
         self.tensors = [(*phi.duals(grid), phi.spatial_tensors(grid)[1]) for phi in phis]
         self.first = min(window.start for window, _ in self.supports)
         self.last = max(window.stop for window, _ in self.supports)
-        shape = (len(phis), grid.M)
+        shape = (members, len(phis), grid.M)
         self.A = np.zeros(shape)  # Σ_i H_i (−∇_h·(aP))_i = Σ_i (a·U)_i P_i
         self.B = np.zeros(shape)  # Σ_i H_i (−∇_h·(aQ))_i = Σ_i (a·U)_i Q_i
         self.C = np.zeros(shape)  # Σ_i ‖U‖²_i D_i
         self.R = np.zeros(shape)  # Σ_i ΔWⁿ_i D_i
-        self.Rb = np.zeros(shape)  # Σ_i ΔW_i D_i
-        self.buffers = {} if buffers is None else buffers
+        self.Rb = np.zeros(shape[1:])  # Σ_i ΔW_i D_i, shared by the members
+        self._buffers = {}
         self._box = max(math.prod(len(range(grid.N)[part]) for part in piece)
                         for _, pieces in self.supports for piece in pieces)
 
     def _buffer(self, name: str, size: int) -> np.ndarray:
-        """The flat shared buffer ``name`` of at least ``size`` values."""
-        buffer = self.buffers.get(name)
+        """The flat buffer ``name`` of at least ``size`` values."""
+        buffer = self._buffers.get(name)
         if buffer is None or buffer.size < size:
-            buffer = self.buffers[name] = np.empty(size)
+            buffer = self._buffers[name] = np.empty(size)
         return buffer
 
-    def add(self, lo: int, hi: int, H: np.ndarray, dwn: np.ndarray, dw: np.ndarray) -> None:
-        """Pair steps lo .. hi − 1: H, ΔWⁿ and ΔW hold those steps from row 0."""
+    def _windows(self, lo: int, hi: int):
+        """(j, a, b, box, tensors) of each φ whose window meets steps lo .. hi − 1."""
+        for j, ((window, box), tensors) in enumerate(zip(self.supports, self.tensors)):
+            a, b = max(lo, window.start), min(hi, window.stop)
+            if a < b:
+                yield j, a, b, box, tensors
+
+    def _spare(self, steps: int) -> np.ndarray:
+        """The scratch of the box products and of ‖∇_h H‖²'s further components."""
+        grid = self.grid
+        rows = min(steps, block_steps(grid))
+        return self._buffer("scratch", max(steps * self._box, rows * grid.num_nodes * (grid.d > 1)))
+
+    def add_base(self, lo: int, hi: int, dw: np.ndarray) -> None:
+        """Pair the base ΔW of steps lo .. hi − 1, held from row 0, once for every member."""
+        spare = self._spare(hi - lo)
+        for j, a, b, box, (_, _, D) in self._windows(lo, hi):
+            self.Rb[j, a:b] = _box_sum(dw[a - lo : b - lo], D, box, spare)
+
+    def add(self, lo: int, hi: int, H: np.ndarray, dwn: np.ndarray, member: int = 0) -> None:
+        """Pair steps lo .. hi − 1 of ``member``: H and ΔWⁿ hold those steps from row 0."""
         grid = self.grid
         s0, s1 = max(lo, self.first), min(hi, self.last)
         if s0 >= s1:
@@ -258,34 +308,32 @@ class WeakPairings:
         # ‖∇_h H‖², its further components a block of rows at a time, then
         # each box product in one scratch
         steps, nodes = hi - lo, grid.num_nodes
+        spare = self._spare(steps)
         rows = min(steps, block_steps(grid))
-        spare = self._buffer("scratch", max(steps * self._box, rows * nodes * (grid.d > 1)))
         comp = spare[: rows * nodes].reshape((rows,) + grid.shape) if grid.d > 1 else None
         normsq = self._buffer("normsq", steps * nodes)[: (s1 - s0) * nodes]
         normsq = gradient_norm_sq(H[s0 - lo : s1 - lo], grid.dx, grid.d,
                                   normsq.reshape((s1 - s0,) + grid.shape), comp)
-        for j, ((window, box), (dual_p, dual_q, D)) in enumerate(zip(self.supports, self.tensors)):
-            a, b = max(s0, window.start), min(s1, window.stop)
-            if a >= b:
-                continue
+        A, B, C, R = (sums[member] for sums in (self.A, self.B, self.C, self.R))
+        for j, a, b, box, (dual_p, dual_q, D) in self._windows(s0, s1):
             h = H[a - lo : b - lo]
-            self.A[j, a:b] = _box_sum(h, dual_p, box, spare)
-            self.B[j, a:b] = _box_sum(h, dual_q, box, spare)
-            self.C[j, a:b] = _box_sum(normsq[a - s0 : b - s0], D, box, spare)
-            self.R[j, a:b] = _box_sum(dwn[a - lo : b - lo], D, box, spare)
-            self.Rb[j, a:b] = _box_sum(dw[a - lo : b - lo], D, box, spare)
+            A[j, a:b] = _box_sum(h, dual_p, box, spare)
+            B[j, a:b] = _box_sum(h, dual_q, box, spare)
+            C[j, a:b] = _box_sum(normsq[a - s0 : b - s0], D, box, spare)
+            R[j, a:b] = _box_sum(dwn[a - lo : b - lo], D, box, spare)
 
-    def reports(self, n: int, seed: int, lam: float) -> list:
-        """One WeakResidualReport per φ, for mollifier scale n, seed and λ; frees the chunk buffers."""
-        self.buffers.clear()
+    def reports(self, n: int, seed: int, lam: float, member: int = 0) -> list:
+        """One WeakResidualReport per φ of ``member``, at mollifier scale n, seed and λ; frees the chunk buffers."""
+        self._buffers.clear()
         grid = self.grid
         vol, dt = grid.cell_volume, grid.dt
+        A, B, C, R = (sums[member] for sums in (self.A, self.B, self.C, self.R))
         reports = []
         for j, (phi, (w, _)) in enumerate(zip(self.phis, self.supports)):
             psi, dpsi = (f[w] for f in phi.time_profile(grid))
-            a_, b_, c_ = self.A[j, w], self.B[j, w], self.C[j, w]
+            a_, b_, c_ = A[j, w], B[j, w], C[j, w]
             lhs = vol * dt * float(np.sum(-dpsi * a_ - psi * b_ + psi * c_))
-            rhs = -vol * float(np.sum(psi * self.R[j, w]))
+            rhs = -vol * float(np.sum(psi * R[j, w]))
             limit = -vol * float(np.sum(psi * self.Rb[j, w]))
             scale = vol * dt * float(
                 np.sum(np.abs(dpsi * a_) + np.abs(psi * b_) + np.abs(psi * c_))
@@ -321,7 +369,8 @@ def weak_residual_batch(traj: HeatSolution, phis: Sequence[TestFunction]) -> lis
     base = noise.base
     pairings = WeakPairings(traj.grid, phis)
     for lo, hi, H in cole_hopf(traj):
-        pairings.add(lo, hi, H, noise.increments[lo:hi], base.increments[lo:hi])
+        pairings.add_base(lo, hi, base.increments[lo:hi])
+        pairings.add(lo, hi, H, noise.increments[lo:hi])
     return pairings.reports(noise.mollifier.scale_n, base.seed, noise.lam)
 
 

@@ -128,8 +128,8 @@ from burgerslab.colehopf import (
     checked_log,
     cole_hopf,
     distributional_limit_1d,
+    kpz_pass,
     kpz_residual,
-    kpz_step_residuals,
     lojasiewicz_section,
     weak_residual_batch,
     weak_residual_csv_lines,
@@ -461,21 +461,27 @@ def _study_heat(cfg, report, amp, k, grids) -> None:
     for g in grids:
         x = g.axis_coords()
         wavenum = 2.0 * math.pi * k / g.L
-        mode = np.cos(wavenum * x)
+        mode, sine = np.cos(wavenum * x), np.sin(wavenum * x)
         times = g.times()
         # λ = 0: nothing is drawn and every noise factor is 1; the errors are
-        # maxima, so taking them per checked chunk is exact
+        # maxima, so taking them per checked chunk is exact.  Each chunk's
+        # arrays go into the heads of buffers allocated at the first chunk.
         err_z = err_u = 0.0
+        buffers = None
         for _, a, b, Z, _, _ in stream([(1, g, [lattice_delta(g)])], cfg.seed, 0.0,
                                        [1.0 + amp * mode]):
-            H = checked_log(Z[0], a)
+            if buffers is None:
+                buffers = np.empty((5,) + Z[0].shape)
+            H, z_exact, u_exact, diff, grad = buffers[:, : b - a + 1]
+            checked_log(Z[0], a, H)
             decay = np.exp(-(wavenum**2) * times[a : b + 1])
-            z_exact = 1.0 + amp * decay[:, None] * mode[None, :]
-            err_z = max(err_z, float(np.max(np.abs(Z[0] - z_exact))))
-            u_num = gradient_values(H, g.dx, 1)[0]
-            u_exact = (-amp * wavenum * decay[:, None] * np.sin(wavenum * x)[None, :]
-                       / z_exact)
-            err_u = max(err_u, float(np.max(np.abs(u_num - u_exact))))
+            np.multiply((amp * decay)[:, None], mode[None, :], z_exact)
+            np.add(1.0, z_exact, z_exact)
+            err_z = max(err_z, float(np.max(np.abs(np.subtract(Z[0], z_exact, diff), diff))))
+            u_num = gradient_values(H, g.dx, 1, grad[None])[0]
+            np.multiply((-amp * wavenum * decay)[:, None], sine[None, :], u_exact)
+            np.divide(u_exact, z_exact, u_exact)
+            err_u = max(err_u, float(np.max(np.abs(np.subtract(u_num, u_exact, diff), diff))))
         budget = tol["heat_C"] * (g.dt + g.dx**2)
         report.add(f"err_z_N{g.N}", err_z, err_z <= budget, target=0.0, tol=budget)
         report.add(f"err_u_N{g.N}", err_u, err_u <= budget, target=0.0, tol=budget)
@@ -534,7 +540,8 @@ def _burgers_reports(cfg, levels: list) -> list:
     for i, a, b, Z, (dwn,), dw in chunks:
         if logs[i] is None:
             logs[i] = np.empty_like(Z[0])
-        pairings[i].add(a, b, checked_log(Z[0], a, logs[i][: b - a + 1]), dwn, dw)
+        pairings[i].add_base(a, b, dw)
+        pairings[i].add(a, b, checked_log(Z[0], a, logs[i][: b - a + 1]), dwn)
     del logs, Z, dwn, dw  # the last chunk's buffers, which the reports do not read
     return [(g, p.reports(m.scale_n, cfg.seed, cfg.lam))
             for (_, g, m, _, _), p in zip(levels, pairings)]
@@ -691,31 +698,31 @@ def _stream_scales(cfg, grid, mollifiers, reference, f, bank) -> tuple:
     reference's Z (a stored `HeatSolution` for the Cauchy column) are kept.
     """
     members = mollifiers + ([] if reference is None else [reference])
-    buffers = {}  # the scales are paired one after another: one set of chunk buffers
-    pairings = [WeakPairings(grid, bank, buffers) for _ in mollifiers]
+    pairings = WeakPairings(grid, bank, len(mollifiers))
     increments = np.empty((grid.M,) + grid.shape)
     ref_values = None if reference is None else np.empty((grid.M + 1,) + grid.shape)
     residual = np.empty(grid.M)
-    kpz_comp = compensator(cfg.lam, mollifiers[1], grid.dt)
+    kpz = kpz_pass(grid, compensator(cfg.lam, mollifiers[1], grid.dt))
     log = None  # each scale's H in turn, allocated at the first chunk
     for _, a, b, Z, dwns, dw in stream([(1, grid, members)], cfg.seed, cfg.lam,
                                        [np.exp(f.values)]):
         increments[a:b] = dw
         if log is None:
             log = np.empty_like(Z[0])
-        for s, p in enumerate(pairings):
+        pairings.add_base(a, b, dw)
+        for s in range(len(mollifiers)):
             H = checked_log(Z[s], a, log[: b - a + 1])
-            p.add(a, b, H, dwns[s], dw)
+            pairings.add(a, b, H, dwns[s], s)
             if s == 1:
-                residual[a:b] = kpz_step_residuals(grid, H, dwns[s], kpz_comp)
+                residual[a:b] = kpz(H, dwns[s])
         if reference is not None:
             ref_values[a : b + 1] = Z[-1]
     del log, H, Z, dwns, dw  # the last chunk's buffers, which the reports do not read
     base = WhiteNoiseRealization(grid=grid, seed=cfg.seed, lam=cfg.lam, increments=increments)
     ref_sol = (None if reference is None
                else HeatSolution(grid, mollify(base, reference), ref_values))
-    weak_by_scale = [p.reports(m.scale_n, cfg.seed, cfg.lam)
-                     for m, p in zip(mollifiers, pairings)]
+    weak_by_scale = [pairings.reports(m.scale_n, cfg.seed, cfg.lam, s)
+                     for s, m in enumerate(mollifiers)]
     return weak_by_scale, float(np.sum(residual)), base, ref_sol
 
 

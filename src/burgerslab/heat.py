@@ -57,7 +57,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from burgerslab.lattice import ScalarField, TorusGrid, block_steps, chunk_steps, padded_laplacian
+from burgerslab.lattice import ScalarField, TorusGrid, block_steps, chunk_steps
+from burgerslab.lattice import interior_run, laplacian_calls
 from burgerslab.lattice import is_integer, real
 # Unused here.  perfbench/tracing.py resolves its lattice.laplacian_values
 # target through this module, and perfbench/test_perfbench.py expects no
@@ -186,7 +187,7 @@ def _check_chunk(
 ) -> None:
     """Raise at the first step and node where a chunk of Z is not finite and > 0.
 
-    ``block`` has shape (S, K) + grid and holds steps first_step ..
+    ``block`` has shape (K, S) + grid and holds steps first_step ..
     first_step + K − 1, and ``increments[s]`` holds member s's ΔWⁿ from
     first_step on; the first chunk includes the start Z₀ = exp(f), which
     overflows for a large enough f.  The test is two reductions (a NaN
@@ -197,10 +198,10 @@ def _check_chunk(
     """
     if block.min() > 0.0 and block.max() < np.inf:
         return
-    bad = np.argwhere(~((block > 0.0) & (block < np.inf)).swapaxes(0, 1))[0]
+    bad = np.argwhere(~((block > 0.0) & (block < np.inf)))[0]
     k, s, node = int(bad[0]), int(bad[1]), tuple(int(i) for i in bad[2:])
     step = first_step + k
-    member = f" of batch member {s}" if len(block) > 1 else ""
+    member = f" of batch member {s}" if block.shape[1] > 1 else ""
     if step == 0:
         factor = "none (the start exp(f))"
     else:
@@ -210,54 +211,73 @@ def _check_chunk(
         f"heat march needs finite Z > 0 everywhere (noise factor into that "
         f"step and node exp(ΔWⁿ − ½λ²c_n dt) = {factor}, stability margin "
         f"1 − 2d·dt/dx² = {stability_check(grid)!r}); Z{member} at "
-        f"step {step}, node {node} is {float(block[(s, k) + node])!r}"
+        f"step {step}, node {node} is {float(block[(k, s) + node])!r}"
     )
 
 
 def marcher(grid: TorusGrid, members: int, steps: int):
     """The time march of a batch of ``members`` on ``grid``, chunks of at most ``steps`` steps.
 
-    Returns ``march(block, increments, compensated, first_step)``, which
-    advances the batch through one chunk of K ≤ ``steps`` steps in place:
-    ``block`` has shape (S, K + 1) + grid, ``block[:, 0]`` holds Z at step
+    Returns ``(Z, march)``.  ``Z`` is the (S, steps + 1) + grid interior
+    of the march's block, member first.  ``march(K, increments,
+    compensated, first_step)`` advances the batch through one chunk of
+    K ≤ ``steps`` steps in place: ``Z[:, 0]`` holds Z at step
     ``first_step``, and the march writes steps first_step + 1 ..
-    first_step + K into ``block[:, 1:]``.  ``increments[s]`` is member s's
-    ΔWⁿ at steps first_step .. first_step + K − 1 and ``compensated[s]`` its
-    ½λ²c_n dt.  The padded slice, its stencil buffers and the noise-factor
-    run are allocated here, once for every chunk.  The whole block, start
-    included, is checked for finite Z > 0 before ``march`` returns, so a
-    breakdown stops the caller's chunk loop in the chunk where it happens.
+    first_step + K into ``Z[:, 1 : K + 1]``.  ``increments[s]`` is member
+    s's ΔWⁿ at steps first_step .. first_step + K − 1 and
+    ``compensated[s]`` its ½λ²c_n dt.  The whole chunk, start included, is
+    checked for finite Z > 0 before ``march`` returns, so a breakdown stops
+    the caller's chunk loop in the chunk where it happens.
+
+    The block is padded and time-major, (steps + 1, S) + (N+2)^d, and each
+    row's `lattice.interior_run` holds the batch's Z at one step.  Step k
+    runs `lattice.laplacian_calls` on row k, then ·dt, +Z and ·factor,
+    whose product goes straight into row k + 1's run: eight numpy calls in
+    1-D, with no copy and no call of a Python function of ours.  Those
+    calls and the views they take, of every row and of the noise-factor
+    run (padded as the rows are), are built here, once.  The Laplacian is
+    not added to zero as `lattice.laplacian_values` adds it: a −0.0 sum
+    only meets ·dt and then +Z, and Z + (±0.0) = Z for every Z ≥ +0, so
+    each Z keeps its bits.
     """
     margin = stability_check(grid)
     if margin < 0.0:
         raise ValueError(
             f"stability violation: margin {margin!r} < 0 (dt too large for dx)"
         )
-    # the current slices inside their padded slice; step holds their update
-    core, z, step, laplacian = padded_laplacian((members,) + grid.shape, grid.dx, grid.d)
-    dt = grid.dt
-    # the noise factors of at most this many steps exist at once
+    d = grid.d
+    shape = (members,) + (grid.N + 2,) * d
+    block = np.empty((steps + 1,) + shape)
+    # the noise factors of at most this many steps exist at once, padded as
+    # the rows are; their halo holds NaN, which exp keeps quiet, and its
+    # products land in ghost cells that the next step's halo fill overwrites
     run = min(steps, block_steps(grid, members))
-    factors = np.empty((run, members) + grid.shape)
+    factors = np.full((run,) + shape, np.nan)
+    z = [interior_run(row, d) for row in block]
+    step = np.empty_like(z[0])
+    twice, spare = np.empty_like(step), np.empty_like(step) if d > 1 else None
+    dt = np.array(grid.dt)  # a 0-d array: numpy converts a Python float on every call
+    rows = [
+        laplacian_calls(block[k], d, grid.dx, step, twice, spare)
+        + [(np.multiply, (step, dt, step)), (np.add, (step, z[k], step)),
+           (np.multiply, (step, interior_run(factors[k % run], d), z[k + 1]))]
+        for k in range(steps)
+    ]
+    inner = (slice(None), slice(None)) + (slice(1, -1),) * d
+    core, factor_core = block[inner], factors[inner]
 
-    def march(block, increments, compensated, first_step) -> None:
-        core[...] = block[:, 0]
-        K = block.shape[1] - 1
+    def march(K, increments, compensated, first_step) -> None:
         for a in range(0, K, run):
             b = min(a + run, K)
-            fac = factors[: b - a]
             for s, inc in enumerate(increments):
-                np.subtract(inc[a:b], compensated[s], out=fac[:, s])
-            np.exp(fac, out=fac)
-            for k in range(a, b):
-                bracket = laplacian()
-                np.multiply(step, dt, out=step)
-                np.add(step, z, out=step)
-                np.multiply(bracket, fac[k - a], out=core)
-                block[:, k + 1] = core
-        _check_chunk(block, first_step, increments, compensated, grid)
+                np.subtract(inc[a:b], compensated[s], factor_core[: b - a, s])
+            np.exp(factors[: b - a], factors[: b - a])
+            for calls in rows[a:b]:
+                for f, args in calls:
+                    f(*args)
+        _check_chunk(core[: K + 1], first_step, increments, compensated, grid)
 
-    return march
+    return core.swapaxes(0, 1), march
 
 
 def stream(levels: Sequence, seed: int, lam: float, z0s: Sequence):
@@ -285,21 +305,19 @@ def stream(levels: Sequence, seed: int, lam: float, z0s: Sequence):
     runs = []
     for (fac, g, members), z0 in zip(levels, z0s, strict=True):
         steps = min(chunk, fine.M) // fac**2
-        block = np.empty((len(members), steps + 1) + g.shape)
-        block[:, 0] = z0
+        Z, march = marcher(g, len(members), steps)
+        Z[:, 0] = z0
         coarse = np.empty((steps,) + g.shape) if fac > 1 else None
-        runs.append((fac, block, coarse, mollifying(members, lam, steps),
-                     marcher(g, len(members), steps),
+        runs.append((fac, Z, coarse, mollifying(members, lam, steps), march,
                      [compensator(lam, m, g.dt) for m in members]))
     for lo, hi, fine_dw in draw_chunks(fine, seed, lam, chunk):
-        for i, (fac, block, coarse, mollify_run, march, compensated) in enumerate(runs):
+        for i, (fac, Z, coarse, mollify_run, march, compensated) in enumerate(runs):
             a, b = lo // fac**2, hi // fac**2
             dw = block_sum(fine_dw, fac, None if coarse is None else coarse[: b - a])
             dwns = mollify_run(dw)
-            Z = block[:, : b - a + 1]
-            march(Z, dwns, compensated, a)
-            yield i, a, b, Z, dwns, dw
-            block[:, 0] = Z[:, -1]
+            march(b - a, dwns, compensated, a)
+            yield i, a, b, Z[:, : b - a + 1], dwns, dw
+            Z[:, 0] = Z[:, b - a]
 
 
 def solve_heat(grid: TorusGrid, noise: MollifiedNoise, f: ScalarField) -> HeatSolution:
@@ -325,8 +343,11 @@ def solve_heat(grid: TorusGrid, noise: MollifiedNoise, f: ScalarField) -> HeatSo
     values[0] = np.exp(f.values)
     compensated = [compensator(noise.lam, noise.mollifier, grid.dt)]
     chunk = chunk_steps(grid)  # checked chunks of the one chunk rule
-    march = marcher(grid, 1, chunk)
+    Z, march = marcher(grid, 1, min(chunk, grid.M))
+    Z[0, 0] = values[0]
     for lo in range(0, grid.M, chunk):
         hi = min(lo + chunk, grid.M)
-        march(values[None, lo : hi + 1], [noise.increments[lo:hi]], compensated, lo)
+        march(hi - lo, [noise.increments[lo:hi]], compensated, lo)
+        values[lo + 1 : hi + 1] = Z[0, 1 : hi - lo + 1]
+        Z[:, 0] = Z[:, hi - lo]
     return HeatSolution(grid=grid, noise=noise, values=values)

@@ -51,6 +51,8 @@ __all__ = [
     "gradient",
     "divergence",
     "inner_space",
+    "interior_run",
+    "laplacian_calls",
     "padded_laplacian",
     "laplacian_values",
     "gradient_values",
@@ -249,58 +251,88 @@ def _roll_pairs(axis: int, shift: int) -> tuple:
     )
 
 
+def interior_run(padded: np.ndarray, d: int) -> np.ndarray:
+    """The flat contiguous run of a C-ordered buffer with a one-node halo on its last `d` axes.
+
+    The run goes from the buffer's first interior node to its last, so it
+    crosses the ghost cells between them.
+    """
+    first = sum(_offsets(padded, d))
+    return padded.reshape(-1)[first : padded.size - first]
+
+
+def _offsets(padded: np.ndarray, d: int) -> list:
+    """Flat distances between neighbours along each of the last `d` axes of a C-ordered buffer."""
+    return [padded.strides[axis] // padded.itemsize for axis in range(padded.ndim - d, padded.ndim)]
+
+
+def laplacian_calls(padded: np.ndarray, d: int, dx: float, step: np.ndarray, twice: np.ndarray,
+                    spare: np.ndarray | None = None) -> list:
+    """The calls that write the Laplacian of a buffer with a one-node halo on its last `d` axes.
+
+    Running ``f(*args)`` for each ``(f, args)`` of the returned list in
+    order fills the halo with the periodic neighbours of the interior (one
+    strided copy per axis over the whole buffer, so corners hold periodic
+    values too) and writes ``Σ_axis ((z₊ − 2·z) + z₋) / dx²`` into
+    ``step``, from views of z, the buffer's `interior_run`, shifted by
+    ±(N+2)^j nodes.  ``step``, ``twice`` and, for d > 1, ``spare`` are runs
+    as long as z, the last two scratch.  The run crosses
+    ghost cells, which read only periodic copies of the interior, so their
+    results are finite; they are discarded.  This is the one place the
+    Laplacian's operation order is written: the heat march runs these calls
+    on each row of its block, `padded_laplacian` on its one buffer.  The
+    views are built here, once, and the constants 2 and dx² are 0-d arrays,
+    which numpy takes as they are where it converts a Python float on every
+    call, so each call costs only numpy's dispatch.
+    """
+    lead = padded.ndim - d
+    offsets = _offsets(padded, d)
+    first = sum(offsets)  # the first interior node; the last is as far from the end
+    stop = padded.size - first
+    flat = padded.reshape(-1)
+    calls = []
+    for axis in range(lead, padded.ndim):
+        n, before = padded.shape[axis] - 2, (slice(None),) * axis
+        calls.append((np.copyto, (padded[before + (slice(None, None, n + 1),)],  # ghosts 0, N+1
+                                  padded[before + (slice(n, 0, -(n - 1)),)])))  # nodes N and 1
+    (plus, minus), *rest = [(flat[first + o : stop + o], flat[first - o : stop - o]) for o in offsets]
+    two, dx2 = np.array(2.0), np.array(dx * dx)
+    calls += [(np.multiply, (two, flat[first:stop], twice)), (np.subtract, (plus, twice, step)),
+              (np.add, (step, minus, step))]
+    for up, down in rest:
+        calls += [(np.subtract, (up, twice, spare)), (np.add, (spare, down, spare)),
+                  (np.add, (step, spare, step))]
+    calls.append((np.divide, (step, dx2, step)))
+    return calls
+
+
 def padded_laplacian(shape: tuple, dx: float, d: int) -> tuple:
     """A buffer with a one-node halo on the last `d` axes of ``shape``, and its Laplacian.
 
     Returns ``(core, z, step, laplacian)``.  ``core`` is the buffer's
-    writable interior (shape ``shape``); ``z`` and ``step`` are flat
-    contiguous runs, from the first interior node to the last, of the
-    buffer and of a result buffer of the same layout.  ``laplacian()``
-    fills the halo with the periodic neighbours of ``core`` (one strided
-    copy per axis over the whole buffer, so corners hold periodic values
-    too), writes ``(0 + Σ_axis ((z₊ − 2·z) + z₋)) / dx²`` into ``step`` from
-    views of ``z`` shifted by ±(N+2)^j nodes, and returns ``step``'s
-    interior nodes.  The run crosses ghost cells, which read only periodic
-    copies of ``core``, so their results are finite; they are discarded.
-    The ``0 +`` makes a −0.0 sum +0.0, as a sum started from zero does.
-    This is the one place the Laplacian's operation order is written; the
-    heat march updates ``core`` between calls.
+    writable interior (shape ``shape``); ``z`` and ``step`` are the
+    `interior_run` of the buffer and of a result buffer of the same layout.
+    ``laplacian()`` runs `laplacian_calls` on the buffer, adds the result
+    to zero, so a −0.0 sum reads +0.0 as a sum started from zero does, and
+    returns ``step``'s interior nodes: the Laplacian of ``core``, which the
+    caller may refill between calls.
     """
     lead = len(shape) - d
     padded = np.empty(shape[:lead] + tuple(n + 2 for n in shape[lead:]))
     result = np.empty_like(padded)
     inner = (slice(None),) * lead + (slice(1, -1),) * d
-    offsets = [padded.strides[axis] // padded.itemsize for axis in range(lead, len(shape))]
-    first = sum(offsets)  # the first interior node; the last is as far from the end
-    stop = padded.size - first
-    flat = padded.reshape(-1)
-    z, step = flat[first:stop], result.reshape(-1)[first:stop]
-    halo = [
-        (padded[(slice(None),) * axis + (slice(None, None, n + 1),)],  # ghosts 0 and N+1
-         padded[(slice(None),) * axis + (slice(n, 0, -(n - 1)),)])  # nodes N and 1
-        for axis, n in enumerate(shape) if axis >= lead
-    ]
-    shifts = [(flat[first + o : stop + o], flat[first - o : stop - o]) for o in offsets]
-    (plus, minus), rest = shifts[0], shifts[1:]
-    twice = np.empty_like(z)
-    spare = np.empty_like(z) if rest else None
+    step = interior_run(result, d)
+    calls = laplacian_calls(padded, d, dx, step, np.empty_like(step),
+                            np.empty_like(step) if d > 1 else None)
     out = result[inner]
 
     def laplacian() -> np.ndarray:
-        for ghost, node in halo:
-            ghost[...] = node
-        np.multiply(2.0, z, out=twice)
-        np.subtract(plus, twice, out=step)
-        np.add(step, minus, out=step)
-        np.add(0.0, step, out=step)
-        for up, down in rest:
-            np.subtract(up, twice, out=spare)
-            np.add(spare, down, out=spare)
-            np.add(step, spare, out=step)
-        np.divide(step, dx * dx, out=step)
+        for f, args in calls:
+            f(*args)
+        np.add(0.0, step, step)
         return out
 
-    return padded[inner], z, step, laplacian
+    return padded[inner], interior_run(padded, d), step, laplacian
 
 
 def laplacian_values(a: np.ndarray, dx: float, d: int | None = None) -> np.ndarray:
@@ -324,10 +356,12 @@ def _centered_difference(a: np.ndarray, axis: int, dx: float, out: np.ndarray) -
     return out
 
 
-def gradient_values(a: np.ndarray, dx: float, d: int | None = None) -> np.ndarray:
-    """Centered gradient over the last `d` axes; returns shape (d,) + a.shape."""
+def gradient_values(
+    a: np.ndarray, dx: float, d: int | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Centered gradient over the last `d` axes, shape (d,) + a.shape, into ``out`` if given."""
     d = a.ndim if d is None else d
-    out = np.empty((d,) + a.shape, dtype=np.float64)
+    out = np.empty((d,) + a.shape) if out is None else out
     for i, axis in enumerate(range(a.ndim - d, a.ndim)):
         _centered_difference(a, axis, dx, out[i])
     return out

@@ -308,16 +308,19 @@ class MollifiedNoise:
         return self.base.lam
 
 
+_SEED_MAX = int(np.iinfo(np.uint64).max)  # a Python int: compared without a numpy call
+
+
 def is_seed(value) -> bool:
     """True for an integer in [0, 2⁶⁴): one word of a Philox key."""
-    return is_integer(value) and 0 <= value <= np.iinfo(np.uint64).max
+    return is_integer(value) and 0 <= value <= _SEED_MAX
 
 
 def _stream_key(seed: int, tag: np.uint64) -> np.ndarray:
     """The Philox key (seed, tag), the one place a seed becomes a key."""
     if not is_seed(seed):
         raise ValueError(f"seed must be a nonnegative integer below 2**64, got {seed!r}")
-    return np.array([np.uint64(seed), tag], dtype=np.uint64)
+    return np.array((seed, tag), dtype=np.uint64)
 
 
 def seeded_stream(seed: int, tag: np.uint64) -> np.random.Generator:

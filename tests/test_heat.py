@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burgerslab.lattice import ScalarField, TorusGrid, laplacian_values
 from burgerslab.noise import MollifiedNoise, lattice_delta, make_mollifier, mollify, sample_noise
@@ -37,11 +38,11 @@ def _mollified(grid, seed=0, lam=1.0, n=4):
 
 def _march_from(grid, noise, z0):
     """The M+1 slices of the scheme from an arbitrary start z0: one `march` chunk."""
-    block = np.empty((1, grid.M + 1) + grid.shape)
-    block[0, 0] = z0
+    Z, march = marcher(grid, 1, grid.M)
+    Z[0, 0] = z0
     comp = compensator(noise.lam, noise.mollifier, grid.dt)
-    marcher(grid, 1, grid.M)(block, [noise.increments], [comp], 0)
-    return block[0]
+    march(grid.M, [noise.increments], [comp], 0)
+    return Z[0]
 
 
 def test_stability_margin_values():
@@ -211,10 +212,10 @@ def test_batched_march_equals_single_marches_bit_for_bit(d, N, T, override, chun
     for lams in ([1.0, 0.5], [1.0, 0.0, 2.0]):
         noises = _noises(g, lams)
         # one batch through all M steps, against solve_heat's checked chunks
-        batch = np.empty((len(noises), g.M + 1) + g.shape)
+        batch, march = marcher(g, len(noises), g.M)
         batch[:, 0] = np.exp(f.values)
-        marcher(g, len(noises), g.M)(batch, [mn.increments for mn in noises],
-                                     [compensator(mn.lam, mn.mollifier, g.dt) for mn in noises], 0)
+        march(g.M, [mn.increments for mn in noises],
+              [compensator(mn.lam, mn.mollifier, g.dt) for mn in noises], 0)
         for mn, values in zip(noises, batch):
             assert np.array_equal(values, solve_heat(g, mn, f).values)
     # the march is the scheme, step for step
@@ -226,22 +227,79 @@ def test_batched_march_equals_single_marches_bit_for_bit(d, N, T, override, chun
         assert np.array_equal(batch[-1, k + 1], z)
 
 
+def _reference_march(grid, z0, increments, compensated):
+    """The march as it was written before it wrote in place, slice by slice from rolls.
+
+    Each step sums its Laplacian from zero, (0 + axis 1) + axis 2 …, takes
+    ·dt and +Z in a separate core slice, multiplies by the noise factor and
+    copies the new core into the (S, M+1) + grid block.
+    """
+    S, K = len(increments), len(increments[0])
+    block = np.empty((S, K + 1) + grid.shape)
+    block[:, 0] = z0
+    core = block[:, 0].copy()
+    axes = range(1, grid.d + 1)
+    for k in range(K):
+        twice = 2.0 * core
+        lap = 0.0 + ((np.roll(core, -1, axes[0]) - twice) + np.roll(core, 1, axes[0]))
+        for axis in axes[1:]:
+            lap = lap + ((np.roll(core, -1, axis) - twice) + np.roll(core, 1, axis))
+        bracket = lap / (grid.dx * grid.dx) * grid.dt + core
+        factor = np.stack([np.exp(inc[k] - c) for inc, c in zip(increments, compensated)])
+        core = bracket * factor
+        block[:, k + 1] = core
+    return block
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from([1, 2]),
+    S=st.sampled_from([1, 5]),
+    lam=st.sampled_from([0.0, 1.0]),
+    flat=st.booleans(),
+    steps=st.integers(2, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_march_equals_the_reference_march_bit_for_bit(d, S, lam, flat, steps, seed):
+    # chunks of `steps` steps through M = 23, so the last chunk is short; a
+    # flat start has an exactly zero Laplacian, at every step when λ = 0
+    g = TorusGrid(d=d, N=8, M=23, T=0.05)
+    rng = np.random.default_rng(seed)
+    z0 = np.full(g.shape, 0.7) if flat else np.exp(0.3 * rng.standard_normal(g.shape))
+    increments = [lam * 0.05 * rng.standard_normal((g.M,) + g.shape) for _ in range(S)]
+    compensated = [0.5 * lam**2 * 0.0025 * (s + 1) for s in range(S)]
+    expected = _reference_march(g, z0, increments, compensated)
+    Z, march = marcher(g, S, steps)
+    Z[:, 0] = z0
+    marched = np.empty_like(expected)
+    marched[:, 0] = z0
+    for lo in range(0, g.M, steps):
+        hi = min(lo + steps, g.M)
+        march(hi - lo, [inc[lo:hi] for inc in increments], compensated, lo)
+        marched[:, lo + 1 : hi + 1] = Z[:, 1 : hi - lo + 1]
+        Z[:, 0] = Z[:, hi - lo]
+    assert marched.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("S", [1, 3])
 def test_march_allocates_one_factor_run_and_a_few_slices(S):
-    # the march's own buffers are the noise-factor run, the padded slice and
-    # per-slice scratch: a temporary the size of the (S, 257, 64, 64) block
-    # (8 MiB per member) would show here, as it would in the 2-D weak study's peak
+    # beside its padded (257, S) + (66, 66) block, the march's own buffers are
+    # the noise-factor run, the stencil's runs and the rows' views: a second
+    # temporary the size of the block (8 MiB per member) would show here, as
+    # it would in the 2-D weak study's peak
     g = TorusGrid(d=2, N=64, M=8192, T=0.1)
-    block = np.ones((S, 257) + g.shape)
     increments = [np.zeros((256,) + g.shape)] * S
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        marcher(g, S, 256)(block, increments, [0.0] * S, 0)
+        Z, march = marcher(g, S, 256)
+        Z[:, 0] = 1.0
+        march(256, increments, [0.0] * S, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - before < lattice._CHUNK_BYTES + 16 * S * g.num_nodes * 8
+    block = 257 * S * (g.N + 2) ** g.d * 8
+    assert peak - before - block < lattice._CHUNK_BYTES + 16 * S * g.num_nodes * 8
 
 
 @pytest.mark.parametrize("d,N,T,safety", [(1, 32, 0.1, 4), (2, 16, 0.05, 4), (3, 8, 0.02, 8)])

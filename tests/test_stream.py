@@ -9,10 +9,11 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import burgerslab
-from burgerslab.bank import build_bank
+from burgerslab.bank import TestFunction, build_bank
 from burgerslab.colehopf import (
     WeakPairings,
     checked_log,
@@ -125,7 +126,8 @@ def test_the_driver_equals_per_member_solve_heat_bit_for_bit(d, levels, lam, see
             _, g, ms, _, _ = ladder[i]
             for s, m in enumerate(ms):
                 H = checked_log(Z[s], a)
-                pairings[i][s].add(a, b, H, dwns[s], dw)
+                pairings[i][s].add_base(a, b, dw)
+                pairings[i][s].add(a, b, H, dwns[s])
                 residuals[i][s, a:b] = kpz_step_residuals(
                     g, H, dwns[s], compensator(lam, m, g.dt))
 
@@ -142,6 +144,35 @@ def test_the_driver_equals_per_member_solve_heat_bit_for_bit(d, levels, lam, see
             assert _hexes(p.reports(m.scale_n, seed, lam)) == _hexes(
                 weak_residual_batch(sol, bank)), (fac, m.scale_n)
             assert residual.tobytes() == kpz_residual(sol).tobytes(), (fac, m.scale_n)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_batched_weak_pass_equals_one_pass_per_member_bit_for_bit(d):
+    # three members paired in turn through one WeakPairings, the base ΔW
+    # once, report what a WeakPairings per member with its own base pairing
+    # reports; a φ across the seam has 2 box pieces in 1-D and 4 in 2-D, and
+    # chunks of 24 steps (the last of 16) cut through every window
+    cfg = _config(d, 1, 1.0, 5)
+    g = cfg.grid()
+    seam = TestFunction("seam", 0.5 * g.T, 0.3 * g.T, (0.97, 0.02)[:d], 0.2, (0.8, -0.7)[:d])
+    assert len(seam.support(g)[1]) == 2**d
+    bank = build_bank(g)[:2] + [seam]
+    members = [make_mollifier(g, 2), make_mollifier(g, 4), lattice_delta(g)]
+    z0 = np.exp(make_initial(g, cfg.initial_kind, dict(cfg.initial_params)).values)
+    batch = WeakPairings(g, bank, len(members))
+    single = [WeakPairings(g, bank) for _ in members]
+    with mock.patch("burgerslab.lattice._CHUNK", 24):
+        for _, a, b, Z, dwns, dw in stream([(1, g, members)], cfg.seed, cfg.lam, [z0]):
+            batch.add_base(a, b, dw)
+            for s, p in enumerate(single):
+                H = checked_log(Z[s], a)
+                batch.add(a, b, H, dwns[s], s)
+                p.add_base(a, b, dw)
+                p.add(a, b, H, dwns[s])
+    assert batch.Rb.shape == (len(bank), g.M)  # one base pairing for the batch
+    for s, (m, p) in enumerate(zip(members, single)):
+        expected = p.reports(m.scale_n, cfg.seed, cfg.lam)
+        assert _hexes(batch.reports(m.scale_n, cfg.seed, cfg.lam, s)) == _hexes(expected)
 
 
 def test_each_level_yields_its_chunks_in_one_set_of_buffers():
