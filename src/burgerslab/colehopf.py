@@ -263,12 +263,15 @@ class WeakPairings:
         self.tensors = [(*phi.duals(grid), phi.spatial_tensors(grid)[1]) for phi in phis]
         self.first = min(window.start for window, _ in self.supports)
         self.last = max(window.stop for window, _ in self.supports)
-        shape = (members, len(phis), grid.M)
-        self.A = np.zeros(shape)  # Σ_i H_i (−∇_h·(aP))_i = Σ_i (a·U)_i P_i
-        self.B = np.zeros(shape)  # Σ_i H_i (−∇_h·(aQ))_i = Σ_i (a·U)_i Q_i
-        self.C = np.zeros(shape)  # Σ_i ‖U‖²_i D_i
-        self.R = np.zeros(shape)  # Σ_i ΔWⁿ_i D_i
-        self.Rb = np.zeros(shape[1:])  # Σ_i ΔW_i D_i, shared by the members
+        # one array of each sum per member: numpy backs an array of 4 MiB or
+        # more with huge pages, so one array for the batch would be made
+        # resident whole by its first write, not only on each φ's window
+        shape = (len(phis), grid.M)
+        self.A = [np.zeros(shape) for _ in range(members)]  # Σ_i H_i (−∇_h·(aP))_i = Σ_i (a·U)_i P_i
+        self.B = [np.zeros(shape) for _ in range(members)]  # Σ_i H_i (−∇_h·(aQ))_i = Σ_i (a·U)_i Q_i
+        self.C = [np.zeros(shape) for _ in range(members)]  # Σ_i ‖U‖²_i D_i
+        self.R = [np.zeros(shape) for _ in range(members)]  # Σ_i ΔWⁿ_i D_i
+        self.Rb = np.zeros(shape)  # Σ_i ΔW_i D_i, shared by the members
         self._buffers = {}
         self._box = max(math.prod(len(range(grid.N)[part]) for part in piece)
                         for _, pieces in self.supports for piece in pieces)

@@ -254,13 +254,14 @@ def marcher(grid: TorusGrid, members: int, steps: int):
     run = min(steps, block_steps(grid, members))
     factors = np.full((run,) + shape, np.nan)
     z = [interior_run(row, d) for row in block]
+    factor = [interior_run(row, d) for row in factors]
     step = np.empty_like(z[0])
     twice, spare = np.empty_like(step), np.empty_like(step) if d > 1 else None
     dt = np.array(grid.dt)  # a 0-d array: numpy converts a Python float on every call
     rows = [
         laplacian_calls(block[k], d, grid.dx, step, twice, spare)
         + [(np.multiply, (step, dt, step)), (np.add, (step, z[k], step)),
-           (np.multiply, (step, interior_run(factors[k % run], d), z[k + 1]))]
+           (np.multiply, (step, factor[k % run], z[k + 1]))]
         for k in range(steps)
     ]
     inner = (slice(None), slice(None)) + (slice(1, -1),) * d
