@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,18 +273,20 @@ def laplacian_calls(padded: np.ndarray, d: int, dx: float, step: np.ndarray, twi
 
     Running ``f(*args)`` for each ``(f, args)`` of the returned list in
     order fills the halo with the periodic neighbours of the interior (one
-    strided copy per axis over the whole buffer, so corners hold periodic
-    values too) and writes ``Σ_axis ((z₊ − 2·z) + z₋) / dx²`` into
-    ``step``, from views of z, the buffer's `interior_run`, shifted by
-    ±(N+2)^j nodes.  ``step``, ``twice`` and, for d > 1, ``spare`` are runs
-    as long as z, the last two scratch.  The run crosses
-    ghost cells, which read only periodic copies of the interior, so their
-    results are finite; they are discarded.  This is the one place the
-    Laplacian's operation order is written: the heat march runs these calls
-    on each row of its block, `padded_laplacian` on its one buffer.  The
-    views are built here, once, and the constants 2 and dx² are 0-d arrays,
-    which numpy takes as they are where it converts a Python float on every
-    call, so each call costs only numpy's dispatch.
+    strided ``ghost[...] = node`` per axis over the whole buffer, so
+    corners hold periodic values too) and writes
+    ``Σ_axis ((z₊ − 2·z) + z₋) / dx²`` into ``step``, from views of z, the
+    buffer's `interior_run`, shifted by ±(N+2)^j nodes.  ``step``,
+    ``twice`` and, for d > 1, ``spare`` are runs as long as z, the last two
+    scratch.  The run crosses ghost cells, which read only periodic copies
+    of the interior, so their results are finite; they are discarded.
+
+    This is the one place the Laplacian's operation order is written: the
+    heat march runs these calls on each row of its block, and
+    `padded_laplacian` on its one buffer.  They are built for a loop bound
+    by numpy's cost per call: the views exist once, the constants 2 and dx²
+    are 0-d arrays (numpy converts a Python float on every call), and the
+    halo copy is a plain setitem (np.copyto adds a Python-level dispatch).
     """
     lead = padded.ndim - d
     offsets = _offsets(padded, d)
@@ -293,8 +296,8 @@ def laplacian_calls(padded: np.ndarray, d: int, dx: float, step: np.ndarray, twi
     calls = []
     for axis in range(lead, padded.ndim):
         n, before = padded.shape[axis] - 2, (slice(None),) * axis
-        calls.append((np.copyto, (padded[before + (slice(None, None, n + 1),)],  # ghosts 0, N+1
-                                  padded[before + (slice(n, 0, -(n - 1)),)])))  # nodes N and 1
+        calls.append((operator.setitem, (padded[before + (slice(None, None, n + 1),)],  # ghosts 0, N+1
+                                         ..., padded[before + (slice(n, 0, -(n - 1)),)])))  # nodes N, 1
     (plus, minus), *rest = [(flat[first + o : stop + o], flat[first - o : stop - o]) for o in offsets]
     two, dx2 = np.array(2.0), np.array(dx * dx)
     calls += [(np.multiply, (two, flat[first:stop], twice)), (np.subtract, (plus, twice, step)),
