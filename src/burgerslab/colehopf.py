@@ -21,8 +21,9 @@ else.
 Two layers of checks, in increasing depth:
 
 * growth-equation residual — ``kpz_step_residuals`` re-assembles the
-  update of H step by step over one chunk, and ``kpz_residual`` over a
-  stored trajectory, reporting per-step max norms of
+  update of H step by step over one chunk, ``kpz_pass`` over one chunk
+  after another through one stencil and one set of buffers, and
+  ``kpz_residual`` over a stored trajectory, reporting per-step max norms of
 
       H_{k+1} − H_k − dt (Δ_h H_k + ‖∇_h H_k‖²) − ΔWⁿ_k + ½λ²c_n dt ,
 
@@ -222,7 +223,8 @@ def _box_sum(stack: np.ndarray, tensor: np.ndarray, box, spare: np.ndarray) -> n
 
     ``box`` is a φ's tuple of pieces (``TestFunction.support``); each piece
     is a tuple of basic slices, so no piece copies more than its product,
-    which is formed in the head of the flat buffer ``spare``.
+    which is formed in the head of the flat buffer ``spare``.  The sums are
+    ``np.add.reduce``, the bits of ``np.sum`` without its Python wrapper.
     """
     sp_axes = tuple(range(1, tensor.ndim + 1))
     out = np.zeros(stack.shape[0])
@@ -230,7 +232,7 @@ def _box_sum(stack: np.ndarray, tensor: np.ndarray, box, spare: np.ndarray) -> n
         part = stack[(slice(None),) + piece]
         product = spare[: part.size].reshape(part.shape)
         np.multiply(part, tensor[piece], out=product)
-        out += np.sum(product, axis=sp_axes)
+        out += np.add.reduce(product, axis=sp_axes)
     return out
 
 
@@ -247,7 +249,9 @@ class WeakPairings:
     formed once per chunk and member for the whole bank.  The members are
     paired in turn through one set of buffers, allocated at the first
     chunk, reused by every later one of at most that many steps, and freed
-    by ``reports``.  Each step's sums are kept, and ``reports`` weights
+    by ``reports``: one member's H and ‖∇_h H‖² exist at a time, where
+    contracting every member in each box sum would save calls but hold S
+    of each.  Each step's sums are kept, and ``reports`` weights
     them with the time profiles, so the reports do not depend on how the
     steps were chunked.
     """

@@ -29,15 +29,17 @@ multiplier), explicit in time, and deterministic given the realization.
 `marcher` builds the one time march.  It advances a batch in place through
 one chunk of steps: realizations that share the grid and the start Z₀ (say
 the mollification scales of one base noise) step together as one (S,) +
-grid stack.  The batch's current Z lives in one padded (S,) + (N+2)^d slice
-whose one-node halo holds the periodic neighbours; each step fills the halo
-and takes the whole batch's Laplacian from flat views of that slice through
-`lattice.padded_laplacian`, the stencil `laplacian_values` also runs, then
-applies ·dt and +Z on the same flat views, the noise factor, and copies the
-new Z into the block.  The padded slice, its stencil buffers and the
-noise-factor run are allocated once, when the march is built, and serve
-every chunk.  It forms the noise factors of a short run of steps at a time
-and checks the finished chunk for finite, strictly positive Z (with two
+grid stack.  The march is bound by numpy's cost per call, not by data (a
+1-D batch is at most a few hundred doubles), so a step is as few calls as
+the bits allow: the march's block is padded and time-major, (K+1, S) +
+(N+2)^d, and step k fills row k's one-node halo with the periodic
+neighbours, takes the whole batch's Laplacian from flat views of that row
+(`lattice.laplacian_calls`, the stencil `laplacian_values` also runs), then
+·dt and +Z on the same flat run, and writes its product with the noise
+factor straight into row k + 1.  Every view, the stencil's runs and the
+noise-factor run are built once, when the march is built, and serve every
+chunk.  It forms the noise factors of a short run of steps at a time and
+checks the finished chunk for finite, strictly positive Z (with two
 reductions, no mask), so a numerical breakdown is reported at its step and
 node, and stops the chunk loop, instead of after all M steps.
 
@@ -47,7 +49,10 @@ chunk at a time and yields each checked chunk.  `solve_heat` marches a
 whole stored (M+1)-slice stack for the readers of a whole trajectory.
 Every operation of the per-step update is elementwise and kept in the
 order written above, so a batched, chunked or streamed trajectory equals
-the single march bit for bit.
+the single march bit for bit.  The one step `lattice.laplacian_values`
+takes that the march leaves out is adding the Laplacian to zero, which
+only turns a −0.0 sum into +0.0: in the march that sum meets ·dt and then
++Z, and Z + (±0.0) = Z for every Z ≥ +0, so no Z moves by a bit.
 """
 
 from __future__ import annotations
@@ -326,8 +331,8 @@ def solve_heat(grid: TorusGrid, noise: MollifiedNoise, f: ScalarField) -> HeatSo
 
     ``grid`` must be the grid the noise was sampled on, and ``f`` the
     initial profile on it.  The returned trajectory's values[0] is exp(f)
-    exactly, and every slice is strictly positive: the stack is marched in
-    place by `march`, one checked chunk at a time.
+    exactly, and every slice is strictly positive: each chunk is marched
+    and checked in the `marcher` block, then copied into the stack.
 
     Raises
     ------
