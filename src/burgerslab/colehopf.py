@@ -271,8 +271,8 @@ class WeakPairings:
         # more with huge pages, so one array for the batch would be made
         # resident whole by its first write, not only on each φ's window
         shape = (len(phis), grid.M)
-        self.A = [np.zeros(shape) for _ in range(members)]  # Σ_i H_i (−∇_h·(aP))_i = Σ_i (a·U)_i P_i
-        self.B = [np.zeros(shape) for _ in range(members)]  # Σ_i H_i (−∇_h·(aQ))_i = Σ_i (a·U)_i Q_i
+        self.A = [np.zeros(shape) for _ in range(members)]  # Σ_i H_i (−∇_h·(aP))_i
+        self.B = [np.zeros(shape) for _ in range(members)]  # Σ_i H_i (−∇_h·(aQ))_i
         self.C = [np.zeros(shape) for _ in range(members)]  # Σ_i ‖U‖²_i D_i
         self.R = [np.zeros(shape) for _ in range(members)]  # Σ_i ΔWⁿ_i D_i
         self.Rb = np.zeros(shape)  # Σ_i ΔW_i D_i, shared by the members
@@ -330,7 +330,7 @@ class WeakPairings:
             R[j, a:b] = _box_sum(dwn[a - lo : b - lo], D, box, spare)
 
     def reports(self, n: int, seed: int, lam: float, member: int = 0) -> list:
-        """One WeakResidualReport per φ of ``member``, at mollifier scale n, seed and λ; frees the chunk buffers."""
+        """One WeakResidualReport per φ of ``member``, at scale n; frees the chunk buffers."""
         self._buffers.clear()
         grid = self.grid
         vol, dt = grid.cell_volume, grid.dt

@@ -49,10 +49,7 @@ chunk at a time and yields each checked chunk.  `solve_heat` marches a
 whole stored (M+1)-slice stack for the readers of a whole trajectory.
 Every operation of the per-step update is elementwise and kept in the
 order written above, so a batched, chunked or streamed trajectory equals
-the single march bit for bit.  The one step `lattice.laplacian_values`
-takes that the march leaves out is adding the Laplacian to zero, which
-only turns a −0.0 sum into +0.0: in the march that sum meets ·dt and then
-+Z, and Z + (±0.0) = Z for every Z ≥ +0, so no Z moves by a bit.
+the single march bit for bit.
 """
 
 from __future__ import annotations

@@ -296,9 +296,11 @@ def laplacian_calls(padded: np.ndarray, d: int, dx: float, step: np.ndarray, twi
     calls = []
     for axis in range(lead, padded.ndim):
         n, before = padded.shape[axis] - 2, (slice(None),) * axis
-        calls.append((operator.setitem, (padded[before + (slice(None, None, n + 1),)],  # ghosts 0, N+1
-                                         ..., padded[before + (slice(n, 0, -(n - 1)),)])))  # nodes N, 1
-    (plus, minus), *rest = [(flat[first + o : stop + o], flat[first - o : stop - o]) for o in offsets]
+        ghosts = padded[before + (slice(None, None, n + 1),)]  # ghosts 0 and N+1
+        nodes = padded[before + (slice(n, 0, -(n - 1)),)]  # nodes N and 1
+        calls.append((operator.setitem, (ghosts, ..., nodes)))
+    (plus, minus), *rest = [(flat[first + o : stop + o], flat[first - o : stop - o])
+                            for o in offsets]
     two, dx2 = np.array(2.0), np.array(dx * dx)
     calls += [(np.multiply, (two, flat[first:stop], twice)), (np.subtract, (plus, twice, step)),
               (np.add, (step, minus, step))]
