@@ -68,7 +68,8 @@ converge
     λ = 0 data.  In d = 1 it needs at least 3 strictly increasing scales
     below N (the reference's): the Cauchy monotone gate reads two ladder gaps.
     The scales and the reference march as one `heat.stream` batch; only
-    the base noise and the reference's Z are kept whole.
+    the reference's Z is kept whole, and the base noise is drawn again
+    once the batch's weak-pass sums are freed.
 section
     Time sections of the gradient field by averaging against a shrinking
     one-sided bump: in the λ = 0 branch |s(eps) − ⟨∇f, φ_x⟩| must decay
@@ -103,7 +104,6 @@ from burgerslab.lattice import (
     inner_space,
 )
 from burgerslab.noise import (
-    WhiteNoiseRealization,
     coarse_grain,
     coarse_grid,
     convolve_kernel,
@@ -694,19 +694,22 @@ def _stream_scales(cfg, grid, mollifiers, reference, f, bank) -> tuple:
 
     The scales and, in d = 1, the grid-scale reference march as one
     `heat.stream` batch; each scale's chunk is logged once for its weak
-    pass and KPZ residual.  Only the base (for the KPZ ladder) and the
-    reference's Z (a stored `HeatSolution` for the Cauchy column) are kept.
+    pass and KPZ residual.  Only the reference's Z (a stored `HeatSolution`
+    for the Cauchy column) is kept.  The base (for the reference's noise
+    and the KPZ ladder) is drawn again with `sample_noise` once the stream
+    has ended and the scales' weak-pass sums are freed, so it never sits
+    beside them or the chunk buffers.  Philox is counter-based and
+    `draw_chunks` reads one stream in order, so the whole draw equals the
+    streamed chunks bit for bit.
     """
     members = mollifiers + ([] if reference is None else [reference])
     pairings = WeakPairings(grid, bank, len(mollifiers))
-    increments = np.empty((grid.M,) + grid.shape)
     ref_values = None if reference is None else np.empty((grid.M + 1,) + grid.shape)
     residual = np.empty(grid.M)
     kpz = kpz_pass(grid, compensator(cfg.lam, mollifiers[1], grid.dt))
     log = None  # each scale's H in turn, allocated at the first chunk
     for _, a, b, Z, dwns, dw in stream([(1, grid, members)], cfg.seed, cfg.lam,
                                        [np.exp(f.values)]):
-        increments[a:b] = dw
         if log is None:
             log = np.empty_like(Z[0])
         pairings.add_base(a, b, dw)
@@ -718,15 +721,24 @@ def _stream_scales(cfg, grid, mollifiers, reference, f, bank) -> tuple:
         if reference is not None:
             ref_values[a : b + 1] = Z[-1]
     del log, H, Z, dwns, dw  # the last chunk's buffers, which the reports do not read
-    base = WhiteNoiseRealization(grid=grid, seed=cfg.seed, lam=cfg.lam, increments=increments)
-    ref_sol = (None if reference is None
-               else HeatSolution(grid, mollify(base, reference), ref_values))
     weak_by_scale = [pairings.reports(m.scale_n, cfg.seed, cfg.lam, s)
                      for s, m in enumerate(mollifiers)]
+    del pairings
+    base = sample_noise(grid, cfg.seed, cfg.lam)
+    ref_sol = (None if reference is None
+               else HeatSolution(grid, mollify(base, reference), ref_values))
     return weak_by_scale, float(np.sum(residual)), base, ref_sol
 
 
 def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, kpz) -> None:
+    """The limit ladder, the d = 1 Cauchy column and the KPZ ladder of one realization.
+
+    The scales stream first (`_stream_scales`).  The base ΔW that the
+    reference's noise and the KPZ ladder read is the same realization drawn
+    a second time, after the stream, rather than copied out of it chunk by
+    chunk: the counter-based stream gives the same bits either way, and the
+    whole base then never coexists with the four scales' weak-pass sums.
+    """
     tol = cfg.tolerances
     weak_by_scale, kpz_fine_value, base, ref_sol = _stream_scales(
         cfg, grid, mollifiers, reference, f, bank)

@@ -24,7 +24,7 @@ with the scaled standard bump
     ρ_n(x) = n^d ρ(n x),
 
 whose normalization c_d and squared L² norm ‖ρ‖² have no closed form and are
-computed once per dimension by high-resolution radial Simpson quadrature.
+tabulated per dimension from high-resolution radial Simpson quadrature.
 
 On the grid, ρ_n enters through its *cell averages*
 
@@ -77,7 +77,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -112,9 +111,6 @@ __all__ = [
 # Brownian one), so the streams of one seed are independent.
 _NOISE_STREAM_TAG = np.uint64(0x57484E5345)
 
-# Surface area of the unit sphere S^{d-1} bounding the unit ball in R^d.
-_SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
@@ -126,30 +122,25 @@ def _simpson_weights(panels: int) -> np.ndarray:
     return w
 
 
-def _simpson(f, a: float, b: float, panels: int) -> float:
-    """Composite Simpson rule with an even number of panels."""
-    if panels % 2:
-        panels += 1
-    x = np.linspace(a, b, panels + 1)
-    return float((b - a) / panels / 3.0 * np.sum(_simpson_weights(panels) * f(x)))
+# (c_d, ‖ρ‖²) of the standard bump for d = 1, 2, 3; see `_bump_constants`
+_BUMP_CONSTANTS = {
+    1: (2.252283621043581, 0.6751168130096974),
+    2: (2.143565775792237, 0.5418154448231047),
+    3: (2.2671167396083263, 0.4939504682066668),
+}
 
 
-@lru_cache(maxsize=None)
 def _bump_constants(d: int) -> tuple[float, float]:
     """(c_d, ‖ρ‖²) for the standard bump in dimension d.
 
-    Both integrals reduce to 1-D radial integrals against the surface-area
-    factor of S^{d-1}; 2·10⁵ Simpson panels put the quadrature error many
-    orders below every tolerance used downstream.
+    c_d = 1/∫ρ̃ and ‖ρ‖² = c_d²·∫ρ̃² for the unnormalized bump ρ̃ reduce to
+    1-D radial integrals against the surface area of S^{d-1}.  The table
+    holds the floats that composite Simpson over 2·10⁵ panels of [0, 1]
+    gives for them, a quadrature error many orders below every tolerance
+    used downstream; `tests/test_noise.py` recomputes that quadrature and
+    holds the table to it.
     """
-    area = _SPHERE_AREA[d]
-    panels = 200_000
-    mass = area * _simpson(lambda r: r ** (d - 1) * bump(r), 0.0, 1.0, panels)
-    c_d = 1.0 / mass
-    l2 = c_d * c_d * area * _simpson(
-        lambda r: r ** (d - 1) * bump(r) ** 2, 0.0, 1.0, panels
-    )
-    return c_d, l2
+    return _BUMP_CONSTANTS[d]
 
 
 @dataclass(frozen=True)
@@ -351,9 +342,10 @@ def draw_chunks(grid: TorusGrid, seed: int, lam: float, chunk: int):
     of ``chunk`` steps (a short last block into its head), so a yielded
     block is valid only until the next one is requested; a single block of
     all M steps is that buffer itself.  At lam = 0 each block is zeros and
-    nothing is drawn.
+    nothing is drawn, so no stream is built (the seed is still checked).
     """
-    rng = seeded_stream(seed, _NOISE_STREAM_TAG)
+    _stream_key(seed, _NOISE_STREAM_TAG)
+    rng = None if lam == 0.0 else seeded_stream(seed, _NOISE_STREAM_TAG)
     scale = _scale(grid, lam)
     buffer = (np.zeros if lam == 0.0 else np.empty)((min(chunk, grid.M),) + grid.shape)
     for lo in range(0, grid.M, chunk):
@@ -520,7 +512,7 @@ def h_eval(m: Mollifier, z) -> float:
 
     Evaluated by tensor-product Simpson quadrature of the unscaled profile
     (h_n(z) = n^d · h_ρ(n|z|) after rescaling), independent of the radial
-    quadrature behind the cached constants — so h_n(0) vs c_n_continuum is a
+    quadrature behind the tabulated constants — so h_n(0) vs c_n_continuum is a
     genuine two-route cross-check.  Exactly zero for |z| ≥ 2/n, and even.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=np.float64))

@@ -13,6 +13,7 @@ from burgerslab.noise import (
     WhiteNoiseRealization,
     _bump_constants,
     coarse_grain,
+    draw_chunks,
     draw_seeds,
     h_eval,
     lattice_delta,
@@ -118,7 +119,12 @@ def test_seed_batch_at_zero_amplitude_draws_nothing(monkeypatch):
     g = _grid(d=1, N=32, M=8)
     built = _counting_philox(monkeypatch)
     zero = draw_seeds(g, range(300), 0.0)
+    # the streamed draw builds no Philox at λ = 0 either: the heat oracle
+    # never loads numpy.random
+    blocks = [block.copy() for _, _, block in draw_chunks(g, 5, 0.0, 3)]
     assert built == []
+    assert [len(block) for block in blocks] == [3, 3, 2]
+    assert not np.any(np.concatenate(blocks))
     assert zero.increments.shape == (300, g.M) + g.shape
     assert not np.any(zero.increments)
     assert draw_seeds(g, (), 1.0).increments.shape == (0, g.M) + g.shape
@@ -256,6 +262,30 @@ def test_discrete_constant_second_order_error():
     assert all(e < 0 for e in errs)
     assert abs(errs[0] / errs[1] - 4.0) <= 0.6
     assert abs(errs[1] / errs[2] - 4.0) <= 0.6
+
+
+# Surface area of the unit sphere S^{d-1} bounding the unit ball in R^d.
+_SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+
+
+def _simpson(f, a: float, b: float, panels: int) -> float:
+    """Composite Simpson rule with an even number of panels."""
+    w = np.ones(panels + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    x = np.linspace(a, b, panels + 1)
+    return float((b - a) / panels / 3.0 * np.sum(w * f(x)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bump_constants_equal_the_radial_quadrature(d):
+    # the table is the 2·10⁵-panel radial Simpson quadrature of the bump; an
+    # ulp of slack, because np.exp's SIMD path may round differently per CPU
+    area, panels = _SPHERE_AREA[d], 200_000
+    c_d = 1.0 / (area * _simpson(lambda r: r ** (d - 1) * bump(r), 0.0, 1.0, panels))
+    l2 = c_d * c_d * area * _simpson(lambda r: r ** (d - 1) * bump(r) ** 2, 0.0, 1.0, panels)
+    for table, quadrature in zip(_bump_constants(d), (c_d, l2)):
+        assert abs(table / quadrature - 1.0) <= 1e-15, (d, table, quadrature)
 
 
 @pytest.mark.parametrize("d", [1, 2])

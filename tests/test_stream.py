@@ -196,9 +196,11 @@ def test_each_level_yields_its_chunks_in_one_set_of_buffers():
 
 def test_converge_holds_no_batch_sized_stack(tmp_path):
     # perfbench's shrunk converge: a (M+1)·N stack is 4.2 MB.  Streaming the
-    # scales keeps the base, the grid-scale reference and the weak-pass sums,
-    # a traced peak of 4.2 stacks; the stored batch (three scales and the
-    # reference, their mollified noise and the base) peaked at 8.9
+    # scales keeps the grid-scale reference and the weak-pass sums, and the
+    # base is drawn again only once the sums are freed: a traced peak of 3.2
+    # stacks.  Copying the base out of the stream beside the sums peaked at
+    # 4.2; the stored batch (three scales and the reference, their mollified
+    # noise and the base) at 8.9
     cfg = ExperimentConfig.from_dict({"study": "converge", "N": 64, "M": 8192, "n": [2, 4, 8]})
     cfg.validate()  # the plan's kernels and bank are not the run's peak
     tracemalloc.start()
@@ -208,7 +210,7 @@ def test_converge_holds_no_batch_sized_stack(tmp_path):
     finally:
         tracemalloc.stop()
     stack = (cfg.M + 1) * cfg.N * 8
-    assert peak < 6 * stack, (peak, stack)
+    assert peak < 3.5 * stack, (peak, stack)
 
 
 _CHILD = """
