@@ -13,17 +13,17 @@ is finite and strictly positive.  ``cole_hopf`` feeds it a stored
 ``HeatSolution`` one time chunk at a time, for the passes below and the
 sections (which read only the steps their window covers); the studies that
 stream (`heat.stream`) feed it each chunk straight from the march, and no
-Z outlives its chunk there.  ``WeakPairings`` and ``kpz_step_residuals``
-take their chunks from either source.  A solution carries the noise that
+Z outlives its chunk there.  ``WeakPairings`` and ``kpz_pass`` take their
+chunks from either source.  A solution carries the noise that
 drove it, and the noise its base realization, so a pass needs nothing
 else.
 
 Two layers of checks, in increasing depth:
 
-* growth-equation residual — ``kpz_step_residuals`` re-assembles the
-  update of H step by step over one chunk, ``kpz_pass`` over one chunk
-  after another through one stencil and one set of buffers, and
-  ``kpz_residual`` over a stored trajectory, reporting per-step max norms of
+* growth-equation residual — ``kpz_pass`` re-assembles the update of H
+  step by step over one chunk after another through one stencil and one set
+  of buffers, and ``kpz_residual`` over a stored trajectory, reporting
+  per-step max norms of
 
       H_{k+1} − H_k − dt (Δ_h H_k + ‖∇_h H_k‖²) − ΔWⁿ_k + ½λ²c_n dt ,
 
@@ -81,7 +81,6 @@ __all__ = [
     "checked_log",
     "cole_hopf",
     "kpz_pass",
-    "kpz_step_residuals",
     "kpz_residual",
     "weak_residual_batch",
     "distributional_limit_1d",
@@ -127,12 +126,18 @@ def cole_hopf(sol: HeatSolution, chunk: int | None = None):
 
 
 def kpz_pass(grid, compensated: float):
-    """``residuals(H, increments)``: `kpz_step_residuals` of one chunk after another.
+    """``residuals(H, increments)``: the growth equation's defect, one chunk after another.
 
-    The stencil and the buffers are built for the first chunk's shape and
-    serve every later chunk of that shape; a chunk of another shape, such
-    as a short last one, replaces them.  The operation order is that of
-    `kpz_step_residuals`, so each chunk's residuals keep their bits.
+    ``H`` holds log Z at steps lo .. hi, one slice past the chunk, and
+    ``increments`` the ΔWⁿ of steps lo .. hi − 1 with ``compensated`` their
+    ½λ²c_n dt; entry k of the result is
+
+        max_x |H_{k+1} − H_k − dt (Δ_h H_k + ‖∇_h H_k‖²) − ΔWⁿ_k + ½λ²c_n dt| ,
+
+    formed in that order.  The stencil and the buffers are built for the
+    first chunk's shape and serve every later chunk of that shape; a chunk
+    of another shape, such as a short last one, replaces them, so each
+    chunk's residuals keep their bits.
     """
     d, dx = grid.d, grid.dx
     built = None
@@ -157,24 +162,8 @@ def kpz_pass(grid, compensated: float):
     return residuals
 
 
-def kpz_step_residuals(
-    grid, H: np.ndarray, increments: np.ndarray, compensated: float
-) -> np.ndarray:
-    """Per-step max-norm defect of the discrete growth equation over one chunk.
-
-    ``H`` holds log Z at steps lo .. hi, one slice past the chunk, and
-    ``increments`` the ΔWⁿ of steps lo .. hi − 1 with ``compensated`` their
-    ½λ²c_n dt; entry k is
-
-        max_x |H_{k+1} − H_k − dt (Δ_h H_k + ‖∇_h H_k‖²) − ΔWⁿ_k + ½λ²c_n dt| ,
-
-    formed in that order.  A run of chunks goes through one `kpz_pass`.
-    """
-    return kpz_pass(grid, compensated)(H, increments)
-
-
 def kpz_residual(traj: HeatSolution) -> np.ndarray:
-    """`kpz_step_residuals` of all M steps of a stored trajectory and the noise that drove it."""
+    """`kpz_pass` over all M steps of a stored trajectory and the noise that drove it."""
     noise = traj.noise
     grid = traj.grid
     residuals = kpz_pass(grid, compensator(noise.lam, noise.mollifier, grid.dt))

@@ -2,14 +2,17 @@
 
 A config names everything a study needs: the lattice, the noise scale(s),
 the amplitude, the initial profile, the test-function bank, the study
-kind, and the tolerances the verdict is judged against.  Validation is
-total — every offending field is reported by name in one pass, so a bad
-config never dies halfway through a run.
+kind, and the tolerances the verdict is judged against.  Checking is
+total — every offending field is reported by name in one ConfigError, so a
+bad config never dies halfway through a run.
 
-``validate()`` checks what every study shares (kind, field types, the
-config grid and its stability, n ≥ 1, seed < 2⁶⁴, num_paths, refine_levels,
-lambda, tolerances), then runs and returns the study's plan: each study
-checks what it builds and seeds, not a bank or initial data it never reads.
+Types are checked at construction, for a config built in Python and a
+loaded one alike: ``_SCALARS`` lists each scalar field once with its kind,
+and a JSON ``true`` is neither a number nor a path.  ``validate()`` checks
+the values (kind, the config grid and its stability, n ≥ 1, seed < 2⁶⁴,
+num_paths, refine_levels, lambda, tolerances), then runs and returns the
+study's plan: each study checks what it builds and seeds, not a bank or
+initial data it never reads.
 
 Tolerances default to the acceptance thresholds; tightening them is a
 config edit, not a code change.
@@ -65,23 +68,29 @@ class ConfigError(ValueError):
         super().__init__("; ".join(f"{name}: {msg}" for name, msg in self.errors))
 
 
-def _integral(name: str, value, errors: list):
-    """``int(value)`` if that conversion keeps the value, else record an error."""
-    try:
-        as_int = int(value)
-    except (TypeError, ValueError, OverflowError):
-        as_int = None
-    if as_int is None or as_int != value:
-        errors.append((name, f"must be an integer, got {value!r}"))
-    return as_int
-
-
-def _real(name: str, value, errors: list):
-    """``float(value)`` for a real number, else record an error; nothing is parsed."""
-    if not is_real(value):
-        errors.append((name, f"must be a real number, got {value!r}"))
-        return None
-    return float(value)
+# Each scalar field once: its attribute, its JSON key (which also names its
+# errors) and its kind.  A kind is what it accepts, how it is stored, and
+# the noun its error uses.
+_SCALARS = (
+    ("d", "d", "integer"),
+    ("N", "N", "integer"),
+    ("M", "M", "integer"),
+    ("L", "L", "real"),
+    ("T", "T", "real"),
+    ("lam", "lambda", "real"),
+    ("seed", "seed", "integer"),
+    ("num_paths", "num_paths", "integer"),
+    ("refine_levels", "refine_levels", "integer"),
+    ("out_dir", "out_dir", "path"),
+)
+_KINDS = {
+    # an integral float keeps its value as an int; a bool is not a number
+    "integer": (lambda v: is_integer(v) or is_real(v) and float(v).is_integer(),
+                int, "an integer"),
+    "real": (is_real, float, "a real number"),
+    "path": (lambda v: v is None or isinstance(v, str), lambda v: v, "a string or null"),
+}
+_KEYS = {"study", "n", "initial", "bank", "tolerances"} | {key for _, key, _ in _SCALARS}
 
 
 @dataclass(frozen=True)
@@ -108,9 +117,19 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        scales = self.n if isinstance(self.n, (list, tuple)) else (self.n,)
         errors = []
-        scales = tuple(_integral("n", v, errors) for v in scales)
+
+        def checked(key, kind, value):
+            accepts, stored, noun = _KINDS[kind]
+            if accepts(value):
+                return stored(value)
+            errors.append((key, f"must be {noun}, got {value!r}"))
+            return value
+
+        for attr, key, kind in _SCALARS:
+            object.__setattr__(self, attr, checked(key, kind, getattr(self, attr)))
+        scales = self.n if isinstance(self.n, (list, tuple)) else (self.n,)
+        scales = tuple(checked("n", "integer", v) for v in scales)
         if not isinstance(self.initial_params, dict):
             errors.append(("initial", f"params must be an object, got {self.initial_params!r}"))
         if not isinstance(self.tolerances, dict):
@@ -135,30 +154,20 @@ class ExperimentConfig:
         return TorusGrid(d=self.d, N=self.N, M=self.M, L=self.L, T=self.T)
 
     def validate(self):
-        """Check the shared fields, then run the study's plan and return it.
+        """Check the values, the grid and its stability, then run the study's plan.
 
-        The plan runs once the fields it reads are well formed (a known kind,
-        a grid, scales ≥ 1, refine_levels ≥ 1); both report in one ConfigError.
+        Types were checked at construction.  The plan runs once the fields it
+        reads are well formed (a known kind, a grid, scales ≥ 1,
+        refine_levels ≥ 1) and returns; both report in one ConfigError.
         """
         errors = []
         if self.study not in STUDY_KINDS:
             errors.append(("study", f"unknown kind {self.study!r}; expected one of {STUDY_KINDS}"))
-        not_numbers = [
-            (name, f"must be an integer, got {getattr(self, name)!r}")
-            for name in ("d", "N", "M")
-            if not is_integer(getattr(self, name))
-        ] + [
-            (name, f"must be a real number, got {getattr(self, name)!r}")
-            for name in ("L", "T")
-            if not is_real(getattr(self, name))
-        ]
-        errors.extend(not_numbers)
         grid = None
-        if not not_numbers:
-            try:
-                grid = self.grid()
-            except (ValueError, TypeError) as exc:
-                errors.append(("grid", str(exc)))
+        try:
+            grid = self.grid()
+        except ValueError as exc:
+            errors.append(("grid", str(exc)))
         if grid is not None:
             margin = stability_check(grid)
             if margin < 0.0:
@@ -171,15 +180,11 @@ class ExperimentConfig:
             errors.append(("n", f"need at least one mollifier scale, each ≥ 1, got {self.n}"))
         for name, least in (("seed", 0), ("num_paths", 100), ("refine_levels", 1)):
             value = getattr(self, name)
-            if not is_integer(value):
-                errors.append((name, f"must be an integer, got {value!r}"))
-            elif value < least:
+            if value < least:
                 errors.append((name, f"need ≥ {least}, got {value}"))
             elif name == "seed" and not is_seed(value):
                 errors.append((name, f"need < 2**64 (a Philox key word), got {value}"))
-        if not is_real(self.lam):
-            errors.append(("lambda", f"must be a real number, got {self.lam!r}"))
-        elif not (self.lam >= 0.0 and math.isfinite(self.lam)):
+        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
             errors.append(("lambda", f"must be finite and nonnegative, got {self.lam}"))
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
@@ -190,8 +195,7 @@ class ExperimentConfig:
             errors.append(("tolerances", f"non-positive, infinite or non-real values "
                                          f"for {sorted(bad)}"))
         plan = None
-        if (grid is not None and self.study in STUDY_KINDS and scales_ok
-                and is_integer(self.refine_levels) and self.refine_levels >= 1):
+        if grid is not None and self.study in STUDY_KINDS and scales_ok and self.refine_levels >= 1:
             plan = STUDIES[self.study][0](self, grid, errors)
         if errors:  # a bank bad on every burgers level is reported once
             raise ConfigError(dict.fromkeys(errors))
@@ -202,62 +206,32 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         out = {
             "study": self.study,
-            "d": self.d,
-            "N": self.N,
-            "M": self.M,
-            "L": self.L,
-            "T": self.T,
             "n": list(self.n) if len(self.n) > 1 else self.n[0],
-            "lambda": self.lam,
-            "seed": self.seed,
             "initial": {"kind": self.initial_kind, "params": self.initial_params},
-            "num_paths": self.num_paths,
-            "refine_levels": self.refine_levels,
             "tolerances": dict(sorted(self.tolerances.items())),
+            "bank": None if self.bank is None else [dict(spec) for spec in self.bank],
+            **{key: getattr(self, attr) for attr, key, _ in _SCALARS},
         }
-        if self.bank is not None:
-            out["bank"] = [dict(spec) for spec in self.bank]
-        if self.out_dir is not None:
-            out["out_dir"] = self.out_dir
-        return out
+        return {key: value for key, value in out.items() if value is not None}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        known = {
-            "study", "d", "N", "M", "L", "T", "n", "lambda", "seed",
-            "initial", "bank", "num_paths", "refine_levels", "out_dir",
-            "tolerances",
-        }
-        unknown = set(data) - known
+        """Map the JSON keys to fields; the fields check their own types."""
+        if not isinstance(data, dict):
+            raise ConfigError([("config", f"must be a JSON object, got {data!r}")])
+        unknown = set(data) - _KEYS
         if unknown:
             raise ConfigError([("config", f"unknown keys {sorted(unknown)}")])
         if "study" not in data:
             raise ConfigError([("study", "missing")])
-        kwargs = {"study": data["study"]}
-        errors = []
-        for key in ("d", "N", "M", "seed", "num_paths", "refine_levels"):
-            if key in data:
-                kwargs[key] = _integral(key, data[key], errors)
-        for key, name in (("L", "L"), ("T", "T"), ("lambda", "lam")):
-            if key in data:
-                kwargs[name] = _real(key, data[key], errors)
-        if errors:
-            raise ConfigError(errors)
-        if "n" in data:
-            kwargs["n"] = data["n"] if isinstance(data["n"], list) else [data["n"]]
+        kwargs = {attr: data[key] for attr, key, _ in _SCALARS if key in data}
+        kwargs.update((key, data[key]) for key in ("study", "n", "bank", "tolerances") if key in data)
         if "initial" in data:
             init = data["initial"]
             if not isinstance(init, dict) or "kind" not in init:
                 raise ConfigError([("initial", "expected {'kind': ..., 'params': {...}}")])
             kwargs["initial_kind"] = init["kind"]
             kwargs["initial_params"] = init.get("params", {})
-        if "bank" in data and data["bank"] is not None:
-            kwargs["bank"] = data["bank"]
-        if "out_dir" in data and data["out_dir"] is not None:
-            kwargs["out_dir"] = str(data["out_dir"])
-        if "tolerances" in data:
-            kwargs["tolerances"] = data["tolerances"]
         return cls(**kwargs)
 
     @classmethod

@@ -114,7 +114,6 @@ from burgerslab.noise import (
     lattice_delta,
     make_mollifier,
     mollify,
-    mollify_increments,
     mollifying,
     pair,
     quadratic_variation,
@@ -269,7 +268,8 @@ def _lag_sums(m, first: int, count: int, lam: float, lags) -> tuple:
     sumsq = np.zeros(len(lags))
     for block in _seed_blocks(g, first, count):
         batch = draw_seeds(g, block, lam).increments
-        mn = mollify_increments(m, batch.reshape((-1,) + g.shape), lam).reshape(batch.shape)
+        flat = batch.reshape((-1,) + g.shape)
+        mn = mollifying([m], lam, len(flat))(flat)[0].reshape(batch.shape)
         prods = [mn[:, :, i0] * mn[:, :, (i0 + lag) % g.N] for lag in lags]
         row_sums = np.stack([np.sum(prod, axis=1) for prod in prods], axis=1)
         row_sumsq = np.stack([np.sum(prod * prod, axis=1) for prod in prods], axis=1)

@@ -96,7 +96,6 @@ __all__ = [
     "sample_noise",
     "pair",
     "mollifying",
-    "mollify_increments",
     "mollify",
     "convolve_kernel",
     "h_eval",
@@ -487,11 +486,6 @@ def mollifying(members: Sequence[Mollifier], lam: float, steps: int):
     return mollify
 
 
-def mollify_increments(m: Mollifier, increments: np.ndarray, lam: float) -> np.ndarray:
-    """ΔWⁿ_k = dx^d · (K ⊛ ΔW_k) for a run of time slices of amplitude λ: `mollifying` once."""
-    return mollifying([m], lam, len(increments))(increments)[0]
-
-
 def mollify(noise: WhiteNoiseRealization, m: Mollifier) -> MollifiedNoise:
     """Convolve each time slice of the noise with the mollifier kernel.
 
@@ -503,7 +497,7 @@ def mollify(noise: WhiteNoiseRealization, m: Mollifier) -> MollifiedNoise:
     """
     if m.grid != noise.grid:
         raise ValueError("mollifier was built for a different grid")
-    mollified = mollify_increments(m, noise.increments, noise.lam)
+    mollified = mollifying([m], noise.lam, len(noise.increments))(noise.increments)[0]
     return MollifiedNoise(base=noise, mollifier=m, increments=mollified)
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import burgerslab
-from burgerslab import colehopf, fk, heat
+from burgerslab import colehopf, fk, heat, noise
 from burgerslab.harness import (
     DEFAULT_TOLERANCES,
     STUDY_KINDS,
@@ -200,9 +200,13 @@ def test_from_dict_names_real_fields_it_would_otherwise_coerce(key, value):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict({"study": "qv", key: value})
     assert err.value.errors == [(key, f"must be a real number, got {value!r}")]
-    # an int still converts to a float, so the study.json echo keeps its form
+    # an int still converts to a float, so the study.json echo keeps its form,
+    # and a config built in Python is stored as a loaded one is
     whole = ExperimentConfig.from_dict({"study": "qv", "lambda": 2, "L": 1, "T": 1})
     assert [type(v) for v in (whole.lam, whole.L, whole.T)] == [float] * 3
+    built = ExperimentConfig(study="qv", lam=2, L=1, T=1)
+    assert [type(v) for v in (built.lam, built.L, built.T)] == [float] * 3
+    assert built == whole
 
 
 @pytest.mark.parametrize("study", ["heat", "converge"])
@@ -386,12 +390,15 @@ def test_from_dict_rejects_unknown_keys_and_missing_study():
         ({"initial": {"kind": "cosine", "params": 5}}, {"initial_params": 5}),
         ({"tolerances": 5}, {"tolerances": 5}),
         ({"bank": ["x"]}, {"bank": ("x",)}),
+        ({"out_dir": True}, {"out_dir": True}),
+        ({"out_dir": 5}, {"out_dir": 5}),
     ],
-    ids=["bank", "initial", "tolerances", "bank-of-strings"],
+    ids=["bank", "initial", "tolerances", "bank-of-strings", "out_dir-true", "out_dir-number"],
 )
 def test_from_dict_names_malformed_bank_initial_and_tolerances(data, fields):
     # the first three raised a bare TypeError (the CLI printed a traceback and
-    # exited 1, the code for failed checks); the last an unnamed ValueError
+    # exited 1, the code for failed checks); the fourth an unnamed ValueError;
+    # an out_dir of true ran the study into a directory named True
     field = next(iter(data))
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict({"study": "heat", **data})
@@ -403,9 +410,12 @@ def test_from_dict_names_malformed_bank_initial_and_tolerances(data, fields):
 
 @pytest.mark.parametrize("key", ["n", "d", "N", "M", "seed", "num_paths", "refine_levels"])
 def test_from_dict_rejects_non_integral_integer_fields(key):
-    with pytest.raises(ConfigError) as err:
-        ExperimentConfig.from_dict({"study": "qv", key: 8.7})
-    assert [name for name, _ in err.value.errors] == [key]
+    # seen: true was read as 1, so {"d": true} ran the 1-D study and
+    # {"seed": true} ran seed 1
+    for value in (8.7, True) + (([True],) if key == "n" else ()):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict({"study": "qv", key: value})
+        assert [name for name, _ in err.value.errors] == [key]
     # an integral float converts without changing its value, so it stays
     whole = ExperimentConfig.from_dict({"study": "qv", key: 8.0})
     assert getattr(whole, key) == ((8,) if key == "n" else 8)
@@ -657,8 +667,8 @@ def test_section_deterministic_tiny_run_passes(tmp_path):
 
 @st.composite
 def _small_configs(draw):
-    d = draw(st.sampled_from([1, 2]))
-    N = draw(st.sampled_from([8, 16, 32]))
+    d = draw(st.sampled_from([1, 2, 3]))
+    N = draw(st.sampled_from([8, 16] if d == 3 else [8, 16, 32]))
     stable = math.ceil(2 * d * 0.1 * N * N)  # the least M with dt ≤ dx²/(2d) at T = 0.1
     M = draw(st.one_of(st.integers(stable, 3 * stable),
                        st.sampled_from([64 * k for k in range(1, 20) if 64 * k >= stable])))
@@ -667,7 +677,7 @@ def _small_configs(draw):
         n=tuple(draw(st.lists(st.sampled_from([1, 2, 3, 4, 8]), min_size=1, max_size=3))),
         lam=draw(st.sampled_from([0.0, 1.0])), refine_levels=draw(st.integers(1, 3)),
         seed=draw(st.integers(0, 99)), num_paths=100,
-        initial_params={"a": 0.5, "w": 0.12, "center": [0.37, 0.61][:d]},
+        initial_params={"a": 0.5, "w": 0.12, "center": [0.37, 0.61, 0.5][:d]},
     )
 
 
@@ -831,6 +841,59 @@ def test_qv_holds_no_space_time_stack(tmp_path):
         tracemalloc.stop()
     stack = 10_000 * cfg.N * 8
     assert peak < stack, (peak, stack)
+
+
+# ---------------------------------------------------------------------------
+# draws: each realization a study reads is drawn once
+
+
+# acceptance config -> (its grid shrunk to run in about a second, the sum of
+# M·N^d over the realizations its study reads)
+_DRAWN = {
+    "noise-check": ({}, 10_000 * 8 * 32 + 2_500 * 8 * 128),  # its two seed batches
+    "qv": ({}, 10_000 * 128),  # one node's path on its own M = 10⁴ grid
+    "heat": ({"N": 32, "M": 256}, 0),  # the oracle marches at λ = 0
+    "burgers-1d": ({"N": 64, "M": 1024, "n": (4,)}, 1024 * 64),  # the fine grid, once
+    "burgers-2d": ({"N": 16, "M": 512, "n": (4,)}, 512 * 16**2),
+    "section": ({}, 410 * 64),  # the λ > 0 branch
+    "fk-check": ({}, 410 * 32),
+}
+
+
+@pytest.mark.parametrize("name", list(_DRAWN))
+def test_each_study_draws_the_white_noise_it_reads_once(name, tmp_path, monkeypatch):
+    # counts the values drawn from the streams seeded_stream keys with the
+    # white-noise tag and the rows of draw_seeds; fk's Brownian walk and
+    # noise-check's duality fields come from streams of their own.  converge
+    # draws its base a second time after the scale stream, so it is not here
+    from test_acceptance import CONFIGS
+
+    counts = []
+    seeded, batch = noise.seeded_stream, studies.draw_seeds
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, *args, **kwargs):
+            values = self.rng.standard_normal(*args, **kwargs)
+            counts.append(np.size(values))
+            return values
+
+    def counted_stream(seed, tag):
+        rng = seeded(seed, tag)
+        return Counted(rng) if tag == noise._NOISE_STREAM_TAG else rng
+
+    def counted_batch(grid, seeds, lam):
+        drawn_rows = batch(grid, seeds, lam)
+        counts.append(drawn_rows.increments.size if lam != 0.0 else 0)
+        return drawn_rows
+
+    monkeypatch.setattr(noise, "seeded_stream", counted_stream)
+    monkeypatch.setattr(studies, "draw_seeds", counted_batch)
+    changes, drawn = _DRAWN[name]
+    run_study(CONFIGS[name].replace(**changes), out_dir=tmp_path)
+    assert sum(counts) == drawn
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from burgerslab.noise import (
     lattice_delta,
     make_mollifier,
     mollify,
-    mollify_increments,
     mollifying,
     pair,
     quadratic_variation,
@@ -356,7 +355,6 @@ def test_one_forward_transform_serves_every_member_bit_for_bit(d, N):
     assert outs[3] is noise.increments
     zeros = np.zeros((g.M,) + g.shape)
     assert all(out is zeros for out in mollifying(members, 0.0, g.M)(zeros))
-    assert mollify_increments(members[0], zeros, 0.0) is zeros
 
 
 def test_mollify_is_linear_and_zero_preserving():
