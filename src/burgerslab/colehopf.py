@@ -85,7 +85,6 @@ __all__ = [
     "weak_residual_batch",
     "distributional_limit_1d",
     "lojasiewicz_section",
-    "weak_residual_csv_lines",
 ]
 
 def checked_log(values: np.ndarray, first_step: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -467,20 +466,3 @@ def lojasiewicz_section(
             au += phi.amplitudes[a] * grads[a]
         series = np.sum(au * phi.spatial_tensors(grid)[0], axis=tuple(range(1, d + 1)))
     return grid.cell_volume * grid.dt * float(np.sum(weights * series))
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-_CSV_HEADER = "d,N,M,n,seed,lambda,phi_id,lhs,rhs,gap,limit_pairing"
-
-
-def weak_residual_csv_lines(reports) -> list:
-    """Weak-form reports as CSV lines (header first), without writing."""
-    lines = [_CSV_HEADER]
-    for r in reports:
-        lines.append(
-            f"{r.d},{r.N},{r.M},{r.n},{r.seed},{r.lam!r},{r.phi_id},"
-            f"{r.lhs!r},{r.rhs!r},{r.gap!r},{r.limit_pairing!r}"
-        )
-    return lines

@@ -53,7 +53,6 @@ from burgerslab.noise import MollifiedNoise, seeded_stream
 __all__ = [
     "FkEstimate",
     "fk_estimate",
-    "fk_csv_lines",
     "z_score",
 ]
 
@@ -196,27 +195,3 @@ def z_score(est: FkEstimate, solver_value: float) -> float:
         return 0.0 if gap == 0.0 else math.inf
     return gap / est.stderr
 
-
-def fk_csv_lines(pairs) -> list:
-    """(estimate, solver_value) pairs as CSV lines (header first).
-
-    Columns: t, x0..x{d−1}, num_paths, mode, mean, stderr, solver_value,
-    z_score.  Deterministic bytes for identical inputs.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("nothing to write")
-    d = len(pairs[0][0].x)
-    header = "t," + ",".join(f"x{a}" for a in range(d)) + \
-        ",num_paths,mode,mean,stderr,solver_value,z_score"
-    lines = [header]
-    for est, solver_value in pairs:
-        if len(est.x) != d:
-            raise ValueError("mixed dimensions in one report")
-        coords = ",".join(repr(c) for c in est.x)
-        lines.append(
-            f"{est.t!r},{coords},{est.num_paths},{est.correction_mode},"
-            f"{est.mean!r},{est.stderr!r},{solver_value!r},"
-            f"{z_score(est, solver_value)!r}"
-        )
-    return lines

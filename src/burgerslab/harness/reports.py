@@ -1,12 +1,14 @@
 """Study reports and deterministic artifact emission.
 
 A study produces one StudyReport: named pass/fail items, measured
-convergence orders, optional curve groups, and pre-formatted tables.
-``emit_reports`` writes everything under one directory:
+convergence orders, optional curve groups, and tables of values.
+``emit_reports``, the one place an artifact is formatted, writes
+everything under one directory:
 
 * ``study.json`` — config echo, items, orders, curves, verdict (never the
   wall clock, which would break byte-level reproducibility);
-* one text file per table (the per-module CSV schemas);
+* one CSV file per table, each cell a ``str`` as it is or a number as
+  the ``repr`` of its Python value;
 * one hand-emitted SVG per curve group — minimal log-log line charts with
   no plotting dependency.
 
@@ -71,6 +73,10 @@ class StudyReport:
             raise ValueError(f"order {name!r} is non-finite: {value!r}")
         self.orders[name] = float(value)
 
+    def add_table(self, name: str, header, rows):
+        """Record one CSV table: column names and rows of values, one per column."""
+        self.tables[name] = (tuple(header), [tuple(row) for row in rows])
+
     def add_curves(self, chart: str, series: dict, xlabel: str, ylabel: str):
         """Record one log-log chart; points with x ≤ 0 or y ≤ 0 are not drawn."""
         self.curves[chart] = {
@@ -94,6 +100,13 @@ def _jsonable(obj):
     if isinstance(obj, tuple):
         return list(obj)
     raise TypeError(f"not JSON-serializable: {type(obj)}")
+
+
+def _cell(value) -> str:
+    """One CSV cell: a str as it is, a number as the repr of its Python value."""
+    if isinstance(value, str):
+        return value
+    return repr(value.item() if isinstance(value, np.generic) else value)
 
 
 def emit_reports(report: StudyReport, out_dir) -> list:
@@ -124,8 +137,8 @@ def emit_reports(report: StudyReport, out_dir) -> list:
     }
     _write("study.json", json.dumps(payload, indent=2, sort_keys=True,
                                     default=_jsonable) + "\n")
-    for name, lines in sorted(report.tables.items()):
-        _write(name, "\n".join(lines) + "\n")
+    for name, (header, rows) in sorted(report.tables.items()):
+        _write(name, "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows]))
     for name, spec in sorted(report.curves.items()):
         _write(f"{name}.svg", _svg_chart(name, spec))
     return written

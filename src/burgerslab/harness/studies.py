@@ -131,9 +131,8 @@ from burgerslab.colehopf import (
     kpz_residual,
     lojasiewicz_section,
     weak_residual_batch,
-    weak_residual_csv_lines,
 )
-from burgerslab.fk import fk_csv_lines, fk_estimate, z_score
+from burgerslab.fk import fk_estimate, z_score
 from burgerslab.harness.reports import StudyReport, emit_reports, resolve_out_dir
 
 __all__ = ["STUDIES", "measure_order", "run_study"]
@@ -185,6 +184,14 @@ def _initial_on(cfg, grid: TorusGrid):
     return make_initial(grid, cfg.initial_kind, dict(cfg.initial_params))
 
 
+# Derived seeds, read by each plan's `_seeds_fit` and by its study.  noise-check
+# draws _PAIR_SEEDS seeds from seed, then _LAG_SEEDS from seed + _LAG_SEEDS_FROM;
+# fk-check walks from seed + _FK_PROBE_SEEDS + probe, seed + _FK_EXPONENT_SEEDS +
+# path-count index, and seed + _FK_MODES_SEED, its largest.
+_PAIR_SEEDS, _LAG_SEEDS_FROM, _LAG_SEEDS = 10_000, 50_000, 2_500
+_FK_PROBE_SEEDS, _FK_EXPONENT_SEEDS, _FK_MODES_SEED = 1_000, 2_000, 3_000
+
+
 def _seeds_fit(errors: list, cfg, last: int) -> None:
     """Record a seed error if the study's largest derived seed, seed + last, reaches 2⁶⁴."""
     if is_seed(cfg.seed) and not is_seed(int(cfg.seed) + last):
@@ -231,6 +238,15 @@ def _mollification_defect(m, phi, grid) -> float:
 def _psi_l2_sq(phi, grid) -> float:
     psi, _ = phi.time_profile(grid)
     return grid.dt * float(np.sum(psi * psi))
+
+
+def _add_weak_table(report, reports) -> None:
+    """weak_residuals.csv: one row per weak-form report."""
+    report.add_table("weak_residuals.csv",
+                     ("d", "N", "M", "n", "seed", "lambda", "phi_id", "lhs", "rhs", "gap",
+                      "limit_pairing"),
+                     [(r.d, r.N, r.M, r.n, r.seed, r.lam, r.phi_id, r.lhs, r.rhs, r.gap,
+                       r.limit_pairing) for r in reports])
 
 
 def _u_l2_sq(sol) -> float:
@@ -284,7 +300,7 @@ def _plan_noise_check(cfg, grid: TorusGrid, errors: list) -> tuple:
     lag_grid = TorusGrid(d=1, N=128, M=8, L=cfg.L, T=cfg.T)
     lag_m = _planned(errors, "n", f"scale {cfg.n[0]} on the 128-node lag grid",
                      make_mollifier, lag_grid, cfg.n[0])
-    _seeds_fit(errors, cfg, 50_000 + 2_500 - 1)  # the last lag-covariance seed
+    _seeds_fit(errors, cfg, _LAG_SEEDS_FROM + _LAG_SEEDS - 1)  # the last lag-covariance seed
     return grid, mollifiers, TorusGrid(d=1, N=32, M=8, L=cfg.L, T=cfg.T), lag_m
 
 
@@ -326,7 +342,7 @@ def _study_noise_check(cfg, report, grid, mollifiers, rg, m2) -> None:
     # drawn and paired a block of seeds at a time
     xi = np.sin(0.37 * np.arange(rg.M * rg.N, dtype=np.float64)).reshape(rg.M, rg.N) + 0.5
     pairings = np.concatenate([pair(draw_seeds(rg, block, cfg.lam), xi)
-                               for block in _seed_blocks(rg, cfg.seed, 10_000)])
+                               for block in _seed_blocks(rg, cfg.seed, _PAIR_SEEDS)])
     var = float(np.var(pairings))
     target = cfg.lam**2 * rg.dt * rg.cell_volume * float(np.sum(xi * xi))
     if target == 0.0:
@@ -339,10 +355,9 @@ def _study_noise_check(cfg, report, grid, mollifiers, rg, m2) -> None:
     # lag covariance of mollified increments vs dt·h_n(lag)
     rg2 = m2.grid
     lags = (0, 4, 8, 16, 40)
-    num_cov_seeds = 2_500
-    sums, sumsq = _lag_sums(m2, cfg.seed + 50_000, num_cov_seeds, cfg.lam, lags)
-    count = num_cov_seeds * rg2.M
-    cov_lines = ["lag_nodes,lag,empirical,target,stderr,sigma_deviation"]
+    sums, sumsq = _lag_sums(m2, cfg.seed + _LAG_SEEDS_FROM, _LAG_SEEDS, cfg.lam, lags)
+    count = _LAG_SEEDS * rg2.M
+    rows = []
     for j, lag in enumerate(lags):
         mean = sums[j] / count
         target = cfg.lam**2 * rg2.dt * h_eval(m2, np.array([lag * rg2.dx]))
@@ -354,10 +369,9 @@ def _study_noise_check(cfg, report, grid, mollifiers, rg, m2) -> None:
             sigma = abs(mean - target) / se
         report.add(f"cov_lag_{lag}", sigma, sigma <= tol["cov_sigma"],
                    target=0.0, tol=tol["cov_sigma"])
-        cov_lines.append(
-            f"{lag},{lag * rg2.dx!r},{mean!r},{target!r},{se!r},{sigma!r}"
-        )
-    report.tables["noise_covariance.csv"] = cov_lines
+        rows.append((lag, lag * rg2.dx, mean, target, se, sigma))
+    report.add_table("noise_covariance.csv",
+                     ("lag_nodes", "lag", "empirical", "target", "stderr", "sigma_deviation"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -400,25 +414,22 @@ def _study_qv(cfg, report, path_m, ladders) -> None:
         report.add("qv_rel_err", rel, rel <= tol["qv_rel"], target=0.0, tol=tol["qv_rel"])
 
     # c_n_discrete → c_n_continuum at order 2 on a dedicated 1-D dx-ladder
-    table = ["n,N,dx,c_n_discrete,c_n_continuum,gap"]
+    rows = []
     curves = {}
     for n, ladder in zip(cfg.n, ladders):
-        gaps, dxs, pts = [], [], []
+        gaps, dxs = [], []
         for m in ladder:
             g = m.grid
             gap = abs(m.c_n_discrete - m.c_n_continuum)
             gaps.append(gap)
             dxs.append(g.dx)
-            pts.append((g.dx, gap))
-            table.append(
-                f"{n},{g.N},{g.dx!r},{m.c_n_discrete!r},{m.c_n_continuum!r},{gap!r}"
-            )
+            rows.append((n, g.N, g.dx, m.c_n_discrete, m.c_n_continuum, gap))
         order = measure_order(gaps, dxs)
         report.add(f"cn_order_n{n}", order, abs(order - 2.0) <= tol["cn_order"],
                    target=2.0, tol=tol["cn_order"])
         report.add_order(f"cn_n{n}", order)
-        curves[f"n={n}"] = pts
-    report.tables["qv.csv"] = table
+        curves[f"n={n}"] = list(zip(dxs, gaps))
+    report.add_table("qv.csv", ("n", "N", "dx", "c_n_discrete", "c_n_continuum", "gap"), rows)
     report.add_curves("cn_convergence", curves, xlabel="dx", ylabel="|c_n_discrete - c_n|")
 
 
@@ -456,8 +467,7 @@ def _plan_heat(cfg, grid: TorusGrid, errors: list) -> tuple:
 def _study_heat(cfg, report, amp, k, grids) -> None:
     tol = cfg.tolerances
 
-    errs_z, errs_u, dxs = [], [], []
-    table = ["N,M,dx,dt,err_z,err_u"]
+    rows = []
     for g in grids:
         x = g.axis_coords()
         wavenum = 2.0 * math.pi * k / g.L
@@ -485,11 +495,9 @@ def _study_heat(cfg, report, amp, k, grids) -> None:
         budget = tol["heat_C"] * (g.dt + g.dx**2)
         report.add(f"err_z_N{g.N}", err_z, err_z <= budget, target=0.0, tol=budget)
         report.add(f"err_u_N{g.N}", err_u, err_u <= budget, target=0.0, tol=budget)
-        errs_z.append(err_z)
-        errs_u.append(err_u)
-        dxs.append(g.dx)
-        table.append(f"{g.N},{g.M},{g.dx!r},{g.dt!r},{err_z!r},{err_u!r}")
+        rows.append((g.N, g.M, g.dx, g.dt, err_z, err_u))
 
+    _, _, dxs, _, errs_z, errs_u = zip(*rows)
     order_z = measure_order(errs_z, dxs)
     order_u = measure_order(errs_u, dxs)
     report.add("order_z", order_z, abs(order_z - 2.0) <= tol["heat_order"],
@@ -498,7 +506,7 @@ def _study_heat(cfg, report, amp, k, grids) -> None:
                target=2.0, tol=tol["heat_order"])
     report.add_order("heat_z", order_z)
     report.add_order("heat_u", order_u)
-    report.tables["heat.csv"] = table
+    report.add_table("heat.csv", ("N", "M", "dx", "dt", "err_z", "err_u"), rows)
     report.add_curves(
         "heat_convergence",
         {"err_z": list(zip(dxs, errs_z)), "err_u": list(zip(dxs, errs_u))},
@@ -550,12 +558,10 @@ def _burgers_reports(cfg, levels: list) -> list:
 def _study_burgers(cfg, report, ladder) -> None:
     tol = cfg.tolerances
 
-    all_reports = []
     totals, dxs = [], []
     per_phi_points = {}
     levels = _burgers_reports(cfg, ladder)
     for g, reports in levels:
-        all_reports.extend(reports)
         totals.append(sum(r.gap for r in reports))
         dxs.append(g.dx)
         for r in reports:
@@ -584,7 +590,7 @@ def _study_burgers(cfg, report, ladder) -> None:
     if len(totals) >= 2:
         report.add_curves("weak_convergence", per_phi_points,
                           xlabel="dx", ylabel="|lhs - rhs|")
-    report.tables["weak_residuals.csv"] = weak_residual_csv_lines(all_reports)
+    _add_weak_table(report, [r for _, reports in levels for r in reports])
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +600,7 @@ def _study_burgers(cfg, report, ladder) -> None:
 def _plan_fk_check(cfg, grid: TorusGrid, errors: list) -> tuple:
     m = _planned(errors, "n", f"scale {cfg.n[0]}", make_mollifier, grid, cfg.n[0])
     f = _planned(errors, "initial", repr(cfg.initial_kind), _initial_on, cfg, grid)
-    _seeds_fit(errors, cfg, 3_000)  # the λ = 0 block's walks
+    _seeds_fit(errors, cfg, _FK_MODES_SEED)  # the λ = 0 block's walks
     return grid, m, f
 
 
@@ -611,7 +617,7 @@ def _study_fk_check(cfg, report, grid, m, f) -> None:
         (M, N // 8),
         (M, 0),
     ]
-    pairs = []
+    rows = []
     for idx, (m_step, node_j) in enumerate(probes):
         t = m_step * grid.dt
         x = (node_j * grid.dx,) + (0.0,) * (grid.d - 1)
@@ -620,14 +626,16 @@ def _study_fk_check(cfg, report, grid, m, f) -> None:
             mn, f, t, x,
             num_paths=cfg.num_paths,
             mode="ito-compensated",
-            brownian_seed=cfg.seed + 1_000 + idx,
+            brownian_seed=cfg.seed + _FK_PROBE_SEEDS + idx,
         )
         solver_value = float(sol.values[m_step][node])
-        z = abs(z_score(est, solver_value))
-        report.add(f"fk_z_probe{idx}", z, z <= tol["fk_sigma"],
+        z = z_score(est, solver_value)
+        report.add(f"fk_z_probe{idx}", abs(z), abs(z) <= tol["fk_sigma"],
                    target=0.0, tol=tol["fk_sigma"])
-        pairs.append((est, solver_value))
-    report.tables["fk.csv"] = fk_csv_lines(pairs)
+        rows.append((est.t, *est.x, est.num_paths, est.correction_mode, est.mean, est.stderr,
+                     solver_value, z))
+    report.add_table("fk.csv", ("t", *(f"x{a}" for a in range(grid.d)), "num_paths", "mode",
+                                "mean", "stderr", "solver_value", "z_score"), rows)
 
     # Monte-Carlo error exponent at the first probe
     t0 = probes[0][0] * grid.dt
@@ -636,7 +644,7 @@ def _study_fk_check(cfg, report, grid, m, f) -> None:
     stderrs = []
     for j, p in enumerate(path_counts):
         est = fk_estimate(mn, f, t0, x0, num_paths=p, mode="ito-compensated",
-                          brownian_seed=cfg.seed + 2_000 + j)
+                          brownian_seed=cfg.seed + _FK_EXPONENT_SEEDS + j)
         stderrs.append(est.stderr)
     if any(s == 0.0 for s in stderrs):
         # flat data and λ=0: the estimator is exact at any path count
@@ -659,9 +667,9 @@ def _study_fk_check(cfg, report, grid, m, f) -> None:
     t_mid = (M // 2) * grid.dt
     x_mid = ((N // 2) * grid.dx,) + (0.0,) * (grid.d - 1)
     est_a = fk_estimate(mn0, f, t_mid, x_mid, num_paths=p0,
-                        mode="ito-compensated", brownian_seed=cfg.seed + 3_000)
+                        mode="ito-compensated", brownian_seed=cfg.seed + _FK_MODES_SEED)
     est_b = fk_estimate(mn0, f, t_mid, x_mid, num_paths=p0,
-                        mode="uncompensated", brownian_seed=cfg.seed + 3_000)
+                        mode="uncompensated", brownian_seed=cfg.seed + _FK_MODES_SEED)
     diff = abs(est_a.mean - est_b.mean)
     report.add("fk_modes_lambda0", diff, diff == 0.0, target=0.0)
 
@@ -746,7 +754,6 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
     rhs_by_phi = {phi.id: [] for phi in bank}
     defect_by_phi = {phi.id: [] for phi in bank}
     limit_by_phi = {}
-    table = ["phi_id,n,rhs,limit_pairing,deviation,defect,ratio"]
     for m, reports in zip(mollifiers, weak_by_scale):
         for phi, r in zip(bank, reports):
             rhs_by_phi[phi.id].append(r.rhs)
@@ -756,15 +763,13 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
             limit_by_phi.setdefault(phi.id, r.limit_pairing)
 
     dev_curves = {}
+    rows = []
     for phi in bank:
         devs = [abs(r - limit_by_phi[phi.id]) for r in rhs_by_phi[phi.id]]
         defects = defect_by_phi[phi.id]
         for n, r, dev, defect in zip(scales, rhs_by_phi[phi.id], devs, defects):
             ratio = dev / defect if defect > 0 else math.inf
-            table.append(
-                f"{phi.id},{n},{r!r},{limit_by_phi[phi.id]!r},{dev!r},"
-                f"{defect!r},{ratio!r}"
-            )
+            rows.append((phi.id, n, r, limit_by_phi[phi.id], dev, defect, ratio))
         dev_curves[phi.id] = list(zip((float(n) for n in scales), devs))
         # The convergence envelope: the deviation equals the pairing of the
         # noise with the mollification defect of ∇·φ, so its size is governed
@@ -796,14 +801,15 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
         report.add(f"limit_ratio_{phi.id}", sigma,
                    sigma <= tol["limit_ratio_factor"],
                    target=0.0, tol=tol["limit_ratio_factor"])
-    report.tables["limit.csv"] = table
+    report.add_table("limit.csv",
+                     ("phi_id", "n", "rhs", "limit_pairing", "deviation", "defect", "ratio"), rows)
     report.add_curves("limit_deviation", dev_curves,
                       xlabel="n", ylabel="|rhs(n) - limit|")
 
     # 1-D distributional Cauchy column with the grid-scale terminal reference
     if grid.d == 1:
         u_ref_norm = math.sqrt(_u_l2_sq(ref_sol))
-        cauchy_lines = ["phi_id,n,pairing,cauchy_gap"]
+        cauchy_rows = []
         cauchy_curves = {}
         # The monotone-gap gate reads one designated test function (the first
         # in the bank); every φ still gets its full gap column in the CSV and
@@ -839,31 +845,27 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
             budget = tol["limit_terminal_factor"] * (grid.dx**2 + grid.dt) * scale
             report.add(f"cauchy_terminal_{phi.id}", terminal,
                        terminal <= budget, target=0.0, tol=budget)
-            gaps_from_prev = ("",) + tuple(repr(g) for g in seq.cauchy_gaps)
-            for n_val, p_val, gap_txt in zip(seq.scales, seq.pairings, gaps_from_prev):
-                cauchy_lines.append(f"{phi.id},{n_val},{p_val!r},{gap_txt}")
+            # the first scale has no previous one to take a gap from
+            cauchy_rows.extend((phi.id, n_val, p_val, gap) for n_val, p_val, gap
+                               in zip(seq.scales, seq.pairings, ("", *seq.cauchy_gaps)))
             cauchy_curves[phi.id] = [
                 (float(n_hi), g)
                 for n_hi, g in zip(seq.scales[1:], seq.cauchy_gaps)
             ]
-        report.tables["cauchy.csv"] = cauchy_lines
+        report.add_table("cauchy.csv", ("phi_id", "n", "pairing", "cauchy_gap"), cauchy_rows)
         report.add_curves("cauchy_gaps", cauchy_curves,
                           xlabel="n", ylabel="|v(n_hi) - v(n_lo)|")
         del ref_sol  # nothing below reads the reference
 
     # KPZ residual decay under coupled refinement of one realization
-    kpz_values, kpz_dxs = [], []
-    kpz_lines = ["N,M,dx,dt,residual_sum"]
+    kpz_rows = []
     for fac, g, m, f_l in kpz:
         mn_l = mollify(coarse_grain(base, fac), m)
         val = float(np.sum(kpz_residual(solve_heat(g, mn_l, f_l))))
-        kpz_values.append(val)
-        kpz_dxs.append(g.dx)
-        kpz_lines.append(f"{g.N},{g.M},{g.dx!r},{g.dt!r},{val!r}")
-    kpz_values.append(kpz_fine_value)
-    kpz_dxs.append(grid.dx)
-    kpz_lines.append(f"{grid.N},{grid.M},{grid.dx!r},{grid.dt!r},{kpz_fine_value!r}")
-    report.tables["kpz.csv"] = kpz_lines
+        kpz_rows.append((g.N, g.M, g.dx, g.dt, val))
+    kpz_rows.append((grid.N, grid.M, grid.dx, grid.dt, kpz_fine_value))
+    report.add_table("kpz.csv", ("N", "M", "dx", "dt", "residual_sum"), kpz_rows)
+    _, _, kpz_dxs, _, kpz_values = zip(*kpz_rows)
     if all(v > 0.0 for v in kpz_values):
         kpz_order = measure_order(kpz_values, kpz_dxs)
         report.add("kpz_order", kpz_order, kpz_order >= tol["kpz_order_min"],
@@ -883,7 +885,7 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
     sol0 = solve_heat(g0, mollify(sample_noise(g0, cfg.seed, 0.0), m0), initial_zero(g0))
     flat = float(np.max(kpz_residual(sol0)))
     report.add("kpz_flat_zero", flat, flat == 0.0, target=0.0)
-    report.tables["weak_residuals.csv"] = weak_residual_csv_lines(sum(weak_by_scale, []))
+    _add_weak_table(report, sum(weak_by_scale, []))
 
 
 # ---------------------------------------------------------------------------
@@ -917,13 +919,13 @@ def _study_section(cfg, report, grid, m, f, bank) -> None:
 
     # λ=0 branch: deterministic decay toward the initial pairing
     sol0 = solve_heat(grid, mollify(sample_noise(grid, cfg.seed, 0.0), m), f)
-    table = ["lambda,eps,section,reference,gap"]
+    rows = []
     gaps = []
     for eps in eps_list:
         s = lojasiewicz_section(sol0, phi, eps, via="h")
         gap = abs(s - p0)
         gaps.append(gap)
-        table.append(f"{0.0!r},{eps!r},{s!r},{p0!r},{gap!r}")
+        rows.append((0.0, eps, s, p0, gap))
     if p0 == 0.0 and all(g == 0.0 for g in gaps):
         report.add("section_order", 0.0, True, target=0.0)
     else:
@@ -949,8 +951,8 @@ def _study_section(cfg, report, grid, m, f, bank) -> None:
         for i, eps in enumerate(eps_list):
             s = lojasiewicz_section(sol1, phi, eps, via="h")
             report.add(f"section_lambda_eps{i}", s, True)
-            table.append(f"{cfg.lam!r},{eps!r},{s!r},{p0!r},{abs(s - p0)!r}")
-    report.tables["section.csv"] = table
+            rows.append((cfg.lam, eps, s, p0, abs(s - p0)))
+    report.add_table("section.csv", ("lambda", "eps", "section", "reference", "gap"), rows)
 
 
 # ---------------------------------------------------------------------------

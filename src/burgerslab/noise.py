@@ -187,22 +187,25 @@ def _cell_averaged_kernel(grid: TorusGrid, n: int, c_d: float) -> np.ndarray:
 
     d = grid.d
     b, g = pts.shape
-    # accumulate |y|² over axes by broadcasting (b, g) blocks into a
-    # (b, g, b, g, ...) tensor without materializing a meshgrid
     sq = pts * pts
-    r2 = np.zeros((b, g) * d)
-    for axis in range(d):
-        shape = [1] * (2 * d)
-        shape[2 * axis] = b
-        shape[2 * axis + 1] = g
-        r2 = r2 + sq.reshape(shape)
-    vals = c_d * float(n) ** d * bump(float(n) * np.sqrt(r2))
-    # contract the Gauss weights on each g-axis; cell average = (1/2^d) Σ w·f
     w = _GL_WEIGHTS / 2.0
-    for axis in range(d):
-        vals = np.sum(vals * w.reshape((1,) * (axis + 1) + (g,) + (1,) * (2 * d - 2 * axis - 2)), axis=axis + 1)
     kernel = np.zeros(grid.shape)
-    kernel[np.ix_(*([box] * d))] = vals
+    # |y|² of a (step, g, b, g, ...) slab, summed over the axes in order; for
+    # d ≥ 2 a slab is one candidate cell of the first axis, so no (b, g)^d tensor
+    step = b if d == 1 else 1
+    for lo in range(0, b, step):
+        first = slice(lo, lo + step)
+        r2 = np.zeros((step, g) + (b, g) * (d - 1))
+        for axis in range(d):
+            shape = [1] * (2 * d)
+            shape[2 * axis] = -1
+            shape[2 * axis + 1] = g
+            r2 = r2 + (sq[first] if axis == 0 else sq).reshape(shape)
+        vals = c_d * float(n) ** d * bump(float(n) * np.sqrt(r2))
+        # contract the Gauss weights on each g-axis; cell average = (1/2^d) Σ w·f
+        for axis in range(d):
+            vals = np.sum(vals * w.reshape((1,) * (axis + 1) + (g,) + (1,) * (2 * d - 2 * axis - 2)), axis=axis + 1)
+        kernel[np.ix_(box[first], *([box] * (d - 1)))] = vals
     return kernel
 
 
@@ -522,18 +525,25 @@ def h_eval(m: Mollifier, z) -> float:
     axis = np.linspace(-1.0, 1.0, panels + 1)
     w = _simpson_weights(panels)
     step_factor = (2.0 / panels / 3.0) ** d
-    # |v|² and |v + s e₁|² via broadcast sums of per-axis squares
+    # |v|² and |v + s e₁|² via broadcast sums of per-axis squares; for d ≥ 2 one
+    # Simpson point of the first axis at a time, added in np.sum's order (1-D
+    # stays whole, for numpy's pairwise sum over the whole vector)
     sq = axis * axis
     shifted_sq = (axis + s) ** 2
-    r2 = np.zeros((panels + 1,) * d)
-    r2_shift = np.zeros((panels + 1,) * d)
-    for a in range(d):
-        shape = [1] * d
-        shape[a] = panels + 1
-        r2 = r2 + sq.reshape(shape)
-        r2_shift = r2_shift + (shifted_sq if a == 0 else sq).reshape(shape)
-    integrand = bump(np.sqrt(r2)) * bump(np.sqrt(r2_shift))
-    for a in range(d):
+    step = panels + 1 if d == 1 else 1
+    integrand = 0.0
+    for lo in range(0, panels + 1, step):
+        first = slice(lo, lo + step)
+        r2 = np.zeros((step,) + (panels + 1,) * (d - 1))
+        r2_shift = np.zeros_like(r2)
+        for a in range(d):
+            shape = [1] * d
+            shape[a] = -1
+            r2 = r2 + (sq[first] if a == 0 else sq).reshape(shape)
+            r2_shift = r2_shift + (shifted_sq[first] if a == 0 else sq).reshape(shape)
+        slab = bump(np.sqrt(r2)) * bump(np.sqrt(r2_shift))
+        integrand = integrand + np.sum(slab * w[first].reshape((step,) + (1,) * (d - 1)), axis=0)
+    for a in range(1, d):
         shape = [1] * (d - a)
         shape[0] = panels + 1
         integrand = np.sum(integrand * w.reshape(shape), axis=0)

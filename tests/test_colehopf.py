@@ -12,7 +12,6 @@ from burgerslab.colehopf import (
     kpz_residual,
     lojasiewicz_section,
     weak_residual_batch,
-    weak_residual_csv_lines,
 )
 from burgerslab.heat import (
     HeatSolution,
@@ -456,17 +455,3 @@ def test_weak_machinery_in_two_dimensions():
     sh = lojasiewicz_section(traj, phi, 0.01, via="h")
     su = lojasiewicz_section(traj, phi, 0.01, via="u")
     assert abs(sh - su) <= 1e-12 * (1.0 + abs(sh))
-
-
-def test_report_persistence(ladder):
-    base, mol, traj = ladder["coarse"]
-    bank = build_bank(traj.grid)[:2]
-    reports = weak_residual_batch(traj, bank)
-
-    lines = weak_residual_csv_lines(reports)
-    assert lines[0] == "d,N,M,n,seed,lambda,phi_id,lhs,rhs,gap,limit_pairing"
-    assert len(lines) == 1 + len(reports)
-    row = lines[1].split(",")
-    assert row[6] == "phi1"
-    assert float(row[9]) == reports[0].gap
-    assert weak_residual_csv_lines(reports) == lines

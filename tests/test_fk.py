@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from burgerslab import fk
-from burgerslab.fk import FkEstimate, fk_csv_lines, fk_estimate, z_score
+from burgerslab.fk import FkEstimate, fk_estimate, z_score
 from burgerslab.heat import compensator, initial_gaussian_bump, initial_zero, solve_heat
 from burgerslab.lattice import ScalarField, TorusGrid
 from burgerslab.noise import make_mollifier, mollify, sample_noise
@@ -180,21 +180,6 @@ def test_z_score_edge_cases():
                      correction_mode="uncompensated")
     assert z_score(est, 1.0) == 0.0
     assert z_score(est, 2.0) == math.inf
-
-
-def test_csv_report():
-    g = TorusGrid(d=1, N=32, M=64, T=0.01)
-    noise = _noise(g, lam=0.0)
-    f = initial_zero(g)
-    est = fk_estimate(noise, f, g.T, [0.5], 200, "ito-compensated")
-    lines = fk_csv_lines([(est, 1.0)])
-    assert lines[0] == "t,x0,num_paths,mode,mean,stderr,solver_value,z_score"
-    assert len(lines) == 2
-    row = lines[1].split(",")
-    assert row[3] == "ito-compensated" and row[2] == "200"
-    assert fk_csv_lines([(est, 1.0)]) == lines
-    with pytest.raises(ValueError, match="nothing"):
-        fk_csv_lines([])
 
 
 # ---------------------------------------------------------------------------

@@ -477,7 +477,7 @@ def _toy_report(passed=True):
         xlabel="n",
         ylabel="gap",
     )
-    rep.tables["rows.csv"] = ["a,b", "1,2"]
+    rep.add_table("rows.csv", ("a", "b"), [(1, 2)])
     return rep
 
 
@@ -502,6 +502,15 @@ def test_emit_reports_writes_and_is_deterministic(tmp_path):
     assert set(blobs) == {"study.json", "rows.csv", "decay.svg"}
     again = emit_reports(_toy_report(), tmp_path / "out")
     assert {p.name: p.read_bytes() for p in again} == blobs
+
+
+def test_table_cells_are_strs_as_they_are_and_numbers_as_python_reprs(tmp_path):
+    rep = StudyReport(study="qv", config={})
+    rep.add_table("t.csv", ("name", "x", "k"), [("phi1", np.float64(0.1), np.int64(3)),
+                                                ("", 0.1 + 0.2, 7), ("a", math.inf, -0.0)])
+    emit_reports(rep, tmp_path)
+    assert (tmp_path / "t.csv").read_text() == (
+        "name,x,k\nphi1,0.1,3\n,0.30000000000000004,7\na,inf,-0.0\n")
 
 
 def test_emitted_json_shape(tmp_path):
@@ -894,6 +903,83 @@ def test_each_study_draws_the_white_noise_it_reads_once(name, tmp_path, monkeypa
     changes, drawn = _DRAWN[name]
     run_study(CONFIGS[name].replace(**changes), out_dir=tmp_path)
     assert sum(counts) == drawn
+
+
+# ---------------------------------------------------------------------------
+# tables: every study's CSV, as emit_reports writes it
+
+
+@pytest.mark.parametrize("name", list(_DRAWN) + ["converge"])
+def test_every_csv_cell_is_a_name_or_a_number(name, tmp_path):
+    # every cell float() does not read is a header, a phi_id or mode name, or
+    # the empty cauchy_gap of each φ's first scale, which has no previous one
+    from test_acceptance import CONFIGS
+
+    changes = _DRAWN[name][0] if name in _DRAWN else {"N": 64, "M": 416, "T": 0.05,
+                                                      "n": (2, 4, 8, 16)}
+    run_study(CONFIGS[name].replace(**changes), out_dir=tmp_path)
+    tables = sorted(tmp_path.glob("*.csv"))
+    assert tables
+    unread = []
+    for path in tables:
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        first_scales = set()
+        for row in rows:
+            assert len(row) == len(header), (path.name, row)
+            cells = dict(zip(header, row))
+            first_scale = cells.get("phi_id") not in first_scales
+            first_scales.add(cells.get("phi_id"))
+            for column, cell in cells.items():
+                if column in ("phi_id", "mode"):
+                    continue
+                if column == "cauchy_gap" and first_scale:
+                    assert cell == "", (path.name, row)
+                    continue
+                try:
+                    float(cell)
+                except ValueError:
+                    unread.append((path.name, column, cell))
+    assert unread == []
+
+
+def test_fk_csv_has_one_row_per_probe_estimate(tmp_path):
+    from test_acceptance import CONFIGS
+
+    cfg = CONFIGS["fk-check"]
+    rep = run_study(cfg, out_dir=tmp_path / "a")
+    text = (tmp_path / "a" / "fk.csv").read_bytes()
+    header, *rows = [line.split(",") for line in text.decode().splitlines()]
+    assert ",".join(header) == "t,x0,num_paths,mode,mean,stderr,solver_value,z_score"
+    assert len(rows) == 5 and all(len(row) == 8 for row in rows)  # one per probe
+    assert all(row[3] == "ito-compensated" and row[2] == str(cfg.num_paths) for row in rows)
+    # the signed z_score whose size each probe's check records
+    assert [abs(float(row[7])) for row in rows] == [
+        it["value"] for it in rep.items if it["name"].startswith("fk_z_probe")]
+    emit_reports(rep, tmp_path / "b")
+    assert (tmp_path / "b" / "fk.csv").read_bytes() == text
+
+
+def test_weak_residuals_csv_has_one_row_per_weak_report(tmp_path, monkeypatch):
+    levels = []
+    burgers_reports = studies._burgers_reports
+
+    def kept(cfg, ladder):
+        levels.extend(burgers_reports(cfg, ladder))
+        return levels
+
+    monkeypatch.setattr(studies, "_burgers_reports", kept)
+    cfg = _tiny("burgers", seed=5, refine_levels=2)
+    rep = run_study(cfg, out_dir=tmp_path / "a")
+    reports = [r for _, level in levels for r in level]
+    text = (tmp_path / "a" / "weak_residuals.csv").read_bytes()
+    header, *rows = [line.split(",") for line in text.decode().splitlines()]
+    assert ",".join(header) == "d,N,M,n,seed,lambda,phi_id,lhs,rhs,gap,limit_pairing"
+    assert len(rows) == len(reports) == 12 and all(len(row) == 11 for row in rows)
+    for row, r in zip(rows, reports):
+        assert row[3] == "4" and row[4] == "5" and row[6] == r.phi_id
+        assert float(row[9]) == r.gap
+    emit_reports(rep, tmp_path / "b")
+    assert (tmp_path / "b" / "weak_residuals.csv").read_bytes() == text
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Noise laws: sampling, pairing, mollification, quadratic variation, coarse graining."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,8 +11,12 @@ from hypothesis import given, settings, strategies as st
 from burgerslab.bank import bump
 from burgerslab.lattice import TorusGrid
 from burgerslab.noise import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     WhiteNoiseRealization,
     _bump_constants,
+    _cell_averaged_kernel,
+    _simpson_weights,
     coarse_grain,
     draw_chunks,
     draw_seeds,
@@ -303,6 +308,92 @@ def test_h_kernel_symmetry_and_support():
     assert h_eval(m, [2.0 / 4]) == 0.0
     assert h_eval(m, [0.7]) == 0.0
     assert h_eval(m, [0.2 / 4]) > 0.0
+
+
+def _whole_cell_averaged_kernel(grid, n, c_d):
+    """The kernel build over the whole (b, g)^d tensor of candidate Gauss points."""
+    z = grid.wrapped_offsets()
+    half = grid.dx / 2.0
+    box = np.flatnonzero(np.abs(z) <= 1.0 / n + half + 1e-15)
+    pts = z[box][:, None] + half * _GL_NODES[None, :]
+    d = grid.d
+    b, g = pts.shape
+    sq = pts * pts
+    r2 = np.zeros((b, g) * d)
+    for axis in range(d):
+        shape = [1] * (2 * d)
+        shape[2 * axis] = b
+        shape[2 * axis + 1] = g
+        r2 = r2 + sq.reshape(shape)
+    vals = c_d * float(n) ** d * bump(float(n) * np.sqrt(r2))
+    w = _GL_WEIGHTS / 2.0
+    for axis in range(d):
+        vals = np.sum(vals * w.reshape((1,) * (axis + 1) + (g,) + (1,) * (2 * d - 2 * axis - 2)),
+                      axis=axis + 1)
+    kernel = np.zeros(grid.shape)
+    kernel[np.ix_(*([box] * d))] = vals
+    return kernel
+
+
+def _whole_h_eval(m, z):
+    """h_eval over the whole (panels + 1)^d Simpson tensor."""
+    z_arr = np.atleast_1d(np.asarray(z, dtype=np.float64))
+    n = float(m.scale_n)
+    d = m.grid.d
+    s = n * float(np.sqrt(np.sum(z_arr * z_arr)))
+    if s >= 2.0:
+        return 0.0
+    c_d, _ = _bump_constants(d)
+    panels = {1: 4000, 2: 600, 3: 160}[d]
+    axis = np.linspace(-1.0, 1.0, panels + 1)
+    w = _simpson_weights(panels)
+    step_factor = (2.0 / panels / 3.0) ** d
+    sq = axis * axis
+    shifted_sq = (axis + s) ** 2
+    r2 = np.zeros((panels + 1,) * d)
+    r2_shift = np.zeros((panels + 1,) * d)
+    for a in range(d):
+        shape = [1] * d
+        shape[a] = panels + 1
+        r2 = r2 + sq.reshape(shape)
+        r2_shift = r2_shift + (shifted_sq if a == 0 else sq).reshape(shape)
+    integrand = bump(np.sqrt(r2)) * bump(np.sqrt(r2_shift))
+    for a in range(d):
+        shape = [1] * (d - a)
+        shape[0] = panels + 1
+        integrand = np.sum(integrand * w.reshape(shape), axis=0)
+    return n**d * (c_d * c_d * step_factor * float(integrand))
+
+
+@pytest.mark.parametrize("d,N,n", [(1, 64, 4), (1, 128, 8), (2, 32, 4), (2, 64, 8),
+                                   (3, 16, 2), (3, 32, 8)])
+def test_slab_quadratures_equal_the_whole_tensor_bit_for_bit(d, N, n):
+    # for d ≥ 2 the kernel build and h_eval take the first axis a slab at a
+    # time; the sums keep their order, so not a bit moves
+    g = _grid(d=d, N=N, M=8)
+    c_d = _bump_constants(d)[0]
+    assert (_cell_averaged_kernel(g, n, c_d).tobytes()
+            == _whole_cell_averaged_kernel(g, n, c_d).tobytes())
+    m = make_mollifier(g, n)
+    lags = [np.zeros(d), np.full(d, 0.3 / n), np.r_[0.9 / n, np.zeros(d - 1)]]
+    for z in lags[: 2 if d == 3 else 3]:  # each whole 3-D tensor is 33 MB
+        assert np.float64(h_eval(m, z)).tobytes() == np.float64(_whole_h_eval(m, z)).tobytes()
+
+
+def test_the_3d_quadratures_hold_no_whole_tensor():
+    # whole, the N = 32, n = 4 kernel build peaked at 85 MiB and h_eval at 212 MiB
+    g = _grid(d=3, N=32, M=8)
+    tracemalloc.start()
+    try:
+        m = make_mollifier(g, 4)
+        kernel_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        h_eval(m, np.zeros(3))
+        h_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel_peak < 10 * 2**20, kernel_peak
+    assert h_peak < 5 * 2**20, h_peak
 
 
 def _fft_reference(m, increments):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -149,18 +150,24 @@ def test_the_driver_equals_per_member_solve_heat_bit_for_bit(d, levels, lam, see
             assert residual.tobytes() == kpz_residual(sol).tobytes(), (fac, m.scale_n)
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_a_batched_weak_pass_equals_one_pass_per_member_bit_for_bit(d):
     # three members paired in turn through one WeakPairings, the base ΔW
     # once, report what a WeakPairings per member with its own base pairing
-    # reports; a φ across the seam has 2 box pieces in 1-D and 4 in 2-D, and
-    # chunks of 24 steps (the last of 16) cut through every window
+    # reports; a φ across the seam has 2 box pieces in 1-D, 4 in 2-D and 8
+    # in 3-D, and chunks of 24 steps (the last of 16) cut through every
+    # window.  The 3-D grid (N = 8) resolves only n = 2: there the n = 2
+    # kernel shifted by a node stands in for n = 4, a member with noise of
+    # its own
     cfg = _config(d, 1, 1.0, 5)
     g = cfg.grid()
-    seam = TestFunction("seam", 0.5 * g.T, 0.3 * g.T, (0.97, 0.02)[:d], 0.2, (0.8, -0.7)[:d])
+    seam = TestFunction("seam", 0.5 * g.T, 0.3 * g.T, (0.97, 0.02, 0.96)[:d], 0.2,
+                        (0.8, -0.7, 0.5)[:d])
     assert len(seam.support(g)[1]) == 2**d
     bank = build_bank(g)[:2] + [seam]
-    members = [make_mollifier(g, 2), make_mollifier(g, 4), lattice_delta(g)]
+    m2 = make_mollifier(g, 2)
+    m4 = replace(m2, kernel=np.roll(m2.kernel, 1, axis=0)) if d == 3 else make_mollifier(g, 4)
+    members = [m2, m4, lattice_delta(g)]
     z0 = np.exp(make_initial(g, cfg.initial_kind, dict(cfg.initial_params)).values)
     batch = WeakPairings(g, bank, len(members))
     single = [WeakPairings(g, bank) for _ in members]
