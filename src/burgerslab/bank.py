@@ -51,6 +51,7 @@ over the box only.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -266,6 +267,14 @@ def _reals(name: str, values) -> tuple:
     return tuple(real(name, v) for v in values)
 
 
+def _test_id(name: str, value) -> str:
+    """An id as it is; item names, CSV cells and SVG labels carry it unescaped."""
+    if not (isinstance(value, str) and re.fullmatch(r"[A-Za-z0-9_.-]+", value)):
+        raise ValueError(f"{name} must be a non-empty string of letters, digits, "
+                         f"'_', '-' and '.', got {value!r}")
+    return value
+
+
 def build_bank(grid: TorusGrid, specs=None):
     """Build a list of test functions valid on ``grid``.
 
@@ -273,8 +282,9 @@ def build_bank(grid: TorusGrid, specs=None):
     staggered centers, radii, and sign patterns (amplitude vectors are
     truncated to the grid dimension).  Otherwise ``specs`` is an iterable
     of dicts with keys ``t_center, t_radius, x_center, x_radius,
-    amplitudes`` and optional ``id``, whose numbers must already be real
-    numbers: a string or a bool is refused by name, not converted.
+    amplitudes`` and optional ``id`` (ASCII letters, digits, ``_``, ``-``
+    and ``.``), whose numbers must already be real numbers: a string or a
+    bool is refused by name, not converted.
     """
     if specs is None:
         T, L, d = grid.T, grid.L, grid.d
@@ -305,7 +315,7 @@ def build_bank(grid: TorusGrid, specs=None):
             raise ValueError(f"test function spec {i} is missing keys {sorted(missing)}")
         spec = f"test function spec {i}: "
         tf = TestFunction(
-            id=s.get("id", f"phi{i + 1}"),
+            id=_test_id(spec + "id", s.get("id", f"phi{i + 1}")),
             t_center=real(spec + "t_center", s["t_center"]),
             t_radius=real(spec + "t_radius", s["t_radius"]),
             x_center=_reals(spec + "x_center", s["x_center"]),

@@ -10,8 +10,8 @@ Burgers dynamics
 No stack of H is ever formed.  ``checked_log`` is the one place log Z is
 taken: it maps a run of slices of Z to H and checks that every Z it reads
 is finite and strictly positive.  ``cole_hopf`` feeds it a stored
-``HeatSolution`` one time chunk at a time, for the passes below and the
-sections (which read only the steps their window covers); the studies that
+``HeatSolution`` one time chunk at a time, for the passes below; a section
+logs only the steps its window covers, in one `checked_log`; the studies that
 stream (`heat.stream`) feed it each chunk straight from the march, and no
 Z outlives its chunk there.  ``WeakPairings`` and ``kpz_pass`` take their
 chunks from either source.  A solution carries the noise that
@@ -451,11 +451,7 @@ def lojasiewicz_section(
     tk = grid.dt * np.arange(k_hi)
     weights = _bump_constants(1)[0] * bump(tk / eps - 1.0) / eps
 
-    # one chunk of k_hi steps covers the window; asking the generator for
-    # the next chunk would take and check the log of steps the section
-    # never reads
-    _, _, H = next(cole_hopf(traj, k_hi))
-    h = H[:k_hi]
+    h = checked_log(traj.values[: k_hi + 1], 0)[:k_hi]
     if via == "h":
         dual = phi.duals(grid)[0]
         series = np.array([np.sum(h[k] * dual) for k in range(k_hi)])

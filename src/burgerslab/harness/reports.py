@@ -1,7 +1,8 @@
 """Study reports and deterministic artifact emission.
 
-A study produces one StudyReport: named pass/fail items, measured
-convergence orders, optional curve groups, and tables of values.
+A study produces one StudyReport: named pass/fail items (``check``
+derives an item's pass from the value, target and tolerance it records),
+measured convergence orders, optional curve groups, and tables of values.
 ``emit_reports``, the one place an artifact is formatted, writes
 everything under one directory:
 
@@ -54,8 +55,8 @@ class StudyReport:
 
     def add(self, name: str, value, passed: bool, target=None, tol=None):
         """Record one named check; numeric entries must be finite."""
-        value = None if value is None else float(value)
-        if value is not None and not math.isfinite(value):
+        value = float(value)
+        if not math.isfinite(value):
             raise ValueError(f"item {name!r} has non-finite value {value!r}")
         item = {"name": name, "value": value, "passed": bool(passed)}
         if target is not None:
@@ -67,6 +68,11 @@ class StudyReport:
             item["tol"] = float(tol)
         self.items.append(item)
         return item
+
+    def check(self, name: str, value, target=0.0, tol=None):
+        """Record one check: it passes when |value − target| ≤ tol, or value == target if no tol."""
+        passed = value == target if tol is None else abs(value - target) <= tol
+        return self.add(name, value, passed, target=target, tol=tol)
 
     def add_order(self, name: str, value: float):
         if not math.isfinite(value):

@@ -310,21 +310,19 @@ def _study_noise_check(cfg, report, grid, mollifiers, rg, m2) -> None:
     # kernel laws on the config grid, one block per mollifier scale
     for n, m in zip(cfg.n, mollifiers):
         mass = grid.cell_volume * float(np.sum(m.kernel))
-        report.add(f"kernel_mass_n{n}", abs(mass - 1.0), abs(mass - 1.0) <= tol["kernel_mass"],
-                   target=0.0, tol=tol["kernel_mass"])
+        report.check(f"kernel_mass_n{n}", abs(mass - 1.0), tol=tol["kernel_mass"])
         h0 = h_eval(m, np.zeros(grid.d))
         rel = abs(h0 - m.c_n_continuum) / m.c_n_continuum
-        report.add(f"h_zero_rel_n{n}", rel, rel <= tol["h_zero_rel"],
-                   target=0.0, tol=tol["h_zero_rel"])
+        report.check(f"h_zero_rel_n{n}", rel, tol=tol["h_zero_rel"])
         mirrored = m.kernel
         for axis in range(grid.d):
             mirrored = np.roll(np.flip(mirrored, axis=axis), 1, axis=axis)
         sym = float(np.max(np.abs(m.kernel - mirrored)))
-        report.add(f"kernel_symmetry_n{n}", sym, sym == 0.0, target=0.0)
+        report.check(f"kernel_symmetry_n{n}", sym)
         outside = np.zeros(grid.d)
         outside[0] = 2.05 / n
         h_out = h_eval(m, outside)
-        report.add(f"h_support_n{n}", h_out, h_out == 0.0, target=0.0)
+        report.check(f"h_support_n{n}", h_out)
 
     # summation-by-parts residual on a handful of seeded smooth-ish fields
     rng = np.random.default_rng(cfg.seed)
@@ -335,8 +333,7 @@ def _study_noise_check(cfg, report, grid, mollifiers, rg, m2) -> None:
         a = inner_space(gradient(u), v)
         b = inner_space(u, divergence(v))
         worst = max(worst, abs(a + b) / (abs(a) + abs(b) + 1e-300))
-    report.add("duality_residual", worst, worst <= tol["duality_tol"],
-               target=0.0, tol=tol["duality_tol"])
+    report.check("duality_residual", worst, tol=tol["duality_tol"])
 
     # pairing-variance law: Var ⟨ξ, ΔW⟩ = λ²·dt·dx^d·Σξ² over 10⁴ seeds,
     # drawn and paired a block of seeds at a time
@@ -346,11 +343,9 @@ def _study_noise_check(cfg, report, grid, mollifiers, rg, m2) -> None:
     var = float(np.var(pairings))
     target = cfg.lam**2 * rg.dt * rg.cell_volume * float(np.sum(xi * xi))
     if target == 0.0:
-        report.add("pair_variance_rel", var, var == 0.0, target=0.0)
+        report.check("pair_variance_rel", var)
     else:
-        rel = abs(var - target) / target
-        report.add("pair_variance_rel", rel, rel <= tol["pair_var_rel"],
-                   target=0.0, tol=tol["pair_var_rel"])
+        report.check("pair_variance_rel", abs(var - target) / target, tol=tol["pair_var_rel"])
 
     # lag covariance of mollified increments vs dt·h_n(lag)
     rg2 = m2.grid
@@ -367,8 +362,7 @@ def _study_noise_check(cfg, report, grid, mollifiers, rg, m2) -> None:
             sigma = 0.0 if mean == target else math.inf
         else:
             sigma = abs(mean - target) / se
-        report.add(f"cov_lag_{lag}", sigma, sigma <= tol["cov_sigma"],
-                   target=0.0, tol=tol["cov_sigma"])
+        report.check(f"cov_lag_{lag}", sigma, tol=tol["cov_sigma"])
         rows.append((lag, lag * rg2.dx, mean, target, se, sigma))
     report.add_table("noise_covariance.csv",
                      ("lag_nodes", "lag", "empirical", "target", "stderr", "sigma_deviation"), rows)
@@ -408,10 +402,9 @@ def _study_qv(cfg, report, path_m, ladders) -> None:
     qv_rate = quadratic_variation(wiener_path(column)) / qv_grid.T
     target = cfg.lam**2 * path_m.c_n_discrete
     if target == 0.0:
-        report.add("qv_rel_err", qv_rate, qv_rate == 0.0, target=0.0)
+        report.check("qv_rel_err", qv_rate)
     else:
-        rel = abs(qv_rate - target) / target
-        report.add("qv_rel_err", rel, rel <= tol["qv_rel"], target=0.0, tol=tol["qv_rel"])
+        report.check("qv_rel_err", abs(qv_rate - target) / target, tol=tol["qv_rel"])
 
     # c_n_discrete → c_n_continuum at order 2 on a dedicated 1-D dx-ladder
     rows = []
@@ -425,8 +418,7 @@ def _study_qv(cfg, report, path_m, ladders) -> None:
             dxs.append(g.dx)
             rows.append((n, g.N, g.dx, m.c_n_discrete, m.c_n_continuum, gap))
         order = measure_order(gaps, dxs)
-        report.add(f"cn_order_n{n}", order, abs(order - 2.0) <= tol["cn_order"],
-                   target=2.0, tol=tol["cn_order"])
+        report.check(f"cn_order_n{n}", order, target=2.0, tol=tol["cn_order"])
         report.add_order(f"cn_n{n}", order)
         curves[f"n={n}"] = list(zip(dxs, gaps))
     report.add_table("qv.csv", ("n", "N", "dx", "c_n_discrete", "c_n_continuum", "gap"), rows)
@@ -493,17 +485,15 @@ def _study_heat(cfg, report, amp, k, grids) -> None:
             np.divide(u_exact, z_exact, u_exact)
             err_u = max(err_u, float(np.max(np.abs(np.subtract(u_num, u_exact, diff), diff))))
         budget = tol["heat_C"] * (g.dt + g.dx**2)
-        report.add(f"err_z_N{g.N}", err_z, err_z <= budget, target=0.0, tol=budget)
-        report.add(f"err_u_N{g.N}", err_u, err_u <= budget, target=0.0, tol=budget)
+        report.check(f"err_z_N{g.N}", err_z, tol=budget)
+        report.check(f"err_u_N{g.N}", err_u, tol=budget)
         rows.append((g.N, g.M, g.dx, g.dt, err_z, err_u))
 
     _, _, dxs, _, errs_z, errs_u = zip(*rows)
     order_z = measure_order(errs_z, dxs)
     order_u = measure_order(errs_u, dxs)
-    report.add("order_z", order_z, abs(order_z - 2.0) <= tol["heat_order"],
-               target=2.0, tol=tol["heat_order"])
-    report.add("order_u", order_u, abs(order_u - 2.0) <= tol["heat_order"],
-               target=2.0, tol=tol["heat_order"])
+    report.check("order_z", order_z, target=2.0, tol=tol["heat_order"])
+    report.check("order_u", order_u, target=2.0, tol=tol["heat_order"])
     report.add_order("heat_z", order_z)
     report.add_order("heat_u", order_u)
     report.add_table("heat.csv", ("N", "M", "dx", "dt", "err_z", "err_u"), rows)
@@ -571,11 +561,9 @@ def _study_burgers(cfg, report, ladder) -> None:
     for r in finest_reports:
         denom = abs(r.rhs) if r.rhs != 0.0 else r.scale
         if denom == 0.0:
-            report.add(f"rel_gap_{r.phi_id}", r.gap, r.gap == 0.0, target=0.0)
+            report.check(f"rel_gap_{r.phi_id}", r.gap)
         else:
-            rel = r.gap / denom
-            report.add(f"rel_gap_{r.phi_id}", rel, rel <= tol["weak_rel_gap"],
-                       target=0.0, tol=tol["weak_rel_gap"])
+            report.check(f"rel_gap_{r.phi_id}", r.gap / denom, tol=tol["weak_rel_gap"])
 
     if len(totals) >= 3:
         if all(t > 0.0 for t in totals):
@@ -585,8 +573,7 @@ def _study_burgers(cfg, report, ladder) -> None:
             report.add_order("weak_gap", order)
         else:
             # degenerate exact-zero ladder (λ=0 with flat data): nothing to fit
-            worst = max(totals)
-            report.add("gap_exact_zero", worst, worst == 0.0, target=0.0)
+            report.check("gap_exact_zero", max(totals))
     if len(totals) >= 2:
         report.add_curves("weak_convergence", per_phi_points,
                           xlabel="dx", ylabel="|lhs - rhs|")
@@ -630,8 +617,7 @@ def _study_fk_check(cfg, report, grid, m, f) -> None:
         )
         solver_value = float(sol.values[m_step][node])
         z = z_score(est, solver_value)
-        report.add(f"fk_z_probe{idx}", abs(z), abs(z) <= tol["fk_sigma"],
-                   target=0.0, tol=tol["fk_sigma"])
+        report.check(f"fk_z_probe{idx}", abs(z), tol=tol["fk_sigma"])
         rows.append((est.t, *est.x, est.num_paths, est.correction_mode, est.mean, est.stderr,
                      solver_value, z))
     report.add_table("fk.csv", ("t", *(f"x{a}" for a in range(grid.d)), "num_paths", "mode",
@@ -651,9 +637,7 @@ def _study_fk_check(cfg, report, grid, m, f) -> None:
         report.add("fk_stderr_exponent", 0.0, max(stderrs) == 0.0, target=-0.5)
     else:
         slope = measure_order(stderrs, path_counts)
-        report.add("fk_stderr_exponent", slope,
-                   abs(slope + 0.5) <= tol["fk_exponent_tol"],
-                   target=-0.5, tol=tol["fk_exponent_tol"])
+        report.check("fk_stderr_exponent", slope, target=-0.5, tol=tol["fk_exponent_tol"])
         report.add_order("fk_stderr", slope)
         report.add_curves(
             "fk_stderr",
@@ -670,8 +654,7 @@ def _study_fk_check(cfg, report, grid, m, f) -> None:
                         mode="ito-compensated", brownian_seed=cfg.seed + _FK_MODES_SEED)
     est_b = fk_estimate(mn0, f, t_mid, x_mid, num_paths=p0,
                         mode="uncompensated", brownian_seed=cfg.seed + _FK_MODES_SEED)
-    diff = abs(est_a.mean - est_b.mean)
-    report.add("fk_modes_lambda0", diff, diff == 0.0, target=0.0)
+    report.check("fk_modes_lambda0", abs(est_a.mean - est_b.mean))
 
 
 # ---------------------------------------------------------------------------
@@ -751,25 +734,17 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
     weak_by_scale, kpz_fine_value, base, ref_sol = _stream_scales(
         cfg, grid, mollifiers, reference, f, bank)
 
-    rhs_by_phi = {phi.id: [] for phi in bank}
-    defect_by_phi = {phi.id: [] for phi in bank}
-    limit_by_phi = {}
-    for m, reports in zip(mollifiers, weak_by_scale):
-        for phi, r in zip(bank, reports):
-            rhs_by_phi[phi.id].append(r.rhs)
-            defect_by_phi[phi.id].append(_mollification_defect(m, phi, grid))
-            # the limit pairing reads only the shared base noise: every scale
-            # reports the same value, so the first one is kept
-            limit_by_phi.setdefault(phi.id, r.limit_pairing)
-
     dev_curves = {}
     rows = []
-    for phi in bank:
-        devs = [abs(r - limit_by_phi[phi.id]) for r in rhs_by_phi[phi.id]]
-        defects = defect_by_phi[phi.id]
-        for n, r, dev, defect in zip(scales, rhs_by_phi[phi.id], devs, defects):
+    for phi, reports in zip(bank, zip(*weak_by_scale)):
+        # the limit pairing reads only the shared base noise: every scale
+        # reports the same value, so the first one is kept
+        limit = reports[0].limit_pairing
+        devs = [abs(r.rhs - limit) for r in reports]
+        defects = [_mollification_defect(m, phi, grid) for m in mollifiers]
+        for n, r, dev, defect in zip(scales, reports, devs, defects):
             ratio = dev / defect if defect > 0 else math.inf
-            rows.append((phi.id, n, r, limit_by_phi[phi.id], dev, defect, ratio))
+            rows.append((phi.id, n, r.rhs, limit, dev, defect, ratio))
         dev_curves[phi.id] = list(zip((float(n) for n in scales), devs))
         # The convergence envelope: the deviation equals the pairing of the
         # noise with the mollification defect of ∇·φ, so its size is governed
@@ -791,16 +766,13 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
                    defect_increase <= 1.0 + 1e-12, target=1.0)
         if cfg.lam == 0.0:
             # zero noise: rhs and limit are both exactly zero at every n
-            worst = max(devs)
-            report.add(f"limit_ratio_{phi.id}", worst, worst == 0.0, target=0.0)
+            report.check(f"limit_ratio_{phi.id}", max(devs))
             continue
         sigma = max(
             dev / (cfg.lam * defect) if defect > 0 else (0.0 if dev == 0.0 else math.inf)
             for dev, defect in zip(devs, defects)
         )
-        report.add(f"limit_ratio_{phi.id}", sigma,
-                   sigma <= tol["limit_ratio_factor"],
-                   target=0.0, tol=tol["limit_ratio_factor"])
+        report.check(f"limit_ratio_{phi.id}", sigma, tol=tol["limit_ratio_factor"])
     report.add_table("limit.csv",
                      ("phi_id", "n", "rhs", "limit_pairing", "deviation", "defect", "ratio"), rows)
     report.add_curves("limit_deviation", dev_curves,
@@ -826,7 +798,7 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
             terminal = seq.cauchy_gaps[-1]
             if phi.id == designated:
                 if cfg.lam == 0.0 and all(g == 0.0 for g in seq.cauchy_gaps):
-                    report.add(f"cauchy_monotone_{phi.id}", 0.0, True, target=0.0)
+                    report.check(f"cauchy_monotone_{phi.id}", 0.0)
                 else:
                     increase = max(
                         ladder_gaps[k + 1] / ladder_gaps[k]
@@ -843,8 +815,7 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
             )
             scale = u_ref_norm * lap_norm
             budget = tol["limit_terminal_factor"] * (grid.dx**2 + grid.dt) * scale
-            report.add(f"cauchy_terminal_{phi.id}", terminal,
-                       terminal <= budget, target=0.0, tol=budget)
+            report.check(f"cauchy_terminal_{phi.id}", terminal, tol=budget)
             # the first scale has no previous one to take a gap from
             cauchy_rows.extend((phi.id, n_val, p_val, gap) for n_val, p_val, gap
                                in zip(seq.scales, seq.pairings, ("", *seq.cauchy_gaps)))
@@ -877,14 +848,12 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
             xlabel="dx", ylabel="sum_k max|r_k|",
         )
     else:
-        worst = max(kpz_values)
-        report.add("kpz_exact_zero", worst, worst == 0.0, target=0.0)
+        report.check("kpz_exact_zero", max(kpz_values))
 
     # flat λ=0 data on the coarsest KPZ grid: the residual must vanish identically
     _, g0, m0, _ = kpz[0]
     sol0 = solve_heat(g0, mollify(sample_noise(g0, cfg.seed, 0.0), m0), initial_zero(g0))
-    flat = float(np.max(kpz_residual(sol0)))
-    report.add("kpz_flat_zero", flat, flat == 0.0, target=0.0)
+    report.check("kpz_flat_zero", float(np.max(kpz_residual(sol0))))
     _add_weak_table(report, sum(weak_by_scale, []))
 
 
@@ -927,7 +896,7 @@ def _study_section(cfg, report, grid, m, f, bank) -> None:
         gaps.append(gap)
         rows.append((0.0, eps, s, p0, gap))
     if p0 == 0.0 and all(g == 0.0 for g in gaps):
-        report.add("section_order", 0.0, True, target=0.0)
+        report.check("section_order", 0.0)
     else:
         order = measure_order(gaps, eps_list)
         report.add("section_order", order, order >= tol["section_order_min"],
@@ -941,8 +910,7 @@ def _study_section(cfg, report, grid, m, f, bank) -> None:
     s_h = lojasiewicz_section(sol0, phi, eps_list[0], via="h")
     s_u = lojasiewicz_section(sol0, phi, eps_list[0], via="u")
     dual = abs(s_h - s_u) / (1.0 + abs(s_h))
-    report.add("section_duality", dual, dual <= tol["duality_tol"],
-               target=0.0, tol=tol["duality_tol"])
+    report.check("section_duality", dual, tol=tol["duality_tol"])
 
     # λ>0 branch: reported, not asserted — section fluctuations at t→0 are
     # unbounded in distribution, so no tolerance applies

@@ -298,6 +298,25 @@ def test_initial_params_and_bank_specs_are_named_not_coerced(fields, name):
     assert "must be" in errors[0][1]
 
 
+@pytest.mark.parametrize("bad_id", ["a,b", "a<b", 5, True, ["x"]],
+                         ids=["comma", "angle", "int", "bool", "list"])
+def test_a_bank_id_is_named_unless_it_is_letters_digits_and_three_marks(bad_id, tmp_path, capsys):
+    # seen: "a,b" wrote a 12-cell weak_residuals.csv row under 11 columns,
+    # "a<b" made limit_deviation.svg malformed XML, 5 and True were written
+    # as 5 and True, and ["x"] was refused only as "unhashable type: 'list'"
+    ExperimentConfig(study="burgers", bank=[{**_SPEC, "id": "phi-1.a_Z"}]).validate()
+    bank = [{**_SPEC, "id": bad_id}]
+    errors = _errors(study="burgers", bank=bank)
+    assert [field for field, _ in errors] == ["bank"]
+    assert errors[0][1].startswith("test function spec 0: id must be")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"study": "burgers", "N": 32, "M": 2048, "bank": bank}))
+    out = tmp_path / "art"
+    assert main(["burgers", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "bank: test function spec 0: id must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fields", [
     {"study": "converge", "n": (4, 8)},
     {"study": "converge", "n": (16, 8, 4)},
@@ -493,6 +512,36 @@ def test_report_rejects_non_finite_values():
         rep.add("bad", math.inf, True)
     with pytest.raises(ValueError, match="finite"):
         rep.add("bad", math.nan, True)
+
+
+@pytest.mark.parametrize("value,target,tol,passed", [
+    (0.0, 0.0, None, True),
+    (-0.0, 0.0, None, True),
+    (5e-324, 0.0, None, False),
+    (2.0, 2.0, None, True),
+    (0.05, 0.0, 0.05, True),  # value == tol passes
+    (0.0500001, 0.0, 0.05, False),
+    (-0.0, 0.0, 0.0, True),
+    (2.25, 2.0, 0.25, True),
+    (1.75, 2.0, 0.25, True),
+    (2.2500001, 2.0, 0.25, False),
+    (1.7, 2.0, 0.25, False),
+    (-0.375, -0.5, 0.125, True),
+    (-0.625, -0.5, 0.125, True),
+    (-0.3, -0.5, 0.125, False),
+    (0.5, -0.5, 0.125, False),
+    (np.float64(0.5), 0.0, 0.5, True),
+    (np.float64(0.5), 0.0, np.float64(0.25), False),
+    (np.float64(3.0), 3.0, None, True),
+])
+def test_check_passes_within_tol_of_the_target_or_at_it_without_one(value, target, tol, passed):
+    rep = StudyReport(study="qv", config={})
+    item = rep.check("x", value, target=target, tol=tol)
+    expected = {"name": "x", "value": float(value), "passed": passed, "target": float(target)}
+    if tol is not None:
+        expected["tol"] = float(tol)
+    assert rep.items == [item]
+    assert item == expected and type(item["value"]) is float and type(item["passed"]) is bool
 
 
 def test_emit_reports_writes_and_is_deterministic(tmp_path):
@@ -909,16 +958,24 @@ def test_each_study_draws_the_white_noise_it_reads_once(name, tmp_path, monkeypa
 # tables: every study's CSV, as emit_reports writes it
 
 
-@pytest.mark.parametrize("name", list(_DRAWN) + ["converge"])
-def test_every_csv_cell_is_a_name_or_a_number(name, tmp_path):
-    # every cell float() does not read is a header, a phi_id or mode name, or
-    # the empty cauchy_gap of each φ's first scale, which has no previous one
+_SHRUNK = {**{name: changes for name, (changes, _) in _DRAWN.items()},
+           "converge": {"N": 64, "M": 416, "T": 0.05, "n": (2, 4, 8, 16)}}
+
+
+@pytest.fixture(scope="module", params=list(_SHRUNK))
+def emitted(request, tmp_path_factory):
+    """The artifact directory of one study's acceptance config, shrunk; each runs once."""
     from test_acceptance import CONFIGS
 
-    changes = _DRAWN[name][0] if name in _DRAWN else {"N": 64, "M": 416, "T": 0.05,
-                                                      "n": (2, 4, 8, 16)}
-    run_study(CONFIGS[name].replace(**changes), out_dir=tmp_path)
-    tables = sorted(tmp_path.glob("*.csv"))
+    out = tmp_path_factory.mktemp(request.param)
+    run_study(CONFIGS[request.param].replace(**_SHRUNK[request.param]), out_dir=out)
+    return out
+
+
+def test_every_csv_cell_is_a_name_or_a_number(emitted):
+    # every cell float() does not read is a header, a phi_id or mode name, or
+    # the empty cauchy_gap of each φ's first scale, which has no previous one
+    tables = sorted(emitted.glob("*.csv"))
     assert tables
     unread = []
     for path in tables:
@@ -940,6 +997,14 @@ def test_every_csv_cell_is_a_name_or_a_number(name, tmp_path):
                 except ValueError:
                     unread.append((path.name, column, cell))
     assert unread == []
+
+
+def test_every_item_with_a_tol_passed_exactly_when_within_it_of_its_target(emitted):
+    items = json.loads((emitted / "study.json").read_text())["items"]
+    with_tol = [item for item in items if "tol" in item]
+    assert with_tol
+    for item in with_tol:
+        assert item["passed"] == (abs(item["value"] - item["target"]) <= item["tol"]), item
 
 
 def test_fk_csv_has_one_row_per_probe_estimate(tmp_path):
