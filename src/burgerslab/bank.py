@@ -67,38 +67,45 @@ __all__ = ["TestFunction", "build_bank", "bump", "bump_d1", "bump_d2"]
 _EDGE = 1e-9
 
 
-def bump(u):
-    """C^infty bump exp(-1/(1-u^2)) for |u| < 1, exactly 0 elsewhere."""
+def _on_support(u):
+    """(zeros like u, the mask |u| < 1 − _EDGE, u on the mask, 1 − u² on the mask)."""
     u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
     inside = np.abs(u) < 1.0 - _EDGE
     ui = u[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
+    return np.zeros_like(u), inside, ui, 1.0 - ui * ui
+
+
+def bump(u):
+    """C^infty bump exp(-1/(1-u^2)) for |u| < 1, exactly 0 elsewhere."""
+    out, inside, _, den = _on_support(u)
+    out[inside] = np.exp(-1.0 / den)
     return out
 
 
 def bump_d1(u):
     """First derivative of :func:`bump`, analytic, 0 outside the support."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0 - _EDGE
-    ui = u[inside]
-    den = 1.0 - ui * ui
+    out, inside, ui, den = _on_support(u)
     out[inside] = np.exp(-1.0 / den) * (-2.0 * ui / den**2)
     return out
 
 
 def bump_d2(u):
     """Second derivative of :func:`bump`, analytic, 0 outside the support."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0 - _EDGE
-    ui = u[inside]
-    den = 1.0 - ui * ui
+    out, inside, ui, den = _on_support(u)
     g = -2.0 * ui / den**2
     gp = -2.0 / den**2 - 8.0 * ui * ui / den**3
     out[inside] = np.exp(-1.0 / den) * (g * g + gp)
     return out
+
+
+def _axis_pieces(inside: np.ndarray) -> tuple:
+    """Basic slices covering a cyclic arc of nodes grown by one on each side."""
+    N, count = inside.size, int(np.count_nonzero(inside))
+    if count + 2 >= N:
+        return (slice(0, N),)
+    start = (int(np.argmax(inside & ~np.roll(inside, 1))) - 1) % N
+    stop = start + count + 2
+    return (slice(start, min(stop, N)),) + ((slice(0, stop - N),) if stop > N else ())
 
 
 @dataclass(frozen=True)
@@ -169,14 +176,52 @@ class TestFunction:
 
     # -- spatial tensors -------------------------------------------------
 
+    @lru_cache(maxsize=128)
     def spatial_tensors(self, grid: TorusGrid):
         """Shared tensors (P, D, Q) on the grid; cached, do not mutate."""
-        return _spatial_tensors(self, grid)
+        self.validate_on(grid)
+        x = grid.axis_coords()
+        psi, dpsi, ddpsi = [], [], []
+        for a in range(grid.d):
+            u = wrap(x - self.x_center[a], grid.L) / self.x_radius
+            psi.append(bump(u))
+            dpsi.append(bump_d1(u) / self.x_radius)
+            ddpsi.append(bump_d2(u) / self.x_radius**2)
 
+        def along(vec, axis):
+            shape = [1] * grid.d
+            shape[axis] = grid.N
+            return vec.reshape(shape)
+
+        P = np.ones(grid.shape)
+        for a in range(grid.d):
+            P = P * along(psi[a], a)
+
+        D = np.zeros(grid.shape)
+        Q = np.zeros(grid.shape)
+        for a in range(grid.d):
+            rest = np.ones(grid.shape)
+            for l in range(grid.d):
+                if l != a:
+                    rest = rest * along(psi[l], l)
+            D += self.amplitudes[a] * along(dpsi[a], a) * rest
+            Q += along(ddpsi[a], a) * rest
+
+        for arr in (P, D, Q):
+            arr.setflags(write=False)
+        return P, D, Q
+
+    @lru_cache(maxsize=128)
     def duals(self, grid: TorusGrid):
         """(-∇_h·(aP), -∇_h·(aQ)) on the grid; cached, do not mutate."""
-        return _duals(self, grid)
+        P, _, Q = self.spatial_tensors(grid)
+        amps = np.asarray(self.amplitudes).reshape((grid.d,) + (1,) * grid.d)
+        duals = tuple(-divergence_values(amps * arr, grid.dx) for arr in (P, Q))
+        for arr in duals:
+            arr.setflags(write=False)
+        return duals
 
+    @lru_cache(maxsize=128)
     def support(self, grid: TorusGrid):
         """(window, box): the steps and the spatial slices the function touches; cached.
 
@@ -187,73 +232,13 @@ class TestFunction:
         both duals vanish outside them.  Both come from the geometry, not
         from the nonzeros: in 1-D, D = a·psi' is zero at the centre.
         """
-        return _support(self, grid)
-
-
-@lru_cache(maxsize=128)
-def _spatial_tensors(tf: TestFunction, grid: TorusGrid):
-    tf.validate_on(grid)
-    x = grid.axis_coords()
-    psi, dpsi, ddpsi = [], [], []
-    for a in range(grid.d):
-        u = wrap(x - tf.x_center[a], grid.L) / tf.x_radius
-        psi.append(bump(u))
-        dpsi.append(bump_d1(u) / tf.x_radius)
-        ddpsi.append(bump_d2(u) / tf.x_radius**2)
-
-    def along(vec, axis):
-        shape = [1] * grid.d
-        shape[axis] = grid.N
-        return vec.reshape(shape)
-
-    P = np.ones(grid.shape)
-    for a in range(grid.d):
-        P = P * along(psi[a], a)
-
-    D = np.zeros(grid.shape)
-    Q = np.zeros(grid.shape)
-    for a in range(grid.d):
-        rest = np.ones(grid.shape)
-        for l in range(grid.d):
-            if l != a:
-                rest = rest * along(psi[l], l)
-        D += tf.amplitudes[a] * along(dpsi[a], a) * rest
-        Q += along(ddpsi[a], a) * rest
-
-    for arr in (P, D, Q):
-        arr.setflags(write=False)
-    return P, D, Q
-
-
-@lru_cache(maxsize=128)
-def _duals(tf: TestFunction, grid: TorusGrid):
-    P, _, Q = _spatial_tensors(tf, grid)
-    amps = np.asarray(tf.amplitudes).reshape((grid.d,) + (1,) * grid.d)
-    duals = tuple(-divergence_values(amps * arr, grid.dx) for arr in (P, Q))
-    for arr in duals:
-        arr.setflags(write=False)
-    return duals
-
-
-def _axis_pieces(inside: np.ndarray) -> tuple:
-    """Basic slices covering a cyclic arc of nodes grown by one on each side."""
-    N, count = inside.size, int(np.count_nonzero(inside))
-    if count + 2 >= N:
-        return (slice(0, N),)
-    start = (int(np.argmax(inside & ~np.roll(inside, 1))) - 1) % N
-    stop = start + count + 2
-    return (slice(start, min(stop, N)),) + ((slice(0, stop - N),) if stop > N else ())
-
-
-@lru_cache(maxsize=128)
-def _support(tf: TestFunction, grid: TorusGrid):
-    steps = np.flatnonzero(np.abs(grid.dt * np.arange(grid.M) - tf.t_center) < tf.t_radius)
-    window = slice(int(steps[0]), int(steps[-1]) + 1) if steps.size else slice(0, 0)
-    x = grid.axis_coords()
-    per_axis = [
-        _axis_pieces(np.abs(wrap(x - c, grid.L)) < tf.x_radius) for c in tf.x_center
-    ]
-    return window, tuple(itertools.product(*per_axis))
+        steps = np.flatnonzero(np.abs(grid.dt * np.arange(grid.M) - self.t_center) < self.t_radius)
+        window = slice(int(steps[0]), int(steps[-1]) + 1) if steps.size else slice(0, 0)
+        x = grid.axis_coords()
+        per_axis = [
+            _axis_pieces(np.abs(wrap(x - c, grid.L)) < self.x_radius) for c in self.x_center
+        ]
+        return window, tuple(itertools.product(*per_axis))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +269,7 @@ def build_bank(grid: TorusGrid, specs=None):
     of dicts with keys ``t_center, t_radius, x_center, x_radius,
     amplitudes`` and optional ``id`` (ASCII letters, digits, ``_``, ``-``
     and ``.``), whose numbers must already be real numbers: a string or a
-    bool is refused by name, not converted.
+    bool is refused by name, not converted, and any other key is named.
     """
     if specs is None:
         T, L, d = grid.T, grid.L, grid.d
@@ -310,9 +295,12 @@ def build_bank(grid: TorusGrid, specs=None):
 
     bank = []
     for i, s in enumerate(specs):
-        missing = {"t_center", "t_radius", "x_center", "x_radius", "amplitudes"} - set(s)
+        required = {"t_center", "t_radius", "x_center", "x_radius", "amplitudes"}
+        missing, unknown = required - set(s), set(s) - required - {"id"}
         if missing:
             raise ValueError(f"test function spec {i} is missing keys {sorted(missing)}")
+        if unknown:
+            raise ValueError(f"test function spec {i} has unknown keys {sorted(unknown)}")
         spec = f"test function spec {i}: "
         tf = TestFunction(
             id=_test_id(spec + "id", s.get("id", f"phi{i + 1}")),

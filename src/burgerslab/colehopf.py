@@ -257,12 +257,11 @@ class WeakPairings:
         self.last = max(window.stop for window, _ in self.supports)
         # one array of each sum per member: numpy backs an array of 4 MiB or
         # more with huge pages, so one array for the batch would be made
-        # resident whole by its first write, not only on each φ's window
+        # resident whole by its first write, not only on each φ's window.
+        # Per member (A, B, C, R): Σ_i H_i (−∇_h·(aP))_i, Σ_i H_i (−∇_h·(aQ))_i,
+        # Σ_i ‖U‖²_i D_i and Σ_i ΔWⁿ_i D_i
         shape = (len(phis), grid.M)
-        self.A = [np.zeros(shape) for _ in range(members)]  # Σ_i H_i (−∇_h·(aP))_i
-        self.B = [np.zeros(shape) for _ in range(members)]  # Σ_i H_i (−∇_h·(aQ))_i
-        self.C = [np.zeros(shape) for _ in range(members)]  # Σ_i ‖U‖²_i D_i
-        self.R = [np.zeros(shape) for _ in range(members)]  # Σ_i ΔWⁿ_i D_i
+        self.sums = [tuple(np.zeros(shape) for _ in range(4)) for _ in range(members)]
         self.Rb = np.zeros(shape)  # Σ_i ΔW_i D_i, shared by the members
         self._buffers = {}
         self._box = max(math.prod(len(range(grid.N)[part]) for part in piece)
@@ -309,7 +308,7 @@ class WeakPairings:
         normsq = self._buffer("normsq", steps * nodes)[: (s1 - s0) * nodes]
         normsq = gradient_norm_sq(H[s0 - lo : s1 - lo], grid.dx, grid.d,
                                   normsq.reshape((s1 - s0,) + grid.shape), comp)
-        A, B, C, R = (sums[member] for sums in (self.A, self.B, self.C, self.R))
+        A, B, C, R = self.sums[member]
         for j, a, b, box, (dual_p, dual_q, D) in self._windows(s0, s1):
             h = H[a - lo : b - lo]
             A[j, a:b] = _box_sum(h, dual_p, box, spare)
@@ -322,7 +321,7 @@ class WeakPairings:
         self._buffers.clear()
         grid = self.grid
         vol, dt = grid.cell_volume, grid.dt
-        A, B, C, R = (sums[member] for sums in (self.A, self.B, self.C, self.R))
+        A, B, C, R = self.sums[member]
         reports = []
         for j, (phi, (w, _)) in enumerate(zip(self.phis, self.supports)):
             psi, dpsi = (f[w] for f in phi.time_profile(grid))

@@ -61,19 +61,16 @@ _BROWNIAN_STREAM_TAG = np.uint64(0x42524F574E)
 _MODES = ("ito-compensated", "uncompensated")
 
 
-def _coord_node(grid, x_arr: np.ndarray) -> tuple:
-    """Map node coordinates to index tuple, rejecting off-node points."""
+def _check_node(grid, x_arr: np.ndarray) -> None:
+    """Raise unless x_arr holds the d coordinates of a grid node."""
     if x_arr.shape != (grid.d,):
         raise ValueError(f"x must have {grid.d} coordinates, got {x_arr!r}")
-    out = []
     for c in x_arr:
         j = int(round(c / grid.dx))
         if abs(c - j * grid.dx) > 1e-9 * grid.dx or not (0 <= j < grid.N):
             raise ValueError(
                 f"x={tuple(x_arr)!r} is not a grid node (dx={grid.dx!r})"
             )
-        out.append(j)
-    return tuple(out)
 
 
 def _wrap(pos: np.ndarray, L: float) -> None:
@@ -153,7 +150,7 @@ def fk_estimate(
     if not (0 <= m <= grid.M) or abs(steps_float - m) > 1e-9 * max(1, m):
         raise ValueError(f"t={t!r} is not a grid time node (dt={grid.dt!r})")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    _coord_node(grid, x_arr)  # raises if off-grid
+    _check_node(grid, x_arr)
 
     rng = seeded_stream(brownian_seed, _BROWNIAN_STREAM_TAG)
     scale = math.sqrt(2.0 * grid.dt)

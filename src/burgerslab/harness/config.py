@@ -230,6 +230,9 @@ class ExperimentConfig:
             init = data["initial"]
             if not isinstance(init, dict) or "kind" not in init:
                 raise ConfigError([("initial", "expected {'kind': ..., 'params': {...}}")])
+            unknown = set(init) - {"kind", "params"}
+            if unknown:
+                raise ConfigError([("initial", f"unknown keys {sorted(unknown)}")])
             kwargs["initial_kind"] = init["kind"]
             kwargs["initial_params"] = init.get("params", {})
         return cls(**kwargs)

@@ -103,8 +103,6 @@ class StudyReport:
 def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 

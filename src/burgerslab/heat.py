@@ -126,11 +126,20 @@ def initial_gaussian_bump(
     return ScalarField(grid, values)
 
 
+_PARAMS_READ = {"zero": (), "cosine": ("a", "k"), "gaussian-bump": ("a", "w", "center")}
+
+
 def make_initial(grid: TorusGrid, kind: str, params: dict) -> ScalarField:
-    """Build a preset by name — the config-file entry point; no parameter is converted.
+    """Build a preset by name — the config-file entry point; no param is converted or ignored.
 
     Every preset is a smooth, bounded ScalarField f, so the start exp(f) is > 0.
     """
+    reads = _PARAMS_READ.get(kind) if isinstance(kind, str) else None
+    if reads is None:
+        raise ValueError(f"unknown initial-data preset {kind!r}")
+    unknown = set(params) - set(reads)
+    if unknown:
+        raise ValueError(f"unknown params {sorted(unknown)}; the {kind} preset reads {list(reads)}")
     if kind == "zero":
         return initial_zero(grid)
     if kind == "cosine":
@@ -138,16 +147,14 @@ def make_initial(grid: TorusGrid, kind: str, params: dict) -> ScalarField:
         if not is_integer(k):
             raise ValueError(f"k must be an integer, got {k!r}")
         return initial_cosine(grid, a=real("a", params["a"]), k=int(k))
-    if kind == "gaussian-bump":
-        center = params.get("center", [grid.L / 2] * grid.d)
-        return initial_gaussian_bump(
-            grid,
-            a=real("a", params["a"]),
-            w=real("w", params["w"]),
-            center=[real("center", c) for c in
-                    (center if isinstance(center, (list, tuple)) else [center])],
-        )
-    raise ValueError(f"unknown initial-data preset {kind!r}")
+    center = params.get("center", [grid.L / 2] * grid.d)
+    return initial_gaussian_bump(
+        grid,
+        a=real("a", params["a"]),
+        w=real("w", params["w"]),
+        center=[real("center", c) for c in
+                (center if isinstance(center, (list, tuple)) else [center])],
+    )
 
 
 def stability_check(grid: TorusGrid) -> float:

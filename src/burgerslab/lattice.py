@@ -192,7 +192,7 @@ class TorusGrid:
         return wrap(self.axis_coords(), self.L)
 
 
-def _check_values(grid: TorusGrid, values: np.ndarray, expected_shape: tuple[int, ...], kind: str) -> np.ndarray:
+def _check_values(values: np.ndarray, expected_shape: tuple[int, ...], kind: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != expected_shape:
         raise ValueError(f"{kind} values must have shape {expected_shape}, got {arr.shape}")
@@ -210,7 +210,7 @@ class ScalarField:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "values", _check_values(self.grid, self.values, self.grid.shape, "ScalarField")
+            self, "values", _check_values(self.values, self.grid.shape, "ScalarField")
         )
 
 
@@ -224,7 +224,7 @@ class VectorField:
     def __post_init__(self) -> None:
         shape = (self.grid.d,) + self.grid.shape
         object.__setattr__(
-            self, "values", _check_values(self.grid, self.values, shape, "VectorField")
+            self, "values", _check_values(self.values, shape, "VectorField")
         )
 
 
@@ -351,14 +351,18 @@ def laplacian_values(a: np.ndarray, dx: float, d: int | None = None) -> np.ndarr
     return laplacian()
 
 
-def _centered_difference(a: np.ndarray, axis: int, dx: float, out: np.ndarray) -> np.ndarray:
-    """(a₊ − a₋) / (2dx) along one axis of a periodic array, written into ``out``."""
+def _difference(a: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """a₊ − a₋ along one axis of a periodic array, written into ``out``."""
     for dst, src in _roll_pairs(axis, -1):
         out[dst] = a[src]
     for dst, src in _roll_pairs(axis, 1):
         np.subtract(out[dst], a[src], out=out[dst])
-    out /= 2.0 * dx
     return out
+
+
+def _centered_difference(a: np.ndarray, axis: int, dx: float, out: np.ndarray) -> np.ndarray:
+    """(a₊ − a₋) / (2dx) along one axis of a periodic array, written into ``out``."""
+    return np.divide(_difference(a, axis, out), 2.0 * dx, out=out)
 
 
 def gradient_values(
@@ -403,15 +407,10 @@ def gradient_norm_sq(
 
 def divergence_values(v: np.ndarray, dx: float) -> np.ndarray:
     """Centered divergence; `v` has shape (d,) + spatial, returns spatial."""
-    d = v.shape[0]
     out = np.zeros(v.shape[1:], dtype=np.float64)
     term = np.empty_like(out)
-    for axis in range(d):
-        for dst, src in _roll_pairs(axis, -1):
-            term[dst] = v[axis][src]
-        for dst, src in _roll_pairs(axis, 1):
-            np.subtract(term[dst], v[axis][src], out=term[dst])
-        out += term
+    for axis, component in enumerate(v):
+        out += _difference(component, axis, term)
     out /= 2.0 * dx
     return out
 

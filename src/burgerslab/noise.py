@@ -172,6 +172,14 @@ class Mollifier:
     kernel: np.ndarray = field(repr=False)
 
 
+def _sum_of_squares(parts) -> np.ndarray:
+    """|y|² from per-axis squares: Σ_a parts[a], each on its own block of axes, from zero in order."""
+    k, total = parts[0].ndim, np.zeros(sum((part.shape for part in parts), ()))
+    for a, part in enumerate(parts):
+        total = total + part.reshape((1,) * (k * a) + part.shape + (1,) * (total.ndim - k * a - k))
+    return total
+
+
 def _cell_averaged_kernel(grid: TorusGrid, n: int, c_d: float) -> np.ndarray:
     """Cell averages of ρ_n over every grid cell (8-point Gauss–Legendre per axis).
 
@@ -195,12 +203,7 @@ def _cell_averaged_kernel(grid: TorusGrid, n: int, c_d: float) -> np.ndarray:
     step = b if d == 1 else 1
     for lo in range(0, b, step):
         first = slice(lo, lo + step)
-        r2 = np.zeros((step, g) + (b, g) * (d - 1))
-        for axis in range(d):
-            shape = [1] * (2 * d)
-            shape[2 * axis] = -1
-            shape[2 * axis + 1] = g
-            r2 = r2 + (sq[first] if axis == 0 else sq).reshape(shape)
+        r2 = _sum_of_squares([sq[first]] + [sq] * (d - 1))
         vals = c_d * float(n) ** d * bump(float(n) * np.sqrt(r2))
         # contract the Gauss weights on each g-axis; cell average = (1/2^d) Σ w·f
         for axis in range(d):
@@ -533,14 +536,9 @@ def h_eval(m: Mollifier, z) -> float:
     step = panels + 1 if d == 1 else 1
     integrand = 0.0
     for lo in range(0, panels + 1, step):
-        first = slice(lo, lo + step)
-        r2 = np.zeros((step,) + (panels + 1,) * (d - 1))
-        r2_shift = np.zeros_like(r2)
-        for a in range(d):
-            shape = [1] * d
-            shape[a] = -1
-            r2 = r2 + (sq[first] if a == 0 else sq).reshape(shape)
-            r2_shift = r2_shift + (shifted_sq[first] if a == 0 else sq).reshape(shape)
+        first, rest = slice(lo, lo + step), [sq] * (d - 1)
+        r2 = _sum_of_squares([sq[first]] + rest)
+        r2_shift = _sum_of_squares([shifted_sq[first]] + rest)
         slab = bump(np.sqrt(r2)) * bump(np.sqrt(r2_shift))
         integrand = integrand + np.sum(slab * w[first].reshape((step,) + (1,) * (d - 1)), axis=0)
     for a in range(1, d):

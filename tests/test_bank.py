@@ -20,6 +20,41 @@ def test_bump_values_and_support():
     assert bump_d1(0.0) == 0.0
 
 
+def _formula(u, value):
+    """``value(u, 1 − u²)`` on |u| < 1 − 1e-9 and 0 elsewhere, written out as the bump once was."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    inside = np.abs(u) < 1.0 - 1e-9
+    ui = u[inside]
+    den = 1.0 - ui * ui
+    out[inside] = value(ui, den)
+    return out
+
+
+def _reference_d2(ui, den):
+    g = -2.0 * ui / den**2
+    gp = -2.0 / den**2 - 8.0 * ui * ui / den**3
+    return np.exp(-1.0 / den) * (g * g + gp)
+
+
+def test_bump_and_its_derivatives_equal_their_formulas_bit_for_bit():
+    # the formulas each function wrote out with its own mask, before the mask
+    # was shared; only allclose and finite differences held them before
+    edge = 1.0 - 1e-9
+    near = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)]
+    u = np.array([0.0, 0.3, -0.7, *near, *(-x for x in near), 1.0, -1.0, 1.5, -2.0])
+    references = [
+        (bump, lambda ui, den: np.exp(-1.0 / (1.0 - ui * ui))),
+        (bump_d1, lambda ui, den: np.exp(-1.0 / den) * (-2.0 * ui / den**2)),
+        (bump_d2, _reference_d2),
+    ]
+    for f, value in references:
+        assert f(u).tobytes() == _formula(u, value).tobytes()
+        assert f(0.5).tobytes() == _formula(0.5, value).tobytes()
+    assert np.count_nonzero(bump(u)) == 3  # exp(-1/(1-u²)) underflows near the edge
+    assert bump(near[0]) == 0.0 and bump_d2(near[0]) == 0.0  # finite: no inf * 0
+
+
 @pytest.mark.parametrize("deriv,order", [(bump_d1, 1), (bump_d2, 2)])
 def test_bump_derivatives_match_finite_differences(deriv, order):
     # h balances truncation against cancellation in the second difference
@@ -112,6 +147,17 @@ def test_spatial_tensor_cache_and_immutability():
     with pytest.raises(ValueError):
         P1[0] = 1.0
     assert D1.shape == g.shape and Q1.shape == g.shape
+    for dual in tf.duals(g):
+        with pytest.raises(ValueError):
+            dual[0] = 1.0
+    # the duals and the support are cached too, and an equal function built
+    # on its own reads the same entries
+    twin = TestFunction(tf.id, tf.t_center, tf.t_radius, tf.x_center, tf.x_radius, tf.amplitudes)
+    assert twin == tf and twin is not tf
+    for method in ("spatial_tensors", "duals", "support"):
+        cached = getattr(tf, method)(g)
+        assert getattr(tf, method)(g) is cached
+        assert getattr(twin, method)(g) is cached
 
 
 @pytest.mark.parametrize("d", [1, 2])
