@@ -9,14 +9,15 @@ Burgers dynamics
 
 No stack of H is ever formed.  ``checked_log`` is the one place log Z is
 taken: it maps a run of slices of Z to H and checks that every Z it reads
-is finite and strictly positive.  ``cole_hopf`` feeds it a stored
-``HeatSolution`` one time chunk at a time, for the passes below; a section
-logs only the steps its window covers, in one `checked_log`; the studies that
-stream (`heat.stream`) feed it each chunk straight from the march, and no
-Z outlives its chunk there.  ``WeakPairings`` and ``kpz_pass`` take their
-chunks from either source.  A solution carries the noise that
-drove it, and the noise its base realization, so a pass needs nothing
-else.
+is finite and strictly positive.  The weak pass (``WeakPairings``) takes
+chunks of Z, logs each into one buffer of its own and hands back the H it
+paired; ``cole_hopf`` logs a stored ``HeatSolution`` one time chunk at a
+time for the other passes over a whole trajectory; a section logs only the
+steps its window covers, in one `checked_log`.  The studies that stream
+(`heat.stream`) feed the weak pass each chunk straight from the march, and
+no Z outlives its chunk there; ``kpz_pass`` takes its H from either
+source.  A solution carries the noise that drove it, and the noise its
+base realization, so a pass needs nothing else.
 
 Two layers of checks, in increasing depth:
 
@@ -231,10 +232,12 @@ class WeakPairings:
     realization, say its mollification scales.  ``add_base`` pairs a chunk
     of the base increments, once for the whole batch, so every member
     reports the same limit pairing.  ``add`` takes a chunk of one member's
-    H with the mollified increments that drove it and contracts each φ only
-    over its window and box; the pairings linear in U are taken as
-    ⟨H, −∇_h·(aP)⟩ and ⟨H, −∇_h·(aQ)⟩, so only ‖∇_h H‖² needs a gradient,
-    formed once per chunk and member for the whole bank.  The members are
+    Z with the mollified increments that drove it, logs it through
+    `checked_log` and contracts each φ only over its window and box; the
+    pairings linear in U are taken as ⟨H, −∇_h·(aP)⟩ and ⟨H, −∇_h·(aQ)⟩, so
+    only ‖∇_h H‖² needs a gradient, formed once per chunk and member for the
+    whole bank.  It returns that H, valid until the next call, for a caller
+    that reads H too, such as a growth residual.  The members are
     paired in turn through one set of buffers, allocated at the first
     chunk, reused by every later one of at most that many steps, and freed
     by ``reports``: one member's H and ‖∇_h H‖² exist at a time, where
@@ -293,12 +296,13 @@ class WeakPairings:
         for j, a, b, box, (_, _, D) in self._windows(lo, hi):
             self.Rb[j, a:b] = _box_sum(dw[a - lo : b - lo], D, box, spare)
 
-    def add(self, lo: int, hi: int, H: np.ndarray, dwn: np.ndarray, member: int = 0) -> None:
-        """Pair steps lo .. hi − 1 of ``member``: H and ΔWⁿ hold those steps from row 0."""
+    def add(self, lo: int, hi: int, Z: np.ndarray, dwn: np.ndarray, member: int = 0) -> np.ndarray:
+        """Pair steps lo .. hi − 1 of ``member``, held from row 0 of Z and ΔWⁿ; return H = log Z."""
         grid = self.grid
+        H = checked_log(Z, lo, self._buffer("log", Z.size)[: Z.size].reshape(Z.shape))
         s0, s1 = max(lo, self.first), min(hi, self.last)
         if s0 >= s1:
-            return
+            return H
         # ‖∇_h H‖², its further components a block of rows at a time, then
         # each box product in one scratch
         steps, nodes = hi - lo, grid.num_nodes
@@ -315,6 +319,7 @@ class WeakPairings:
             B[j, a:b] = _box_sum(h, dual_q, box, spare)
             C[j, a:b] = _box_sum(normsq[a - s0 : b - s0], D, box, spare)
             R[j, a:b] = _box_sum(dwn[a - lo : b - lo], D, box, spare)
+        return H
 
     def reports(self, n: int, seed: int, lam: float, member: int = 0) -> list:
         """One WeakResidualReport per φ of ``member``, at scale n; frees the chunk buffers."""
@@ -355,16 +360,18 @@ class WeakPairings:
 def weak_residual_batch(traj: HeatSolution, phis: Sequence[TestFunction]) -> list:
     """Weak-form reports for several test functions in one trajectory pass.
 
-    `WeakPairings` fed from `cole_hopf`: the rhs pairs against the mollified
-    increments that drove ``traj``, the limit pairing against their base
-    realization.
+    `WeakPairings` fed ``traj``'s Z one `lattice.chunk_steps` chunk at a
+    time: the rhs pairs against the mollified increments that drove
+    ``traj``, the limit pairing against their base realization.
     """
     noise = traj.noise
     base = noise.base
+    M, chunk = traj.grid.M, chunk_steps(traj.grid)
     pairings = WeakPairings(traj.grid, phis)
-    for lo, hi, H in cole_hopf(traj):
+    for lo in range(0, M, chunk):
+        hi = min(lo + chunk, M)
         pairings.add_base(lo, hi, base.increments[lo:hi])
-        pairings.add(lo, hi, H, noise.increments[lo:hi])
+        pairings.add(lo, hi, traj.values[lo : hi + 1], noise.increments[lo:hi])
     return pairings.reports(noise.mollifier.scale_n, base.seed, noise.lam)
 
 

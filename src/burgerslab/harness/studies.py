@@ -526,21 +526,18 @@ def _burgers_reports(cfg, levels: list) -> list:
     """(grid, weak-form reports) of every ladder level, coarsest first, in one pass.
 
     Each level is a one-member batch of `heat.stream`, whose checked chunks
-    are logged and paired into the level's `WeakPairings`, so no level
+    of Z the level's `WeakPairings` logs and pairs, so no level
     holds more than a chunk of noise, Z or H.  The reports equal those of
     `weak_residual_batch` over `solve_heat` of each coarse-grained,
     mollified realization; ``levels`` is the study's plan.
     """
     pairings = [WeakPairings(g, bank) for _, g, _, _, bank in levels]
-    logs = [None] * len(levels)  # each level's H, allocated at its first chunk
     chunks = stream([(fac, g, [m]) for fac, g, m, _, _ in levels], cfg.seed, cfg.lam,
                     [np.exp(f.values) for _, _, _, f, _ in levels])
     for i, a, b, Z, (dwn,), dw in chunks:
-        if logs[i] is None:
-            logs[i] = np.empty_like(Z[0])
         pairings[i].add_base(a, b, dw)
-        pairings[i].add(a, b, checked_log(Z[0], a, logs[i][: b - a + 1]), dwn)
-    del logs, Z, dwn, dw  # the last chunk's buffers, which the reports do not read
+        pairings[i].add(a, b, Z[0], dwn)
+    del Z, dwn, dw  # the last chunk's buffers, which the reports do not read
     return [(g, p.reports(m.scale_n, cfg.seed, cfg.lam))
             for (_, g, m, _, _), p in zip(levels, pairings)]
 
@@ -684,34 +681,30 @@ def _stream_scales(cfg, grid, mollifiers, reference, f, bank) -> tuple:
     """Weak reports per scale, the KPZ residual sum at the second, the base and the reference.
 
     The scales and, in d = 1, the grid-scale reference march as one
-    `heat.stream` batch; each scale's chunk is logged once for its weak
-    pass and KPZ residual.  Only the reference's Z (a stored `HeatSolution`
-    for the Cauchy column) is kept.  The base (for the reference's noise
-    and the KPZ ladder) is drawn again with `sample_noise` once the stream
-    has ended and the scales' weak-pass sums are freed, so it never sits
-    beside them or the chunk buffers.  Philox is counter-based and
-    `draw_chunks` reads one stream in order, so the whole draw equals the
-    streamed chunks bit for bit.
+    `heat.stream` batch; each scale's chunk is logged once, by its weak
+    pass, which hands that H to the KPZ residual.  Only the reference's Z
+    (a stored `HeatSolution` for the Cauchy column) is kept.  The base (for
+    the reference's noise and the KPZ ladder) is drawn again with
+    `sample_noise` once the stream has ended and the scales' weak-pass sums
+    are freed, so it never sits beside them or the chunk buffers.  Philox is
+    counter-based and `draw_chunks` reads one stream in order, so the whole
+    draw equals the streamed chunks bit for bit.
     """
     members = mollifiers + ([] if reference is None else [reference])
     pairings = WeakPairings(grid, bank, len(mollifiers))
     ref_values = None if reference is None else np.empty((grid.M + 1,) + grid.shape)
     residual = np.empty(grid.M)
     kpz = kpz_pass(grid, compensator(cfg.lam, mollifiers[1], grid.dt))
-    log = None  # each scale's H in turn, allocated at the first chunk
     for _, a, b, Z, dwns, dw in stream([(1, grid, members)], cfg.seed, cfg.lam,
                                        [np.exp(f.values)]):
-        if log is None:
-            log = np.empty_like(Z[0])
         pairings.add_base(a, b, dw)
         for s in range(len(mollifiers)):
-            H = checked_log(Z[s], a, log[: b - a + 1])
-            pairings.add(a, b, H, dwns[s], s)
+            H = pairings.add(a, b, Z[s], dwns[s], s)
             if s == 1:
                 residual[a:b] = kpz(H, dwns[s])
         if reference is not None:
             ref_values[a : b + 1] = Z[-1]
-    del log, H, Z, dwns, dw  # the last chunk's buffers, which the reports do not read
+    del H, Z, dwns, dw  # the last chunk's buffers, which the reports do not read
     weak_by_scale = [pairings.reports(m.scale_n, cfg.seed, cfg.lam, s)
                      for s, m in enumerate(mollifiers)]
     del pairings

@@ -127,6 +127,7 @@ def initial_gaussian_bump(
 
 
 _PARAMS_READ = {"zero": (), "cosine": ("a", "k"), "gaussian-bump": ("a", "w", "center")}
+_PARAMS_NEEDED = {"zero": (), "cosine": ("a",), "gaussian-bump": ("a", "w")}
 
 
 def make_initial(grid: TorusGrid, kind: str, params: dict) -> ScalarField:
@@ -140,6 +141,9 @@ def make_initial(grid: TorusGrid, kind: str, params: dict) -> ScalarField:
     unknown = set(params) - set(reads)
     if unknown:
         raise ValueError(f"unknown params {sorted(unknown)}; the {kind} preset reads {list(reads)}")
+    for name in _PARAMS_NEEDED[kind]:
+        if name not in params:
+            raise ValueError(f"the {kind} preset needs param {name!r}")
     if kind == "zero":
         return initial_zero(grid)
     if kind == "cosine":

@@ -31,7 +31,6 @@ Nyquist band exactly.
 
 from __future__ import annotations
 
-import functools
 import numbers
 import operator
 from dataclasses import dataclass, field
@@ -238,20 +237,6 @@ class VectorField:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _roll_pairs(axis: int, shift: int) -> tuple:
-    """(dst, src) index pairs with ``np.roll(a, shift, axis)[dst] == a[src]``, shift = ±1.
-
-    A periodic unit shift is two slice copies: the body moves by one node
-    and the node that wraps around fills the vacated end.
-    """
-    lead = (slice(None),) * axis
-    return (
-        (lead + (slice(shift, None),), lead + (slice(None, -shift),)),
-        (lead + (slice(None, shift),), lead + (slice(-shift, None),)),
-    )
-
-
 def interior_run(padded: np.ndarray, d: int) -> np.ndarray:
     """The flat contiguous run of a C-ordered buffer with a one-node halo on its last `d` axes.
 
@@ -351,12 +336,18 @@ def laplacian_values(a: np.ndarray, dx: float, d: int | None = None) -> np.ndarr
     return laplacian()
 
 
+# (out, a₊, a₋) of each run of a periodic difference: the interior, then the
+# two end nodes, whose neighbours wrap around
+_RUNS = ((slice(1, -1), slice(2, None), slice(None, -2)),
+         (slice(None, 1), slice(1, 2), slice(-1, None)),
+         (slice(-1, None), slice(None, 1), slice(-2, -1)))
+
+
 def _difference(a: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """a₊ − a₋ along one axis of a periodic array, written into ``out``."""
-    for dst, src in _roll_pairs(axis, -1):
-        out[dst] = a[src]
-    for dst, src in _roll_pairs(axis, 1):
-        np.subtract(out[dst], a[src], out=out[dst])
+    """a₊ − a₋ along one axis of a periodic array, one subtraction per run into ``out``."""
+    lead = (slice(None),) * axis
+    for dst, plus, minus in _RUNS:
+        np.subtract(a[lead + (plus,)], a[lead + (minus,)], out=out[lead + (dst,)])
     return out
 
 

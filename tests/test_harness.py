@@ -329,6 +329,29 @@ def test_an_unknown_key_in_initial_or_a_bank_spec_is_named(data, field, key, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind,params,missing", [
+    ("cosine", {}, "a"),
+    ("gaussian-bump", {"w": 0.12, "center": [0.37]}, "a"),
+    ("gaussian-bump", {"a": 0.5, "center": [0.37]}, "w"),
+], ids=["cosine-a", "bump-a", "bump-w"])
+def test_a_missing_initial_param_is_named(kind, params, missing, tmp_path, capsys):
+    # seen: refused only as the bare KeyError text "initial: 'cosine': 'a'"
+    data = {"study": "burgers", "N": 32, "M": 2048,
+            "initial": {"kind": kind, "params": params}}
+    wording = f"the {kind} preset needs param '{missing}'"
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(data).validate()
+    assert [name for name, _ in err.value.errors] == ["initial"]
+    assert wording in err.value.errors[0][1]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "art"
+    assert main(["burgers", "--config", str(cfg_path), "--out", str(out)]) == 2
+    stderr = capsys.readouterr().err
+    assert "initial:" in stderr and wording in stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad_id", ["a,b", "a<b", 5, True, ["x"]],
                          ids=["comma", "angle", "int", "bool", "list"])
 def test_a_bank_id_is_named_unless_it_is_letters_digits_and_three_marks(bad_id, tmp_path, capsys):

@@ -234,28 +234,37 @@ def _bits(a):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("stack", [(), (3,), (2, 3)])
 def test_slice_stencils_equal_roll_reference_bit_for_bit(d, stack):
+    # an odd N and an even one past 8 too: the difference's interior run and
+    # its two wrap nodes cover every node whatever N is
     rng = np.random.default_rng(10 * d + len(stack))
-    a = rng.standard_normal(stack + (8,) * d)
-    a.flat[::7] = 0.0
-    a.flat[1::11] = -0.0
-    dx = 1.0 / 8
-    expected = _roll_laplacian(a, dx, d)
-    assert np.array_equal(_bits(laplacian_values(a, dx, d)), _bits(expected))
-    assert np.array_equal(_bits(gradient_values(a, dx, d)), _bits(_roll_gradient(a, dx, d)))
-    if not stack:
-        v = rng.standard_normal((d,) + (8,) * d)
-        assert np.array_equal(_bits(divergence_values(v, dx)), _bits(_roll_divergence(v, dx)))
+    for N in (8, 9, 12):
+        a = rng.standard_normal(stack + (N,) * d)
+        a.flat[::7] = 0.0
+        a.flat[1::11] = -0.0
+        dx = 1.0 / N
+        expected = _roll_laplacian(a, dx, d)
+        assert np.array_equal(_bits(laplacian_values(a, dx, d)), _bits(expected))
+        assert np.array_equal(_bits(gradient_values(a, dx, d)), _bits(_roll_gradient(a, dx, d)))
+        if not stack:
+            v = rng.standard_normal((d,) + (N,) * d)
+            v.flat[::5] = -0.0
+            v.flat[1::7] = 0.0
+            assert np.array_equal(_bits(divergence_values(v, dx)), _bits(_roll_divergence(v, dx)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_gradient_norm_sq_equals_summed_squared_components_bit_for_bit(d):
     # one component at a time, in axis order from zero: the same sums as
-    # squaring and adding the stacked gradient's components
-    a = np.random.default_rng(d).standard_normal((5,) + (8,) * d)
-    reference = np.zeros_like(a)
-    for g in gradient_values(a, 0.125, d):
-        reference += g * g
-    assert np.array_equal(_bits(gradient_norm_sq(a, 0.125, d)), _bits(reference))
+    # squaring and adding the roll reference's components
+    rng = np.random.default_rng(d)
+    for N in (8, 9, 12):
+        a = rng.standard_normal((5,) + (N,) * d)
+        a.flat[::7] = 0.0
+        a.flat[1::11] = -0.0
+        reference = np.zeros_like(a)
+        for g in _roll_gradient(a, 1.0 / N, d):
+            reference += g * g
+        assert np.array_equal(_bits(gradient_norm_sq(a, 1.0 / N, d)), _bits(reference))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -130,9 +131,8 @@ def test_the_driver_equals_per_member_solve_heat_bit_for_bit(d, levels, lam, see
         for i, a, b, Z, dwns, dw in chunks:
             _, g, ms, _, _ = ladder[i]
             for s, m in enumerate(ms):
-                H = checked_log(Z[s], a)
                 pairings[i][s].add_base(a, b, dw)
-                pairings[i][s].add(a, b, H, dwns[s])
+                H = pairings[i][s].add(a, b, Z[s], dwns[s])
                 residuals[i][s, a:b] = kpz_pass(g, compensator(lam, m, g.dt))(H, dwns[s])
 
     base = sample_noise(fine, seed, lam)
@@ -175,14 +175,32 @@ def test_a_batched_weak_pass_equals_one_pass_per_member_bit_for_bit(d):
         for _, a, b, Z, dwns, dw in stream([(1, g, members)], cfg.seed, cfg.lam, [z0]):
             batch.add_base(a, b, dw)
             for s, p in enumerate(single):
-                H = checked_log(Z[s], a)
-                batch.add(a, b, H, dwns[s], s)
+                batch.add(a, b, Z[s], dwns[s], s)
                 p.add_base(a, b, dw)
-                p.add(a, b, H, dwns[s])
+                p.add(a, b, Z[s], dwns[s])
     assert batch.Rb.shape == (len(bank), g.M)  # one base pairing for the batch
     for s, (m, p) in enumerate(zip(members, single)):
         expected = p.reports(m.scale_n, cfg.seed, cfg.lam)
         assert _hexes(batch.reports(m.scale_n, cfg.seed, cfg.lam, s)) == _hexes(expected)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_add_pairs_the_checked_log_of_its_z_chunk_and_names_a_bad_value(d):
+    # add logs the chunk it is handed, step hi included, and returns that H:
+    # checked_log's bits, whether or not a φ's window meets the chunk.  A 0
+    # or a NaN at row k, node i is named as step lo + k at node i
+    g = _config(d, 1, 1.0, 5).grid()
+    pairings = WeakPairings(g, build_bank(g))
+    rng = np.random.default_rng(d)
+    for lo, hi in ((0, pairings.first), (pairings.first, pairings.first + 24)):
+        Z = np.exp(0.1 * rng.standard_normal((hi - lo + 1,) + g.shape))
+        dwn = rng.standard_normal((hi - lo,) + g.shape)
+        assert pairings.add(lo, hi, Z, dwn).tobytes() == checked_log(Z, lo).tobytes()
+        node = (3, 1)[:d]
+        for bad in (0.0, np.nan):
+            Z[(5,) + node] = bad
+            with pytest.raises(ValueError, match=re.escape(f"step {lo + 5}, node {node} is {bad!r}")):
+                pairings.add(lo, hi, Z, dwn)
 
 
 def test_each_level_yields_its_chunks_in_one_set_of_buffers():
