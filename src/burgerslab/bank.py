@@ -1,7 +1,8 @@
 """The standard bump and the smooth space-time test functions built from it.
 
-``bump`` is the one bump profile of the package: the noise module scales it
-into the mollifier, and the time sections normalize it into a delta net.
+``bump`` is the one bump profile of the package, and ``BUMP_CONSTANTS`` holds
+its normalization and L² norm per dimension: the noise module scales it into
+the mollifier, and the time sections normalize it into a delta net.
 Every test function here has the separable form
 
     phi_i(t, x) = a_i * psi((t - t0)/r_t) * prod_j psi((x_j - c_j)/r_x),
@@ -57,9 +58,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from burgerslab.lattice import TorusGrid, divergence_values, real, wrap
+from burgerslab.lattice import TorusGrid, along, divergence_values, real, wrap
 
-__all__ = ["TestFunction", "build_bank", "bump", "bump_d1", "bump_d2"]
+__all__ = ["BUMP_CONSTANTS", "TestFunction", "build_bank", "bump", "bump_d1", "bump_d2"]
 
 # Points with 1 - u^2 below this are treated as exactly outside the
 # support.  exp(-1/2e-9) underflows to zero in float64, so the cut
@@ -80,6 +81,19 @@ def bump(u):
     out, inside, _, den = _on_support(u)
     out[inside] = np.exp(-1.0 / den)
     return out
+
+
+# (c_d, ‖ρ‖²) of the normalized bump ρ = c_d·bump(|x|) in dimension d = 1, 2, 3.
+# c_d = 1/∫ρ̃ and ‖ρ‖² = c_d²·∫ρ̃² for the unnormalized bump ρ̃ reduce to 1-D
+# radial integrals against the surface area of S^{d-1}.  The table holds the
+# floats that composite Simpson over 2·10⁵ panels of [0, 1] gives for them, a
+# quadrature error many orders below every tolerance used downstream;
+# `tests/test_noise.py` recomputes that quadrature and holds the table to it.
+BUMP_CONSTANTS = {
+    1: (2.252283621043581, 0.6751168130096974),
+    2: (2.143565775792237, 0.5418154448231047),
+    3: (2.2671167396083263, 0.4939504682066668),
+}
 
 
 def bump_d1(u):
@@ -188,14 +202,9 @@ class TestFunction:
             dpsi.append(bump_d1(u) / self.x_radius)
             ddpsi.append(bump_d2(u) / self.x_radius**2)
 
-        def along(vec, axis):
-            shape = [1] * grid.d
-            shape[axis] = grid.N
-            return vec.reshape(shape)
-
         P = np.ones(grid.shape)
         for a in range(grid.d):
-            P = P * along(psi[a], a)
+            P = P * along(psi[a], a, grid.d)
 
         D = np.zeros(grid.shape)
         Q = np.zeros(grid.shape)
@@ -203,9 +212,9 @@ class TestFunction:
             rest = np.ones(grid.shape)
             for l in range(grid.d):
                 if l != a:
-                    rest = rest * along(psi[l], l)
-            D += self.amplitudes[a] * along(dpsi[a], a) * rest
-            Q += along(ddpsi[a], a) * rest
+                    rest = rest * along(psi[l], l, grid.d)
+            D += self.amplitudes[a] * along(dpsi[a], a, grid.d) * rest
+            Q += along(ddpsi[a], a, grid.d) * rest
 
         for arr in (P, D, Q):
             arr.setflags(write=False)

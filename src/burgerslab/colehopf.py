@@ -69,11 +69,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from burgerslab.bank import TestFunction, bump
+from burgerslab.bank import BUMP_CONSTANTS, TestFunction, bump
 from burgerslab.heat import HeatSolution, compensator
 from burgerslab.lattice import block_steps, chunk_steps, gradient_norm_sq, gradient_values
 from burgerslab.lattice import padded_laplacian
-from burgerslab.noise import _bump_constants
 
 __all__ = [
     "WeakResidualReport",
@@ -455,7 +454,7 @@ def lojasiewicz_section(
     d = grid.d
     k_hi = min(grid.M, int(np.ceil(2.0 * eps / grid.dt)))
     tk = grid.dt * np.arange(k_hi)
-    weights = _bump_constants(1)[0] * bump(tk / eps - 1.0) / eps
+    weights = BUMP_CONSTANTS[1][0] * bump(tk / eps - 1.0) / eps
 
     h = checked_log(traj.values[: k_hi + 1], 0)[:k_hi]
     if via == "h":

@@ -52,7 +52,8 @@ def main(argv=None) -> int:
         if args.config:
             cfg = ExperimentConfig.load(args.config)
             if cfg.study != args.study:
-                cfg = cfg.replace(study=args.study)
+                raise ConfigError([("study", f"the command line runs {args.study!r}, "
+                                             f"but the config is for {cfg.study!r}")])
         else:
             cfg = ExperimentConfig(study=args.study)
         if args.seed is not None:

@@ -588,6 +588,11 @@ def _plan_fk_check(cfg, grid: TorusGrid, errors: list) -> tuple:
     return grid, m, f
 
 
+def _probe_point(grid, m_step: int, node_j: int) -> tuple:
+    """(t, x) of step m_step at node node_j of the first axis, the other coordinates 0."""
+    return m_step * grid.dt, (node_j * grid.dx,) + (0.0,) * (grid.d - 1)
+
+
 def _study_fk_check(cfg, report, grid, m, f) -> None:
     tol = cfg.tolerances
     sol = solve_heat(grid, mollify(sample_noise(grid, cfg.seed, cfg.lam), m), f)
@@ -603,8 +608,7 @@ def _study_fk_check(cfg, report, grid, m, f) -> None:
     ]
     rows = []
     for idx, (m_step, node_j) in enumerate(probes):
-        t = m_step * grid.dt
-        x = (node_j * grid.dx,) + (0.0,) * (grid.d - 1)
+        t, x = _probe_point(grid, m_step, node_j)
         node = (node_j,) + (0,) * (grid.d - 1)
         est = fk_estimate(
             mn, f, t, x,
@@ -621,8 +625,7 @@ def _study_fk_check(cfg, report, grid, m, f) -> None:
                                 "mean", "stderr", "solver_value", "z_score"), rows)
 
     # Monte-Carlo error exponent at the first probe
-    t0 = probes[0][0] * grid.dt
-    x0 = (probes[0][1] * grid.dx,) + (0.0,) * (grid.d - 1)
+    t0, x0 = _probe_point(grid, *probes[0])
     path_counts = (100, 1_000, 10_000)
     stderrs = []
     for j, p in enumerate(path_counts):
@@ -645,8 +648,7 @@ def _study_fk_check(cfg, report, grid, m, f) -> None:
     # λ = 0: the compensator vanishes, so both modes must agree bitwise
     mn0 = mollify(sample_noise(grid, cfg.seed, 0.0), m)
     p0 = max(100, min(cfg.num_paths, 1_000))
-    t_mid = (M // 2) * grid.dt
-    x_mid = ((N // 2) * grid.dx,) + (0.0,) * (grid.d - 1)
+    t_mid, x_mid = _probe_point(grid, M // 2, N // 2)
     est_a = fk_estimate(mn0, f, t_mid, x_mid, num_paths=p0,
                         mode="ito-compensated", brownian_seed=cfg.seed + _FK_MODES_SEED)
     est_b = fk_estimate(mn0, f, t_mid, x_mid, num_paths=p0,
@@ -656,6 +658,11 @@ def _study_fk_check(cfg, report, grid, m, f) -> None:
 
 # ---------------------------------------------------------------------------
 # converge
+
+
+def _worst_ratio(values) -> float:
+    """The largest ratio of a value to the one before it; inf after a value that is not positive."""
+    return max(b / a if a > 0 else math.inf for a, b in zip(values, values[1:]))
 
 
 def _plan_converge(cfg, grid: TorusGrid, errors: list) -> tuple:
@@ -751,10 +758,7 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
         # healthy realizations: whenever one Gaussian draw lands near zero
         # (unusually *good* agreement at that scale), the next scale's typical
         # draw registers as an "increase".
-        defect_increase = max(
-            defects[k + 1] / defects[k] if defects[k] > 0 else math.inf
-            for k in range(len(defects) - 1)
-        )
+        defect_increase = _worst_ratio(defects)
         report.add(f"limit_defect_monotone_{phi.id}", defect_increase,
                    defect_increase <= 1.0 + 1e-12, target=1.0)
         if cfg.lam == 0.0:
@@ -793,11 +797,7 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
                 if cfg.lam == 0.0 and all(g == 0.0 for g in seq.cauchy_gaps):
                     report.check(f"cauchy_monotone_{phi.id}", 0.0)
                 else:
-                    increase = max(
-                        ladder_gaps[k + 1] / ladder_gaps[k]
-                        if ladder_gaps[k] > 0 else math.inf
-                        for k in range(len(ladder_gaps) - 1)
-                    )
+                    increase = _worst_ratio(ladder_gaps)
                     report.add(f"cauchy_monotone_{phi.id}", increase,
                                increase <= 1.0 + 1e-9, target=1.0)
             _, _, Q = phi.spatial_tensors(grid)

@@ -59,7 +59,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from burgerslab.lattice import ScalarField, TorusGrid, block_steps, chunk_steps
+from burgerslab.lattice import ScalarField, TorusGrid, along, block_steps, chunk_steps
 from burgerslab.lattice import interior_run, laplacian_calls
 from burgerslab.lattice import is_integer, real
 # Unused here.  perfbench/tracing.py resolves its lattice.laplacian_values
@@ -93,8 +93,7 @@ def initial_cosine(grid: TorusGrid, a: float, k: int = 1) -> ScalarField:
     """f(x) = a · cos(2π k x₁ / L): a single Fourier mode along the first axis."""
     x = grid.axis_coords()
     profile = a * np.cos(2.0 * np.pi * k * x / grid.L)
-    shape = (grid.N,) + (1,) * (grid.d - 1)
-    values = np.broadcast_to(profile.reshape(shape), grid.shape).copy()
+    values = np.broadcast_to(along(profile, 0, grid.d), grid.shape).copy()
     return ScalarField(grid, values)
 
 
@@ -120,9 +119,7 @@ def initial_gaussian_bump(
         for image in (-2, -1, 0, 1, 2):
             shifted = u + image * grid.L
             factor += np.exp(-(shifted * shifted) / (2.0 * w * w))
-        shape = [1] * grid.d
-        shape[axis] = grid.N
-        values = values * factor.reshape(shape)
+        values = values * along(factor, axis, grid.d)
     return ScalarField(grid, values)
 
 

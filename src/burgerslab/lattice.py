@@ -43,6 +43,7 @@ __all__ = [
     "is_real",
     "real",
     "wrap",
+    "along",
     "chunk_steps",
     "block_steps",
     "ScalarField",
@@ -81,6 +82,11 @@ def real(name: str, value) -> float:
 def wrap(delta, period):
     """Minimum-image displacement in [−period/2, period/2)."""
     return (delta + 0.5 * period) % period - 0.5 * period
+
+
+def along(values: np.ndarray, axis: int, d: int) -> np.ndarray:
+    """A 1-D profile laid along one axis of a d-dimensional array: a view that broadcasts."""
+    return values.reshape([len(values) if a == axis else 1 for a in range(d)])
 
 
 # The one chunk rule of every time loop: at most _CHUNK steps whose slices,

@@ -24,7 +24,7 @@ with the scaled standard bump
     ρ_n(x) = n^d ρ(n x),
 
 whose normalization c_d and squared L² norm ‖ρ‖² have no closed form and are
-tabulated per dimension from high-resolution radial Simpson quadrature.
+tabulated per dimension from radial Simpson quadrature in `bank.BUMP_CONSTANTS`.
 
 On the grid, ρ_n enters through its *cell averages*
 
@@ -80,8 +80,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from burgerslab.bank import bump
-from burgerslab.lattice import TorusGrid, block_steps, is_integer
+from burgerslab.bank import BUMP_CONSTANTS, bump
+from burgerslab.lattice import TorusGrid, along, block_steps, is_integer
 
 __all__ = [
     "Mollifier",
@@ -119,27 +119,6 @@ def _simpson_weights(panels: int) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w
-
-
-# (c_d, ‖ρ‖²) of the standard bump for d = 1, 2, 3; see `_bump_constants`
-_BUMP_CONSTANTS = {
-    1: (2.252283621043581, 0.6751168130096974),
-    2: (2.143565775792237, 0.5418154448231047),
-    3: (2.2671167396083263, 0.4939504682066668),
-}
-
-
-def _bump_constants(d: int) -> tuple[float, float]:
-    """(c_d, ‖ρ‖²) for the standard bump in dimension d.
-
-    c_d = 1/∫ρ̃ and ‖ρ‖² = c_d²·∫ρ̃² for the unnormalized bump ρ̃ reduce to
-    1-D radial integrals against the surface area of S^{d-1}.  The table
-    holds the floats that composite Simpson over 2·10⁵ panels of [0, 1]
-    gives for them, a quadrature error many orders below every tolerance
-    used downstream; `tests/test_noise.py` recomputes that quadrature and
-    holds the table to it.
-    """
-    return _BUMP_CONSTANTS[d]
 
 
 @dataclass(frozen=True)
@@ -207,7 +186,7 @@ def _cell_averaged_kernel(grid: TorusGrid, n: int, c_d: float) -> np.ndarray:
         vals = c_d * float(n) ** d * bump(float(n) * np.sqrt(r2))
         # contract the Gauss weights on each g-axis; cell average = (1/2^d) Σ w·f
         for axis in range(d):
-            vals = np.sum(vals * w.reshape((1,) * (axis + 1) + (g,) + (1,) * (2 * d - 2 * axis - 2)), axis=axis + 1)
+            vals = np.sum(vals * along(w, axis + 1, vals.ndim), axis=axis + 1)
         kernel[np.ix_(box[first], *([box] * (d - 1)))] = vals
     return kernel
 
@@ -231,7 +210,7 @@ def make_mollifier(grid: TorusGrid, n: int) -> Mollifier:
         raise ValueError(
             f"mollifier too wide for the torus: 2/{n} exceeds the period {grid.L!r}"
         )
-    c_d, l2 = _bump_constants(grid.d)
+    c_d, l2 = BUMP_CONSTANTS[grid.d]
     kernel = _cell_averaged_kernel(grid, n, c_d)
     c_disc = grid.cell_volume * float(np.sum(kernel * kernel))
     return Mollifier(
@@ -523,7 +502,7 @@ def h_eval(m: Mollifier, z) -> float:
     s = n * float(np.sqrt(np.sum(z_arr * z_arr)))
     if s >= 2.0:
         return 0.0
-    c_d, _ = _bump_constants(d)
+    c_d, _ = BUMP_CONSTANTS[d]
     panels = {1: 4000, 2: 600, 3: 160}[d]
     axis = np.linspace(-1.0, 1.0, panels + 1)
     w = _simpson_weights(panels)
@@ -540,11 +519,9 @@ def h_eval(m: Mollifier, z) -> float:
         r2 = _sum_of_squares([sq[first]] + rest)
         r2_shift = _sum_of_squares([shifted_sq[first]] + rest)
         slab = bump(np.sqrt(r2)) * bump(np.sqrt(r2_shift))
-        integrand = integrand + np.sum(slab * w[first].reshape((step,) + (1,) * (d - 1)), axis=0)
+        integrand = integrand + np.sum(slab * along(w[first], 0, d), axis=0)
     for a in range(1, d):
-        shape = [1] * (d - a)
-        shape[0] = panels + 1
-        integrand = np.sum(integrand * w.reshape(shape), axis=0)
+        integrand = np.sum(integrand * along(w, 0, d - a), axis=0)
     h_unscaled = c_d * c_d * step_factor * float(integrand)
     return n**d * h_unscaled
 
@@ -606,17 +583,11 @@ def coarse_grain(noise: WhiteNoiseRealization, factor: int) -> WhiteNoiseRealiza
     block-constant ξ against the coarse realization telescopes to the fine
     pairing bit for bit in exact arithmetic.
     """
-    if factor < 1:
-        raise ValueError(f"coarse-graining factor must be a positive integer, got {factor}")
-    g = noise.grid
-    if g.N % factor or g.M % (factor * factor):
-        raise ValueError(
-            f"factor {factor} must divide N = {g.N} and its square M = {g.M}"
-        )
+    grid = coarse_grid(noise.grid, factor)
     if factor == 1:
         return noise
     return WhiteNoiseRealization(
-        grid=coarse_grid(g, factor),
+        grid=grid,
         seed=noise.seed,
         lam=noise.lam,
         increments=block_sum(noise.increments, factor),
@@ -624,5 +595,9 @@ def coarse_grain(noise: WhiteNoiseRealization, factor: int) -> WhiteNoiseRealiza
 
 
 def coarse_grid(grid: TorusGrid, factor: int) -> TorusGrid:
-    """The lattice coarser by `factor` in space and factor² in time."""
+    """The lattice coarser by `factor` in space and factor² in time, which must divide N and M."""
+    if factor < 1:
+        raise ValueError(f"coarse-graining factor must be a positive integer, got {factor}")
+    if grid.N % factor or grid.M % (factor * factor):
+        raise ValueError(f"factor {factor} must divide N = {grid.N} and its square M = {grid.M}")
     return TorusGrid(d=grid.d, N=grid.N // factor, M=grid.M // factor**2, L=grid.L, T=grid.T)

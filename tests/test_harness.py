@@ -878,6 +878,17 @@ def test_cli_bad_config_file_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_config_for_another_study(tmp_path, capsys):
+    # seen: qv ran on the burgers config, wrote qv.csv and echoed "study": "qv"
+    cfg_path = tmp_path / "b.json"
+    cfg_path.write_text(json.dumps({"study": "burgers", "N": 32, "M": 2048}))
+    out = tmp_path / "art"
+    assert main(["qv", "--config", str(cfg_path), "--out", str(out)]) == 2
+    stderr = capsys.readouterr().err
+    assert "study:" in stderr and "'qv'" in stderr and "'burgers'" in stderr
+    assert not out.exists()
+
+
 def test_cli_env_var_default_out_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BURGERSLAB_OUT", str(tmp_path / "env-out"))
     monkeypatch.chdir(tmp_path)

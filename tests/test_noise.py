@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burgerslab.bank import bump
+from burgerslab.bank import BUMP_CONSTANTS, bump
 from burgerslab.lattice import TorusGrid
 from burgerslab.noise import (
     _GL_NODES,
     _GL_WEIGHTS,
     WhiteNoiseRealization,
-    _bump_constants,
     _cell_averaged_kernel,
     _simpson_weights,
     coarse_grain,
+    coarse_grid,
     draw_chunks,
     draw_seeds,
     h_eval,
@@ -39,7 +39,7 @@ def _grid(d=1, N=32, M=64, T=0.1):
 def _rho(m, r):
     """Pointwise profile ρ_n of the mollifier as a function of the radius |x|."""
     n = m.scale_n
-    return _bump_constants(m.grid.d)[0] * n**m.grid.d * bump(n * r)
+    return BUMP_CONSTANTS[m.grid.d][0] * n**m.grid.d * bump(n * r)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +288,7 @@ def test_bump_constants_equal_the_radial_quadrature(d):
     area, panels = _SPHERE_AREA[d], 200_000
     c_d = 1.0 / (area * _simpson(lambda r: r ** (d - 1) * bump(r), 0.0, 1.0, panels))
     l2 = c_d * c_d * area * _simpson(lambda r: r ** (d - 1) * bump(r) ** 2, 0.0, 1.0, panels)
-    for table, quadrature in zip(_bump_constants(d), (c_d, l2)):
+    for table, quadrature in zip(BUMP_CONSTANTS[d], (c_d, l2)):
         assert abs(table / quadrature - 1.0) <= 1e-15, (d, table, quadrature)
 
 
@@ -343,7 +343,7 @@ def _whole_h_eval(m, z):
     s = n * float(np.sqrt(np.sum(z_arr * z_arr)))
     if s >= 2.0:
         return 0.0
-    c_d, _ = _bump_constants(d)
+    c_d, _ = BUMP_CONSTANTS[d]
     panels = {1: 4000, 2: 600, 3: 160}[d]
     axis = np.linspace(-1.0, 1.0, panels + 1)
     w = _simpson_weights(panels)
@@ -371,7 +371,7 @@ def test_slab_quadratures_equal_the_whole_tensor_bit_for_bit(d, N, n):
     # for d ≥ 2 the kernel build and h_eval take the first axis a slab at a
     # time; the sums keep their order, so not a bit moves
     g = _grid(d=d, N=N, M=8)
-    c_d = _bump_constants(d)[0]
+    c_d = BUMP_CONSTANTS[d][0]
     assert (_cell_averaged_kernel(g, n, c_d).tobytes()
             == _whole_cell_averaged_kernel(g, n, c_d).tobytes())
     m = make_mollifier(g, n)
@@ -583,10 +583,15 @@ def test_coarse_grain_divisibility_errors():
     noise = sample_noise(g, seed=9)
     with pytest.raises(ValueError):
         coarse_grain(noise, 3)
+    # seen: coarse_grid floored both sizes and returned N = 10, M = 7
+    with pytest.raises(ValueError, match="N = 32"):
+        coarse_grid(g, 3)
     # N = 32 is divisible by 2, but M = 30 is not divisible by 2² = 4
     short = sample_noise(_grid(d=1, N=32, M=30), seed=9)
     with pytest.raises(ValueError, match="M = 30"):
         coarse_grain(short, 2)
+    with pytest.raises(ValueError, match="M = 30"):
+        coarse_grid(short.grid, 2)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -618,7 +623,7 @@ def test_coarse_increments_have_coarse_variance():
 
 def test_unit_bump_has_unit_mass():
     # c₁·bump is the unit-mass delta-net profile of the time sections
-    c_1 = _bump_constants(1)[0]
+    c_1 = BUMP_CONSTANTS[1][0]
     u = np.linspace(-1, 1, 100_001)
     mass = np.trapezoid(c_1 * bump(u), u)
     assert abs(mass - 1.0) <= 1e-8
