@@ -9,10 +9,10 @@ bad config never dies halfway through a run.
 Types are checked at construction, for a config built in Python and a
 loaded one alike: ``_SCALARS`` lists each scalar field once with its kind,
 and a JSON ``true`` is neither a number nor a path.  ``validate()`` checks
-the values (kind, the config grid and its stability, n ≥ 1, seed < 2⁶⁴,
-num_paths, refine_levels, lambda, tolerances), then runs and returns the
-study's plan: each study checks what it builds and seeds, not a bank or
-initial data it never reads.
+the values of the keys the study's row in ``STUDIES`` reads (the config
+grid, its stability, n ≥ 1, seed < 2⁶⁴, num_paths, refine_levels, lambda,
+tolerances), refuses every other key set away from its default, then runs
+and returns the study's plan: each study checks what it builds and seeds.
 
 Tolerances default to the acceptance thresholds; tightening them is a
 config edit, not a code change.
@@ -91,6 +91,7 @@ _KINDS = {
     "path": (lambda v: v is None or isinstance(v, str), lambda v: v, "a string or null"),
 }
 _KEYS = {"study", "n", "initial", "bank", "tolerances"} | {key for _, key, _ in _SCALARS}
+_EVERY_STUDY = {"study", "seed", "out_dir", "tolerances"}  # the keys no row lists
 
 
 @dataclass(frozen=True)
@@ -154,37 +155,35 @@ class ExperimentConfig:
         return TorusGrid(d=self.d, N=self.N, M=self.M, L=self.L, T=self.T)
 
     def validate(self):
-        """Check the values, the grid and its stability, then run the study's plan.
+        """Check the keys the study's row reads, name any other set, then run its plan.
 
-        Types were checked at construction.  The plan runs once the fields it
-        reads are well formed (a known kind, a grid, scales ≥ 1,
-        refine_levels ≥ 1) and returns; both report in one ConfigError.
+        Types were checked at construction.  An unknown kind has no row, so
+        every value check runs.  The plan runs once the fields it reads are
+        well formed (a known kind, a grid, scales ≥ 1, refine_levels ≥ 1).
         """
         errors = []
-        if self.study not in STUDY_KINDS:
+        study = STUDIES.get(self.study)
+        if study is None:
             errors.append(("study", f"unknown kind {self.study!r}; expected one of {STUDY_KINDS}"))
+        reads = _KEYS if study is None else _EVERY_STUDY.union(study.reads)
         grid = None
         try:
             grid = self.grid()
         except ValueError as exc:
             errors.append(("grid", str(exc)))
-        if grid is not None:
-            margin = stability_check(grid)
-            if margin < 0.0:
-                errors.append(
-                    ("M", f"explicit scheme unstable: margin {margin:.3f} < 0 "
-                          f"(need dt ≤ dx²/(2d))")
-                )
-        scales_ok = bool(self.n) and min(self.n) >= 1
-        if not scales_ok:
+        margin = stability_check(grid) if grid is not None and "M" in reads else 0.0
+        if margin < 0.0:
+            errors.append(("M", f"explicit scheme unstable: margin {margin:.3f} < 0 "
+                                f"(need dt ≤ dx²/(2d))"))
+        if "n" in reads and not (self.n and min(self.n) >= 1):
             errors.append(("n", f"need at least one mollifier scale, each ≥ 1, got {self.n}"))
         for name, least in (("seed", 0), ("num_paths", 100), ("refine_levels", 1)):
             value = getattr(self, name)
-            if value < least:
+            if name in reads and value < least:
                 errors.append((name, f"need ≥ {least}, got {value}"))
-            elif name == "seed" and not is_seed(value):
+            elif name == "seed" and not is_seed(value):  # every study reads the seed
                 errors.append((name, f"need < 2**64 (a Philox key word), got {value}"))
-        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
+        if "lambda" in reads and not (self.lam >= 0.0 and math.isfinite(self.lam)):
             errors.append(("lambda", f"must be finite and nonnegative, got {self.lam}"))
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
@@ -194,9 +193,15 @@ class ExperimentConfig:
         if bad:
             errors.append(("tolerances", f"non-positive, infinite or non-real values "
                                          f"for {sorted(bad)}"))
+        formed = not {"n", "refine_levels"} & {name for name, _ in errors}
+        default = ExperimentConfig(study=self.study).to_dict()
+        errors.extend((key, f"the {self.study} study does not read {key} (it reads "
+                            f"{', '.join(study.reads)}); got {value!r}")
+                      for key, value in self.to_dict().items()  # none, for an unknown kind
+                      if key not in reads and value != default.get(key))
         plan = None
-        if grid is not None and self.study in STUDY_KINDS and scales_ok and self.refine_levels >= 1:
-            plan = STUDIES[self.study][0](self, grid, errors)
+        if grid is not None and study is not None and formed:
+            plan = study.plan(self, grid, errors)
         if errors:  # a bank bad on every burgers level is reported once
             raise ConfigError(dict.fromkeys(errors))
         return plan
@@ -206,7 +211,7 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         out = {
             "study": self.study,
-            "n": list(self.n) if len(self.n) > 1 else self.n[0],
+            "n": list(self.n) if len(self.n) != 1 else self.n[0],
             "initial": {"kind": self.initial_kind, "params": self.initial_params},
             "tolerances": dict(sorted(self.tolerances.items())),
             "bank": None if self.bank is None else [dict(spec) for spec in self.bank],

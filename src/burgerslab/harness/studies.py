@@ -1,14 +1,16 @@
 """The seven verification studies behind the CLI.
 
-Each study is a plan and a run, registered together in ``STUDIES``.  The
-plan ``_plan_<kind>(cfg, grid, errors)`` builds the grids, mollifiers, bank
-and initial data the study runs on (nothing larger than one N^d slice) and
-records a named error for each check it fails; ``ExperimentConfig.validate()``
-raises them as one ConfigError, or returns the plan.  The run
+Each study is a ``Study`` row of ``STUDIES``: a plan, a run, and the config
+keys they read.  The plan ``_plan_<kind>(cfg, grid, errors)`` builds the
+grids, mollifiers, bank and initial data the study runs on (nothing larger
+than one N^d slice) and records a named error for each check it fails;
+``ExperimentConfig.validate()`` raises them, with any key outside the row
+set away from its default, as one ConfigError, or returns the plan.  The run
 ``_study_<kind>(cfg, report, *plan)`` fills a StudyReport with named
 pass/fail verdicts against the config's tolerance table, and ``run_study``
 emits its artifacts (study.json, CSV tables, SVG charts).  Every planned
-scale must be resolved (1/n ≥ 4·dx, 2/n ≤ L) on each grid it is built on.
+scale must be resolved (1/n ≥ 4·dx, 2/n ≤ L) on each grid it is built on;
+burgers, fk-check and section read one scale, and refuse a second.
 
 Study kinds
 -----------
@@ -22,19 +24,19 @@ noise-check
     buys seed count.
 qv
     Quadratic variation of a single mollified path at one node against
-    λ²·c_n_discrete (M = 10⁴ forced, the criterion's sample size), plus the
-    second-order convergence c_n_discrete → ‖ρ‖²·n^d under dx → dx/2 on a
-    dedicated 1-D ladder from 4n nodes (at least 64).
+    λ²·c_n_discrete; it does not read d or M (its path grid has M = 10⁴).
+    Plus the second-order convergence c_n_discrete → ‖ρ‖²·n^d under
+    dx → dx/2 on a dedicated 1-D ladder from 4n nodes (at least 64).
 heat
     Deterministic single-mode oracle (λ = 0, 1-D): the solver and the
     log-gradient transform against the analytic solution on three coupled
     refinement levels (dt ∝ dx²), with max errors bounded by
     heat_C·(dt + dx²) and measured spatial order 2.  Each level streams
-    Z₀ = 1 + a·cos(2πkx/L) at λ = 0 (`heat.stream`: nothing is drawn or
-    mollified) and takes the maxima from each checked chunk, so no
-    trajectory is held.  The default gaussian bump runs the cosine oracle
-    at a = 0.2, k = 1, while study.json echoes the bump; any other
-    non-cosine profile is refused, naming ``initial``.
+    Z₀ = 1 + a·cos(2πkx/L) at λ = 0 (`heat.stream`) and takes the maxima
+    from each checked chunk, so no trajectory is held; it draws nothing,
+    so ``seed`` is accepted and changes nothing.  The default gaussian bump
+    runs the cosine oracle at a = 0.2, k = 1, while study.json echoes the
+    bump; any other non-cosine profile is refused, naming ``initial``.
 burgers
     The weak-form identity at the config resolution: per-test-function
     relative gap |lhs − rhs| / |rhs|, and — when refine_levels ≥ 3 — a
@@ -88,6 +90,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 
 import numpy as np
 
@@ -182,6 +185,13 @@ def _planned(errors: list, name: str, what: str, build, *args):
 
 def _initial_on(cfg, grid: TorusGrid):
     return make_initial(grid, cfg.initial_kind, dict(cfg.initial_params))
+
+
+def _one_scale(errors: list, cfg) -> int:
+    """The scale of a study that reads one, n[0]; a second scale is named under n."""
+    if len(cfg.n) > 1:
+        errors.append(("n", f"the {cfg.study} study reads one scale, got {cfg.n}"))
+    return cfg.n[0]
 
 
 # Derived seeds, read by each plan's `_seeds_fit` and by its study.  noise-check
@@ -517,8 +527,8 @@ def _plan_burgers(cfg, grid: TorusGrid, errors: list) -> tuple:
                                         f"divisible by {c} and M by {c**2}; "
                                         f"got N={cfg.N}, M={cfg.M}"))
         factors = factors[-1:]
-    levels = [(fac, g, m, f, _planned(errors, "bank", "", build_bank, g, cfg.bank))
-              for fac, g, m, f in _ladder(errors, "refine_levels", grid, factors, cfg.n[0], cfg)]
+    levels = [(fac, g, m, f, _planned(errors, "bank", "", build_bank, g, cfg.bank)) for fac, g, m, f
+              in _ladder(errors, "refine_levels", grid, factors, _one_scale(errors, cfg), cfg)]
     return (levels,)
 
 
@@ -582,7 +592,7 @@ def _study_burgers(cfg, report, ladder) -> None:
 
 
 def _plan_fk_check(cfg, grid: TorusGrid, errors: list) -> tuple:
-    m = _planned(errors, "n", f"scale {cfg.n[0]}", make_mollifier, grid, cfg.n[0])
+    m = _planned(errors, "n", f"scale {cfg.n[0]}", make_mollifier, grid, _one_scale(errors, cfg))
     f = _planned(errors, "initial", repr(cfg.initial_kind), _initial_on, cfg, grid)
     _seeds_fit(errors, cfg, _FK_MODES_SEED)  # the λ = 0 block's walks
     return grid, m, f
@@ -858,7 +868,7 @@ def _plan_section(cfg, grid: TorusGrid, errors: list) -> tuple:
     if cfg.M < 64:
         errors.append(("M", f"the section window eps = T/32 must cover two time steps; "
                             f"need M ≥ 64, got {cfg.M}"))
-    m = _planned(errors, "n", f"scale {cfg.n[0]}", make_mollifier, grid, cfg.n[0])
+    m = _planned(errors, "n", f"scale {cfg.n[0]}", make_mollifier, grid, _one_scale(errors, cfg))
     f = _planned(errors, "initial", repr(cfg.initial_kind), _initial_on, cfg, grid)
     bank = _planned(errors, "bank", "", build_bank, grid, cfg.bank)
     return grid, m, f, bank
@@ -919,15 +929,18 @@ def _study_section(cfg, report, grid, m, f, bank) -> None:
 # ---------------------------------------------------------------------------
 # registry and entry point
 
-# kind -> (plan, run): ExperimentConfig.validate() calls the plan, run_study the run
+# A study's row: validate() calls the plan, run_study the run, and the two read
+# only these JSON keys besides those every study accepts (config._EVERY_STUDY)
+Study = namedtuple("Study", "plan run reads")
+_MARCHED = ("d", "N", "M", "L", "T", "n", "lambda", "initial")  # the config grid, marched from f
 STUDIES = {
-    "noise-check": (_plan_noise_check, _study_noise_check),
-    "qv": (_plan_qv, _study_qv),
-    "heat": (_plan_heat, _study_heat),
-    "burgers": (_plan_burgers, _study_burgers),
-    "fk-check": (_plan_fk_check, _study_fk_check),
-    "converge": (_plan_converge, _study_converge),
-    "section": (_plan_section, _study_section),
+    "noise-check": Study(_plan_noise_check, _study_noise_check, ("d", "N", "L", "T", "n", "lambda")),
+    "qv": Study(_plan_qv, _study_qv, ("N", "L", "T", "n", "lambda")),
+    "heat": Study(_plan_heat, _study_heat, ("N", "M", "L", "T", "initial")),
+    "burgers": Study(_plan_burgers, _study_burgers, _MARCHED + ("bank", "refine_levels")),
+    "fk-check": Study(_plan_fk_check, _study_fk_check, _MARCHED + ("num_paths",)),
+    "converge": Study(_plan_converge, _study_converge, _MARCHED + ("bank",)),
+    "section": Study(_plan_section, _study_section, _MARCHED + ("bank",)),
 }
 
 
@@ -942,7 +955,7 @@ def run_study(config: ExperimentConfig, out_dir=None) -> StudyReport:
     plan = config.validate()
     start = time.perf_counter()
     report = StudyReport(study=config.study, config=config.to_dict())
-    STUDIES[config.study][1](config, report, *plan)
+    STUDIES[config.study].run(config, report, *plan)
     report.wallclock_s = time.perf_counter() - start
     emit_reports(report, resolve_out_dir(out_dir if out_dir else config.out_dir))
     return report

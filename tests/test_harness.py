@@ -26,6 +26,7 @@ from burgerslab.harness import (
     resolve_out_dir,
 )
 from burgerslab.harness import studies
+from burgerslab.harness.config import _EVERY_STUDY
 from burgerslab.harness.cli import main
 from burgerslab.harness.studies import STUDIES, measure_order, run_study
 from burgerslab.lattice import TorusGrid
@@ -121,9 +122,10 @@ def test_validate_names_non_integral_grid_sizes(key, value):
 
 
 def test_validate_rejects_unstable_time_step():
-    # dt = T/M must satisfy dt <= dx²/(2d)
+    # dt = T/M must satisfy dt <= dx²/(2d) where the study marches the config
+    # grid; qv's path grid has M = 10⁴, so it does not read M
     with pytest.raises(ConfigError, match="unstable"):
-        ExperimentConfig(study="qv", N=64, M=128).validate()
+        ExperimentConfig(study="burgers", N=64, M=128).validate()
 
 
 def test_validate_rejects_under_resolved_mollifier():
@@ -248,22 +250,31 @@ def test_validate_checks_the_scale_on_the_coarsest_ladder_grid(fields):
 @pytest.mark.parametrize("fields", [{"N": 64}, {"n": (16,)}])
 def test_heat_validates_where_it_mollifies_nothing(fields):
     # the heat oracle marches zero increments: no scale is checked on its
-    # ladder; seen: both were rejected as under-resolved on the N/4 grid
-    ExperimentConfig(study="heat", **fields).validate()
+    # ladder; seen: both were rejected as under-resolved on the N/4 grid.
+    # It reads no scale, so one set away from the default is refused
+    if "n" in fields:
+        errors = _errors(study="heat", **fields)
+        assert [name for name, _ in errors] == ["n"] and "does not read n" in errors[0][1]
+    else:
+        ExperimentConfig(study="heat", **fields).validate()
 
 
 @pytest.mark.parametrize("study,n", [("heat", (-5,)), ("burgers", (4, 0))])
 def test_validate_checks_every_scale_is_positive(study, n):
-    # a shared check: heat reads no n and burgers only n[0], but study.json
-    # echoes every scale
+    # burgers reads n[0], but every scale is checked; heat reads no n, so
+    # its scale is refused as unread instead
     errors = _errors(study=study, n=n)
     assert [name for name, _ in errors] == ["n"]
-    assert f"each ≥ 1, got {n}" in errors[0][1]
+    if study == "heat":
+        assert errors[0][1].startswith("the heat study does not read n")
+    else:
+        assert f"each ≥ 1, got {n}" in errors[0][1]
 
 
 def test_a_study_checks_the_bank_and_initial_data_only_where_it_reads_them():
-    # qv never reads the bank; section does
-    ExperimentConfig(study="qv", bank=[{"id": "x"}]).validate()
+    # qv never reads the bank, so it refuses one; section reads and checks it
+    errors = _errors(study="qv", bank=[{"id": "x"}])
+    assert [name for name, _ in errors] == ["bank"] and "does not read bank" in errors[0][1]
     assert [name for name, _ in _errors(study="section", bank=[{"id": "x"}])] == ["bank"]
     # heat reads a cosine amplitude through make_initial, as the rest do;
     # a string amplitude is named, not parsed
@@ -299,6 +310,101 @@ def test_initial_params_and_bank_specs_are_named_not_coerced(fields, name):
 
 
 _BUMP_PARAMS = {"a": 0.5, "w": 0.12, "center": [0.37]}
+
+
+# What each study ignored before its row named what it reads: each field of
+# each shrunk acceptance config (_SHRUNK) was flipped, and no artifact but
+# study.json's echo of the config moved.  Each is now refused by name.
+_UNREAD = {
+    "noise-check": {"M", "initial", "bank", "num_paths", "refine_levels"},
+    "qv": {"d", "M", "initial", "bank", "num_paths", "refine_levels"},
+    "heat": {"d", "n", "lambda", "bank", "num_paths", "refine_levels"},
+    "burgers": {"num_paths"},
+    "fk-check": {"bank", "refine_levels"},
+    "converge": {"num_paths", "refine_levels"},
+    "section": {"num_paths", "refine_levels"},
+}
+# a value away from the default for every key but those every study accepts
+_AWAY = {"d": 2, "N": 64, "M": 16384, "L": 2.0, "T": 0.05, "n": 4, "lambda": 0.5,
+         "initial": {"kind": "cosine", "params": {"a": 0.2}},
+         "bank": [{"id": "x", **_SPEC}], "num_paths": 200, "refine_levels": 2}
+# the studies that read one scale, n[0]
+_ONE_SCALE = ("burgers", "fk-check", "section")
+
+
+@pytest.mark.parametrize("kind", list(STUDIES))
+def test_a_study_refuses_each_field_outside_its_row_by_name(kind, tmp_path, capsys):
+    every = ExperimentConfig(study=kind, bank=[], out_dir="x").to_dict()
+    assert set(_AWAY) == set(every) - _EVERY_STUDY
+    unread = set(_AWAY) - set(STUDIES[kind].reads)
+    assert unread == _UNREAD[kind]
+    for key in sorted(unread):
+        data = {"study": kind, key: _AWAY[key]}
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(data).validate()
+        assert [name for name, _ in err.value.errors] == [key]
+        reads = ", ".join(STUDIES[kind].reads)
+        assert err.value.errors[0][1] == (f"the {kind} study does not read {key} "
+                                          f"(it reads {reads}); got {_AWAY[key]!r}")
+        cfg_path, out = tmp_path / f"{key}.json", tmp_path / key
+        cfg_path.write_text(json.dumps(data))
+        assert main([kind, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"error: {key}: the {kind} study does not read {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_num_paths_and_refine_levels_are_checked_only_where_they_are_read():
+    # seen: qv refused num_paths=50 as "need ≥ 100", a range of a field it never reads
+    errors = _errors(study="qv", num_paths=50)
+    assert [name for name, _ in errors] == ["num_paths"]
+    assert errors[0][1].startswith("the qv study does not read num_paths")
+    assert _errors(study="fk-check", N=32, M=410, n=4, num_paths=50) == [
+        ("num_paths", "need ≥ 100, got 50")]
+    assert _errors(study="burgers", refine_levels=0) == [("refine_levels", "need ≥ 1, got 0")]
+
+
+@pytest.mark.parametrize("kind", _ONE_SCALE)
+def test_a_study_that_reads_one_scale_refuses_a_second(kind, tmp_path, capsys):
+    # seen: {"study": "burgers", "n": [4, 8]} ran n = 4 and echoed both scales
+    assert _errors(study=kind, n=(4, 8)) == [
+        ("n", f"the {kind} study reads one scale, got (4, 8)")]
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "art"
+    cfg_path.write_text(json.dumps({"study": kind, "n": [4, 8]}))
+    assert main([kind, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "error: n: " in capsys.readouterr().err
+    assert not out.exists()
+    # the studies that read every scale still take three
+    for other in ("noise-check", "qv", "converge"):
+        ExperimentConfig(study=other, n=(4, 8, 16)).validate()
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("burgers", "need at least one mollifier scale, each ≥ 1, got ()"),
+    ("heat", "the heat study does not read n (it reads N, M, L, T, initial); got []"),
+], ids=["burgers", "heat"])
+def test_an_empty_scale_list_is_named_not_a_crash(kind, message, tmp_path, capsys):
+    # seen: to_dict() indexed n[0] of an empty list, and validate() raised IndexError
+    assert _errors(study=kind, n=()) == [("n", message)]
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "art"
+    cfg_path.write_text(json.dumps({"study": kind, "n": []}))
+    assert main([kind, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"error: n: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_acceptance_shrunk_and_smoke_run_config_still_validates():
+    from test_acceptance import CONFIGS
+
+    for name, cfg in CONFIGS.items():
+        cfg.validate()
+        cfg.replace(**_SHRUNK[name]).validate()  # _SHRUNK holds _DRAWN's grids too
+    # every run of the CI smoke step that may exit 0 or 1
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    runs = re.findall(r"smoke \S+ (\S+) '([^']*)'\s*\\?\s*\d+ \"0 1\"", workflow.read_text())
+    assert len(runs) == 8
+    for kind, config in runs:
+        data = json.loads(config) if config else {"study": kind}
+        ExperimentConfig.from_dict(data).validate()
 
 
 @pytest.mark.parametrize("data,field,key", [
@@ -659,18 +765,17 @@ def test_resolve_out_dir_precedence(monkeypatch):
 # small end-to-end runs
 
 
+def _read_by(study, fields):
+    """The config of ``study`` with each of ``fields`` (JSON keys) that its row reads, or all."""
+    reads = _EVERY_STUDY.union(STUDIES[study].reads) if study in STUDIES else fields
+    return ExperimentConfig.from_dict(
+        {"study": study, **{key: value for key, value in fields.items() if key in reads}})
+
+
 def _tiny(study, **kw):
-    base = dict(
-        study=study,
-        N=32,
-        M=256,
-        n=(4,),
-        num_paths=200,
-        initial_kind="cosine",
-        initial_params={"a": 0.2},
-    )
-    base.update(kw)
-    return ExperimentConfig(**base)
+    small = {"N": 32, "M": 256, "n": 4, "num_paths": 200,
+             "initial": {"kind": "cosine", "params": {"a": 0.2}}}
+    return _read_by(study, small).replace(**kw)
 
 
 def test_run_study_validates_config_first(tmp_path):
@@ -784,13 +889,16 @@ def _small_configs(draw):
     stable = math.ceil(2 * d * 0.1 * N * N)  # the least M with dt ≤ dx²/(2d) at T = 0.1
     M = draw(st.one_of(st.integers(stable, 3 * stable),
                        st.sampled_from([64 * k for k in range(1, 20) if 64 * k >= stable])))
-    return ExperimentConfig(
-        study=draw(st.sampled_from(STUDY_KINDS)), d=d, N=N, M=M,
-        n=tuple(draw(st.lists(st.sampled_from([1, 2, 3, 4, 8]), min_size=1, max_size=3))),
-        lam=draw(st.sampled_from([0.0, 1.0])), refine_levels=draw(st.integers(1, 3)),
-        seed=draw(st.integers(0, 99)), num_paths=100,
-        initial_params={"a": 0.5, "w": 0.12, "center": [0.37, 0.61, 0.5][:d]},
-    )
+    study = draw(st.sampled_from(STUDY_KINDS))
+    scales = draw(st.lists(st.sampled_from([1, 2, 3, 4, 8]), min_size=1, max_size=3))
+    fields = {
+        "d": d, "N": N, "M": M, "n": scales[:1] if study in _ONE_SCALE else scales,
+        "lambda": draw(st.sampled_from([0.0, 1.0])), "refine_levels": draw(st.integers(1, 3)),
+        "seed": draw(st.integers(0, 99)), "num_paths": 100,
+        "initial": {"kind": "gaussian-bump",
+                    "params": {"a": 0.5, "w": 0.12, "center": [0.37, 0.61, 0.5][:d]}},
+    }
+    return _read_by(study, fields)  # every field is drawn for every study
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
