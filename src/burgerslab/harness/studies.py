@@ -99,6 +99,7 @@ from burgerslab.lattice import (
     ScalarField,
     TorusGrid,
     VectorField,
+    block_steps,
     chunk_steps,
     divergence,
     gradient,
@@ -277,8 +278,8 @@ def _u_l2_sq(sol) -> float:
 
 
 def _seed_blocks(grid: TorusGrid, first: int, count: int):
-    """The seeds first .. first + count − 1 in blocks of one chunk of realizations."""
-    step = chunk_steps(grid, grid.M)
+    """The seeds first .. first + count − 1 in blocks of `lattice.block_steps` realizations."""
+    step = block_steps(grid, grid.M)
     return (range(first + lo, first + min(lo + step, count)) for lo in range(0, count, step))
 
 
@@ -286,16 +287,17 @@ def _lag_sums(m, first: int, count: int, lam: float, lags) -> tuple:
     """Σ and Σ² over the seeds' mollified increments of ΔWⁿ(i0)·ΔWⁿ(i0 + lag), per lag.
 
     Each seed's sums over its steps are added in seed order, as one
-    realization at a time would add them.
+    realization at a time would add them.  One `mollifying` serves every
+    block of seeds, so its output and FFT buffers are built once.
     """
     g = m.grid
     i0 = 11
     sums = np.zeros(len(lags))
     sumsq = np.zeros(len(lags))
+    mollify_run = mollifying([m], lam, block_steps(g, g.M) * g.M)
     for block in _seed_blocks(g, first, count):
         batch = draw_seeds(g, block, lam).increments
-        flat = batch.reshape((-1,) + g.shape)
-        mn = mollifying([m], lam, len(flat))(flat)[0].reshape(batch.shape)
+        mn = mollify_run(batch.reshape((-1,) + g.shape))[0].reshape(batch.shape)
         prods = [mn[:, :, i0] * mn[:, :, (i0 + lag) % g.N] for lag in lags]
         row_sums = np.stack([np.sum(prod, axis=1) for prod in prods], axis=1)
         row_sumsq = np.stack([np.sum(prod * prod, axis=1) for prod in prods], axis=1)

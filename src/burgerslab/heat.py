@@ -304,27 +304,32 @@ def stream(levels: Sequence, seed: int, lam: float, z0s: Sequence):
     (i, a, b, Z, dwns, dw) per level i and checked chunk: Z holds the
     batch's steps a .. b, ``dwns[s]`` member s's ΔWⁿ of steps a .. b − 1
     and ``dw`` the raw ΔW on the level.  Each level keeps one buffer for
-    each of these and its march's buffers, allocated before the first chunk
-    and refilled by every later one, so a yielded array is valid only until
-    the next item is requested: a consumer that needs one longer copies it.
+    each of these, one for `noise.block_sum`'s partial sums and its
+    march's buffers, allocated before the first chunk and refilled by
+    every later one, so a yielded array is valid only until the next item
+    is requested: a consumer that needs one longer copies it.
     """
     if levels[-1][0] != 1 or not all(ms and all(m.grid == g for m in ms) for _, g, ms in levels):
         raise ValueError("each level needs a batch of mollifiers on its own grid, fac 1 last")
     tf = max(fac for fac, _, _ in levels) ** 2
     fine = levels[-1][1]
-    chunk = max(tf, chunk_steps(fine, max(len(ms) for _, _, ms in levels)) // tf * tf)
+    chunk = chunk_steps(fine, max(len(ms) for _, _, ms in levels), tf)
     runs = []
     for (fac, g, members), z0 in zip(levels, z0s, strict=True):
         steps = min(chunk, fine.M) // fac**2
         Z, march = marcher(g, len(members), steps)
         Z[:, 0] = z0
-        coarse = np.empty((steps,) + g.shape) if fac > 1 else None
-        runs.append((fac, Z, coarse, mollifying(members, lam, steps), march,
+        # block_sum's coarse increments and its partial sums over the last axis
+        coarse, partial = ((np.empty((steps,) + g.shape),
+                            np.empty((steps * fac**2,) + fine.shape[:-1] + (g.N,)))
+                           if fac > 1 else (None, None))
+        runs.append((fac, Z, coarse, partial, mollifying(members, lam, steps), march,
                      [compensator(lam, m, g.dt) for m in members]))
     for lo, hi, fine_dw in draw_chunks(fine, seed, lam, chunk):
-        for i, (fac, Z, coarse, mollify_run, march, compensated) in enumerate(runs):
+        for i, (fac, Z, coarse, partial, mollify_run, march, compensated) in enumerate(runs):
             a, b = lo // fac**2, hi // fac**2
-            dw = block_sum(fine_dw, fac, None if coarse is None else coarse[: b - a])
+            dw = fine_dw if fac == 1 else block_sum(fine_dw, fac, coarse[: b - a],
+                                                    partial[: hi - lo])
             dwns = mollify_run(dw)
             march(b - a, dwns, compensated, a)
             yield i, a, b, Z[:, : b - a + 1], dwns, dw

@@ -96,9 +96,14 @@ _CHUNK = 256
 _CHUNK_BYTES = 1 << 20
 
 
-def chunk_steps(grid, members: int = 1) -> int:
-    """Steps per time chunk of a batch of ``members`` N^d slices on ``grid``."""
-    return max(1, min(_CHUNK, _CHUNK_BYTES // (members * grid.num_nodes * 8)))
+def chunk_steps(grid, members: int = 1, multiple: int = 1) -> int:
+    """Steps per time chunk of a batch of ``members`` N^d slices on ``grid``.
+
+    A ladder whose coarsest level sums ``multiple`` fine steps into one
+    takes the largest multiple of it within the chunk, and at least one.
+    """
+    steps = max(1, min(_CHUNK, _CHUNK_BYTES // (members * grid.num_nodes * 8)))
+    return max(multiple, steps // multiple * multiple)
 
 
 def block_steps(grid, members: int = 1) -> int:
@@ -106,7 +111,10 @@ def block_steps(grid, members: int = 1) -> int:
 
     The march's noise factors, the FFT's complex slices and the weak pass's
     gradient components go a block at a time, so the scratch beside a
-    stream's chunk buffers stays a fraction of one chunk.
+    stream's chunk buffers stays a fraction of one chunk.  A batch of
+    small realizations is drawn in blocks of ``block_steps(grid, grid.M)``
+    seeds for the same reason: the block's mollified copy and its pairing
+    product are as large as the block itself, so all three fit in a chunk.
     """
     return max(1, chunk_steps(grid, members) // 4)
 

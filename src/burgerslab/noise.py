@@ -66,10 +66,12 @@ A seed becomes the Philox key (seed, tag), where the tag names the consumer
 are independent.  `draw_chunks` reads one seed's stream in time chunks.
 `draw_seeds` draws a batch of seeds, one row each, from a single Philox that
 it re-keys before each row to a fresh stream's state (counter 0, empty
-buffer), so every row equals that seed's own stream bit for bit; a study
-that needs thousands of small realizations draws them in blocks of seeds
-sized by `lattice.chunk_steps(grid, grid.M)`.  No generator is built at
-import.
+buffer), so every row equals that seed's own stream bit for bit.  A study
+that needs thousands of small realizations draws them in blocks of
+`lattice.block_steps(grid, grid.M)` seeds, a quarter of a chunk: the
+block's mollified copy and its `pair` product are each as large as the
+block, so the block and its temporaries together stay within one chunk.
+No generator is built at import.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from burgerslab.bank import BUMP_CONSTANTS, bump
-from burgerslab.lattice import TorusGrid, along, block_steps, is_integer
+from burgerslab.lattice import TorusGrid, along, block_steps, chunk_steps, is_integer
 
 __all__ = [
     "Mollifier",
@@ -547,51 +549,71 @@ def quadratic_variation(path: np.ndarray) -> float:
     return float(np.sum(steps * steps))
 
 
-def block_sum(increments: np.ndarray, factor: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Coarse increments of a run of fine steps: block sums rescaled by factor^{−d}.
+def block_sum(increments: np.ndarray, factor: int, out: np.ndarray,
+              partial: np.ndarray) -> np.ndarray:
+    """Coarse increments of a run of fine steps into ``out``: block sums rescaled by factor^{−d}.
 
     ``increments`` has shape (K,) + (N,)*d with K a multiple of factor²
-    and N of factor.  Each coarse step sums factor² consecutive fine steps,
-    each coarse node a block of factor^d fine nodes, so a run of whole
-    coarse steps sums to the same bits wherever the run starts.  The sums
-    go into ``out`` (the coarse shape) when it is given.  Factor 1 returns
-    the increments as they are.
+    and N of factor ≥ 2.  Each coarse step sums factor² consecutive fine
+    steps, each coarse node a block of factor^d fine nodes, so a run of
+    whole coarse steps sums to the same bits wherever the run starts.
+    ``out`` has the coarse shape, and ``partial``, the increments' shape
+    with the last axis divided by factor, takes the sums over that axis.
+
+    The sums follow the order of numpy's reshape-sum over all the block
+    axes, and equal it bit for bit on coarse grids of two or more nodes per
+    axis, in two passes: whole-array adds of the factor offsets along the
+    last axis (numpy's own sum over that axis from 8 offsets on, where it
+    sums pairwise), then numpy's sum over the fine steps and the other
+    offsets.  The reshape-sum itself reduces each factor-long run of the
+    last axis by one inner-loop call, several times slower.
     """
-    if factor == 1:
-        return increments
     d = increments.ndim - 1
     tf = factor * factor
     shape = [increments.shape[0] // tf, tf]
     for n in increments.shape[1:]:
         shape.extend([n // factor, factor])
-    summed = increments.reshape(shape).sum(axis=tuple(range(1, 2 * d + 2, 2)), out=out)
-    summed /= float(factor) ** d
-    return summed
+    blocks = increments.reshape(shape)
+    partial = partial.reshape(shape[:-1])
+    if factor < 8:  # numpy's pairwise sum adds fewer than 8 terms one by one
+        np.add(blocks[..., 0], blocks[..., 1], out=partial)
+        for offset in range(2, factor):
+            partial += blocks[..., offset]
+    else:
+        np.sum(blocks, axis=-1, out=partial)
+    np.sum(partial, axis=tuple(range(1, 2 * d, 2)), out=out)
+    out /= float(factor) ** d
+    return out
 
 
 def coarse_grain(noise: WhiteNoiseRealization, factor: int) -> WhiteNoiseRealization:
     """Block-sum a fine realization onto the lattice coarser by `factor`.
 
     Spatial blocks of factor^d cells and runs of factor² steps are summed
-    and rescaled by factor^{−d} (`block_sum` over the whole range), which is
-    exactly the scaling that gives the coarse increments variance
-    dt'/dx'^d.  The time factor factor² keeps dt ∝ dx², the refinement rule
-    of the convergence ladders, so one master realization drives every
-    level.
+    and rescaled by factor^{−d}, which is exactly the scaling that gives
+    the coarse increments variance dt'/dx'^d.  The time factor factor²
+    keeps dt ∝ dx², the refinement rule of the convergence ladders, so one
+    master realization drives every level.  `block_sum` runs over one
+    `lattice.chunk_steps` chunk of whole coarse steps at a time, so its
+    partial sums take a chunk's scratch, not a fraction of the whole
+    realization, and the sums have the bits of one pass over all M steps.
 
     The defining consistency identity is exact, not approximate: pairing a
     block-constant ξ against the coarse realization telescopes to the fine
     pairing bit for bit in exact arithmetic.
     """
-    grid = coarse_grid(noise.grid, factor)
+    fine, grid = noise.grid, coarse_grid(noise.grid, factor)
     if factor == 1:
         return noise
-    return WhiteNoiseRealization(
-        grid=grid,
-        seed=noise.seed,
-        lam=noise.lam,
-        increments=block_sum(noise.increments, factor),
-    )
+    tf = factor * factor
+    chunk = chunk_steps(fine, multiple=tf)
+    increments = np.empty((grid.M,) + grid.shape)
+    partial = np.empty((min(chunk, fine.M),) + fine.shape[:-1] + (grid.N,))
+    for lo in range(0, fine.M, chunk):
+        hi = min(lo + chunk, fine.M)
+        block_sum(noise.increments[lo:hi], factor, increments[lo // tf : hi // tf],
+                  partial[: hi - lo])
+    return WhiteNoiseRealization(grid=grid, seed=noise.seed, lam=noise.lam, increments=increments)
 
 
 def coarse_grid(grid: TorusGrid, factor: int) -> TorusGrid:

@@ -9,13 +9,14 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import burgerslab
-from burgerslab import colehopf, fk, heat, noise
+from burgerslab import colehopf, fk, heat, lattice, noise
 from burgerslab.harness import (
     DEFAULT_TOLERANCES,
     STUDY_KINDS,
@@ -901,8 +902,30 @@ def _small_configs(draw):
     return _read_by(study, fields)  # every field is drawn for every study
 
 
+# Configs the draws miss (none of them reached run_study for converge or
+# qv): converge needs N ≥ 64 for three scales that resolve on its N/4 KPZ
+# grid, and qv scales of at most N/4 on its path grid, none of them 1
+_BUMP = {"kind": "gaussian-bump", "params": _BUMP_PARAMS}
+_REACHING = {
+    "converge": _read_by("converge", {"N": 64, "M": 1024, "n": [2, 4, 8], "initial": _BUMP}),
+    "converge-flat": _read_by("converge", {"N": 64, "M": 1024, "n": [2, 4, 8], "lambda": 0.0,
+                                           "initial": _BUMP}),
+    "qv": _read_by("qv", {"N": 32, "n": [2, 4, 8], "seed": 3}),
+    "qv-flat": _read_by("qv", {"N": 8, "n": [2], "lambda": 0.0}),
+}
+
+
+def test_the_reaching_examples_validate():
+    for cfg in _REACHING.values():
+        cfg.validate()
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(cfg=_small_configs())
+@example(cfg=_REACHING["converge"])
+@example(cfg=_REACHING["converge-flat"])
+@example(cfg=_REACHING["qv"])
+@example(cfg=_REACHING["qv-flat"])
 def test_a_validated_config_reaches_a_verdict_or_breaks_down_by_name(cfg):
     # validate() rejects by field name, or the study reaches a verdict, or
     # the march or the log names the step and node where Z broke down
@@ -1010,12 +1033,14 @@ def test_cli_env_var_default_out_dir(tmp_path, monkeypatch, capsys):
 # the laws: seed batches
 
 
-def test_seed_blocks_cover_the_seeds_in_order_one_chunk_each():
+def test_seed_blocks_cover_the_seeds_in_order_a_quarter_chunk_each():
+    # a chunk of realizations is 128 seeds of the lag grid and 256 of the
+    # pairing grid; a block is a quarter of that
     lag_grid = TorusGrid(d=1, N=128, M=8)
     blocks = list(studies._seed_blocks(lag_grid, 2**64 - 300, 300))
-    assert [len(b) for b in blocks] == [128, 128, 44]
+    assert [len(b) for b in blocks] == [32] * 9 + [12]
     assert [s for b in blocks for s in b] == list(range(2**64 - 300, 2**64))
-    assert len(next(studies._seed_blocks(TorusGrid(d=1, N=32, M=8), 7, 10_000))) == 256
+    assert len(next(studies._seed_blocks(TorusGrid(d=1, N=32, M=8), 7, 10_000))) == 64
 
 
 def test_block_lag_sums_equal_a_per_seed_loop():
@@ -1055,8 +1080,53 @@ def test_noise_check_builds_one_philox_per_seed_block(tmp_path, monkeypatch):
     monkeypatch.setattr(np.random, "Philox", counted_philox)
     monkeypatch.setattr(studies, "draw_seeds", counted_draw)
     run_study(ExperimentConfig(study="noise-check"), out_dir=tmp_path)
-    assert sum(blocks) == 12_500 and len(blocks) == 40 + 20
+    assert sum(blocks) == 12_500 and len(blocks) == 157 + 79  # 10,000 / 64 and 2,500 / 32
     assert len(built) == len(blocks)
+
+
+def test_noise_check_holds_less_than_one_chunk(tmp_path):
+    # the lag law draws 2,500 seeds on a 128-node, 8-step grid.  Blocks of a
+    # chunk of seeds (1 MiB), each mollified through a mollifier built for
+    # it while the last block's copy was still held, kept the batch and two
+    # mollified copies: a traced peak of 3.3 MiB.  Blocks of block_steps
+    # seeds through one mollifier stay below one chunk's budget
+    import numpy.fft  # noqa: F401  (numpy loads both lazily: not the run's memory)
+    import numpy.random  # noqa: F401
+
+    cfg = ExperimentConfig(study="noise-check")
+    cfg.validate()  # the plan's kernels are not the run's peak
+    tracemalloc.start()
+    try:
+        run_study(cfg, out_dir=tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < lattice._CHUNK_BYTES, peak
+
+
+def test_noise_check_laws_do_not_hang_on_the_seed_block_size(tmp_path):
+    # 7 seeds a block (a short last block for 2,500 and 10,000 seeds) and
+    # the default 32 and 64: the same lag sums, item values and table bytes
+    cfg = ExperimentConfig(study="noise-check")
+    _, _, pair_grid, lag_m = cfg.validate()
+    first = cfg.seed + studies._LAG_SEEDS_FROM
+    lags = (0, 4, 8, 16, 40)
+
+    def laws(chunk, out):
+        with mock.patch("burgerslab.lattice._CHUNK", chunk):
+            blocks = [len(next(studies._seed_blocks(g, 0, 10**4)))
+                      for g in (pair_grid, lag_m.grid)]
+            sums = studies._lag_sums(lag_m, first, studies._LAG_SEEDS, cfg.lam, lags)
+            report = run_study(cfg, out_dir=out)
+        items = [(it["name"], it["value"].hex()) for it in report.items
+                 if it["name"] == "pair_variance_rel" or it["name"].startswith("cov_lag_")]
+        table = (out / "noise_covariance.csv").read_bytes()
+        return blocks, [a.tobytes() for a in sums], items, table
+
+    small, default = laws(28, tmp_path / "small"), laws(lattice._CHUNK, tmp_path / "default")
+    assert small[0] == [7, 7] and default[0] == [64, 32]
+    assert len(small[2]) == 6
+    assert small[1:] == default[1:]
 
 
 def test_qv_holds_no_space_time_stack(tmp_path):

@@ -391,6 +391,9 @@ def test_chunks_are_sized_by_bytes_and_capped_in_steps():
     assert chunk_steps(TorusGrid(d=2, N=128, M=32768)) == 8
     # converge's batch of four scales and the grid-scale reference
     assert chunk_steps(TorusGrid(d=1, N=128, M=32768), members=5) == 204
+    # a ladder's chunk is a whole number of its coarsest level's steps
+    assert chunk_steps(TorusGrid(d=1, N=128, M=32768), members=5, multiple=16) == 192
+    assert chunk_steps(TorusGrid(d=2, N=128, M=32768), multiple=16) == 16
     # a loop's scratch goes in blocks of a quarter chunk
     assert block_steps(TorusGrid(d=2, N=64, M=8192)) == 8
     assert block_steps(TorusGrid(d=1, N=128, M=32768)) == 64

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from burgerslab import lattice
 from burgerslab.bank import BUMP_CONSTANTS, bump
 from burgerslab.lattice import TorusGrid
 from burgerslab.noise import (
@@ -16,6 +17,7 @@ from burgerslab.noise import (
     WhiteNoiseRealization,
     _cell_averaged_kernel,
     _simpson_weights,
+    block_sum,
     coarse_grain,
     coarse_grid,
     draw_chunks,
@@ -609,6 +611,84 @@ def test_coarse_grain_pairing_consistency_is_exact(d):
     lhs = pair(coarse, xi_coarse)
     rhs = pair(noise, xi_fine)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+def _reshape_sum(increments, factor):
+    """block_sum's former body: one numpy sum over every block axis of a reshape."""
+    d = increments.ndim - 1
+    tf = factor * factor
+    shape = [increments.shape[0] // tf, tf]
+    for n in increments.shape[1:]:
+        shape.extend([n // factor, factor])
+    summed = increments.reshape(shape).sum(axis=tuple(range(1, 2 * d + 2, 2)))
+    summed /= float(factor) ** d
+    return summed
+
+
+def _block_sum(increments, factor):
+    """block_sum into NaN-filled buffers, checking it returns ``out``."""
+    coarse = tuple(n // factor for n in increments.shape[1:])
+    out = np.full((len(increments) // factor**2,) + coarse, np.nan)
+    partial = np.full(increments.shape[:-1] + (increments.shape[-1] // factor,), np.nan)
+    assert block_sum(increments, factor, out, partial) is out
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    factor=st.sampled_from([2, 4]),
+    coarse_steps=st.integers(1, 3),
+    coarse_nodes=st.integers(2, 4),
+    zeros=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_sum_equals_the_reshape_sum_bit_for_bit(d, factor, coarse_steps, coarse_nodes,
+                                                      zeros, seed):
+    # whole-array adds of the last axis's offsets, then numpy's sum over the
+    # fine steps and the other offsets, add in the reshape-sum's order: the
+    # same bits, signed zeros included.  A coarse grid of one node is left
+    # out: there numpy merges the block axes into one pairwise sum, and no
+    # TorusGrid has fewer than 8 nodes
+    N = factor * coarse_nodes
+    rng = np.random.default_rng(seed)
+    increments = rng.standard_normal((factor * factor * coarse_steps,) + (N,) * d)
+    hit = rng.random(increments.shape) < zeros
+    increments[hit] = np.where(rng.random(np.count_nonzero(hit)) < 0.5, 0.0, -0.0)
+    expected = _reshape_sum(increments, factor)
+    assert _block_sum(increments, factor).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d,N,K,factor", [(1, 128, 256, 8), (1, 128, 256, 16), (1, 64, 128, 8),
+                                           (2, 32, 128, 8)])
+def test_block_sum_past_seven_offsets_keeps_numpys_pairwise_order(d, N, K, factor):
+    # from 8 terms on numpy sums the last axis pairwise, and block_sum
+    # takes that sum from numpy itself
+    increments = np.random.default_rng(K).standard_normal((K,) + (N,) * d)
+    expected = _reshape_sum(increments, factor)
+    assert _block_sum(increments, factor).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_coarse_grain_sums_a_chunk_at_a_time_to_the_bits_of_one_pass(d):
+    # chunks of 24 fine steps for fac 2 (the last of M = 160 short) and 16
+    # for fac 4 give the reshape-sum's bits over the whole range, and the
+    # partial sums take one chunk's scratch beside the coarse output: summed
+    # whole, fac 2 held half the realization as well
+    g = TorusGrid(d=d, N=32, M=160, T=0.1)
+    noise = sample_noise(g, seed=3)
+    with mock.patch("burgerslab.lattice._CHUNK", 24):
+        for factor in (2, 4):
+            coarse = coarse_grain(noise, factor).increments
+            assert coarse.tobytes() == _reshape_sum(noise.increments, factor).tobytes()
+    base = sample_noise(TorusGrid(d=1, N=128, M=4096), seed=3)  # 4 MiB
+    tracemalloc.start()
+    try:
+        coarse = coarse_grain(base, 2).increments
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < coarse.nbytes + lattice._CHUNK_BYTES, (peak, coarse.nbytes)
 
 
 def test_coarse_increments_have_coarse_variance():
