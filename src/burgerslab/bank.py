@@ -188,6 +188,11 @@ class TestFunction:
         u = (grid.dt * np.arange(grid.M) - self.t_center) / self.t_radius
         return bump(u), bump_d1(u) / self.t_radius
 
+    def time_l2_sq(self, grid: TorusGrid) -> float:
+        """dt·Σ_k ψ(t_k)², the squared L² norm of the time factor over the same left endpoints."""
+        psi, _ = self.time_profile(grid)
+        return grid.dt * float(np.sum(psi * psi))
+
     # -- spatial tensors -------------------------------------------------
 
     @lru_cache(maxsize=128)

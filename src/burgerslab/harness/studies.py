@@ -54,9 +54,10 @@ fk-check
     stderr ∝ paths^(−1/2), and the λ = 0 block where both correction modes
     must agree bitwise.
 converge
-    The mollification ladder n ∈ {4, 8, 16, 32} on one fixed grid and one
-    fixed realization: per test function, |rhs(n) − limit_pairing| must
-    converge monotonically in the mollification defect ‖ρ_n∗∇·φ − ∇·φ‖ —
+    The mollification ladder over the config's scales (a single n runs
+    4, 8, 16, 32) on one fixed grid and one fixed realization: per test
+    function, |rhs(n) − limit_pairing| must converge monotonically in the
+    mollification defect ‖ρ_n∗∇·φ − ∇·φ‖ (`noise.mollification_defect`) —
     the defect ladder decreases (deterministic) and the deviation stays
     within limit_ratio_factor·λ·defect at every n (the deviation *is* the
     pairing of the noise with the defect field, so the factor is a
@@ -110,13 +111,13 @@ from burgerslab.lattice import (
 from burgerslab.noise import (
     coarse_grain,
     coarse_grid,
-    convolve_kernel,
     draw_chunks,
     draw_seeds,
     h_eval,
     is_seed,
     lattice_delta,
     make_mollifier,
+    mollification_defect,
     mollify,
     mollifying,
     pair,
@@ -233,24 +234,6 @@ def _ladder(errors: list, name: str, fine: TorusGrid, factors, n=None, cfg=None)
     return levels
 
 
-def _mollification_defect(m, phi, grid) -> float:
-    """‖ρ_n ∗ ∇·φ − ∇·φ‖ in the discrete space-time L² norm.
-
-    ∇·φ(t, x) = ψ(t)·D(x) is separable, so the norm splits into the time
-    factor sqrt(dt·Σ_k ψ(t_k)²) over the same left-endpoint sum the weak
-    rhs uses, and the spatial factor sqrt(dx^d·Σ (ρ_n∗D − D)²).
-    """
-    _, D, _ = phi.spatial_tensors(grid)
-    diff = convolve_kernel(m, D) - D
-    x_norm = math.sqrt(grid.cell_volume * float(np.sum(diff * diff)))
-    return math.sqrt(_psi_l2_sq(phi, grid)) * x_norm
-
-
-def _psi_l2_sq(phi, grid) -> float:
-    psi, _ = phi.time_profile(grid)
-    return grid.dt * float(np.sum(psi * psi))
-
-
 def _add_weak_table(report, reports) -> None:
     """weak_residuals.csv: one row per weak-form report."""
     report.add_table("weak_residuals.csv",
@@ -288,7 +271,8 @@ def _lag_sums(m, first: int, count: int, lam: float, lags) -> tuple:
 
     Each seed's sums over its steps are added in seed order, as one
     realization at a time would add them.  One `mollifying` serves every
-    block of seeds, so its output and FFT buffers are built once.
+    block of seeds, so its output and FFT buffers are built once; a drawn
+    batch goes straight into it, so at λ > 0 no batch outlives its block.
     """
     g = m.grid
     i0 = 11
@@ -296,8 +280,8 @@ def _lag_sums(m, first: int, count: int, lam: float, lags) -> tuple:
     sumsq = np.zeros(len(lags))
     mollify_run = mollifying([m], lam, block_steps(g, g.M) * g.M)
     for block in _seed_blocks(g, first, count):
-        batch = draw_seeds(g, block, lam).increments
-        mn = mollify_run(batch.reshape((-1,) + g.shape))[0].reshape(batch.shape)
+        mn = mollify_run(draw_seeds(g, block, lam).increments.reshape((-1,) + g.shape))[0]
+        mn = mn.reshape((len(block), g.M) + g.shape)
         prods = [mn[:, :, i0] * mn[:, :, (i0 + lag) % g.N] for lag in lags]
         row_sums = np.stack([np.sum(prod, axis=1) for prod in prods], axis=1)
         row_sumsq = np.stack([np.sum(prod * prod, axis=1) for prod in prods], axis=1)
@@ -753,7 +737,7 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
         # reports the same value, so the first one is kept
         limit = reports[0].limit_pairing
         devs = [abs(r.rhs - limit) for r in reports]
-        defects = [_mollification_defect(m, phi, grid) for m in mollifiers]
+        defects = [mollification_defect(m, phi) for m in mollifiers]
         for n, r, dev, defect in zip(scales, reports, devs, defects):
             ratio = dev / defect if defect > 0 else math.inf
             rows.append((phi.id, n, r.rhs, limit, dev, defect, ratio))
@@ -815,7 +799,7 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
             _, _, Q = phi.spatial_tensors(grid)
             amp_sq = sum(a * a for a in phi.amplitudes)
             lap_norm = math.sqrt(
-                amp_sq * _psi_l2_sq(phi, grid)
+                amp_sq * phi.time_l2_sq(grid)
                 * grid.cell_volume * float(np.sum(Q * Q))
             )
             scale = u_ref_norm * lap_norm

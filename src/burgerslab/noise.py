@@ -82,7 +82,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from burgerslab.bank import BUMP_CONSTANTS, bump
+from burgerslab.bank import BUMP_CONSTANTS, TestFunction, bump
 from burgerslab.lattice import TorusGrid, along, block_steps, chunk_steps, is_integer
 
 __all__ = [
@@ -99,7 +99,7 @@ __all__ = [
     "pair",
     "mollifying",
     "mollify",
-    "convolve_kernel",
+    "mollification_defect",
     "h_eval",
     "wiener_path",
     "quadratic_variation",
@@ -437,21 +437,6 @@ def _convolution(members: Sequence[Mollifier], steps: int):
     return convolve
 
 
-def convolve_kernel(m: Mollifier, values: np.ndarray) -> np.ndarray:
-    """Mollify one spatial field: (ρ_n ∗ g)(x_j) via the cell-averaged kernel.
-
-    Same periodic convolution the increments get, exposed for measuring
-    mollification defects ‖ρ_n∗g − g‖ of deterministic fields.
-    """
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.shape != m.grid.shape:
-        raise ValueError(
-            f"field shape {vals.shape} does not match grid shape {m.grid.shape}"
-        )
-    (out,) = _convolution([m], 1)(vals[None])
-    return out[0]
-
-
 def mollifying(members: Sequence[Mollifier], lam: float, steps: int):
     """mollify(increments) -> each member's ΔWⁿ of a run of ≤ ``steps`` slices of amplitude λ.
 
@@ -486,6 +471,23 @@ def mollify(noise: WhiteNoiseRealization, m: Mollifier) -> MollifiedNoise:
         raise ValueError("mollifier was built for a different grid")
     mollified = mollifying([m], noise.lam, len(noise.increments))(noise.increments)[0]
     return MollifiedNoise(base=noise, mollifier=m, increments=mollified)
+
+
+def mollification_defect(m: Mollifier, phi: TestFunction) -> float:
+    """‖ρ_n ∗ ∇·φ − ∇·φ‖ of a bank test function in the discrete space-time L² norm.
+
+    ∇·φ(t, x) = ψ(t)·D(x) is separable, so the norm is the time factor
+    sqrt(`phi.time_l2_sq`) times the spatial factor sqrt(dx^d·Σ (ρ_n∗D − D)²),
+    with ρ_n∗D the convolution the increments get.  λ times it is the
+    standard deviation of rhs(n) − limit, the pairing of the noise with the
+    defect field.
+    """
+    grid = m.grid
+    _, D, _ = phi.spatial_tensors(grid)
+    (mollified,) = _convolution([m], 1)(D[None])
+    diff = mollified[0] - D
+    x_norm = math.sqrt(grid.cell_volume * float(np.sum(diff * diff)))
+    return math.sqrt(phi.time_l2_sq(grid)) * x_norm
 
 
 def h_eval(m: Mollifier, z) -> float:

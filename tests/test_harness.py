@@ -402,7 +402,7 @@ def test_every_acceptance_shrunk_and_smoke_run_config_still_validates():
     # every run of the CI smoke step that may exit 0 or 1
     workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
     runs = re.findall(r"smoke \S+ (\S+) '([^']*)'\s*\\?\s*\d+ \"0 1\"", workflow.read_text())
-    assert len(runs) == 8
+    assert len(runs) == 9
     for kind, config in runs:
         data = json.loads(config) if config else {"study": kind}
         ExperimentConfig.from_dict(data).validate()
@@ -910,6 +910,9 @@ _REACHING = {
     "converge": _read_by("converge", {"N": 64, "M": 1024, "n": [2, 4, 8], "initial": _BUMP}),
     "converge-flat": _read_by("converge", {"N": 64, "M": 1024, "n": [2, 4, 8], "lambda": 0.0,
                                            "initial": _BUMP}),
+    "converge-2d": _read_by("converge", {"d": 2, "N": 64, "M": 832, "T": 0.05, "n": [2, 4, 8],
+                                         "initial": {"kind": "gaussian-bump", "params": {
+                                             **_BUMP_PARAMS, "center": [0.37, 0.61]}}}),
     "qv": _read_by("qv", {"N": 32, "n": [2, 4, 8], "seed": 3}),
     "qv-flat": _read_by("qv", {"N": 8, "n": [2], "lambda": 0.0}),
 }
@@ -924,6 +927,7 @@ def test_the_reaching_examples_validate():
 @given(cfg=_small_configs())
 @example(cfg=_REACHING["converge"])
 @example(cfg=_REACHING["converge-flat"])
+@example(cfg=_REACHING["converge-2d"])
 @example(cfg=_REACHING["qv"])
 @example(cfg=_REACHING["qv-flat"])
 def test_a_validated_config_reaches_a_verdict_or_breaks_down_by_name(cfg):
@@ -1089,7 +1093,8 @@ def test_noise_check_holds_less_than_one_chunk(tmp_path):
     # chunk of seeds (1 MiB), each mollified through a mollifier built for
     # it while the last block's copy was still held, kept the batch and two
     # mollified copies: a traced peak of 3.3 MiB.  Blocks of block_steps
-    # seeds through one mollifier stay below one chunk's budget
+    # seeds through one mollifier, each batch freed before the next draw,
+    # stay below 7/8 of one chunk's budget (0.93 MiB with the last batch held)
     import numpy.fft  # noqa: F401  (numpy loads both lazily: not the run's memory)
     import numpy.random  # noqa: F401
 
@@ -1101,7 +1106,7 @@ def test_noise_check_holds_less_than_one_chunk(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < lattice._CHUNK_BYTES, peak
+    assert peak < lattice._CHUNK_BYTES * 7 // 8, peak
 
 
 def test_noise_check_laws_do_not_hang_on_the_seed_block_size(tmp_path):

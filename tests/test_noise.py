@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from burgerslab import lattice
-from burgerslab.bank import BUMP_CONSTANTS, bump
+from burgerslab.bank import BUMP_CONSTANTS, TestFunction, build_bank, bump
 from burgerslab.lattice import TorusGrid
 from burgerslab.noise import (
     _GL_NODES,
@@ -25,6 +25,7 @@ from burgerslab.noise import (
     h_eval,
     lattice_delta,
     make_mollifier,
+    mollification_defect,
     mollify,
     mollifying,
     pair,
@@ -524,6 +525,59 @@ def test_good_approximation_gap_decreases_with_n():
         m = make_mollifier(g, n)
         gaps.append(abs(pair(mollify(noise, m), xi) - base_val))
     assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
+
+
+# ---------------------------------------------------------------------------
+# the mollification defect and the law it scales
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 32), (3, 16)])
+def test_the_defect_is_the_space_time_norm_of_the_defect_field(d, N):
+    # ψ⊗(ρ_n∗D − D) formed as one (M,) + grid array and normed as a whole;
+    # a φ with zero amplitudes has D = 0, the case converge's ratio guards
+    g = TorusGrid(d=d, N=N, M=48, T=0.05)
+    m = make_mollifier(g, 4)
+    for phi in build_bank(g):
+        _, D, _ = phi.spatial_tensors(g)
+        psi, _ = phi.time_profile(g)
+        field = psi.reshape((-1,) + (1,) * d) * (_fft_reference(m, D[None])[0] - D)
+        whole = math.sqrt(g.dt * g.cell_volume * float(np.sum(field * field)))
+        assert abs(mollification_defect(m, phi) - whole) <= 1e-12 * whole, phi.id
+    flat = TestFunction(id="flat", t_center=0.025, t_radius=0.02, x_center=(0.5,) * d,
+                        x_radius=0.2, amplitudes=(0.0,) * d)
+    assert mollification_defect(m, flat) == 0.0
+
+
+@pytest.mark.parametrize("d,N,M", [(1, 32, 64), (2, 16, 32)])
+def test_rhs_minus_limit_has_the_law_the_defect_scales(d, N, M):
+    # rhs(n) − limit = −dx^d·Σ_k ψ_k·Σ_x (ΔWⁿ − ΔW)·D, the noise paired with
+    # the defect field, is centred Gaussian with standard deviation
+    # σ = λ·mollification_defect.  Over S seeds its mean square over σ² is a
+    # χ²_S/S, 1 within five standard errors 5·sqrt(2/S); a σ off by 10%
+    # reads about 0.83.  No march: the seeds are drawn a block at a time,
+    # mollified and contracted with every φ's D at once.
+    g = TorusGrid(d=d, N=N, M=M, T=0.1)
+    lam, seeds = 0.8, 10_000
+    m = make_mollifier(g, 4)
+    bank = build_bank(g)
+    psis = np.stack([phi.time_profile(g)[0] for phi in bank])
+    Ds = np.stack([phi.spatial_tensors(g)[1].ravel() for phi in bank])
+    block = (1 << 21) // (8 * M * g.num_nodes)  # seeds whose increments take 2 MiB
+    mollify_run = mollifying([m], lam, block * M)
+    devs = []
+    for lo in range(0, seeds, block):
+        increments = draw_seeds(g, range(lo, min(lo + block, seeds)), lam).increments
+        rows = len(increments)
+        increments = increments.reshape((-1,) + g.shape)
+        (defect,) = mollify_run(increments)
+        defect -= increments
+        per_step = defect.reshape(rows, M, -1) @ Ds.T
+        devs.append(-g.cell_volume * np.einsum("bkf,fk->bf", per_step, psis))
+    devs = np.concatenate(devs)
+    sigma = np.array([lam * mollification_defect(m, phi) for phi in bank])
+    mean_square = np.mean(devs * devs, axis=0) / sigma**2
+    assert np.all(np.abs(mean_square - 1.0) <= 5 * math.sqrt(2 / seeds)), mean_square
 
 
 # ---------------------------------------------------------------------------
