@@ -202,7 +202,7 @@ class ExperimentConfig:
         plan = None
         if grid is not None and study is not None and formed:
             plan = study.plan(self, grid, errors)
-        if errors:  # a bank bad on every burgers level is reported once
+        if errors:  # an initial profile bad on every ladder level is reported once
             raise ConfigError(dict.fromkeys(errors))
         return plan
 

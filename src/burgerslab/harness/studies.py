@@ -243,6 +243,36 @@ def _add_weak_table(report, reports) -> None:
                        r.limit_pairing) for r in reports])
 
 
+def _order(report, item: str, order: str, gaps, hs, target: float, tol=None) -> dict:
+    """Fit the order of gaps in hs and record it: within tol of target, or at least target."""
+    value = measure_order(gaps, hs)
+    report.add_order(order, value)
+    if tol is None:
+        return report.add(item, value, value >= target, target=target)
+    return report.check(item, value, target=target, tol=tol)
+
+
+def _relative(report, name: str, error: float, scale: float, tol: float) -> dict:
+    """Record error/scale within tol; a zero scale leaves an exact-zero check of the error."""
+    if scale == 0.0:
+        return report.check(name, error)
+    return report.check(name, error / scale, tol=tol)
+
+
+def _non_increasing(report, name: str, values, slack: float) -> dict:
+    """Record the worst ratio of a value to the one before it, which must be ≤ 1 + slack.
+
+    A step from 0 has no ratio: an all-zero ladder records an exact-zero
+    check, and a step up from 0 records the value it rose to, which fails it.
+    """
+    steps = list(zip(values, values[1:]))
+    rise = max((b for a, b in steps if a == 0.0), default=0.0)
+    if rise > 0.0 or not any(values):
+        return report.check(name, rise)
+    worst = max(b / a if a else 1.0 for a, b in steps)
+    return report.add(name, worst, worst <= 1.0 + slack, target=1.0)
+
+
 def _u_l2_sq(sol) -> float:
     """Space-time L² norm squared of the gradient field.
 
@@ -338,12 +368,10 @@ def _study_noise_check(cfg, report, grid, mollifiers, rg, m2) -> None:
                                for block in _seed_blocks(rg, cfg.seed, _PAIR_SEEDS)])
     var = float(np.var(pairings))
     target = cfg.lam**2 * rg.dt * rg.cell_volume * float(np.sum(xi * xi))
-    if target == 0.0:
-        report.check("pair_variance_rel", var)
-    else:
-        report.check("pair_variance_rel", abs(var - target) / target, tol=tol["pair_var_rel"])
+    _relative(report, "pair_variance_rel", abs(var - target), target, tol["pair_var_rel"])
 
-    # lag covariance of mollified increments vs dt·h_n(lag)
+    # lag covariance of mollified increments vs dt·(h_n(lag) + h_n(L − lag)): on the
+    # torus the image at L − lag adds to it, and no other, as every lag is below L/2
     rg2 = m2.grid
     lags = (0, 4, 8, 16, 40)
     sums, sumsq = _lag_sums(m2, cfg.seed + _LAG_SEEDS_FROM, _LAG_SEEDS, cfg.lam, lags)
@@ -351,7 +379,8 @@ def _study_noise_check(cfg, report, grid, mollifiers, rg, m2) -> None:
     rows = []
     for j, lag in enumerate(lags):
         mean = sums[j] / count
-        target = cfg.lam**2 * rg2.dt * h_eval(m2, np.array([lag * rg2.dx]))
+        z = lag * rg2.dx
+        target = cfg.lam**2 * rg2.dt * (h_eval(m2, [z]) + h_eval(m2, [rg2.L - z]))
         variance = max(sumsq[j] / count - mean * mean, 0.0)
         se = math.sqrt(variance / count)
         if se == 0.0:
@@ -397,10 +426,7 @@ def _study_qv(cfg, report, path_m, ladders) -> None:
     del mollify_run, dw  # the chunk buffers, which nothing below reads
     qv_rate = quadratic_variation(wiener_path(column)) / qv_grid.T
     target = cfg.lam**2 * path_m.c_n_discrete
-    if target == 0.0:
-        report.check("qv_rel_err", qv_rate)
-    else:
-        report.check("qv_rel_err", abs(qv_rate - target) / target, tol=tol["qv_rel"])
+    _relative(report, "qv_rel_err", abs(qv_rate - target), target, tol["qv_rel"])
 
     # c_n_discrete → c_n_continuum at order 2 on a dedicated 1-D dx-ladder
     rows = []
@@ -413,9 +439,7 @@ def _study_qv(cfg, report, path_m, ladders) -> None:
             gaps.append(gap)
             dxs.append(g.dx)
             rows.append((n, g.N, g.dx, m.c_n_discrete, m.c_n_continuum, gap))
-        order = measure_order(gaps, dxs)
-        report.check(f"cn_order_n{n}", order, target=2.0, tol=tol["cn_order"])
-        report.add_order(f"cn_n{n}", order)
+        _order(report, f"cn_order_n{n}", f"cn_n{n}", gaps, dxs, 2.0, tol["cn_order"])
         curves[f"n={n}"] = list(zip(dxs, gaps))
     report.add_table("qv.csv", ("n", "N", "dx", "c_n_discrete", "c_n_continuum", "gap"), rows)
     report.add_curves("cn_convergence", curves, xlabel="dx", ylabel="|c_n_discrete - c_n|")
@@ -486,12 +510,8 @@ def _study_heat(cfg, report, amp, k, grids) -> None:
         rows.append((g.N, g.M, g.dx, g.dt, err_z, err_u))
 
     _, _, dxs, _, errs_z, errs_u = zip(*rows)
-    order_z = measure_order(errs_z, dxs)
-    order_u = measure_order(errs_u, dxs)
-    report.check("order_z", order_z, target=2.0, tol=tol["heat_order"])
-    report.check("order_u", order_u, target=2.0, tol=tol["heat_order"])
-    report.add_order("heat_z", order_z)
-    report.add_order("heat_u", order_u)
+    _order(report, "order_z", "heat_z", errs_z, dxs, 2.0, tol["heat_order"])
+    _order(report, "order_u", "heat_u", errs_u, dxs, 2.0, tol["heat_order"])
     report.add_table("heat.csv", ("N", "M", "dx", "dt", "err_z", "err_u"), rows)
     report.add_curves(
         "heat_convergence",
@@ -505,7 +525,10 @@ def _study_heat(cfg, report, amp, k, grids) -> None:
 
 
 def _plan_burgers(cfg, grid: TorusGrid, errors: list) -> tuple:
-    """Each level (fac, grid, mollifier, f, bank), coarsest first; just fac 1 if not divisible."""
+    """Each level (fac, grid, mollifier, f), coarsest first (fac 1 if not divisible), and the bank.
+
+    One bank serves every level: it reads only d, L and T, which the levels share.
+    """
     factors = [2 ** (cfg.refine_levels - 1 - i) for i in range(cfg.refine_levels)]
     c = factors[0]
     if cfg.N % c or cfg.M % c**2:
@@ -513,37 +536,36 @@ def _plan_burgers(cfg, grid: TorusGrid, errors: list) -> tuple:
                                         f"divisible by {c} and M by {c**2}; "
                                         f"got N={cfg.N}, M={cfg.M}"))
         factors = factors[-1:]
-    levels = [(fac, g, m, f, _planned(errors, "bank", "", build_bank, g, cfg.bank)) for fac, g, m, f
-              in _ladder(errors, "refine_levels", grid, factors, _one_scale(errors, cfg), cfg)]
-    return (levels,)
+    levels = _ladder(errors, "refine_levels", grid, factors, _one_scale(errors, cfg), cfg)
+    return levels, _planned(errors, "bank", "", build_bank, grid, cfg.bank)
 
 
-def _burgers_reports(cfg, levels: list) -> list:
+def _burgers_reports(cfg, levels: list, bank: list) -> list:
     """(grid, weak-form reports) of every ladder level, coarsest first, in one pass.
 
     Each level is a one-member batch of `heat.stream`, whose checked chunks
     of Z the level's `WeakPairings` logs and pairs, so no level
     holds more than a chunk of noise, Z or H.  The reports equal those of
     `weak_residual_batch` over `solve_heat` of each coarse-grained,
-    mollified realization; ``levels`` is the study's plan.
+    mollified realization; ``levels`` and ``bank`` are the study's plan.
     """
-    pairings = [WeakPairings(g, bank) for _, g, _, _, bank in levels]
-    chunks = stream([(fac, g, [m]) for fac, g, m, _, _ in levels], cfg.seed, cfg.lam,
-                    [np.exp(f.values) for _, _, _, f, _ in levels])
+    pairings = [WeakPairings(g, bank) for _, g, _, _ in levels]
+    chunks = stream([(fac, g, [m]) for fac, g, m, _ in levels], cfg.seed, cfg.lam,
+                    [np.exp(f.values) for _, _, _, f in levels])
     for i, a, b, Z, (dwn,), dw in chunks:
         pairings[i].add_base(a, b, dw)
         pairings[i].add(a, b, Z[0], dwn)
     del Z, dwn, dw  # the last chunk's buffers, which the reports do not read
     return [(g, p.reports(m.scale_n, cfg.seed, cfg.lam))
-            for (_, g, m, _, _), p in zip(levels, pairings)]
+            for (_, g, m, _), p in zip(levels, pairings)]
 
 
-def _study_burgers(cfg, report, ladder) -> None:
+def _study_burgers(cfg, report, ladder, bank) -> None:
     tol = cfg.tolerances
 
     totals, dxs = [], []
     per_phi_points = {}
-    levels = _burgers_reports(cfg, ladder)
+    levels = _burgers_reports(cfg, ladder, bank)
     for g, reports in levels:
         totals.append(sum(r.gap for r in reports))
         dxs.append(g.dx)
@@ -552,18 +574,11 @@ def _study_burgers(cfg, report, ladder) -> None:
     _, finest_reports = levels[-1]
 
     for r in finest_reports:
-        denom = abs(r.rhs) if r.rhs != 0.0 else r.scale
-        if denom == 0.0:
-            report.check(f"rel_gap_{r.phi_id}", r.gap)
-        else:
-            report.check(f"rel_gap_{r.phi_id}", r.gap / denom, tol=tol["weak_rel_gap"])
+        _relative(report, f"rel_gap_{r.phi_id}", r.gap, abs(r.rhs) or r.scale, tol["weak_rel_gap"])
 
     if len(totals) >= 3:
         if all(t > 0.0 for t in totals):
-            order = measure_order(totals, dxs)
-            report.add("gap_order", order, order >= tol["weak_order_min"],
-                       target=tol["weak_order_min"])
-            report.add_order("weak_gap", order)
+            _order(report, "gap_order", "weak_gap", totals, dxs, tol["weak_order_min"])
         else:
             # degenerate exact-zero ladder (λ=0 with flat data): nothing to fit
             report.check("gap_exact_zero", max(totals))
@@ -632,9 +647,8 @@ def _study_fk_check(cfg, report, grid, m, f) -> None:
         # flat data and λ=0: the estimator is exact at any path count
         report.add("fk_stderr_exponent", 0.0, max(stderrs) == 0.0, target=-0.5)
     else:
-        slope = measure_order(stderrs, path_counts)
-        report.check("fk_stderr_exponent", slope, target=-0.5, tol=tol["fk_exponent_tol"])
-        report.add_order("fk_stderr", slope)
+        _order(report, "fk_stderr_exponent", "fk_stderr", stderrs, path_counts, -0.5,
+               tol["fk_exponent_tol"])
         report.add_curves(
             "fk_stderr",
             {"stderr": list(zip((float(p) for p in path_counts), stderrs))},
@@ -654,11 +668,6 @@ def _study_fk_check(cfg, report, grid, m, f) -> None:
 
 # ---------------------------------------------------------------------------
 # converge
-
-
-def _worst_ratio(values) -> float:
-    """The largest ratio of a value to the one before it; inf after a value that is not positive."""
-    return max(b / a if a > 0 else math.inf for a, b in zip(values, values[1:]))
 
 
 def _plan_converge(cfg, grid: TorusGrid, errors: list) -> tuple:
@@ -754,9 +763,7 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
         # healthy realizations: whenever one Gaussian draw lands near zero
         # (unusually *good* agreement at that scale), the next scale's typical
         # draw registers as an "increase".
-        defect_increase = _worst_ratio(defects)
-        report.add(f"limit_defect_monotone_{phi.id}", defect_increase,
-                   defect_increase <= 1.0 + 1e-12, target=1.0)
+        _non_increasing(report, f"limit_defect_monotone_{phi.id}", defects, 1e-12)
         if cfg.lam == 0.0:
             # zero noise: rhs and limit are both exactly zero at every n
             report.check(f"limit_ratio_{phi.id}", max(devs))
@@ -787,15 +794,9 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
         # the reference's weak reports feed only the Cauchy column
         seqs = distributional_limit_1d(weak_by_scale + [weak_residual_batch(ref_sol, bank)])
         for phi, seq in zip(bank, seqs):
-            ladder_gaps = seq.cauchy_gaps[:-1]
-            terminal = seq.cauchy_gaps[-1]
+            *ladder_gaps, terminal = seq.cauchy_gaps
             if phi.id == designated:
-                if cfg.lam == 0.0 and all(g == 0.0 for g in seq.cauchy_gaps):
-                    report.check(f"cauchy_monotone_{phi.id}", 0.0)
-                else:
-                    increase = _worst_ratio(ladder_gaps)
-                    report.add(f"cauchy_monotone_{phi.id}", increase,
-                               increase <= 1.0 + 1e-9, target=1.0)
+                _non_increasing(report, f"cauchy_monotone_{phi.id}", ladder_gaps, 1e-9)
             _, _, Q = phi.spatial_tensors(grid)
             amp_sq = sum(a * a for a in phi.amplitudes)
             lap_norm = math.sqrt(
@@ -827,10 +828,7 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
     report.add_table("kpz.csv", ("N", "M", "dx", "dt", "residual_sum"), kpz_rows)
     _, _, kpz_dxs, _, kpz_values = zip(*kpz_rows)
     if all(v > 0.0 for v in kpz_values):
-        kpz_order = measure_order(kpz_values, kpz_dxs)
-        report.add("kpz_order", kpz_order, kpz_order >= tol["kpz_order_min"],
-                   target=tol["kpz_order_min"])
-        report.add_order("kpz", kpz_order)
+        _order(report, "kpz_order", "kpz", kpz_values, kpz_dxs, tol["kpz_order_min"])
         report.add_curves(
             "kpz_convergence",
             {"residual_sum": list(zip(kpz_dxs, kpz_values))},
@@ -887,10 +885,7 @@ def _study_section(cfg, report, grid, m, f, bank) -> None:
     if p0 == 0.0 and all(g == 0.0 for g in gaps):
         report.check("section_order", 0.0)
     else:
-        order = measure_order(gaps, eps_list)
-        report.add("section_order", order, order >= tol["section_order_min"],
-                   target=tol["section_order_min"])
-        report.add_order("section", order)
+        _order(report, "section_order", "section", gaps, eps_list, tol["section_order_min"])
         report.add_curves(
             "section_convergence",
             {"lambda=0": list(zip(eps_list, gaps))},

@@ -504,8 +504,6 @@ def h_eval(m: Mollifier, z) -> float:
     n = float(m.scale_n)
     d = m.grid.d
     s = n * float(np.sqrt(np.sum(z_arr * z_arr)))
-    if s >= 2.0:
-        return 0.0
     c_d, _ = BUMP_CONSTANTS[d]
     panels = {1: 4000, 2: 600, 3: 160}[d]
     axis = np.linspace(-1.0, 1.0, panels + 1)

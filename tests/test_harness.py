@@ -402,7 +402,7 @@ def test_every_acceptance_shrunk_and_smoke_run_config_still_validates():
     # every run of the CI smoke step that may exit 0 or 1
     workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
     runs = re.findall(r"smoke \S+ (\S+) '([^']*)'\s*\\?\s*\d+ \"0 1\"", workflow.read_text())
-    assert len(runs) == 9
+    assert len(runs) == 10
     for kind, config in runs:
         data = json.loads(config) if config else {"study": kind}
         ExperimentConfig.from_dict(data).validate()
@@ -640,6 +640,65 @@ def test_measure_order_input_validation():
         measure_order([1.0, 0.0, 0.25], [1.0, 0.5, 0.25])
     with pytest.raises(ValueError, match="resolutions"):
         measure_order([1.0, 0.5, 0.25], [0.5, 0.5, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# the verdict rules the studies share
+
+
+def _rules_report():
+    return StudyReport(study="converge", config={})
+
+
+def test_an_order_with_a_tol_lies_within_it_and_one_without_is_a_floor():
+    rep = _rules_report()
+    hs, second = [1.0, 0.5, 0.25], [1.0, 0.25, 0.0625]
+    within = studies._order(rep, "order_z", "heat_z", second, hs, 2.0, 0.25)
+    above = studies._order(rep, "kpz_order", "kpz", second, hs, 0.9)
+    below = studies._order(rep, "gap_order", "weak_gap", [1.0, 0.5, 0.25], hs, 1.5)
+    far = studies._order(rep, "cn_order_n2", "cn_n2", [1.0, 0.5, 0.25], hs, 2.0, 0.25)
+    assert within == {"name": "order_z", "value": pytest.approx(2.0), "passed": True,
+                      "target": 2.0, "tol": 0.25}
+    assert above == {"name": "kpz_order", "value": pytest.approx(2.0), "passed": True,
+                     "target": 0.9}
+    assert below == {"name": "gap_order", "value": pytest.approx(1.0), "passed": False,
+                     "target": 1.5}
+    assert not far["passed"] and far["tol"] == 0.25
+    assert rep.items == [within, above, below, far]
+    assert list(rep.orders) == ["heat_z", "kpz", "weak_gap", "cn_n2"]
+    assert rep.orders["kpz"] == above["value"]
+
+
+def test_a_relative_error_over_a_zero_scale_is_an_exact_zero_check():
+    rep = _rules_report()
+    assert studies._relative(rep, "qv_rel_err", 0.1, 4.0, 0.05) == {
+        "name": "qv_rel_err", "value": 0.025, "passed": True, "target": 0.0, "tol": 0.05}
+    assert studies._relative(rep, "pair_variance_rel", 0.0, 0.0, 0.05) == {
+        "name": "pair_variance_rel", "value": 0.0, "passed": True, "target": 0.0}
+    assert studies._relative(rep, "rel_gap_phi1", 1e-300, 0.0, 0.05) == {
+        "name": "rel_gap_phi1", "value": 1e-300, "passed": False, "target": 0.0}
+
+
+def test_a_non_increasing_ladder_reads_its_worst_step_ratio():
+    rep = _rules_report()
+    assert studies._non_increasing(rep, "a", [4.0, 2.0, 3.0], 1e-9) == {
+        "name": "a", "value": 1.5, "passed": False, "target": 1.0}
+    assert studies._non_increasing(rep, "b", [4.0, 2.0, 2.0 * (1 + 1e-12)], 1e-9)["passed"]
+    # a ladder that reaches 0 and stays there is non-increasing
+    assert studies._non_increasing(rep, "c", [4.0, 1.0, 0.0, 0.0], 1e-9) == {
+        "name": "c", "value": 1.0, "passed": True, "target": 1.0}
+
+
+def test_an_all_zero_ladder_passes_and_a_step_up_from_zero_fails_finitely():
+    # seen: a zero-amplitude test function has a zero defect at every scale,
+    # and the ratio of the step from 0 was inf, which no item may record
+    rep = _rules_report()
+    name = "limit_defect_monotone_phi1"
+    assert studies._non_increasing(rep, name, [0.0, 0.0, 0.0], 1e-12) == {
+        "name": name, "value": 0.0, "passed": True, "target": 0.0}
+    assert studies._non_increasing(rep, "cauchy_monotone_phi1", [2.0, 0.0, 0.5], 1e-9) == {
+        "name": "cauchy_monotone_phi1", "value": 0.5, "passed": False, "target": 0.0}
+    assert not rep.passed
 
 
 # ---------------------------------------------------------------------------
@@ -913,6 +972,10 @@ _REACHING = {
     "converge-2d": _read_by("converge", {"d": 2, "N": 64, "M": 832, "T": 0.05, "n": [2, 4, 8],
                                          "initial": {"kind": "gaussian-bump", "params": {
                                              **_BUMP_PARAMS, "center": [0.37, 0.61]}}}),
+    # a zero-amplitude φ: a zero defect and a zero Cauchy gap at every scale
+    "converge-zero": _read_by("converge", {"N": 64, "M": 1024, "n": [2, 4, 8], "bank": [
+        {"t_center": 0.05, "t_radius": 0.02, "x_center": [0.5], "x_radius": 0.2,
+         "amplitudes": [0.0]}]}),
     "qv": _read_by("qv", {"N": 32, "n": [2, 4, 8], "seed": 3}),
     "qv-flat": _read_by("qv", {"N": 8, "n": [2], "lambda": 0.0}),
 }
@@ -928,6 +991,7 @@ def test_the_reaching_examples_validate():
 @example(cfg=_REACHING["converge"])
 @example(cfg=_REACHING["converge-flat"])
 @example(cfg=_REACHING["converge-2d"])
+@example(cfg=_REACHING["converge-zero"])
 @example(cfg=_REACHING["qv"])
 @example(cfg=_REACHING["qv-flat"])
 def test_a_validated_config_reaches_a_verdict_or_breaks_down_by_name(cfg):
@@ -1109,6 +1173,25 @@ def test_noise_check_holds_less_than_one_chunk(tmp_path):
     assert peak < lattice._CHUNK_BYTES * 7 // 8, peak
 
 
+def test_the_lag_covariance_target_adds_the_torus_image(tmp_path):
+    # at n = 2 the covariance kernel's support 2/n reaches round the 128-node
+    # lag torus, so h_n(L − lag) adds to each lag's covariance; without it
+    # cov_lag_40 read 4.84 sigma at seed 7 and failed a correct sampler
+    cfg = ExperimentConfig(study="noise-check", n=(2,))
+    _, _, _, lag_m = cfg.validate()
+    report = run_study(cfg, out_dir=tmp_path)
+    g = lag_m.grid
+    _, *rows = [line.split(",")
+                for line in (tmp_path / "noise_covariance.csv").read_text().splitlines()]
+    images = []
+    for _, z, _, target, _, _ in rows:
+        h, image = noise.h_eval(lag_m, [float(z)]), noise.h_eval(lag_m, [g.L - float(z)])
+        assert float(target) == cfg.lam**2 * g.dt * (h + image)
+        images.append(image)
+    assert len(rows) == 5 and all(image > 0.0 for image in images[1:])
+    assert [it["passed"] for it in report.items if it["name"] == "cov_lag_40"] == [True]
+
+
 def test_noise_check_laws_do_not_hang_on_the_seed_block_size(tmp_path):
     # 7 seeds a block (a short last block for 2,500 and 10,000 seeds) and
     # the default 32 and 64: the same lag sums, item values and table bytes
@@ -1276,8 +1359,8 @@ def test_weak_residuals_csv_has_one_row_per_weak_report(tmp_path, monkeypatch):
     levels = []
     burgers_reports = studies._burgers_reports
 
-    def kept(cfg, ladder):
-        levels.extend(burgers_reports(cfg, ladder))
+    def kept(cfg, ladder, bank):
+        levels.extend(burgers_reports(cfg, ladder, bank))
         return levels
 
     monkeypatch.setattr(studies, "_burgers_reports", kept)

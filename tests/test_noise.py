@@ -313,6 +313,18 @@ def test_h_kernel_symmetry_and_support():
     assert h_eval(m, [0.2 / 4]) > 0.0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_h_kernel_vanishes_by_quadrature_where_the_supports_part(d):
+    # noise-check's h_support item reads the quadrature at n|z| ≥ 2, where the
+    # two bumps' supports are disjoint and every summand is exactly 0
+    m = make_mollifier(_grid(d=d, N=16 if d == 3 else 32, M=8), 2)
+    for s, inside in ((1.95, True), (2.0, False), (2.05, False), (3.0, False)):
+        z = np.zeros(d)
+        z[0] = s / m.scale_n
+        value = h_eval(m, z)
+        assert value > 0.0 if inside else value == 0.0, (s, value)
+
+
 def _whole_cell_averaged_kernel(grid, n, c_d):
     """The kernel build over the whole (b, g)^d tensor of candidate Gauss points."""
     z = grid.wrapped_offsets()
