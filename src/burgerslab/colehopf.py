@@ -50,8 +50,9 @@ the lattice; the duals −∇_h·(aP) and −∇_h·(aQ) are cached with the ban
 So the pass forms only ‖∇_h H‖², once per chunk for the whole bank, and
 its reports carry the space-time pairing ⟨U, φ⟩ = ⟨a·U, P⟩ that
 ``distributional_limit_1d`` reads across trajectories driven by one shared
-base realization at increasing mollification scales, to report the Cauchy
-differences of each φ's sequence without a log or a contraction of its own.
+base realization at increasing mollification scales, in any d, to report
+the Cauchy differences of each φ's sequence without a log or a contraction
+of its own.
 ``lojasiewicz_section`` evaluates short-time sections ∫ ρ_ε(t) ⟨U_t, φ_x⟩ dt
 through either side of the summation-by-parts identity
 ⟨∇_h H, φ⟩ = −⟨H, ∇_h·φ⟩, which holds exactly on the lattice.
@@ -384,7 +385,7 @@ class LimitSequence:
 
 
 def distributional_limit_1d(entries) -> list:
-    """Track ⟨U_n, φ⟩_{space-time} across mollification scales in d = 1.
+    """Track ⟨U_n, φ⟩_{space-time} across mollification scales in any d.
 
     ``entries`` holds one list of weak reports per trajectory
     (`weak_residual_batch`, `WeakPairings.reports`), each for one bank in
@@ -405,9 +406,7 @@ def distributional_limit_1d(entries) -> list:
         if [r.phi_id for r in reports] != ids:
             raise ValueError(f"all entries must report one bank, {ids} in this order")
         for r in reports:
-            if r.d != 1:
-                raise ValueError(f"this diagnostic is one-dimensional, got d={r.d}")
-            if (r.N, r.M) != (r0.N, r0.M):
+            if (r.d, r.N, r.M) != (r0.d, r0.N, r0.M):
                 raise ValueError("all trajectories must share one grid")
             if (r.seed, r.lam) != (r0.seed, r0.lam):
                 raise ValueError("all trajectories must share one base realization")

@@ -61,15 +61,16 @@ converge
     the defect ladder decreases (deterministic) and the deviation stays
     within limit_ratio_factor·λ·defect at every n (the deviation *is* the
     pairing of the noise with the defect field, so the factor is a
-    sigma-level bound on a standard Gaussian); in d = 1 the distributional
-    pairings ⟨U_n, φ⟩ must form a Cauchy column, monotone for the
-    designated first test function, whose terminal value sits within
-    limit_terminal_factor·(dx² + dt)·scale of a grid-scale reference (the
-    same scheme driven by the raw increments through a delta kernel) for
-    every test function; and the KPZ residual sum must decay with order
+    sigma-level bound on a standard Gaussian); the distributional pairings
+    ⟨U_n, φ⟩ form a Cauchy column in every d (cauchy.csv), and in d = 1,
+    where it ends at a grid-scale reference (the same scheme driven by the
+    raw increments through a delta kernel), it must be monotone for the
+    designated first test function, and its terminal value must sit within
+    limit_terminal_factor·(dx² + dt)·scale of the reference for every test
+    function; and the KPZ residual sum must decay with order
     ≥ kpz_order_min under coupled refinement, vanishing exactly for flat
-    λ = 0 data.  In d = 1 it needs at least 3 strictly increasing scales
-    below N (the reference's): the Cauchy monotone gate reads two ladder gaps.
+    λ = 0 data.  It needs at least 3 strictly increasing scales below N (in
+    d = 1 the reference's): the Cauchy monotone gate reads two ladder gaps.
     The scales and the reference march as one `heat.stream` batch; only
     the reference's Z is kept whole, and the base noise is drawn again
     once the batch's weak-pass sums are freed.
@@ -259,6 +260,13 @@ def _relative(report, name: str, error: float, scale: float, tol: float) -> dict
     return report.check(name, error / scale, tol=tol)
 
 
+def _ratio(num: float, den: float) -> float:
+    """num/den of two values ≥ 0, where 0/0 is 0.0 and a positive num over 0 is inf."""
+    if den == 0.0:
+        return math.inf if num else 0.0
+    return num / den
+
+
 def _non_increasing(report, name: str, values, slack: float) -> dict:
     """Record the worst ratio of a value to the one before it, which must be ≤ 1 + slack.
 
@@ -383,10 +391,7 @@ def _study_noise_check(cfg, report, grid, mollifiers, rg, m2) -> None:
         target = cfg.lam**2 * rg2.dt * (h_eval(m2, [z]) + h_eval(m2, [rg2.L - z]))
         variance = max(sumsq[j] / count - mean * mean, 0.0)
         se = math.sqrt(variance / count)
-        if se == 0.0:
-            sigma = 0.0 if mean == target else math.inf
-        else:
-            sigma = abs(mean - target) / se
+        sigma = _ratio(abs(mean - target), se)
         report.check(f"cov_lag_{lag}", sigma, tol=tol["cov_sigma"])
         rows.append((lag, lag * rg2.dx, mean, target, se, sigma))
     report.add_table("noise_covariance.csv",
@@ -680,8 +685,8 @@ def _plan_converge(cfg, grid: TorusGrid, errors: list) -> tuple:
     kpz = _ladder(errors, "grid", grid, (4, 2), scales[1], cfg) if fits else []
     ordered = all(a < b for a, b in zip(scales, scales[1:]))
     resolved = "n" not in dict(errors)  # the Cauchy column reads every scale's trajectory
-    if grid.d == 1 and resolved and not (len(scales) >= 3 and ordered and scales[-1] < grid.N):
-        errors.append(("n", f"the d = 1 Cauchy column needs at least 3 strictly increasing "
+    if resolved and not (len(scales) >= 3 and ordered and scales[-1] < grid.N):
+        errors.append(("n", f"the Cauchy column needs at least 3 strictly increasing "
                             f"scales below N = {grid.N}, got {scales}"))
     f = _planned(errors, "initial", repr(cfg.initial_kind), _initial_on, cfg, grid)
     bank = _planned(errors, "bank", "", build_bank, grid, cfg.bank)
@@ -727,7 +732,7 @@ def _stream_scales(cfg, grid, mollifiers, reference, f, bank) -> tuple:
 
 
 def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, kpz) -> None:
-    """The limit ladder, the d = 1 Cauchy column and the KPZ ladder of one realization.
+    """The limit ladder, the Cauchy column and the KPZ ladder of one realization.
 
     The scales stream first (`_stream_scales`).  The base ΔW that the
     reference's noise and the KPZ ladder read is the same realization drawn
@@ -748,8 +753,7 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
         devs = [abs(r.rhs - limit) for r in reports]
         defects = [mollification_defect(m, phi) for m in mollifiers]
         for n, r, dev, defect in zip(scales, reports, devs, defects):
-            ratio = dev / defect if defect > 0 else math.inf
-            rows.append((phi.id, n, r.rhs, limit, dev, defect, ratio))
+            rows.append((phi.id, n, r.rhs, limit, dev, defect, _ratio(dev, defect)))
         dev_curves[phi.id] = list(zip((float(n) for n in scales), devs))
         # The convergence envelope: the deviation equals the pairing of the
         # noise with the mollification defect of ∇·φ, so its size is governed
@@ -768,34 +772,33 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
             # zero noise: rhs and limit are both exactly zero at every n
             report.check(f"limit_ratio_{phi.id}", max(devs))
             continue
-        sigma = max(
-            dev / (cfg.lam * defect) if defect > 0 else (0.0 if dev == 0.0 else math.inf)
-            for dev, defect in zip(devs, defects)
-        )
+        sigma = max(_ratio(dev, cfg.lam * defect) for dev, defect in zip(devs, defects))
         report.check(f"limit_ratio_{phi.id}", sigma, tol=tol["limit_ratio_factor"])
     report.add_table("limit.csv",
                      ("phi_id", "n", "rhs", "limit_pairing", "deviation", "defect", "ratio"), rows)
     report.add_curves("limit_deviation", dev_curves,
                       xlabel="n", ylabel="|rhs(n) - limit|")
 
-    # 1-D distributional Cauchy column with the grid-scale terminal reference
-    if grid.d == 1:
+    # The distributional Cauchy column of every φ, in every d.  Where the plan
+    # builds the grid-scale reference (d = 1), the column ends at it, and two
+    # gates read it.  The monotone-gap gate reads one designated test function
+    # (the first in the bank); every φ is held to the terminal budget.  Gap
+    # sequences of the remaining φ are generically decreasing too, but a
+    # near-zero dip at one scale (unusually good agreement) would register as
+    # an "increase" at the next, so a bank-wide hard gate would reject healthy
+    # realizations.
+    entries = list(weak_by_scale)
+    if reference is not None:
         u_ref_norm = math.sqrt(_u_l2_sq(ref_sol))
-        cauchy_rows = []
-        cauchy_curves = {}
-        # The monotone-gap gate reads one designated test function (the first
-        # in the bank); every φ still gets its full gap column in the CSV and
-        # curves, and every φ is held to the terminal budget below.  Gap
-        # sequences of the remaining φ are generically decreasing too, but a
-        # near-zero dip at one scale (unusually good agreement) would register
-        # as an "increase" at the next, so a bank-wide hard gate would reject
-        # healthy realizations.
-        designated = bank[0].id
         # the reference's weak reports feed only the Cauchy column
-        seqs = distributional_limit_1d(weak_by_scale + [weak_residual_batch(ref_sol, bank)])
-        for phi, seq in zip(bank, seqs):
+        entries.append(weak_residual_batch(ref_sol, bank))
+        del ref_sol  # nothing below reads the reference
+    cauchy_rows = []
+    cauchy_curves = {}
+    for phi, seq in zip(bank, distributional_limit_1d(entries)):
+        if reference is not None:
             *ladder_gaps, terminal = seq.cauchy_gaps
-            if phi.id == designated:
+            if phi.id == bank[0].id:
                 _non_increasing(report, f"cauchy_monotone_{phi.id}", ladder_gaps, 1e-9)
             _, _, Q = phi.spatial_tensors(grid)
             amp_sq = sum(a * a for a in phi.amplitudes)
@@ -806,17 +809,13 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
             scale = u_ref_norm * lap_norm
             budget = tol["limit_terminal_factor"] * (grid.dx**2 + grid.dt) * scale
             report.check(f"cauchy_terminal_{phi.id}", terminal, tol=budget)
-            # the first scale has no previous one to take a gap from
-            cauchy_rows.extend((phi.id, n_val, p_val, gap) for n_val, p_val, gap
-                               in zip(seq.scales, seq.pairings, ("", *seq.cauchy_gaps)))
-            cauchy_curves[phi.id] = [
-                (float(n_hi), g)
-                for n_hi, g in zip(seq.scales[1:], seq.cauchy_gaps)
-            ]
-        report.add_table("cauchy.csv", ("phi_id", "n", "pairing", "cauchy_gap"), cauchy_rows)
-        report.add_curves("cauchy_gaps", cauchy_curves,
-                          xlabel="n", ylabel="|v(n_hi) - v(n_lo)|")
-        del ref_sol  # nothing below reads the reference
+        # the first scale has no previous one to take a gap from
+        cauchy_rows.extend((phi.id, n_val, p_val, gap) for n_val, p_val, gap
+                           in zip(seq.scales, seq.pairings, ("", *seq.cauchy_gaps)))
+        cauchy_curves[phi.id] = [(float(n), g) for n, g in zip(seq.scales[1:], seq.cauchy_gaps)]
+    report.add_table("cauchy.csv", ("phi_id", "n", "pairing", "cauchy_gap"), cauchy_rows)
+    report.add_curves("cauchy_gaps", cauchy_curves,
+                      xlabel="n", ylabel="|v(n_hi) - v(n_lo)|")
 
     # KPZ residual decay under coupled refinement of one realization
     kpz_rows = []

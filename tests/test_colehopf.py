@@ -7,6 +7,7 @@ import pytest
 
 from burgerslab.bank import TestFunction, build_bank
 from burgerslab.colehopf import (
+    LimitSequence,
     cole_hopf,
     distributional_limit_1d,
     kpz_residual,
@@ -363,15 +364,20 @@ def test_distributional_limit_validation(scale_family):
         distributional_limit_1d([reports[0], weak_residual_batch(coarser, bank[1:2])])
 
 
-def test_distributional_limit_needs_one_dimension():
+def test_distributional_limit_in_two_dimensions():
     g = TorusGrid(d=2, N=16, M=208, T=T)
     base = sample_noise(g, seed=1, lam=1.0)
-    phis = build_bank(g)[:1]
+    phis = build_bank(g)[:2]
     entries = [
         solve_heat(g, mollify(base, make_mollifier(g, n)), initial_zero(g)) for n in (2, 4)
     ]
-    with pytest.raises(ValueError, match="one-dimensional"):
-        distributional_limit_1d(_reports(entries, phis))
+    reports = _reports(entries, phis)
+    seqs = distributional_limit_1d(reports)
+    assert len(seqs) == len(phis)
+    for k, seq in enumerate(seqs):
+        pairings = tuple(column[k].pairing for column in reports)
+        assert seq == LimitSequence((2, 4), pairings, (abs(pairings[1] - pairings[0]),))
+        assert all(np.isfinite(pairings)) and pairings[0] != pairings[1]
 
 
 def test_section_summation_by_parts_is_exact(scale_family):

@@ -701,6 +701,12 @@ def test_an_all_zero_ladder_passes_and_a_step_up_from_zero_fails_finitely():
     assert not rep.passed
 
 
+def test_a_ratio_reads_zero_over_zero_as_zero_and_a_positive_value_over_zero_as_inf():
+    assert studies._ratio(3.0, 2.0) == 1.5
+    assert studies._ratio(0.0, 0.0) == 0.0
+    assert studies._ratio(1e-300, 0.0) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -933,6 +939,62 @@ def test_converge_takes_each_fine_trajectorys_log_once(tmp_path, monkeypatch):
             monkeypatch.setattr(module, "checked_log", counted)
     run_study(cfg, out_dir=tmp_path / "c")
     assert len(passes) == 6
+
+
+def test_a_zero_amplitude_limit_table_reads_the_ratio_its_item_reads(tmp_path):
+    # seen: limit.csv wrote ratio inf where deviation and defect were both 0,
+    # while limit_ratio_phi1 read 0.0 for the same pair
+    rep = run_study(_REACHING["converge-zero"], out_dir=tmp_path)
+    rows = (tmp_path / "limit.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4:] for row in rows] == [["0.0", "0.0", "0.0"]] * 3
+    assert {"name": "limit_ratio_phi1", "value": 0.0, "passed": True, "target": 0.0,
+            "tol": 3.0} in rep.items
+
+
+# the items of _REACHING["converge-2d"] before its Cauchy column ran: the
+# column adds no item in d = 2, where the plan builds no grid-scale reference
+_CONVERGE_2D_ITEMS = [
+    ("limit_defect_monotone_phi1", 0.7555892759912558), ("limit_ratio_phi1", 2.201654634942372),
+    ("limit_defect_monotone_phi2", 0.8699716400512322), ("limit_ratio_phi2", 0.536234660871947),
+    ("limit_defect_monotone_phi3", 0.6842689631261674), ("limit_ratio_phi3", 0.6347232882565719),
+    ("limit_defect_monotone_phi4", 0.6528103560341126), ("limit_ratio_phi4", 0.39918554173946535),
+    ("limit_defect_monotone_phi5", 0.7958569311594965), ("limit_ratio_phi5", 1.5433457484814799),
+    ("limit_defect_monotone_phi6", 0.7204820540872758), ("limit_ratio_phi6", 1.0176172867540112),
+    ("kpz_order", 1.7910320555732158), ("kpz_flat_zero", 0.0),
+]
+
+
+def test_a_two_dimensional_converge_writes_its_cauchy_column_and_no_new_item(tmp_path):
+    rep = run_study(_REACHING["converge-2d"], out_dir=tmp_path)
+    assert [(it["name"], it["value"]) for it in rep.items] == [
+        (name, pytest.approx(value, rel=1e-9)) for name, value in _CONVERGE_2D_ITEMS]
+    assert rep.passed
+    assert (tmp_path / "cauchy_gaps.svg").exists()
+    lines = (tmp_path / "cauchy.csv").read_text().splitlines()
+    assert lines[0] == "phi_id,n,pairing,cauchy_gap"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(phi_id, n) for phi_id, n, _, _ in rows] == [
+        (f"phi{i}", n) for i in range(1, 7) for n in ("2", "4", "8")]
+    for k in range(0, len(rows), 3):
+        pairings = [float(row[2]) for row in rows[k : k + 3]]
+        assert [row[3] for row in rows[k : k + 3]] == [
+            "", repr(abs(pairings[1] - pairings[0])), repr(abs(pairings[2] - pairings[1]))]
+
+
+@pytest.mark.parametrize("n", [[2, 4], [8, 4, 2]], ids=["two", "decreasing"])
+def test_a_two_dimensional_converge_needs_three_increasing_scales(n, tmp_path, capsys):
+    # seen: both ran in d = 2, where only d = 1 was held to the Cauchy column's scales
+    data = {**_REACHING["converge-2d"].to_dict(), "n": n}
+    message = (f"the Cauchy column needs at least 3 strictly increasing scales below "
+               f"N = 64, got {tuple(n)}")
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(data).validate()
+    assert err.value.errors == [("n", message)]
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "art"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["converge", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"error: n: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_section_deterministic_tiny_run_passes(tmp_path):
