@@ -11,8 +11,9 @@ loaded one alike: ``_SCALARS`` lists each scalar field once with its kind,
 and a JSON ``true`` is neither a number nor a path.  ``validate()`` checks
 the values of the keys the study's row in ``STUDIES`` reads (the config
 grid, its stability, n ≥ 1, seed < 2⁶⁴, num_paths, refine_levels, lambda,
-tolerances), refuses every other key set away from its default, then runs
-and returns the study's plan: each study checks what it builds and seeds.
+tolerances), refuses every other key, and every tolerance outside the row,
+set away from its default, then runs and returns the study's plan: each
+study checks what it builds and seeds.
 
 Tolerances default to the acceptance thresholds; tightening them is a
 config edit, not a code change.
@@ -199,6 +200,11 @@ class ExperimentConfig:
                             f"{', '.join(study.reads)}); got {value!r}")
                       for key, value in self.to_dict().items()  # none, for an unknown kind
                       if key not in reads and value != default.get(key))
+        errors.extend(("tolerances", f"the {self.study} study does not read {name} (it reads "
+                                     f"{', '.join(study.tolerances)}); got {value!r}")
+                      for name, value in self.tolerances.items() if study is not None
+                      and name in DEFAULT_TOLERANCES and name not in study.tolerances
+                      and value != DEFAULT_TOLERANCES[name])
         plan = None
         if grid is not None and study is not None and formed:
             plan = study.plan(self, grid, errors)

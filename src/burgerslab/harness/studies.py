@@ -1,11 +1,12 @@
 """The seven verification studies behind the CLI.
 
-Each study is a ``Study`` row of ``STUDIES``: a plan, a run, and the config
-keys they read.  The plan ``_plan_<kind>(cfg, grid, errors)`` builds the
-grids, mollifiers, bank and initial data the study runs on (nothing larger
-than one N^d slice) and records a named error for each check it fails;
-``ExperimentConfig.validate()`` raises them, with any key outside the row
-set away from its default, as one ConfigError, or returns the plan.  The run
+Each study is a ``Study`` row of ``STUDIES``: a plan, a run, the config
+keys they read and the tolerances the run reads.  The plan
+``_plan_<kind>(cfg, grid, errors)`` builds the grids, mollifiers, bank and
+initial data the study runs on (nothing larger than one N^d slice) and
+records a named error for each check it fails; ``ExperimentConfig.validate()``
+raises them, with any key or tolerance outside the row set away from its
+default, as one ConfigError, or returns the plan.  The run
 ``_study_<kind>(cfg, report, *plan)`` fills a StudyReport with named
 pass/fail verdicts against the config's tolerance table, and ``run_study``
 emits its artifacts (study.json, CSV tables, SVG charts).  Every planned
@@ -71,9 +72,9 @@ converge
     ≥ kpz_order_min under coupled refinement, vanishing exactly for flat
     λ = 0 data.  It needs at least 3 strictly increasing scales below N (in
     d = 1 the reference's): the Cauchy monotone gate reads two ladder gaps.
-    The scales and the reference march as one `heat.stream` batch; only
-    the reference's Z is kept whole, and the base noise is drawn again
-    once the batch's weak-pass sums are freed.
+    One `heat.stream` marches the KPZ ladder and, as its fine batch, the
+    scales and the reference, whose Z alone is kept whole and whose noise
+    alone draws the base again: in d ≥ 2 the base is drawn once.
 section
     Time sections of the gradient field by averaging against a shrinking
     one-sided bump: in the λ = 0 branch |s(eps) − ⟨∇f, φ_x⟩| must decay
@@ -110,7 +111,6 @@ from burgerslab.lattice import (
     inner_space,
 )
 from burgerslab.noise import (
-    coarse_grain,
     coarse_grid,
     draw_chunks,
     draw_seeds,
@@ -126,6 +126,8 @@ from burgerslab.noise import (
     sample_noise,
     wiener_path,
 )
+# Unused here; perfbench/tracing.py's noise.coarse_grain target resolves through it.
+from burgerslab.noise import coarse_grain  # noqa: F401
 from burgerslab.heat import HeatSolution, compensator, initial_zero, make_initial, solve_heat
 from burgerslab.heat import stream
 from burgerslab.colehopf import (
@@ -694,55 +696,60 @@ def _plan_converge(cfg, grid: TorusGrid, errors: list) -> tuple:
     return grid, scales, mollifiers, reference, f, bank, kpz
 
 
-def _stream_scales(cfg, grid, mollifiers, reference, f, bank) -> tuple:
-    """Weak reports per scale, the KPZ residual sum at the second, the base and the reference.
+def _stream_scales(cfg, grid, mollifiers, reference, f, bank, kpz) -> tuple:
+    """Weak reports per scale, the KPZ ladder's kpz.csv rows and the reference.
 
-    The scales and, in d = 1, the grid-scale reference march as one
-    `heat.stream` batch; each scale's chunk is logged once, by its weak
-    pass, which hands that H to the KPZ residual.  Only the reference's Z
-    (a stored `HeatSolution` for the Cauchy column) is kept.  The base (for
-    the reference's noise and the KPZ ladder) is drawn again with
-    `sample_noise` once the stream has ended and the scales' weak-pass sums
-    are freed, so it never sits beside them or the chunk buffers.  Philox is
-    counter-based and `draw_chunks` reads one stream in order, so the whole
-    draw equals the streamed chunks bit for bit.
+    One `heat.stream` marches the KPZ ladder's coarse levels (one member
+    each, at the second scale), then the scales and, in d = 1, the
+    grid-scale reference as its fine batch.  Each coarse chunk is logged
+    and goes through its level's `kpz_pass`; each scale's chunk is logged
+    once, by its weak pass, which hands the second scale's H to the fine
+    level's `kpz_pass`.  Only the reference's Z (a stored `HeatSolution`) is kept,
+    and its noise is the base drawn again with `sample_noise` once the
+    weak-pass sums are freed: Philox is counter-based, so the whole draw
+    equals the streamed chunks bit for bit.
     """
+    levels = kpz + [(1, grid, mollifiers[1], f)]  # (fac, grid, KPZ member, f), coarsest first
     members = mollifiers + ([] if reference is None else [reference])
+    passes = [kpz_pass(g, compensator(cfg.lam, m, g.dt)) for _, g, m, _ in levels]
+    residuals = [np.empty(g.M) for _, g, _, _ in levels]
     pairings = WeakPairings(grid, bank, len(mollifiers))
     ref_values = None if reference is None else np.empty((grid.M + 1,) + grid.shape)
-    residual = np.empty(grid.M)
-    kpz = kpz_pass(grid, compensator(cfg.lam, mollifiers[1], grid.dt))
-    for _, a, b, Z, dwns, dw in stream([(1, grid, members)], cfg.seed, cfg.lam,
-                                       [np.exp(f.values)]):
+    chunks = stream([(fac, g, [m] if fac > 1 else members) for fac, g, m, _ in levels],
+                    cfg.seed, cfg.lam, [np.exp(f_l.values) for *_, f_l in levels])
+    for i, a, b, Z, dwns, dw in chunks:
+        if i < len(kpz):
+            residuals[i][a:b] = passes[i](checked_log(Z[0], a), dwns[0])
+            continue
         pairings.add_base(a, b, dw)
         for s in range(len(mollifiers)):
             H = pairings.add(a, b, Z[s], dwns[s], s)
             if s == 1:
-                residual[a:b] = kpz(H, dwns[s])
+                residuals[-1][a:b] = passes[-1](H, dwns[s])
         if reference is not None:
             ref_values[a : b + 1] = Z[-1]
     del H, Z, dwns, dw  # the last chunk's buffers, which the reports do not read
     weak_by_scale = [pairings.reports(m.scale_n, cfg.seed, cfg.lam, s)
                      for s, m in enumerate(mollifiers)]
     del pairings
-    base = sample_noise(grid, cfg.seed, cfg.lam)
-    ref_sol = (None if reference is None
-               else HeatSolution(grid, mollify(base, reference), ref_values))
-    return weak_by_scale, float(np.sum(residual)), base, ref_sol
+    ref_sol = (None if reference is None else HeatSolution(
+        grid, mollify(sample_noise(grid, cfg.seed, cfg.lam), reference), ref_values))
+    return weak_by_scale, [(g.N, g.M, g.dx, g.dt, float(np.sum(r)))
+                           for (_, g, _, _), r in zip(levels, residuals)], ref_sol
 
 
 def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, kpz) -> None:
     """The limit ladder, the Cauchy column and the KPZ ladder of one realization.
 
-    The scales stream first (`_stream_scales`).  The base ΔW that the
-    reference's noise and the KPZ ladder read is the same realization drawn
-    a second time, after the stream, rather than copied out of it chunk by
+    All but the flat λ = 0 run streams (`_stream_scales`).  The base ΔW
+    that the d = 1 reference's noise reads is the same realization drawn a
+    second time, after the stream, rather than copied out of it chunk by
     chunk: the counter-based stream gives the same bits either way, and the
-    whole base then never coexists with the four scales' weak-pass sums.
+    whole base then never coexists with the scales' weak-pass sums.
     """
     tol = cfg.tolerances
-    weak_by_scale, kpz_fine_value, base, ref_sol = _stream_scales(
-        cfg, grid, mollifiers, reference, f, bank)
+    weak_by_scale, kpz_rows, ref_sol = _stream_scales(
+        cfg, grid, mollifiers, reference, f, bank, kpz)
 
     dev_curves = {}
     rows = []
@@ -818,12 +825,6 @@ def _study_converge(cfg, report, grid, scales, mollifiers, reference, f, bank, k
                       xlabel="n", ylabel="|v(n_hi) - v(n_lo)|")
 
     # KPZ residual decay under coupled refinement of one realization
-    kpz_rows = []
-    for fac, g, m, f_l in kpz:
-        mn_l = mollify(coarse_grain(base, fac), m)
-        val = float(np.sum(kpz_residual(solve_heat(g, mn_l, f_l))))
-        kpz_rows.append((g.N, g.M, g.dx, g.dt, val))
-    kpz_rows.append((grid.N, grid.M, grid.dx, grid.dt, kpz_fine_value))
     report.add_table("kpz.csv", ("N", "M", "dx", "dt", "residual_sum"), kpz_rows)
     _, _, kpz_dxs, _, kpz_values = zip(*kpz_rows)
     if all(v > 0.0 for v in kpz_values):
@@ -910,17 +911,23 @@ def _study_section(cfg, report, grid, m, f, bank) -> None:
 # registry and entry point
 
 # A study's row: validate() calls the plan, run_study the run, and the two read
-# only these JSON keys besides those every study accepts (config._EVERY_STUDY)
-Study = namedtuple("Study", "plan run reads")
+# only these JSON keys besides those every study accepts (config._EVERY_STUDY),
+# and only these tolerances
+Study = namedtuple("Study", "plan run reads tolerances")
 _MARCHED = ("d", "N", "M", "L", "T", "n", "lambda", "initial")  # the config grid, marched from f
 STUDIES = {
-    "noise-check": Study(_plan_noise_check, _study_noise_check, ("d", "N", "L", "T", "n", "lambda")),
-    "qv": Study(_plan_qv, _study_qv, ("N", "L", "T", "n", "lambda")),
-    "heat": Study(_plan_heat, _study_heat, ("N", "M", "L", "T", "initial")),
-    "burgers": Study(_plan_burgers, _study_burgers, _MARCHED + ("bank", "refine_levels")),
-    "fk-check": Study(_plan_fk_check, _study_fk_check, _MARCHED + ("num_paths",)),
-    "converge": Study(_plan_converge, _study_converge, _MARCHED + ("bank",)),
-    "section": Study(_plan_section, _study_section, _MARCHED + ("bank",)),
+    "noise-check": Study(_plan_noise_check, _study_noise_check, ("d", "N", "L", "T", "n", "lambda"),
+                         ("kernel_mass", "h_zero_rel", "duality_tol", "pair_var_rel", "cov_sigma")),
+    "qv": Study(_plan_qv, _study_qv, ("N", "L", "T", "n", "lambda"), ("qv_rel", "cn_order")),
+    "heat": Study(_plan_heat, _study_heat, ("N", "M", "L", "T", "initial"), ("heat_C", "heat_order")),
+    "burgers": Study(_plan_burgers, _study_burgers, _MARCHED + ("bank", "refine_levels"),
+                     ("weak_rel_gap", "weak_order_min")),
+    "fk-check": Study(_plan_fk_check, _study_fk_check, _MARCHED + ("num_paths",),
+                      ("fk_sigma", "fk_exponent_tol")),
+    "converge": Study(_plan_converge, _study_converge, _MARCHED + ("bank",),
+                      ("limit_ratio_factor", "limit_terminal_factor", "kpz_order_min")),
+    "section": Study(_plan_section, _study_section, _MARCHED + ("bank",),
+                     ("section_order_min", "duality_tol")),
 }
 
 

@@ -174,8 +174,8 @@ class HeatSolution:
     `values` stacks the M+1 time slices, shape (M+1,) + grid.shape, each
     checked by the march to be finite and strictly positive, and
     `noise.base` is the realization underneath.  Only the readers of a
-    whole trajectory build one: section, fk-check, converge's KPZ ladder,
-    flat run and grid-scale reference; the other studies `stream`.
+    whole trajectory build one: section, fk-check, converge's flat run and
+    grid-scale reference; the other studies `stream`.
     """
 
     grid: TorusGrid

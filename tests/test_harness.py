@@ -1,5 +1,7 @@
 """Harness: config validation/serialization, order fits, reports, CLI, layering."""
 
+import ast
+import inspect
 import json
 import math
 import os
@@ -548,10 +550,41 @@ def test_validate_rejects_unknown_and_nonpositive_tolerances():
         ExperimentConfig(study="qv", tolerances={"qv_rel": 0.0}).validate()
     # seen: inf wrote "tol": Infinity (not JSON) into study.json, a section
     # inf died only after the whole study ran, and True was used as 1
-    for name, value in (("qv_rel", math.inf), ("section_order_min", math.inf), ("cn_order", True)):
-        errors = _errors(study="qv", tolerances={name: value})
+    for study, name, value in (("qv", "qv_rel", math.inf), ("section", "section_order_min", math.inf),
+                               ("qv", "cn_order", True)):
+        errors = _errors(study=study, tolerances={name: value})
         assert [field for field, _ in errors] == ["tolerances"]
         assert f"for [{name!r}]" in errors[0][1]
+
+
+@pytest.mark.parametrize("data,name,value", [
+    ({"study": "qv", "tolerances": {"fk_sigma": 1.0}}, "fk_sigma", 1.0),
+    ({"study": "heat", "tolerances": {"weak_rel_gap": 1e-30}}, "weak_rel_gap", 1e-30),
+], ids=["qv-fk_sigma", "heat-weak_rel_gap"])
+def test_a_tolerance_the_study_does_not_read_is_named(data, name, value, tmp_path, capsys):
+    # seen: both validated, and study.json echoed a tolerance no item was judged by
+    reads = ", ".join(STUDIES[data["study"]].tolerances)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(data).validate()
+    assert err.value.errors == [("tolerances", f"the {data['study']} study does not read {name} "
+                                               f"(it reads {reads}); got {value!r}")]
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "art"
+    cfg_path.write_text(json.dumps(data))
+    assert main([data["study"], "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"error: tolerances: the {data['study']} study does not read" in capsys.readouterr().err
+    assert not out.exists()
+    # a tolerance outside the row left at its default is no override, as for a field
+    ExperimentConfig.from_dict({**data, "tolerances": {name: DEFAULT_TOLERANCES[name]}}).validate()
+
+
+@pytest.mark.parametrize("kind", list(STUDIES))
+def test_each_row_names_the_tolerances_its_run_reads(kind):
+    # every tol["…"] that _study_<kind> subscripts, and no other name
+    tree = ast.parse(inspect.getsource(STUDIES[kind].run))
+    read = {node.slice.value for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name) and node.value.id == "tol"}
+    assert read == set(STUDIES[kind].tolerances)
+    assert read <= set(DEFAULT_TOLERANCES)
 
 
 def test_from_dict_rejects_unknown_keys_and_missing_study():
@@ -1309,14 +1342,18 @@ _DRAWN = {
     "section": ({}, 410 * 64),  # the λ > 0 branch
     "fk-check": ({}, 410 * 32),
 }
+# a converge config outside the acceptance set -> M·N^d: in d = 2 its one
+# stream marches the KPZ ladder, the scales and no reference
+_DRAWN_REACHING = {"converge-2d": 832 * 64**2}
 
 
-@pytest.mark.parametrize("name", list(_DRAWN))
+@pytest.mark.parametrize("name", [*_DRAWN, *_DRAWN_REACHING])
 def test_each_study_draws_the_white_noise_it_reads_once(name, tmp_path, monkeypatch):
     # counts the values drawn from the streams seeded_stream keys with the
     # white-noise tag and the rows of draw_seeds; fk's Brownian walk and
-    # noise-check's duality fields come from streams of their own.  converge
-    # draws its base a second time after the scale stream, so it is not here
+    # noise-check's duality fields come from streams of their own.  The 1-D
+    # converge is not here: its grid-scale reference still draws the base a
+    # second time after the stream
     from test_acceptance import CONFIGS
 
     counts = []
@@ -1342,8 +1379,12 @@ def test_each_study_draws_the_white_noise_it_reads_once(name, tmp_path, monkeypa
 
     monkeypatch.setattr(noise, "seeded_stream", counted_stream)
     monkeypatch.setattr(studies, "draw_seeds", counted_batch)
-    changes, drawn = _DRAWN[name]
-    run_study(CONFIGS[name].replace(**changes), out_dir=tmp_path)
+    if name in _DRAWN:
+        changes, drawn = _DRAWN[name]
+        run_study(CONFIGS[name].replace(**changes), out_dir=tmp_path)
+    else:
+        drawn = _DRAWN_REACHING[name]
+        run_study(_REACHING[name], out_dir=tmp_path)
     assert sum(counts) == drawn
 
 

@@ -293,6 +293,26 @@ def test_burgers_holds_no_space_time_stack(tmp_path):
     assert rise < stack / 2, (rise, stack)
 
 
+def test_2d_converge_holds_no_space_time_stack(tmp_path):
+    # one stream marches the KPZ ladder and the scales, and d = 2 has no
+    # grid-scale reference, so nothing the size of the fine (M+1)·N² stack
+    # exists: a traced peak of 0.13 stacks.  Block-summing a stored base for
+    # the KPZ ladder peaked at 1.30
+    cfg = ExperimentConfig.from_dict({
+        "study": "converge", "d": 2, "N": 64, "M": 3328, "T": 0.05, "n": [2, 4, 8],
+        "initial": {"kind": "gaussian-bump", "params": {"a": 0.5, "w": 0.12, "center": [0.37, 0.61]}},
+    })
+    cfg.validate()  # the plan's kernels and bank are not the run's peak
+    tracemalloc.start()
+    try:
+        run_study(cfg, out_dir=tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stack = (cfg.M + 1) * cfg.N**2 * 8
+    assert peak < stack / 4, (peak, stack)
+
+
 def test_heat_holds_no_space_time_stack(tmp_path):
     # the default heat config (N = 128, M = 32768) marches its finest level
     # chunk by chunk: less than half of one (M+1)·N stack, 16 MiB
