@@ -45,15 +45,20 @@ node, and stops the chunk loop, instead of after all M steps.
 
 `stream` is the one chunk loop of the studies that keep no trajectory: it
 draws, block-sums, mollifies and marches a coupled ladder of batches one
-chunk at a time and yields each checked chunk.  `solve_heat` marches a
-whole stored (M+1)-slice stack for the readers of a whole trajectory.
-Every operation of the per-step update is elementwise and kept in the
-order written above, so a batched, chunked or streamed trajectory equals
-the single march bit for bit.
+chunk at a time and yields each checked chunk.  Except at λ = 0, a worker
+thread that ends with the stream prepares (draws, block-sums and
+mollifies) the next chunk into a second noise set, sharing the first
+one's scratch, while the caller marches the current one.  `solve_heat`
+marches a whole stored (M+1)-slice stack for the readers of a whole
+trajectory.  Every operation of the per-step update is elementwise and
+kept in the order written above, and the worker draws the Philox stream in
+order, so a batched, chunked or streamed trajectory equals the single
+march bit for bit, with or without a core for the worker.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
@@ -291,6 +296,58 @@ def marcher(grid: TorusGrid, members: int, steps: int):
     return core.swapaxes(0, 1), march
 
 
+_END = object()  # what the worker makes of an exhausted iterator
+
+
+def _one_ahead(items):
+    """Yield the items of the iterator ``items``, each after the first made on a worker thread.
+
+    The caller makes the first item itself, so one-time set-up inside
+    ``items`` (the first Philox, which loads numpy.random) allocates in the
+    caller's thread and its memory arena.  The worker then makes item k + 1
+    while the caller holds item k, and makes no item before the caller has
+    asked for the one before it, so it is never more than one item ahead.
+    An exception raised in ``items`` on the worker is raised here, in the
+    caller, at that item.  The worker ends with this generator: on
+    exhaustion, after an exception, or when the caller closes it.
+    """
+    item = next(items, _END)
+    if item is _END:
+        return
+    outcome = []  # the worker's last (item, exception)
+    go, made = threading.Semaphore(1), threading.Semaphore(0)
+    stop = False
+
+    def work() -> None:
+        while True:
+            go.acquire()
+            if stop:
+                return
+            # any exception: the caller raises it, and must not wait on a dead worker
+            try:
+                outcome.append((next(items, _END), None))
+            except BaseException as exc:
+                outcome.append((None, exc))
+            made.release()
+
+    worker = threading.Thread(target=work, name="burgerslab-noise", daemon=True)
+    worker.start()
+    try:
+        while True:
+            yield item
+            made.acquire()
+            item, exc = outcome.pop()
+            if exc is not None:
+                raise exc
+            if item is _END:
+                return
+            go.release()
+    finally:
+        stop = True
+        go.release()
+        worker.join()
+
+
 def stream(levels: Sequence, seed: int, lam: float, z0s: Sequence):
     """March one realization through a ladder of batches, a chunk at a time.
 
@@ -300,40 +357,69 @@ def stream(levels: Sequence, seed: int, lam: float, z0s: Sequence):
     level i's start Z₀.  The realization `draw_chunks` gives for (seed, λ)
     on the fine grid is drawn in chunks of the largest multiple of the
     coarsest fac² within `chunk_steps` of the fine grid and the largest
-    batch, and each chunk goes through every level in turn.  Yields
-    (i, a, b, Z, dwns, dw) per level i and checked chunk: Z holds the
-    batch's steps a .. b, ``dwns[s]`` member s's ΔWⁿ of steps a .. b − 1
-    and ``dw`` the raw ΔW on the level.  Each level keeps one buffer for
-    each of these, one for `noise.block_sum`'s partial sums and its
-    march's buffers, allocated before the first chunk and refilled by
-    every later one, so a yielded array is valid only until the next item
-    is requested: a consumer that needs one longer copies it.
+    batch.  Yields (i, a, b, Z, dwns, dw) per level i and checked chunk: Z
+    holds the batch's steps a .. b, ``dwns[s]`` member s's ΔWⁿ of steps
+    a .. b − 1 and ``dw`` the raw ΔW on the level.
+
+    Each chunk goes through two stages.  *Prepare* draws it and, for every
+    level, block-sums (`noise.block_sum`) and mollifies it into one of two
+    noise sets; *march* then marches each level through it and yields, in
+    the caller's thread.  A worker thread prepares chunk k + 1 into the
+    other set while the caller marches and consumes chunk k: the draw, the
+    FFTs and the march's ufuncs run in numpy loops that release the
+    interpreter lock.  The Philox stream is still drawn in order and every
+    operation keeps its operands, so the bits do not depend on the worker.
+    The two sets share the scratch only prepare uses (block_sum's partial
+    sums, the FFT's complex buffers, the kernels' transforms).  At λ = 0
+    nothing is drawn or convolved, and a single chunk has nothing to run
+    beside, so there one set is prepared inline and no thread starts.  The
+    worker ends with the stream: when it is exhausted, when a march breaks
+    down, when a prepare raises (the exception reaches the caller at that
+    chunk) and when the caller closes it.
+
+    Each level keeps one buffer for Z and its march's buffers, and one per
+    set for ΔWⁿ and ΔW, allocated before the first chunk and refilled by
+    the later ones, so a yielded array is valid only until the next item is
+    requested: a consumer that needs one longer copies it.
     """
     if levels[-1][0] != 1 or not all(ms and all(m.grid == g for m in ms) for _, g, ms in levels):
         raise ValueError("each level needs a batch of mollifiers on its own grid, fac 1 last")
     tf = max(fac for fac, _, _ in levels) ** 2
     fine = levels[-1][1]
     chunk = chunk_steps(fine, max(len(ms) for _, _, ms in levels), tf)
-    runs = []
+    sets = 2 if lam != 0.0 and fine.M > chunk else 1
+    marches, preps = [], []
     for (fac, g, members), z0 in zip(levels, z0s, strict=True):
         steps = min(chunk, fine.M) // fac**2
         Z, march = marcher(g, len(members), steps)
         Z[:, 0] = z0
-        # block_sum's coarse increments and its partial sums over the last axis
-        coarse, partial = ((np.empty((steps,) + g.shape),
+        marches.append((fac, Z, march, [compensator(lam, m, g.dt) for m in members]))
+        # block_sum's coarse increments, one per set, and its partial sums
+        # over the last axis
+        coarse, partial = ((np.empty((sets, steps) + g.shape),
                             np.empty((steps * fac**2,) + fine.shape[:-1] + (g.N,)))
                            if fac > 1 else (None, None))
-        runs.append((fac, Z, coarse, partial, mollifying(members, lam, steps), march,
-                     [compensator(lam, m, g.dt) for m in members]))
-    for lo, hi, fine_dw in draw_chunks(fine, seed, lam, chunk):
-        for i, (fac, Z, coarse, partial, mollify_run, march, compensated) in enumerate(runs):
-            a, b = lo // fac**2, hi // fac**2
-            dw = fine_dw if fac == 1 else block_sum(fine_dw, fac, coarse[: b - a],
-                                                    partial[: hi - lo])
-            dwns = mollify_run(dw)
-            march(b - a, dwns, compensated, a)
-            yield i, a, b, Z[:, : b - a + 1], dwns, dw
-            Z[:, 0] = Z[:, b - a]
+        preps.append((fac, coarse, partial, mollifying(members, lam, steps, sets)))
+
+    def prepare():
+        for k, (lo, hi, fine_dw) in enumerate(draw_chunks(fine, seed, lam, chunk, sets)):
+            noise = []
+            for fac, coarse, partial, mollify_run in preps:
+                dw = fine_dw if fac == 1 else block_sum(
+                    fine_dw, fac, coarse[k % sets, : (hi - lo) // fac**2], partial[: hi - lo])
+                noise.append((mollify_run(dw), dw))
+            yield lo, hi, noise
+
+    chunks = _one_ahead(prepare()) if sets > 1 else prepare()
+    try:
+        for lo, hi, noise in chunks:
+            for i, ((fac, Z, march, compensated), (dwns, dw)) in enumerate(zip(marches, noise)):
+                a, b = lo // fac**2, hi // fac**2
+                march(b - a, dwns, compensated, a)
+                yield i, a, b, Z[:, : b - a + 1], dwns, dw
+                Z[:, 0] = Z[:, b - a]
+    finally:
+        chunks.close()
 
 
 def solve_heat(grid: TorusGrid, noise: MollifiedNoise, f: ScalarField) -> HeatSolution:

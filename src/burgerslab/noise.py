@@ -112,7 +112,16 @@ __all__ = [
 # Brownian one), so the streams of one seed are independent.
 _NOISE_STREAM_TAG = np.uint64(0x57484E5345)
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# np.polynomial.legendre.leggauss(8), written out bit for bit: importing
+# numpy.polynomial costs every process about 1 MiB of RSS
+_GL_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+])
+_GL_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+])
 
 
 def _simpson_weights(panels: int) -> np.ndarray:
@@ -310,7 +319,7 @@ def _scale(grid: TorusGrid, lam: float) -> float:
     return lam * math.sqrt(grid.dt / grid.cell_volume)
 
 
-def draw_chunks(grid: TorusGrid, seed: int, lam: float, chunk: int):
+def draw_chunks(grid: TorusGrid, seed: int, lam: float, chunk: int, sets: int = 1):
     """Yield (lo, hi, ΔW at steps lo .. hi − 1) from a counter-based stream.
 
     Parameters
@@ -322,20 +331,25 @@ def draw_chunks(grid: TorusGrid, seed: int, lam: float, chunk: int):
         Noise amplitude λ; increments are λ·N(0, dt/dx^d).
     chunk : int
         Steps per yielded block; the last block may be shorter.
+    sets : int
+        Buffers the blocks are drawn into in turn.
 
     The draws of one stream follow each other, so the blocks concatenate to
-    the same bits whatever the chunk.  Every block is drawn into one buffer
-    of ``chunk`` steps (a short last block into its head), so a yielded
-    block is valid only until the next one is requested; a single block of
-    all M steps is that buffer itself.  At lam = 0 each block is zeros and
-    nothing is drawn, so no stream is built (the seed is still checked).
+    the same bits whatever the chunk.  Block j is drawn into buffer
+    j mod ``sets`` of ``chunk`` steps (a short last block into its head),
+    so a yielded block is valid only until ``sets`` more are requested; a
+    single block of all M steps is that buffer itself.  At lam = 0 each
+    block is zeros and nothing is drawn, so no stream is built (the seed is
+    still checked).
     """
     _stream_key(seed, _NOISE_STREAM_TAG)
     rng = None if lam == 0.0 else seeded_stream(seed, _NOISE_STREAM_TAG)
     scale = _scale(grid, lam)
-    buffer = (np.zeros if lam == 0.0 else np.empty)((min(chunk, grid.M),) + grid.shape)
-    for lo in range(0, grid.M, chunk):
+    alloc = np.zeros if lam == 0.0 else np.empty
+    buffers = [alloc((min(chunk, grid.M),) + grid.shape) for _ in range(sets)]
+    for j, lo in enumerate(range(0, grid.M, chunk)):
         hi = min(lo + chunk, grid.M)
+        buffer = buffers[j % sets]
         increments = buffer if hi - lo == len(buffer) else buffer[: hi - lo]
         if lam != 0.0:
             rng.standard_normal(out=increments)
@@ -396,7 +410,7 @@ def pair(noise: WhiteNoiseRealization | MollifiedNoise, xi: np.ndarray):
     return values if rows else float(values)
 
 
-def _convolution(members: Sequence[Mollifier], steps: int):
+def _convolution(members: Sequence[Mollifier], steps: int, sets: int = 1):
     """convolve(increments) -> [dx^d · (K ⊛ ΔW_k) for each member's K], k over ≤ ``steps`` slices.
 
     The circular FFT convolution of every slice, in blocks of slices: the
@@ -406,8 +420,10 @@ def _convolution(members: Sequence[Mollifier], steps: int):
     transform, takes the inverse ffts in place (the axis order of
     `np.fft.irfftn`) and the irfft into its output, so each member's slices
     equal ``irfftn(rfftn(ΔW_k) · rfftn(K))·dx^d`` bit for bit.  The
-    members' outputs and the complex buffers are allocated here, once, and
-    a returned list is valid until the next call.
+    complex buffers and ``sets`` sets of the members' outputs are allocated
+    here, once; the calls take the sets in turn, so a returned list is
+    valid until ``sets`` more calls.  The sets share the complex buffers, so
+    two calls must not run at once.
     """
     grid = members[0].grid
     axes = tuple(range(1, grid.d + 1))
@@ -415,10 +431,12 @@ def _convolution(members: Sequence[Mollifier], steps: int):
     block = min(steps, block_steps(grid, len(members)))
     spectrum = np.empty((block,) + grid.shape[:-1] + (grid.N // 2 + 1,), dtype=complex)
     product = np.empty_like(spectrum) if len(members) > 1 else spectrum
-    outs = [np.empty((steps,) + grid.shape) for _ in members]
+    outputs = [[np.empty((steps,) + grid.shape) for _ in members] for _ in range(sets)]
 
     def convolve(increments: np.ndarray) -> list:
         K = len(increments)
+        outs = outputs.pop(0)
+        outputs.append(outs)
         for lo in range(0, K, block):
             hi = min(lo + block, K)
             forward, inverse = spectrum[: hi - lo], product[: hi - lo]
@@ -437,19 +455,20 @@ def _convolution(members: Sequence[Mollifier], steps: int):
     return convolve
 
 
-def mollifying(members: Sequence[Mollifier], lam: float, steps: int):
+def mollifying(members: Sequence[Mollifier], lam: float, steps: int, sets: int = 1):
     """mollify(increments) -> each member's ΔWⁿ of a run of ≤ ``steps`` slices of amplitude λ.
 
     ΔWⁿ_k = dx^d · (K ⊛ ΔW_k), each slice convolved on its own, so a chunk
     of steps mollifies to the same bits as the whole realization.  A member
     gets the increments as they are where the convolution is exact without
     it: at λ = 0 (they are zeros) and for the single-node `lattice_delta`
-    (the identity).  The others share one `_convolution`, whose buffers
-    the returned arrays are: each is valid until the next call.
+    (the identity).  The others share one `_convolution`, whose ``sets``
+    sets of buffers the returned arrays are, taken in turn: each is valid
+    until ``sets`` more calls.
     """
     identity = [lam == 0.0 or np.count_nonzero(m.kernel) == 1 for m in members]
     convolved = [m for m, same in zip(members, identity) if not same]
-    convolve = _convolution(convolved, steps) if convolved else None
+    convolve = _convolution(convolved, steps, sets) if convolved else None
 
     def mollify(increments: np.ndarray) -> list:
         outs = iter(convolve(increments) if convolve else ())

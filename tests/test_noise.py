@@ -1,7 +1,11 @@
 """Noise laws: sampling, pairing, mollification, quadratic variation, coarse graining."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -59,6 +63,25 @@ def test_sampling_is_deterministic():
     assert not np.array_equal(a.increments, c.increments)
 
 
+def test_the_quadrature_nodes_are_leggauss_8_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert _GL_NODES.tobytes() == nodes.tobytes()
+    assert _GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
+def test_importing_the_studies_loads_no_numpy_polynomial(tmp_path):
+    # a fresh interpreter: numpy.polynomial costs every run about 1 MiB of RSS
+    src_dir = str(Path(lattice.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys\nimport burgerslab.harness.studies\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_zero_amplitude_gives_exact_zeros():
     g = _grid()
     off = sample_noise(g, seed=5, lam=0.0)
@@ -72,6 +95,21 @@ def test_a_whole_realization_owns_its_increments():
     for d, lam in ((1, 1.0), (2, 1.0), (1, 0.0)):
         increments = sample_noise(_grid(d=d, N=16), 3, lam).increments
         assert increments.flags.owndata and increments.base is None
+
+
+@pytest.mark.parametrize("sets", [1, 2, 3])
+def test_chunks_drawn_into_sets_of_buffers_concatenate_to_the_whole_draw(sets):
+    # block j goes into buffer j mod sets: each block keeps its bits until
+    # `sets` more are drawn, and the blocks are the whole draw's bits
+    g = _grid(d=2, N=8, M=11)
+    blocks = list(draw_chunks(g, 5, 0.7, 3, sets))
+    assert [(lo, hi) for lo, hi, _ in blocks] == [(0, 3), (3, 6), (6, 9), (9, 11)]
+    held = [block for _, _, block in blocks[-sets:]]
+    whole = sample_noise(g, 5, 0.7).increments
+    assert np.array_equal(np.concatenate(held), whole[len(blocks[:-sets]) * 3:])
+    pointers = [block.ctypes.data for _, _, block in blocks]
+    assert pointers == [pointers[j % sets] for j in range(len(blocks))]
+    assert len(set(pointers)) == sets
 
 
 def test_negative_seed_rejected():
@@ -428,22 +466,28 @@ def _fft_reference(m, increments):
     short=st.integers(0, 8),
     block=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
+    sets=st.sampled_from([1, 2]),
 )
-def test_in_place_convolution_equals_rfftn_irfftn_bit_for_bit(d, steps, short, block, seed):
+def test_in_place_convolution_equals_rfftn_irfftn_bit_for_bit(d, steps, short, block, seed,
+                                                              sets):
     # rfft into one complex buffer, fft and ifft in place along the other
     # axes, irfft into the output: blocks of `block` slices (a short last
     # one), and a later call on fewer slices than the buffers hold, as the
-    # stream's last chunk is
+    # stream's last chunk is.  The calls take `sets` sets of outputs in turn,
+    # so the last `sets` outputs all keep their bits
     g = TorusGrid(d=d, N=16 if d < 3 else 8, M=16, T=0.01)
     m = make_mollifier(g, 4 if d < 3 else 2)
     rng = np.random.default_rng(seed)
     with mock.patch("burgerslab.lattice._CHUNK", block):
-        mollify_run = mollifying([m], 1.0, steps)
-    for k in (steps, max(1, steps - short)):
+        mollify_run = mollifying([m], 1.0, steps, sets)
+    held = []
+    for k in (steps, max(1, steps - short), steps):
         increments = rng.standard_normal((k,) + g.shape)
         (out,) = mollify_run(increments)
         assert out.shape == increments.shape
-        assert np.array_equal(out.view(np.int64), _fft_reference(m, increments).view(np.int64))
+        held = (held + [(out, _fft_reference(m, increments))])[-sets:]
+        for out, expected in held:
+            assert np.array_equal(out.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("d,N", [(1, 64), (2, 32)])

@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import burgerslab
+from burgerslab import heat
 from burgerslab.bank import TestFunction, build_bank
 from burgerslab.colehopf import (
     WeakPairings,
@@ -203,23 +206,122 @@ def test_add_pairs_the_checked_log_of_its_z_chunk_and_names_a_bad_value(d):
                 pairings.add(lo, hi, Z, dwn)
 
 
-def test_each_level_yields_its_chunks_in_one_set_of_buffers():
-    # a yielded Z, ΔWⁿ and ΔW are valid only until the next item: every
-    # chunk of a level, the short last one included, refills the same memory
-    cfg = _config(2, 2, 1.0, 11)
-    fine = cfg.grid()
+def _two_level_ladder():
+    fine = _config(2, 2, 1.0, 11).grid()
     ladder = []
     for fac in (2, 1):
         g = coarse_grid(fine, fac)
         ladder.append((fac, g, [make_mollifier(g, 2), lattice_delta(g)]))
+    return ladder
+
+
+def test_each_level_yields_its_noise_in_two_alternating_sets_of_buffers():
+    # a yielded Z, ΔWⁿ and ΔW are valid only until the next item: every
+    # chunk of a level, the short last one included, refills the same Z, and
+    # its ΔWⁿ and ΔW come from one of two sets by the chunk's parity (the
+    # worker prepares the next chunk into the other set)
     seen = {}
-    with mock.patch("burgerslab.lattice._CHUNK", 24):  # 10 chunks of M = 256, the last of 16
-        for i, a, b, Z, dwns, dw in stream(ladder, 11, 1.0, [1.0, 1.0]):
-            pointers = tuple(x.ctypes.data for x in (Z, *dwns, dw))
-            seen.setdefault(i, set()).add(pointers)
+    with mock.patch("burgerslab.lattice._CHUNK", 24):  # 11 chunks of M = 256, the last of 16
+        for i, a, b, Z, dwns, dw in stream(_two_level_ladder(), 11, 1.0, [1.0, 1.0]):
+            level = seen.setdefault(i, {"Z": set(), "noise": []})
+            level["Z"].add(Z.ctypes.data)
+            level["noise"].append(tuple(x.ctypes.data for x in (*dwns, dw)))
             assert dwns[1] is dw  # the lattice delta's noise is the raw increments
     assert sorted(seen) == [0, 1]
-    assert all(len(pointers) == 1 for pointers in seen.values()), seen
+    for level in seen.values():
+        assert len(level["Z"]) == 1
+        noise = level["noise"]
+        assert len(noise) == 11
+        even, odd = set(noise[0::2]), set(noise[1::2])
+        assert len(even) == len(odd) == 1 and not even & odd, noise
+
+
+def test_a_caller_that_stops_early_leaves_no_worker():
+    before = threading.active_count()
+    with mock.patch("burgerslab.lattice._CHUNK", 24):
+        chunks = stream(_two_level_ladder(), 11, 1.0, [1.0, 1.0])
+        for i, a, _, _, _, _ in chunks:
+            if i == 1 and a == 24:  # the last item of chunk 2
+                break
+    assert threading.active_count() == before + 1  # the worker, preparing chunk 3
+    chunks.close()
+    assert threading.active_count() == before
+
+
+def test_a_caller_that_raises_leaves_no_worker():
+    before = threading.active_count()
+    with mock.patch("burgerslab.lattice._CHUNK", 24):
+        with pytest.raises(KeyError, match="caller"):
+            for i, a, _, _, _, _ in stream(_two_level_ladder(), 11, 1.0, [1.0, 1.0]):
+                if i == 1 and a == 24:
+                    raise KeyError("caller")
+    assert threading.active_count() == before
+
+
+def test_an_exception_in_prepare_reaches_the_caller_at_its_chunk(monkeypatch):
+    # the coarse level block-sums once per chunk: its third call is chunk 3's
+    calls = []
+    block_sum = heat.block_sum
+
+    def failing_block_sum(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ArithmeticError("prepare of chunk 3")
+        return block_sum(*args)
+
+    monkeypatch.setattr(heat, "block_sum", failing_block_sum)
+    before = threading.active_count()
+    chunks_seen = set()
+    with mock.patch("burgerslab.lattice._CHUNK", 24):
+        with pytest.raises(ArithmeticError, match="prepare of chunk 3"):
+            for i, a, _, _, _, _ in stream(_two_level_ladder(), 11, 1.0, [1.0, 1.0]):
+                chunks_seen.add(a // 6 if i == 0 else a // 24)  # the coarse chunk has 24 / 4 steps
+    assert chunks_seen == {0, 1}
+    assert threading.active_count() == before
+
+
+def _digests(ladder, hold=0.0):
+    """The bytes of every item of a stream over ``ladder``, read after holding it ``hold`` s."""
+    out = []
+    for i, a, b, Z, dwns, dw in stream(ladder, 11, 1.0, [1.0, 1.0]):
+        time.sleep(hold)
+        out.append((i, a, b, Z.tobytes(), tuple(x.tobytes() for x in dwns), dw.tobytes()))
+    return out
+
+
+def test_streams_under_thread_contention_yield_the_inline_bits():
+    # four callers with a worker each on two cores, switching every
+    # microsecond: each item still holds the bits of the stream prepared
+    # inline when its caller reads it at the end of its hold, so no worker
+    # wrote into the set its caller held
+    ladder = _two_level_ladder()
+    with mock.patch("burgerslab.lattice._CHUNK", 24):
+        with mock.patch.object(heat, "_one_ahead", lambda items: items):
+            expected = _digests(ladder)
+        results = [None] * 4
+
+        def call(j):
+            results[j] = _digests(ladder, hold=1e-4)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(j,)) for j in range(len(results))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert all(result == expected for result in results)
+
+
+def test_a_noiseless_stream_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(threading.Thread, "start", mock.Mock(side_effect=AssertionError))
+    with mock.patch("burgerslab.lattice._CHUNK", 24):
+        items = list(stream(_two_level_ladder(), 11, 0.0, [1.0, 1.0]))
+    assert len(items) == 2 * 11
 
 
 def test_converge_holds_no_batch_sized_stack(tmp_path):
